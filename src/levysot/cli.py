@@ -9,12 +9,12 @@ so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
-from typing import Any, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -109,24 +109,30 @@ class ValidationError(ValueError):
 # output helpers
 
 
-def _atomic_write(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """Write to a temporary sibling, renamed over ``path`` once complete."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_json(path: str, doc: Any) -> None:
-    _atomic_write(path, json.dumps(to_jsonable(doc), indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(to_jsonable(doc), indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _fmt(v: Any) -> Any:
@@ -314,13 +320,14 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
                 terminal, target, cfg.horizon, u_grid
             )
     write_json(os.path.join(out, "simulate_report.json"), report)
+    times = bundle.time_grid.tolist()
     write_csv(
         os.path.join(out, "paths.csv"),
         ("path_id", "t", "value"),
         (
-            (i, t, bundle.values[i, k])
-            for i in range(bundle.values.shape[0])
-            for k, t in enumerate(bundle.time_grid)
+            (i, t, v)
+            for i, path in enumerate(bundle.values)
+            for t, v in zip(times, path.tolist())
         ),
     )
     return EXIT_OK

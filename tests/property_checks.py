@@ -5,10 +5,12 @@ the same checks can be driven either by hypothesis strategies or by a seeded
 numpy generator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from levysot.measures import LevyMeasure
-from levysot.montecarlo import SimulationConfig, simulate_paths
+from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import cost_from_expr
 from levysot.transport import (
     HJBGridConfig,
@@ -134,13 +136,14 @@ def check_hjb_monotonicity_and_shift(b0, c_hi, jump_loc, jump_w, amp, freq, kapp
     assert np.max(np.abs(shifted.values - base.values - float(kappa))) <= tol
 
 
-def check_simulation_determinism(b, c, jump_loc, jump_w, seed, n_workers):
+def check_simulation_determinism(b, c, jump_loc, jump_w, seed, extra_paths):
+    """One seed repeats exactly, a longer run repeats the full blocks of a
+    shorter one, and the next seed gives a different sample."""
     t = scalar_triplet(b, c, ((jump_loc, jump_w),))
-    cfg = SimulationConfig(n_paths=16, n_steps=3, seed=seed)
+    cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS, n_steps=3, seed=seed)
     a = simulate_paths(t, 0.0, cfg)
-    again = simulate_paths(t, 0.0, cfg)
-    pooled = simulate_paths(t, 0.0, cfg, n_workers=n_workers)
-    assert np.array_equal(a.values, again.values)
-    assert np.array_equal(a.values, pooled.values)
-    other = simulate_paths(t, 0.0, SimulationConfig(n_paths=16, n_steps=3, seed=seed + 1))
-    assert not np.array_equal(a.values, other.values)
+    assert np.array_equal(a.values, simulate_paths(t, 0.0, cfg).values)
+    longer = simulate_paths(t, 0.0, replace(cfg, n_paths=2 * BLOCK_PATHS + extra_paths))
+    assert np.array_equal(longer.values[: 2 * BLOCK_PATHS], a.values)
+    other = simulate_paths(t, 0.0, replace(cfg, seed=seed + 1))
+    assert not np.array_equal(np.sort(a.terminal), np.sort(other.terminal))

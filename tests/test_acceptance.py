@@ -299,7 +299,7 @@ def test_criterion_8_property_suites():
         ("simulation determinism", lambda: pc.check_simulation_determinism(
             rng.uniform(-1, 1), rng.uniform(0.05, 1.0), rng.uniform(0.1, 1.0),
             rng.uniform(0.1, 2.0), int(rng.integers(0, 2**32)),
-            int(rng.integers(2, 5)))),
+            int(rng.integers(1, 101)))),
     ):
         passed = True
         for _ in range(n_cases):

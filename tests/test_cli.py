@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
-from levysot.cli import OUTPUT_DIR_ENV, main
+from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -70,6 +73,36 @@ def test_simulate_outputs(tmp_path):
     with open(os.path.join(out, "paths.csv")) as fh:
         assert fh.readline().strip() == "path_id,t,value"
         assert sum(1 for _ in fh) == 500 * 3
+
+
+def test_write_csv_streams_the_buffered_bytes(tmp_path):
+    values = np.array([[0.0, 0.1 + 0.2, -1e-300], [np.pi, 1e20, -0.5]])
+    times = np.array([0.0, 0.5, 1.0])
+    header = ("path_id", "t", "value")
+    # the buffered writer this one replaced: format each value, then write once
+    buf = io.StringIO()
+    ref = csv.writer(buf, lineterminator="\n")
+    ref.writerow(header)
+    for i in range(values.shape[0]):
+        for k, t in enumerate(times):
+            ref.writerow([i, repr(float(t)), repr(float(values[i, k]))])
+    path = tmp_path / "paths.csv"
+    write_csv(str(path), header, (
+        (i, t, v)
+        for i, row in enumerate(values.tolist())
+        for t, v in zip(times.tolist(), row)
+    ))
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert os.listdir(tmp_path) == ["paths.csv"]
+
+    def failing_rows():
+        yield (0, 0.0, 1.0)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(str(path), header, failing_rows())
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert os.listdir(tmp_path) == ["paths.csv"]
 
 
 def test_solve_transport_with_overrides(tmp_path):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from levysot.measures import LevyMeasure
+from levysot.measures import DensityPiece, LevyMeasure
 from levysot.montecarlo import (
+    BLOCK_PATHS,
     JumpIntensityError,
     SimulationConfig,
     cf_distance,
@@ -71,16 +75,60 @@ def test_jump_intensity_guard():
         simulate_paths(t, 0.0, SimulationConfig(n_paths=2))
 
 
-def test_determinism_and_worker_independence():
+def test_determinism_and_block_prefix():
     t = LevyTriplet.scalar(0.1, 0.5, LevyMeasure.from_atoms((0.5, 1.0)))
-    cfg = SimulationConfig(n_paths=64, n_steps=3, seed=9)
+    cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS, n_steps=3, seed=9)
     a = simulate_paths(t, 0.0, cfg)
-    b = simulate_paths(t, 0.0, cfg)
-    c = simulate_paths(t, 0.0, cfg, n_workers=4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    d = simulate_paths(t, 0.0, SimulationConfig(n_paths=64, n_steps=3, seed=10))
-    assert not np.array_equal(a.values, d.values)
+    assert np.array_equal(a.values, simulate_paths(t, 0.0, cfg).values)
+    longer = simulate_paths(t, 0.0, replace(cfg, n_paths=2 * BLOCK_PATHS + 37))
+    assert np.array_equal(longer.values[: 2 * BLOCK_PATHS], a.values)
+    d = simulate_paths(t, 0.0, replace(cfg, seed=10))
+    assert not np.array_equal(np.sort(a.terminal), np.sort(d.terminal))
+
+
+def test_seeds_give_distinct_samples():
+    # small seeds must give new samples, not a permutation of the same paths
+    # (1024 paths is a multiple of every power of two above these seeds)
+    t = LevyTriplet.scalar(0.1, 0.5, LevyMeasure.from_atoms((0.5, 1.0)))
+    sorted_terminals = [
+        np.sort(simulate_paths(t, 0.0, SimulationConfig(n_paths=1024, n_steps=3, seed=s)).terminal)
+        for s in (0, 1, 5)
+    ]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not np.array_equal(sorted_terminals[i], sorted_terminals[j])
+
+
+def test_terminal_moments_match_closed_form():
+    # drift, diffusion, one atom inside and one outside the unit ball, and a
+    # density piece reaching below the 1e-3 small-jump threshold
+    b, c, atoms, (lo, hi, dens) = 0.3, 0.5, ((0.4, 2.0), (-1.5, 0.6)), (1e-4, 0.6, 2.5)
+    piece = DensityPiece(lo, hi, lambda x: np.full_like(x, dens))
+    F = LevyMeasure(1, tuple((np.array([x]), w) for x, w in atoms), (piece,))
+    n = 100_000
+    cfg = SimulationConfig(n_paths=n, n_steps=5, seed=2)
+    terminal = simulate_paths(LevyTriplet.scalar(b, c, F), 0.0, cfg).terminal
+
+    def moment(k):
+        return sum(w * x**k for x, w in atoms) + dens * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+
+    mean = b + sum(w * x for x, w in atoms if abs(x) > 1.0)
+    var = c + moment(2)
+    se_mean = np.sqrt(var / n)
+    se_var = np.sqrt((moment(4) + 2.0 * var**2) / n)
+    assert abs(terminal.mean() - mean) <= 5.0 * se_mean
+    assert abs(terminal.var(ddof=1) - var) <= 5.0 * se_var
+
+
+def test_terminal_is_start_plus_logged_jumps():
+    t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 3.0), (-1.5, 0.7)))
+    x0, horizon = 0.2, 2.0
+    cfg = SimulationConfig(horizon=horizon, n_paths=300, n_steps=4, seed=6)
+    bundle = simulate_paths(t, x0, cfg, record_jumps=True)
+    compensator = 0.5 * 3.0
+    for value, log in zip(bundle.terminal, bundle.jump_log):
+        expected = x0 + sum(size for _, size in log) - compensator * horizon
+        assert abs(value - expected) <= 1e-12
 
 
 def test_jump_log_recorded():
@@ -101,6 +149,12 @@ def test_empirical_cf_and_distance():
     rng = np.random.default_rng(0)
     gauss = rng.standard_normal(50000)
     assert cf_distance(gauss, t, 1.0, u) < 0.02
+
+
+def test_marginal_ks_against_atomic_laws():
+    samples = np.random.default_rng(0).poisson(3.0, size=100_000)
+    assert marginal_ks(samples, stats.poisson(3.0).cdf) < 0.005
+    assert marginal_ks(np.full(50, 1.5), gaussian_cdf(1.5, 0.0)) == 0.0
 
 
 def test_marginal_cdf_forms():

@@ -76,7 +76,7 @@ def test_hjb_monotonicity_and_constant_shift(b0, c_hi, loc, w, amp, freq, kappa)
     loc=sc(0.1, 1.0),
     w=sc(0.1, 2.0),
     seed=st.integers(0, 2**32 - 1),
-    n_workers=st.integers(2, 4),
+    extra=st.integers(1, 100),
 )
-def test_simulation_determinism_and_workers(b, c, loc, w, seed, n_workers):
-    pc.check_simulation_determinism(b, c, loc, w, seed, n_workers)
+def test_simulation_determinism_and_block_prefix(b, c, loc, w, seed, extra):
+    pc.check_simulation_determinism(b, c, loc, w, seed, extra)
