@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse, stats
-from scipy.linalg import solve_banded
+from scipy import stats
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import minimize
 
 from .measures import truncate_scalar
@@ -428,28 +428,54 @@ class ValueGrid:
         return np.interp(np.asarray(x, float), self.x_grid, self.values[0])
 
 
-def _shift_operator(x_grid: np.ndarray, y: float) -> sparse.csr_matrix:
-    """Linear interpolation of v at x + y, with linear extrapolation."""
-    n = x_grid.size
-    h = x_grid[1] - x_grid[0]
-    pos = np.arange(n) + y / h
-    i = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.column_stack([i, i + 1]).ravel()
-    vals = np.column_stack([1.0 - f, f]).ravel()
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _lincomb(coefs, arrays):
+    """coefs[0] * arrays[0] + coefs[1] * arrays[1] + ..., summed in order.
 
+    Elementwise, so every entry gets the same arithmetic at any array shape;
+    a BLAS product would not promise that across batch sizes.
+    """
+    out = coefs[0] * arrays[0]
+    for c, a in zip(coefs[1:], arrays[1:]):
+        out = out + c * a
+    return out
+
+
+def _params(P: np.ndarray) -> List[np.ndarray]:
+    return [P[..., i] for i in range(P.shape[-1])]
+
+
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system in place with LAPACK gtsv.
+
+    Raises LinAlgError on a singular matrix and ValueError on a non-finite
+    solution, the exception types of ``scipy.linalg.solve_banded``.
+    """
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("HJB step produced infs or NaNs")
+    return x
 
 
 class _HJBWorkspace:
-    """Per-grid precomputation shared by backward and forward sweeps."""
+    """Per-grid precomputation shared by backward and forward sweeps.
+
+    The backward step works on a (B, n) stack of value vectors, one row per
+    terminal potential: every array it builds carries the stack as leading
+    axes, the Hamiltonian probes of one coordinate go through one cost call,
+    and the B implicit systems are solved as one block-diagonal tridiagonal
+    system.  The arithmetic per row does not depend on B, so a batched solve
+    equals B single solves bit for bit.
+    """
 
     def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig):
         self.aff = affine_family_structure(fam)
         self.x_grid, i0, i1 = grid_cfg.build_grid()
         self.report = (i0, i1)
         self.h = float(self.x_grid[1] - self.x_grid[0])
+        self.h2 = self.h**2
         self.n = self.x_grid.size
         self.dt = 1.0 / grid_cfg.n_t
         self.n_t = grid_cfg.n_t
@@ -461,205 +487,243 @@ class _HJBWorkspace:
                 f"dt * jump intensity = {self.dt * lam_max:.3g} > 1; "
                 f"use n_t >= {suggested}"
             )
-        self.shifts = [_shift_operator(self.x_grid, y) for y in self.aff.locations]
-        self.shifts_T = [S.T.tocsr() for S in self.shifts]
+        # a jump by y is linear interpolation of v at x + y, extrapolated
+        # linearly past the edges: the two-tap gather (1 - f) v[i] + f v[i+1]
+        self.taps = []
+        for y in self.aff.locations:
+            pos = np.arange(self.n) + y / self.h
+            i = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
+            f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
+            self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel()))
         self.trunc = np.array([truncate_scalar(y) for y in self.aff.locations])
         # the jump compensator -sum_j w_j h(y_j) v_x is an ordinary drift;
         # folding it into the implicit upwinded drift keeps the explicit jump
         # part S - I monotone and the whole scheme stable under the CFL bound
         self.drift0 = self.aff.b0 - float(self.trunc @ self.aff.w0)
         self.drift_lin = self.aff.b_lin - self.trunc @ self.aff.w_lin
-        self.stencil = grid_cfg.drift_stencil
+        self.central = grid_cfg.drift_stencil == "central"
+        self._x_tiles = {}
 
-    def central_mask(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        if self.stencil == "central":
-            return np.ones_like(b, dtype=bool)
-        return c >= np.abs(b) * self.h
-
-    # -- spatial difference stencils on a value vector -------------------
-
-    def d_forward(self, v):
-        out = np.empty_like(v)
-        out[:-1] = (v[1:] - v[:-1]) / self.h
-        out[-1] = out[-2]
-        return out
-
-    def d_backward(self, v):
-        out = np.empty_like(v)
-        out[1:] = (v[1:] - v[:-1]) / self.h
-        out[0] = out[1]
-        return out
-
-    def d_central(self, v):
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * self.h)
-        out[0] = (v[1] - v[0]) / self.h
-        out[-1] = (v[-1] - v[-2]) / self.h
-        return out
-
-    def d2(self, v):
-        out = np.zeros_like(v)
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / self.h**2
-        # linear-extrapolation ghosts: zero curvature at the padded edges
-        return out
+    # -- characteristics at controls P of shape (..., n_params) -----------
 
     def effective_drift(self, P: np.ndarray) -> np.ndarray:
-        return self.drift0 + P @ self.drift_lin
+        return self.drift0 + _lincomb(self.drift_lin, _params(P))
 
-    def jump_basis(self, v):
-        """Explicit jump contributions per parameter: J(p)v = j0 + p_i * j_i."""
-        aff = self.aff
-        if not len(aff.locations):
-            return np.zeros(self.n), np.zeros((aff.n_params, self.n))
-        parts = np.empty((len(aff.locations), self.n))
-        for j, S in enumerate(self.shifts):
-            parts[j] = S @ v - v
-        return aff.w0 @ parts, aff.w_lin.T @ parts
+    def diffusion(self, P: np.ndarray) -> np.ndarray:
+        return self.aff.c0 + _lincomb(self.aff.c_lin, _params(P))
+
+    def jump_weights(self, P: np.ndarray) -> List[np.ndarray]:
+        """Clipped jump weight per location."""
+        ps = _params(P)
+        return [np.maximum(w0 + _lincomb(wl, ps), 0.0)
+                for w0, wl in zip(self.aff.w0, self.aff.w_lin)]
+
+    def cost(self, L: CostFunction, t: float, P: np.ndarray) -> np.ndarray:
+        """L(t, x, P) over the grid for a stack of controls, in one call."""
+        rows = P.size // (self.n * P.shape[-1])
+        x = self._x_tiles.get(rows)
+        if x is None:
+            x = self._x_tiles[rows] = np.tile(self.x_grid, rows)
+        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
+
+    # -- explicit jump part ------------------------------------------------
+
+    def jump_parts(self, V: np.ndarray) -> List[np.ndarray]:
+        """S_j v - v per jump location, for a (B, n) stack."""
+        return [g * V[:, i] + f * V[:, i1] - V for i, i1, g, f, _ in self.taps]
+
+    def jump_apply_transpose(self, W: List[np.ndarray], q: np.ndarray) -> np.ndarray:
+        """J^T q for the forward (adjoint) sweep of one value vector.
+
+        The scatter-add visits source nodes in ascending order, so each sum
+        runs in the order of a CSR product with S^T and the L-BFGS-B
+        gradient does not depend on how J^T is stored.
+        """
+        out = np.zeros(self.n)
+        for (_, _, g, f, index), w in zip(self.taps, W):
+            wq = w * q
+            out += np.bincount(
+                index, weights=np.column_stack([g * wq, f * wq]).ravel(), minlength=self.n
+            ) - wq
+        return out
 
     # -- per-step Hamiltonian minimization -------------------------------
 
-    def optimize_controls(self, t: float, v: np.ndarray, L: CostFunction) -> np.ndarray:
+    def _stencils(self, V: np.ndarray, parts: List[np.ndarray]):
+        """Difference quotients and jump terms of H for a (B, n) stack."""
+        h = self.h
+        diff = (V[:, 1:] - V[:, :-1]) / h
+        dc = np.empty_like(V)
+        dc[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (2.0 * h)
+        dc[:, 0] = diff[:, 0]
+        dc[:, -1] = diff[:, -1]
+        # linear-extrapolation ghosts: zero curvature at the padded edges
+        d2v = np.zeros_like(V)
+        d2v[:, 1:-1] = (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / self.h2
+        dp = dm = None
+        if not self.central:
+            dp = np.empty_like(V)
+            dp[:, :-1] = diff
+            dp[:, -1] = diff[:, -1]
+            dm = np.empty_like(V)
+            dm[:, 1:] = diff
+            dm[:, 0] = diff[:, 0]
+        # J(p)v = j0 + sum_i p_i j_i, with j_i stacked on a last axis
+        j0 = jlin = None
+        if parts:
+            j0 = _lincomb(self.aff.w0, parts)
+            jlin = np.stack([_lincomb(wl, parts) for wl in self.aff.w_lin.T], axis=-1)
+        return dp, dm, dc, d2v, j0, jlin
+
+    def hamiltonian(self, t, L, P, i, S, terms) -> np.ndarray:
+        """H with coordinate i of P set to each of the K probes in S.
+
+        P has shape (B, n, n_params); S broadcasts to (K, B, n).  Returns
+        (K, B, n), from a single cost call.
+        """
+        dp, dm, dc, d2v, j0, jlin = terms
+        Q = np.empty((len(S),) + P.shape)
+        if P.shape[-1] > 1:
+            Q[...] = P
+        Q[..., i] = S
+        H = self._transport_terms(Q, dp, dm, dc, d2v)
+        if j0 is not None:
+            H += j0 + _lincomb(_params(jlin), _params(Q))
+        H += self.cost(L, t, Q)
+        return H
+
+    def _transport_terms(self, Q, dp, dm, dc, d2v) -> np.ndarray:
+        """Drift and diffusion terms of H; a function of its own so that its
+        temporaries are freed before the cost call."""
+        b = self.effective_drift(Q)
+        c = self.diffusion(Q)
+        if self.central:
+            H = b * dc
+        else:
+            upwind = np.maximum(b, 0.0) * dp + np.minimum(b, 0.0) * dm
+            H = np.where(c >= np.abs(b) * self.h, b * dc, upwind)
+        H += 0.5 * c * d2v
+        return H
+
+    def optimize_controls(self, t: float, L: CostFunction, terms, shape) -> np.ndarray:
         """Per-node minimizing parameters of the discrete Hamiltonian."""
         aff = self.aff
-        dp, dm = self.d_forward(v), self.d_backward(v)
-        dc, d2v = self.d_central(v), self.d2(v)
-        j0, jlin = self.jump_basis(v)
-
-        def hamiltonian(P):
-            b = self.effective_drift(P)
-            c = aff.diffusion(P)
-            upwind = np.maximum(b, 0.0) * dp + np.minimum(b, 0.0) * dm
-            drift = np.where(self.central_mask(b, c), b * dc, upwind)
-            jump = j0 + np.einsum("mi,im->m", P, jlin)
-            return drift + 0.5 * c * d2v + jump + L(t, self.x_grid, P)
-
-        def minimize_coordinate(P, i, lo, hi):
-            """Per-node argmin over coordinate i; closed form when quadratic."""
-
-            def phi(s):
-                Q = P.copy()
-                Q[:, i] = s
-                return hamiltonian(Q)
-
-            mid = 0.5 * (lo + hi)
-            f_lo, f_mid, f_hi = phi(lo), phi(mid), phi(hi)
-            # fit A (s-lo)^2 + B (s-lo) + f_lo through the three probes and
-            # verify at a fourth point before trusting the closed-form argmin
-            span = hi - lo
-            A = 2.0 * (f_lo - 2.0 * f_mid + f_hi) / span**2
-            B = (4.0 * f_mid - 3.0 * f_lo - f_hi) / span
-            probe = lo + 0.25 * span
-            fit = A * (probe - lo) ** 2 + B * (probe - lo) + f_lo
-            f_probe = phi(probe)
-            if np.all(np.abs(fit - f_probe) <= 1e-9 * (1.0 + np.abs(f_probe))):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vertex = lo - B / (2.0 * A)
-                interior = np.where(A > 0, np.clip(vertex, lo, hi), lo)
-                endpoint = np.where(f_lo <= f_hi, lo, hi)
-                return np.where(A > 0, interior, endpoint)
-            a = np.full(self.n, lo)
-            b_ = np.full(self.n, hi)
-            for _ in range(48):
-                c1 = b_ - GOLDEN * (b_ - a)
-                c2 = a + GOLDEN * (b_ - a)
-                left = phi(c1) < phi(c2)
-                b_ = np.where(left, c2, b_)
-                a = np.where(left, a, c1)
-            return np.clip(0.5 * (a + b_), lo, hi)
-
-        P = np.tile(0.5 * (aff.lows + aff.highs), (self.n, 1))
+        P = np.empty(shape + (aff.n_params,))
+        P[...] = 0.5 * (aff.lows + aff.highs)
         sweeps = 1 if aff.n_params == 1 else 2
         for _ in range(sweeps):
             for i in range(aff.n_params):
                 lo, hi = aff.lows[i], aff.highs[i]
-                if hi <= lo:
-                    P[:, i] = lo
-                    continue
-                P[:, i] = minimize_coordinate(P, i, lo, hi)
+                P[..., i] = lo if hi <= lo else self._minimize_coordinate(
+                    t, L, P, i, lo, hi, terms)
         return P
 
-    # -- frozen-control step operators -----------------------------------
+    def _minimize_coordinate(self, t, L, P, i, lo, hi, terms) -> np.ndarray:
+        """Per-node argmin over coordinate i; closed form when quadratic."""
+        mid = 0.5 * (lo + hi)
+        span = hi - lo
+        probe = lo + 0.25 * span
+        probes = np.array([lo, mid, hi, probe])[:, None, None]
+        f_lo, f_mid, f_hi, f_probe = self.hamiltonian(t, L, P, i, probes, terms)
+        # fit A (s-lo)^2 + B (s-lo) + f_lo through three probes and verify at
+        # the fourth before trusting the closed-form argmin; the check is one
+        # decision per potential, over all of its nodes
+        A = 2.0 * (f_lo - 2.0 * f_mid + f_hi) / span**2
+        B = (4.0 * f_mid - 3.0 * f_lo - f_hi) / span
+        fit = A * (probe - lo) ** 2 + B * (probe - lo) + f_lo
+        quadratic = np.all(np.abs(fit - f_probe) <= 1e-9 * (1.0 + np.abs(f_probe)), axis=-1)
+        with np.errstate(all="ignore"):
+            vertex = lo - B / (2.0 * A)
+        interior = np.where(A > 0, np.clip(vertex, lo, hi), lo)
+        endpoint = np.where(f_lo <= f_hi, lo, hi)
+        s = np.where(A > 0, interior, endpoint)
+        if not quadratic.all():
+            rows = np.flatnonzero(~quadratic)
+            sub = tuple(None if a is None else a[rows] for a in terms)
+            s[rows] = self._golden_section(t, L, P[rows], i, lo, hi, sub)
+        return s
 
-    def banded_matrix(self, b: np.ndarray, c: np.ndarray):
-        """Banded form of I - dt * (implicit drift + implicit diffusion)."""
-        n, h, dt = self.n, self.h, self.dt
-        up = np.maximum(b, 0.0)
-        dn = np.minimum(b, 0.0)
-        central = self.central_mask(b, c)
-        diag = np.where(
-            central,
-            1.0 + dt * c / h**2,
-            1.0 + dt * (up - dn) / h + dt * c / h**2,
-        )
-        row_upper = np.where(
-            central,
-            -0.5 * dt * b / h - 0.5 * dt * c / h**2,
-            -dt * up / h - 0.5 * dt * c / h**2,
-        )
-        row_lower = np.where(
-            central,
-            0.5 * dt * b / h - 0.5 * dt * c / h**2,
-            dt * dn / h - 0.5 * dt * c / h**2,
-        )
-        upper = np.zeros(n)
-        lower = np.zeros(n)
-        upper[1:] = row_upper[:-1]
-        lower[:-1] = row_lower[1:]
+    def _golden_section(self, t, L, P, i, lo, hi, terms) -> np.ndarray:
+        a = np.full(P.shape[:-1], lo)
+        b_ = np.full(P.shape[:-1], hi)
+        for _ in range(48):
+            c1 = b_ - GOLDEN * (b_ - a)
+            c2 = a + GOLDEN * (b_ - a)
+            f1, f2 = self.hamiltonian(t, L, P, i, np.stack([c1, c2]), terms)
+            left = f1 < f2
+            b_ = np.where(left, c2, b_)
+            a = np.where(left, a, c1)
+        return np.clip(0.5 * (a + b_), lo, hi)
+
+    # -- frozen-control implicit step ------------------------------------
+
+    def tridiagonal(self, b: np.ndarray, c: np.ndarray):
+        """(dl, d, du) of I - dt * (implicit drift + implicit diffusion).
+
+        b and c are (B, n) stacks; the B systems are laid end to end as one
+        system of size B * n whose couplings across block boundaries are
+        zero, so gtsv eliminates each block exactly as it would alone.
+        """
+        h, h2, dt = self.h, self.h2, self.dt
+        half = 0.5 * dt * c / h2
+        if self.central:
+            diag = 1.0 + dt * c / h2
+            row_upper = -0.5 * dt * b / h - half
+            row_lower = 0.5 * dt * b / h - half
+        else:
+            up = np.maximum(b, 0.0)
+            dn = np.minimum(b, 0.0)
+            central = c >= np.abs(b) * h
+            diag = np.where(central, 1.0 + dt * c / h2, 1.0 + dt * (up - dn) / h + dt * c / h2)
+            row_upper = np.where(central, -0.5 * dt * b / h - half, -dt * up / h - half)
+            row_lower = np.where(central, 0.5 * dt * b / h - half, dt * dn / h - half)
+        du = np.empty_like(b)
+        dl = np.empty_like(b)
+        du[:, :-1] = row_upper[:, :-1]
+        dl[:, :-1] = row_lower[:, 1:]
+        du[:, -1] = dl[:, -1] = 0.0
         # edge rows sit in the padded region: one-sided drift, zero curvature
-        diag[0] = 1.0 + dt * b[0] / h
-        upper[1] = -dt * b[0] / h
-        diag[-1] = 1.0 - dt * b[-1] / h
-        lower[-2] = dt * b[-1] / h
-        return np.vstack([upper, diag, lower])
+        diag[:, 0] = 1.0 + dt * b[:, 0] / h
+        du[:, 0] = -dt * b[:, 0] / h
+        diag[:, -1] = 1.0 - dt * b[:, -1] / h
+        dl[:, -2] = dt * b[:, -1] / h
+        return dl.ravel()[:-1], diag.ravel(), du.ravel()[:-1]
 
-    def solve_banded_system(self, ab, rhs):
-        return solve_banded((1, 1), ab, rhs)
+    def backward_step(self, k: int, V: np.ndarray, L: CostFunction):
+        """Values at t_k from values V at t_{k+1}, for a (B, n) stack.
 
-    def solve_banded_transpose(self, ab, rhs):
-        upper, diag, lower = ab
-        ab_t = np.vstack([
-            np.concatenate([[0.0], lower[:-1]]),
-            diag,
-            np.concatenate([upper[1:], [0.0]]),
-        ])
-        return solve_banded((1, 1), ab_t, rhs)
-
-    def jump_apply(self, W: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J v with per-node weight matrix W of shape (n, n_locations)."""
-        if W.size == 0:
-            return np.zeros(self.n)
-        out = np.zeros(self.n)
-        for j, S in enumerate(self.shifts):
-            out += W[:, j] * (S @ v - v)
-        return out
-
-    def jump_apply_transpose(self, W: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """J^T q for the forward (adjoint) sweep."""
-        if W.size == 0:
-            return np.zeros(self.n)
-        out = np.zeros(self.n)
-        for j, S_T in enumerate(self.shifts_T):
-            wq = W[:, j] * q
-            out += S_T @ wq - wq
-        return out
+        Returns the controls (B, n, n_params) and the values (B, n).
+        """
+        t = self.t_grid[k]
+        parts = self.jump_parts(V)
+        P = self.optimize_controls(t, L, self._stencils(V, parts), V.shape)
+        source = self.cost(L, t, P)
+        if parts:
+            source = _lincomb(self.jump_weights(P), parts) + source
+        rhs = V + self.dt * source
+        dl, d, du = self.tridiagonal(self.effective_drift(P), np.maximum(self.diffusion(P), 0.0))
+        return P, _gtsv(dl, d, du, rhs.ravel()).reshape(V.shape)
 
 
 def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray) -> ValueGrid:
     values = np.empty((ws.n_t + 1, ws.n))
     controls = np.empty((ws.n_t, ws.n, ws.aff.n_params))
     values[-1] = terminal
+    V = values[-1:]
     for k in range(ws.n_t - 1, -1, -1):
-        v_next = values[k + 1]
-        t = ws.t_grid[k]
-        P = ws.optimize_controls(t, v_next, cost)
-        controls[k] = P
-        b = ws.effective_drift(P)
-        c = np.maximum(ws.aff.diffusion(P), 0.0)
-        W = np.maximum(ws.aff.weights(P), 0.0)
-        rhs = v_next + ws.dt * (ws.jump_apply(W, v_next) + cost(t, ws.x_grid, P))
-        ab = ws.banded_matrix(b, c)
-        values[k] = ws.solve_banded_system(ab, rhs)
+        P, V = ws.backward_step(k, V, cost)
+        controls[k] = P[0]
+        values[k] = V[0]
     return ValueGrid(ws.x_grid, ws.t_grid, values, controls, ws.report)
+
+
+def _initial_values(ws: _HJBWorkspace, cost: CostFunction, terminals: np.ndarray) -> np.ndarray:
+    """v(0, .) for a (B, n) stack of terminal potentials in one backward
+    sweep that keeps only the current step."""
+    V = terminals
+    for k in range(ws.n_t - 1, -1, -1):
+        _, V = ws.backward_step(k, V, cost)
+    return V
 
 
 def _terminal_on_grid(ws: _HJBWorkspace, lambda1) -> np.ndarray:
@@ -689,40 +753,16 @@ def solve_hjb(
 
 
 def _forward_ws(ws: _HJBWorkspace, controls: np.ndarray, q0: np.ndarray) -> np.ndarray:
+    """Adjoint of the backward step maps applied to q0: the terminal grid law
+    of the controlled process under the frozen controls."""
     q = q0
     for k in range(ws.n_t):
         P = controls[k]
-        b = ws.effective_drift(P)
-        c = np.maximum(ws.aff.diffusion(P), 0.0)
-        W = np.maximum(ws.aff.weights(P), 0.0)
-        ab = ws.banded_matrix(b, c)
-        r = ws.solve_banded_transpose(ab, q)
-        q = r + ws.dt * ws.jump_apply_transpose(W, r)
+        dl, d, du = ws.tridiagonal(ws.effective_drift(P)[None],
+                                   np.maximum(ws.diffusion(P), 0.0)[None])
+        r = _gtsv(du, d, dl, q.copy())  # the transposed system
+        q = r + ws.dt * ws.jump_apply_transpose(ws.jump_weights(P), r)
     return q
-
-
-def forward_measure(
-    inst: TransportInstance, vg: ValueGrid, mu0: Marginal
-) -> np.ndarray:
-    """Terminal grid law of the controlled process under the frozen controls.
-
-    This is the adjoint of the backward step map applied to mu0's grid
-    projection; it is the gradient of the dual value with respect to the
-    terminal potential (plus the target marginal term).
-    """
-    ws = _HJBWorkspace(inst.fam, _cfg_from_grid(vg))
-    return _forward_ws(ws, vg.controls, mu0.grid_weights(vg.x_grid))
-
-
-def _cfg_from_grid(vg: ValueGrid) -> HJBGridConfig:
-    i0, i1 = vg.report_slice
-    return HJBGridConfig(
-        x_min=float(vg.x_grid[i0]),
-        x_max=float(vg.x_grid[i1]),
-        n_x=i1 - i0,
-        n_t=vg.t_grid.size - 1,
-        pad=float(vg.x_grid[i0] - vg.x_grid[0]),
-    )
 
 
 def evaluate_dual(
@@ -773,8 +813,14 @@ class DualAscentResult:
 def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfig()) -> DualAscentResult:
     """Maximize the dual value over bounded piecewise-linear terminal potentials.
 
-    Quasi-Newton ascent (L-BFGS-B) with the forward-transported terminal law
-    minus the target as the exact ascent direction.
+    Three stages, all recorded in ``history``:
+
+    1. a warm start over λ = 0 and 50 clipped quadratics a x^2 + d x, whose
+       51 dual values come from one batched backward sweep;
+    2. a Nelder–Mead polish of (a, d) from the best of them;
+    3. L-BFGS-B over the full grid potential from the polished quadratic,
+       with the forward-transported terminal law minus the target as the
+       exact ascent direction.
     """
     ws = _HJBWorkspace(inst.fam, cfg.grid)
     x_grid = ws.x_grid
@@ -792,12 +838,12 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     def potential(z: np.ndarray) -> np.ndarray:
         return kernel @ z if kernel is not None else z
 
-    def dual_value(z: np.ndarray) -> float:
-        lam = potential(z)
-        vg = _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lam))
-        value = float(mu0_w @ vg.initial() - mu1_w @ lam)
-        history.append(value)
-        return value
+    def dual_values(zs: List[np.ndarray]) -> List[float]:
+        lams = [_terminal_on_grid(ws, potential(z)) for z in zs]
+        v0 = _initial_values(ws, inst.cost, np.stack(lams))
+        values = [float(mu0_w @ v - mu1_w @ lam) for v, lam in zip(v0, lams)]
+        history.extend(values)
+        return values
 
     def negative_dual(z: np.ndarray):
         lam = potential(z)
@@ -815,14 +861,16 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     def quad_potential(a: float, d: float) -> np.ndarray:
         return np.clip(a * x_grid**2 + d * x_grid, -cfg.bound, cfg.bound)
 
-    best_ad, best_val = (0.0, 0.0), dual_value(np.zeros(x_grid.size))
-    for a in (0.25, 1.0, 4.0, 16.0, 64.0, -0.25, -1.0, -4.0, -16.0, -64.0):
-        for d in (0.0, 1.0, -1.0, 4.0, -4.0):
-            v = dual_value(quad_potential(a, d))
-            if v > best_val:
-                best_ad, best_val = (a, d), v
+    ad_grid = [(0.0, 0.0)] + [
+        (a, d)
+        for a in (0.25, 1.0, 4.0, 16.0, 64.0, -0.25, -1.0, -4.0, -16.0, -64.0)
+        for d in (0.0, 1.0, -1.0, 4.0, -4.0)
+    ]
+    values = dual_values([np.zeros(x_grid.size)] + [quad_potential(*ad) for ad in ad_grid[1:]])
+    best = int(np.argmax(values))  # the first of equal maxima
+    best_ad, best_val = ad_grid[best], values[best]
     polish = minimize(
-        lambda ad: -dual_value(quad_potential(ad[0], ad[1])),
+        lambda ad: -dual_values([quad_potential(ad[0], ad[1])])[0],
         np.array(best_ad),
         method="Nelder-Mead",
         options={"maxiter": 60, "xatol": 1e-4, "fatol": 1e-6},
@@ -1003,6 +1051,9 @@ class DualityReport:
     weak_duality_ok: bool
     allowance: float
     ascent_history: Tuple[float, ...]
+    dual_converged: bool  # L-BFGS-B's success flag
+    dual_likely_infeasible: bool
+    primal_likely_infeasible: bool
 
 
 def duality_report(
@@ -1030,4 +1081,7 @@ def duality_report(
         weak_duality_ok=gap >= -allowance,
         allowance=allowance,
         ascent_history=dual.history,
+        dual_converged=dual.converged,
+        dual_likely_infeasible=dual.likely_infeasible,
+        primal_likely_infeasible=primal.likely_infeasible,
     )

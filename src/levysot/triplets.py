@@ -20,7 +20,6 @@ from .measures import (
     LevyMeasure,
     TruncationRule,
     _sqnorm,
-    truncation_apply,
 )
 
 SYMMETRY_TOL = 1e-12

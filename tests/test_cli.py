@@ -117,6 +117,9 @@ def test_solve_transport_with_overrides(tmp_path):
     rep = read_json(os.path.join(out, "duality_report.json"))
     assert abs(rep["primal_value"]) < 1e-9
     assert abs(rep["dual_value"]) < 1e-6
+    assert rep["dual_converged"] is True
+    assert rep["dual_likely_infeasible"] is False
+    assert rep["primal_likely_infeasible"] is False
     for name in ("schedule.csv", "dual_potential.csv", "value_surface.csv"):
         assert os.path.exists(os.path.join(out, name))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from levysot import fixtures
 from levysot.measures import LevyMeasure
@@ -12,6 +13,10 @@ from levysot.transport import (
     PrimalConfig,
     StateDependentCostError,
     TransportInstance,
+    _gtsv,
+    _HJBWorkspace,
+    _initial_values,
+    _solve_hjb_ws,
     affine_family_structure,
     dual_ascent,
     duality_report,
@@ -239,6 +244,139 @@ def test_weak_duality_on_fixed_potentials():
     assert np.isclose(val, -0.5, atol=0.02)
     opt = evaluate_dual(inst, lambda x: -2.0 * x**2, cfg)
     assert 0.95 <= opt <= 1.0 + 0.02
+
+
+def test_hjb_non_finite_step_raises():
+    # exp(1000 lam) overflows: a non-finite right-hand side is a ValueError
+    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    inst = TransportInstance(inst.mu0, inst.mu1, inst.fam,
+                             cost_from_expr("exp(1000 * lam)", ("lam",)))
+    cfg = HJBGridConfig(n_x=40, n_t=10, drift_stencil="central")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        solve_hjb(inst, lambda x: 0.0 * x, cfg)
+
+
+def test_gtsv_raises_the_solve_banded_exception_types():
+    with pytest.raises(np.linalg.LinAlgError):
+        _gtsv(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(ValueError):
+        _gtsv(np.zeros(2), np.ones(3), np.zeros(2), np.array([1.0, np.inf, 1.0]))
+
+
+def _sparse_shift(x_grid, y):
+    """The sparse interpolation operator the two-tap gathers replaced."""
+    n = x_grid.size
+    pos = np.arange(n) + y / (x_grid[1] - x_grid[0])
+    i = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    f = pos - i
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.column_stack([i, i + 1]).ravel()
+    vals = np.column_stack([1.0 - f, f]).ravel()
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def test_jump_gathers_equal_sparse_shifts_bitwise():
+    # the forward sweep's scatter-add sets the L-BFGS-B gradient, so it must
+    # reproduce the sparse transpose bit for bit; -9 reaches past the padding
+    atoms = ((0.5, 1.0), (-0.37, 0.5), (2.3, 0.25), (-9.0, 0.1))
+    ws = _HJBWorkspace(fixed_family(atoms=atoms), HJBGridConfig(n_x=60, n_t=20, pad=3.0))
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(2, ws.n))
+    W = list(rng.random((len(atoms), ws.n)))
+    shifts = [_sparse_shift(ws.x_grid, y) for y in ws.aff.locations]
+    for S, part in zip(shifts, ws.jump_parts(v)):
+        for row in range(2):
+            assert np.array_equal(part[row], S @ v[row] - v[row])
+    expected = np.zeros(ws.n)
+    for S, w in zip(shifts, W):
+        wq = w * v[0]
+        expected += S.T.tocsr() @ wq - wq
+    assert np.array_equal(ws.jump_apply_transpose(W, v[0]), expected)
+
+
+def _two_param_family():
+    return ThetaFamily(
+        parameter_box=((0.0, 1.0), (0.0, 1.0)),
+        triplet_map=lambda p: LevyTriplet.scalar(
+            float(p[0]) - 0.5, 0.05 + 0.5 * float(p[1]),
+            LevyMeasure.from_atoms((0.5, 1.0 + float(p[0]))),
+        ),
+    )
+
+
+def _drift_family():
+    return ThetaFamily(
+        parameter_box=((-1.0, 1.0),),
+        triplet_map=lambda p: LevyTriplet.scalar(float(p[0]), 0.1),
+    )
+
+
+BATCH_CASES = {
+    # central stencil with a jump family
+    "poisson-central": lambda: (
+        instance_from_dict(fixtures.poisson_instance_doc()).fam,
+        cost_from_expr("(lam - 1) * (lam - 1)", ("lam",)),
+        HJBGridConfig(n_x=60, n_t=20, drift_stencil="central"),
+    ),
+    # auto stencil, diffusion control
+    "gaussian-auto": lambda: (
+        diffusion_family(), cost_from_expr("c * c", ("c",)),
+        HJBGridConfig(n_x=60, n_t=20),
+    ),
+    # auto stencil, drift control: the upwind switch makes H non-quadratic
+    # on sloped potentials only, so one batch takes both paths
+    "drift-auto-mixed": lambda: (
+        _drift_family(), cost_from_expr("p0 * p0", ("p0",)),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
+    # two parameters (two sweeps), non-quadratic costs: golden section
+    "two-param-abs": lambda: (
+        _two_param_family(), cost_from_expr("abs(p0 - 0.3) + p1 * p1", ("p0", "p1")),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
+    "two-param-exp": lambda: (
+        _two_param_family(), cost_from_expr("exp(p0) + p1 * p1", ("p0", "p1")),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_solve_equals_single_solves(case):
+    fam, cost, cfg = BATCH_CASES[case]()
+    ws = _HJBWorkspace(fam, cfg)
+    x = ws.x_grid
+    terminals = np.stack([
+        np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
+    ])
+    golden_rows = []
+    golden = ws._golden_section
+
+    def spy(t, L, P, *args):
+        golden_rows.append(P.shape[0])
+        return golden(t, L, P, *args)
+
+    ws._golden_section = spy
+    V = terminals
+    batched_controls = []
+    for k in range(ws.n_t - 1, -1, -1):
+        P, V = ws.backward_step(k, V, cost)
+        batched_controls.append(P)
+    ws._golden_section = golden
+    assert np.array_equal(_initial_values(ws, cost, terminals), V)
+    for row, terminal in enumerate(terminals):
+        vg = _solve_hjb_ws(ws, cost, terminal)
+        assert np.array_equal(vg.initial(), V[row])
+        for k, P in zip(range(ws.n_t - 1, -1, -1), batched_controls):
+            assert np.array_equal(vg.controls[k], P[row])
+    B = len(terminals)
+    if case.startswith("two-param"):
+        assert B in golden_rows
+    elif case == "drift-auto-mixed":
+        # the fourth-point check decides per potential, not per batch
+        assert any(0 < r < B for r in golden_rows)
+    else:
+        assert not golden_rows
 
 
 # ---------------------------------------------------------------------------
