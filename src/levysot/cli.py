@@ -257,6 +257,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
             "witness_params": None
             if probe.witness_params is None
             else probe.witness_params.tolist(),
+            "projection": list(probe.projections),
         }
     write_json(os.path.join(out, "limit_report.json"), report)
     write_csv(
@@ -270,13 +271,14 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
     )
     from .triplets import small_jump_second_moment
 
+    triplets = seq.triplets()
     write_csv(
         os.path.join(out, "small_jump_profile.csv"),
         ("delta", "n", "small_jump_mass"),
         (
-            (d, n, small_jump_second_moment(seq.index_map(n).F, d))
+            (d, n, small_jump_second_moment(t.F, d))
             for d in deltas
-            for n in seq.n_schedule
+            for n, t in zip(seq.n_schedule, triplets)
         ),
     )
     return EXIT_OK

@@ -3,28 +3,36 @@
 Densities, family coefficients and cost functions arrive as strings.  Only a
 small whitelist is evaluated: +, -, *, /, pow, exp, abs, numeric constants and
 named variables.  Everything else is rejected at compile time.
+
+A compiled expression evaluates two ways.  Called with keyword arguments it
+broadcasts like numpy (costs and densities on grids).  ``evaluate_rows``
+evaluates expressions on columns of values, one row per entry, with the
+arithmetic a call on Python floats would do: powers go through Python's
+float power, element by element, because numpy's array power rounds
+differently from libm's ``pow`` in the last bit.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from typing import Callable, Mapping, Sequence
+import operator
+from typing import Mapping, Sequence
 
 import numpy as np
 
-_ALLOWED_FUNCS = {
-    "exp": np.exp,
-    "abs": np.abs,
-    "pow": lambda a, b: a ** b,
-}
-
+_ALLOWED_FUNCS = ("exp", "abs", "pow")
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
+# ``a ** b`` is compiled as a call to this name, so each evaluation mode
+# can supply its own power
+_POW = "__pow"
+
 
 class ExpressionError(ValueError):
-    """Raised when an expression string falls outside the grammar."""
+    """Raised when an expression string falls outside the grammar or does not
+    evaluate to a finite real number."""
 
 
 def _check(node: ast.AST, variables: Sequence[str]) -> None:
@@ -58,28 +66,90 @@ def _check(node: ast.AST, variables: Sequence[str]) -> None:
         raise ExpressionError(f"node {type(node).__name__} not allowed")
 
 
-def compile_expr(source: str, variables: Sequence[str]) -> Callable[..., float]:
+class _PowAsCall(ast.NodeTransformer):
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name(_POW, ast.Load()), [node.left, node.right], [])
+        return node
+
+
+def _python_pow(a, b):
+    """Python's float power on each element: libm ``pow``, as for scalars."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        shape, out = None, [a ** b]
+    else:
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        shape = a.shape
+        out = [x ** y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    if any(isinstance(v, complex) for v in out):
+        raise ArithmeticError("power of a negative number is not real")
+    return out[0] if shape is None else np.array(out, dtype=float).reshape(shape)
+
+
+_CALL_ENV = {"exp": np.exp, "abs": np.abs, "pow": operator.pow, _POW: operator.pow}
+_ROWS_ENV = {"exp": np.exp, "abs": np.abs, "pow": _python_pow, _POW: _python_pow}
+
+
+class Expression:
+    """A compiled expression over named variables."""
+
+    def __init__(self, source: str, variables: Sequence[str]):
+        try:
+            tree = ast.parse(source, mode="eval")
+        except SyntaxError as exc:
+            raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
+        _check(tree, variables)
+        tree = ast.fix_missing_locations(_PowAsCall().visit(tree))
+        self.source = source
+        self.variables = tuple(variables)
+        self._code = compile(tree, "<expr>", "eval")
+
+    def _eval(self, env: dict, values: Mapping):
+        missing = set(self.variables) - set(values)
+        if missing:
+            raise ExpressionError(f"missing variables {sorted(missing)}")
+        try:
+            return eval(self._code, {"__builtins__": {}}, {**env, **values})
+        except ArithmeticError as exc:
+            raise ExpressionError(f"expression {self.source!r}: {exc}") from exc
+
+    def __call__(self, **kwargs):
+        """Evaluate with numpy broadcasting; a scalar result must be finite."""
+        out = self._eval(_CALL_ENV, kwargs)
+        if isinstance(out, (int, float)) and not math.isfinite(out):
+            raise ExpressionError(f"expression {self.source!r} evaluated to {out}")
+        return out
+
+
+def evaluate_rows(
+    exprs: Sequence[Expression], columns: Mapping[str, np.ndarray], size: int
+) -> np.ndarray:
+    """The (len(exprs), size) values of expressions on rows of variables.
+
+    ``columns`` maps each variable to its (size,) column.  Each row is
+    evaluated as a call on Python floats would evaluate it.  A division by
+    zero along the way, or a non-finite result in any row, raises
+    ExpressionError with the expression's source.
+    """
+    out = np.empty((len(exprs), size))
+    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        for i, e in enumerate(exprs):
+            out[i] = e._eval(_ROWS_ENV, columns)
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        e = exprs[i]
+        at = ", ".join(f"{k}={float(columns[k][j])!r}" for k in e.variables)
+        raise ExpressionError(
+            f"expression {e.source!r} evaluated to {out[i, j]}" + (f" at {at}" if at else "")
+        )
+    return out
+
+
+def compile_expr(source: str, variables: Sequence[str]) -> Expression:
     """Compile ``source`` into a function of the named ``variables``.
 
     The returned callable accepts the variables as keyword arguments (scalars
     or numpy arrays) and broadcasts like numpy.
     """
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
-    _check(tree, variables)
-    code = compile(tree, "<expr>", "eval")
-    env = dict(_ALLOWED_FUNCS)
-
-    def evaluate(**kwargs):
-        missing = set(variables) - set(kwargs)
-        if missing:
-            raise ExpressionError(f"missing variables {sorted(missing)}")
-        out = eval(code, {"__builtins__": {}}, {**env, **kwargs})
-        if isinstance(out, (int, float)) and not math.isfinite(out):
-            raise ExpressionError(f"expression {source!r} evaluated to {out}")
-        return out
-
-    evaluate.source = source  # type: ignore[attr-defined]
-    return evaluate
+    return Expression(source, variables)

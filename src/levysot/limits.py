@@ -14,11 +14,12 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
-from .measures import LevyMeasure, truncate_scalar
+from .measures import LevyMeasure, row_dot, truncate_scalar
 from .triplets import (
     FeatureMapConfig,
     LevyTriplet,
     ThetaFamily,
+    TripletStack,
     condition_b_value,
     levy_exponent,
     measure_features,
@@ -46,6 +47,8 @@ class TripletSequence:
 
     index_map: Callable[[int], LevyTriplet]
     n_schedule: Tuple[int, ...] = DEFAULT_N_SCHEDULE
+    # (P, 1) array of indices -> TripletStack; without it, stacks pack rows
+    stack_map: Optional[Callable[[np.ndarray], TripletStack]] = None
 
     def __post_init__(self):
         sched = tuple(int(n) for n in self.n_schedule)
@@ -55,6 +58,12 @@ class TripletSequence:
 
     def triplets(self):
         return [self.index_map(n) for n in self.n_schedule]
+
+    def stack(self) -> TripletStack:
+        """The scheduled triplets as one stack."""
+        if self.stack_map is not None:
+            return self.stack_map(np.array(self.n_schedule, dtype=float)[:, None])
+        return TripletStack.pack(self.triplets())
 
     def condition_b_bound(self) -> float:
         """Max of the boundedness functional over the schedule (recorded bound)."""
@@ -89,10 +98,10 @@ def exponent_limit_profile(seq: TripletSequence, u_grid) -> ExponentProfile:
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise ValueError("u_grid must be nonempty")
-    triplets = seq.triplets()
+    psi = levy_exponent(seq.stack(), u_grid)
     entries = []
-    for u in u_grid:
-        vals = [levy_exponent(t, u) for t in triplets]
+    for u, column in zip(u_grid, psi.T):
+        vals = column.tolist()
         if not all(np.isfinite(v) for v in vals):
             raise RuntimeError(f"non-finite exponent at u={u}")
         diffs = np.abs(np.diff(vals))
@@ -208,20 +217,32 @@ class ClosednessReport:
     distance: float
     identified: Optional[LevyTriplet]
     fit_residual: float
+    # one entry per projection run: scan size and each polish's status
+    projections: Tuple[dict, ...] = ()
 
 
 _PROBE_FEATURES = FeatureMapConfig(m_max=3, u_grid=(np.array([0.5]), np.array([1.0]), np.array([2.0])))
 IDENTIFICATION_RESIDUAL_CAP = 0.1
 
 
-def _triplet_distance(s: LevyTriplet, t: LevyTriplet) -> float:
-    return float(
-        np.linalg.norm(s.b - t.b)
-        + np.linalg.norm(s.c - t.c, "fro")
-        + np.linalg.norm(
-            measure_features(s.F, _PROBE_FEATURES) - measure_features(t.F, _PROBE_FEATURES)
-        )
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, formed as np.linalg.norm forms it."""
+    return np.sqrt(row_dot(x, x))
+
+
+def _distances(st: TripletStack, t: LevyTriplet, t_features: np.ndarray) -> np.ndarray:
+    """|b - b_t| + |c - c_t|_F + |features - features_t| for each row of st."""
+    P, d = st.b.shape
+    return (
+        _norms(st.b - t.b)
+        + _norms((st.c - t.c).reshape(P, d * d))
+        + _norms(measure_features(st.F, _PROBE_FEATURES) - t_features)
     )
+
+
+def _triplet_distance(s: LevyTriplet, t: LevyTriplet) -> float:
+    t_features = measure_features(t.F, _PROBE_FEATURES)
+    return float(_distances(TripletStack.pack([s]), t, t_features)[0])
 
 
 def project_to_family(
@@ -229,29 +250,36 @@ def project_to_family(
     target: LevyTriplet,
     use_u_map: bool = False,
     scan_resolution: int = 17,
+    log: Optional[list] = None,
 ) -> Tuple[np.ndarray, float]:
     """Nearest family member (optionally through the modified-triplet map).
 
     Constrained least squares over the parameter box: a coarse scan in a
-    normalized unit box followed by Nelder-Mead polish from the best cells.
+    normalized unit box, priced as one stack, followed by Nelder-Mead polish
+    from the best cells.  When ``log`` is a list, one entry is appended: the
+    number of scan points and each polish's status, nit and nfev.
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
     span = np.where(highs > lows, highs - lows, 1.0)
+    t_features = measure_features(target.F, _PROBE_FEATURES)
+
+    def distances(S):
+        st = fam.stack(lows + np.clip(S, 0.0, 1.0) * span)
+        if use_u_map:
+            st = modified_triplet(st)
+        return _distances(st, target, t_features)
 
     def objective(s):
-        p = lows + np.clip(s, 0.0, 1.0) * span
-        t = fam.at(p)
-        if use_u_map:
-            t = modified_triplet(t)
-        return _triplet_distance(t, target)
+        return float(distances(s[None])[0])
 
     n_params = len(lows)
     axes = [np.linspace(0.0, 1.0, scan_resolution)] * n_params
     scan = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n_params, -1).T
-    values = np.array([objective(s) for s in scan])
+    values = distances(scan)
     order = np.argsort(values)
     best_s, best_v = scan[order[0]], float(values[order[0]])
+    polish = []
     for idx in order[:3]:
         if best_v <= 0.1 * MEMBERSHIP_TOL:
             break
@@ -261,8 +289,11 @@ def project_to_family(
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600},
         )
+        polish.append({"status": int(res.status), "nit": int(res.nit), "nfev": int(res.nfev)})
         if res.fun < best_v:
             best_s, best_v = np.clip(res.x, 0.0, 1.0), float(res.fun)
+    if log is not None:
+        log.append({"scan_points": len(scan), "polish": polish})
     return lows + best_s * span, best_v
 
 
@@ -284,27 +315,32 @@ def closedness_probe(
     exponent profile, since the identified limit is only that accurate.
     """
     u_grid = default_u_grid() if u_grid is None else np.asarray(u_grid, float)
+    log: list = []
     # precheck: the scheduled triplets must (numerically) lie in the family
     for n in (seq.n_schedule[0], seq.n_schedule[-1]):
         if param_map is not None:
             dist = _triplet_distance(fam.at(param_map(n)), seq.index_map(n))
         else:
-            _, dist = project_to_family(fam, seq.index_map(n))
+            _, dist = project_to_family(fam, seq.index_map(n), log=log)
         if dist > 1e-8:
-            return ClosednessReport("inconclusive", None, None, float(dist), None, np.inf)
+            return ClosednessReport(
+                "inconclusive", None, None, float(dist), None, np.inf, tuple(log)
+            )
     profile = exponent_limit_profile(seq, u_grid)
     try:
         identified, fit_residual = limit_triplet_identify(profile, structure)
     except ValueError:
-        return ClosednessReport("inconclusive", None, None, np.inf, None, np.inf)
+        return ClosednessReport("inconclusive", None, None, np.inf, None, np.inf, tuple(log))
     if fit_residual > IDENTIFICATION_RESIDUAL_CAP:
         return ClosednessReport(
-            "inconclusive", None, None, np.inf, identified, fit_residual
+            "inconclusive", None, None, np.inf, identified, fit_residual, tuple(log)
         )
     target = modified_triplet(identified) if use_u_map else identified
-    params, dist = project_to_family(fam, target, use_u_map=use_u_map)
+    params, dist = project_to_family(fam, target, use_u_map=use_u_map, log=log)
     witness = fam.at(params)
     extrapolation_error = max(e.error_estimate for e in profile.entries)
     tol = MEMBERSHIP_TOL + 3.0 * (extrapolation_error + fit_residual)
     verdict = "yes" if dist <= tol else "no"
-    return ClosednessReport(verdict, params, witness, float(dist), identified, fit_residual)
+    return ClosednessReport(
+        verdict, params, witness, float(dist), identified, fit_residual, tuple(log)
+    )

@@ -6,9 +6,11 @@ Triplet documents:
      "F": {"atoms": [{"x": [..], "w": ..}],
            "pieces": [{"lo": .., "hi": .., "density": "<expr in x>", "nodes": ..}]}}
 
-Family documents parametrize the same shape with expression strings over named
-parameters; atoms whose weight evaluates to 0 are dropped, so rate parameters
-may reach the lower edge of their box.
+Family and sequence documents parametrize the same shape with expression
+strings over named variables (the family's parameters, or the index n).  One
+template compiler turns either into a map from a (P, n_vars) array of
+variable values to a TripletStack; atoms whose weight evaluates to 0 or less
+are dropped, so rate parameters may reach the lower edge of their box.
 
 Instance documents:
 
@@ -18,15 +20,17 @@ Instance documents:
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .exprs import ExpressionError, compile_expr
-from .measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure
+from .exprs import Expression, ExpressionError, compile_expr, evaluate_rows
+from .measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure, MeasureStack
 from .transport import CostFunction, Marginal, TransportInstance
-from .triplets import LevyTriplet, ThetaFamily
+from .triplets import LevyTriplet, ThetaFamily, TripletStack
 
 
 class SchemaError(ValueError):
@@ -102,12 +106,122 @@ def triplet_to_dict(t: LevyTriplet) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# families
+# triplet templates: families and sequences
 
 
 def _wrap_density(fn, names: Sequence[str], values: np.ndarray):
     params = dict(zip(names, values))
     return lambda x: np.asarray(fn(x=np.asarray(x, float), **params), float)
+
+
+@dataclass(frozen=True)
+class TripletTemplate:
+    """A triplet document whose entries are expressions in named variables.
+
+    ``stack`` evaluates it at every row of a (P, n_vars) array.  The
+    coefficients are evaluated column-wise with the arithmetic of a scalar
+    evaluation (``evaluate_rows``); each row's density pieces are bound to
+    that row's values and integrated by quadrature like any DensityPiece.
+    """
+
+    variables: Tuple[str, ...]
+    b: Tuple[Expression, ...]
+    c: Tuple[Tuple[Expression, ...], ...]
+    atoms: Tuple[Tuple[Tuple[Expression, ...], Expression], ...]
+    pieces: Tuple[Tuple[float, float, Expression, int], ...]
+
+    @functools.cached_property
+    def _coefficients(self) -> Tuple[Expression, ...]:
+        """b, then c row by row, then the atom weights."""
+        return self.b + sum(self.c, ()) + tuple(w for _, w in self.atoms)
+
+    @functools.cached_property
+    def _locations(self) -> Tuple[Expression, ...]:
+        return sum((x for x, _ in self.atoms), ())
+
+    def stack(self, values) -> TripletStack:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(self.variables):
+            raise ValueError(
+                f"expected (P, {len(self.variables)}) variable values, got {values.shape}"
+            )
+        P, d, K = values.shape[0], len(self.b), len(self.atoms)
+        cols = {name: values[:, i] for i, name in enumerate(self.variables)}
+        n_coef = len(self._coefficients)
+        try:
+            vals = evaluate_rows(self._coefficients + self._locations, cols, P)
+        except ExpressionError:
+            # perhaps at the location of a dropped atom, which a scalar
+            # evaluation never forms: redone below with dropped atoms masked
+            vals = evaluate_rows(self._coefficients, cols, P)
+        b = vals[:d].T.copy()
+        c = vals[d : d + d * d].T.reshape(P, d, d)
+        w = vals[d + d * d : n_coef].T.copy()
+        keep = w > 0
+        if len(vals) > n_coef:
+            x = vals[n_coef:].T.reshape(P, K, d)
+        else:
+            x = np.ones((P, K, d))
+            for k, (locs, _) in enumerate(self.atoms):
+                rows = keep[:, k]
+                if rows.any():
+                    kept = {name: col[rows] for name, col in cols.items()}
+                    x[rows, k] = evaluate_rows(locs, kept, int(rows.sum())).T
+        if not keep.all():
+            w[~keep] = 0.0
+            # each row's kept atoms first, in document order, and no column
+            # that no row uses
+            order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+            w, x = w[np.arange(P)[:, None], order], x[np.arange(P)[:, None], order]
+        pieces = ()
+        if self.pieces:
+            pieces = tuple(
+                tuple(
+                    DensityPiece(lo, hi, _wrap_density(fn, self.variables, row), nodes)
+                    for lo, hi, fn, nodes in self.pieces
+                )
+                for row in values
+            )
+        return TripletStack(b, c, MeasureStack(d, x, w, pieces))
+
+    def triplet(self, values) -> LevyTriplet:
+        """The triplet at one vector of variable values."""
+        return self.stack(np.asarray(values, dtype=float)[None]).triplet(0)
+
+
+def compile_template(
+    doc: Mapping[str, Any], variables: Sequence[str], context: str
+) -> TripletTemplate:
+    """Compile a family or sequence document over the named variables."""
+    names = tuple(variables)
+
+    def expr(e) -> Expression:
+        return compile_expr(str(e), names)
+
+    b = tuple(expr(e) for e in _require(doc, "b", context))
+    d = len(b)
+    c = tuple(tuple(expr(e) for e in row) for row in _require(doc, "c", context))
+    if len(c) != d or any(len(row) != d for row in c):
+        raise SchemaError(f"{context}: c must be a {d} x {d} matrix")
+    F_doc = doc.get("F", {})
+    atoms = []
+    for a in F_doc.get("atoms", ()):
+        locs = tuple(expr(e) for e in np.atleast_1d(a["x"]))
+        if len(locs) != d:
+            raise SchemaError(f"{context}: atom location must have {d} entries")
+        atoms.append((locs, expr(a["w"])))
+    pieces = tuple(
+        (
+            float(p["lo"]),
+            float(p["hi"]),
+            compile_expr(str(p["density"]), ("x",) + names),
+            int(p.get("nodes", DEFAULT_QUAD_NODES)),
+        )
+        for p in F_doc.get("pieces", ())
+    )
+    if pieces and d != 1:
+        raise SchemaError(f"{context}: density pieces are supported only in dimension 1")
+    return TripletTemplate(names, b, c, tuple(atoms), pieces)
 
 
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
@@ -117,86 +231,24 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
     names = tuple(doc.get("params", [f"p{i}" for i in range(len(box))]))
     if len(names) != len(box):
         raise SchemaError("family: params must match the box length")
-
-    b_exprs = [compile_expr(str(e), names) for e in _require(doc, "b", "family")]
-    c_rows = [
-        [compile_expr(str(e), names) for e in row]
-        for row in _require(doc, "c", "family")
-    ]
-    F_doc = doc.get("F", {})
-    atom_specs = []
-    for a in F_doc.get("atoms", ()):
-        locs = [compile_expr(str(e), names) for e in np.atleast_1d(a["x"])]
-        atom_specs.append((locs, compile_expr(str(a["w"]), names)))
-    piece_specs = []
-    for p in F_doc.get("pieces", ()):
-        piece_specs.append(
-            (
-                float(p["lo"]),
-                float(p["hi"]),
-                compile_expr(str(p["density"]), ("x",) + tuple(names)),
-                int(p.get("nodes", DEFAULT_QUAD_NODES)),
-            )
-        )
-    dimension = len(b_exprs)
-
-    def triplet_map(p: np.ndarray) -> LevyTriplet:
-        env = dict(zip(names, map(float, p)))
-        b = np.array([float(e(**env)) for e in b_exprs])
-        c = np.array([[float(e(**env)) for e in row] for row in c_rows])
-        atoms = []
-        for locs, w_expr in atom_specs:
-            w = float(w_expr(**env))
-            if w > 0:
-                atoms.append((np.array([float(e(**env)) for e in locs]), w))
-        pieces = tuple(
-            DensityPiece(lo, hi, _wrap_density(fn, names, np.asarray(p, float)), nodes)
-            for lo, hi, fn, nodes in piece_specs
-        )
-        return LevyTriplet(
-            b=b, c=c, F=LevyMeasure(dimension, tuple(atoms), pieces)
-        )
-
+    template = compile_template(doc, names, "family")
     blocks = doc.get("blocks")
     return ThetaFamily(
         parameter_box=box,
-        triplet_map=triplet_map,
+        triplet_map=template.triplet,
         structural_tag=doc.get("structural_tag", "general"),
         blocks={k: tuple(v) for k, v in blocks.items()} if blocks else None,
+        stack_map=template.stack,
     )
-
-
-# ---------------------------------------------------------------------------
-# triplet sequences
 
 
 def sequence_from_dict(doc: Mapping[str, Any]):
     """Build a TripletSequence from expressions in the index variable n."""
     from .limits import DEFAULT_N_SCHEDULE, TripletSequence
 
-    b_exprs = [compile_expr(str(e), ("n",)) for e in _require(doc, "b", "sequence")]
-    c_rows = [
-        [compile_expr(str(e), ("n",)) for e in row]
-        for row in _require(doc, "c", "sequence")
-    ]
-    atom_specs = []
-    for a in doc.get("F", {}).get("atoms", ()):
-        locs = [compile_expr(str(e), ("n",)) for e in np.atleast_1d(a["x"])]
-        atom_specs.append((locs, compile_expr(str(a["w"]), ("n",))))
-    dimension = len(b_exprs)
-
-    def index_map(n: int) -> LevyTriplet:
-        b = np.array([float(e(n=n)) for e in b_exprs])
-        c = np.array([[float(e(n=n)) for e in row] for row in c_rows])
-        atoms = []
-        for locs, w_expr in atom_specs:
-            w = float(w_expr(n=n))
-            if w > 0:
-                atoms.append((np.array([float(e(n=n)) for e in locs]), w))
-        return LevyTriplet(b=b, c=c, F=LevyMeasure(dimension, tuple(atoms)))
-
+    template = compile_template(doc, ("n",), "sequence")
     schedule = tuple(doc.get("n_schedule", DEFAULT_N_SCHEDULE))
-    return TripletSequence(index_map, schedule)
+    return TripletSequence(lambda n: template.triplet([n]), schedule, template.stack)
 
 
 def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:

@@ -1,6 +1,11 @@
 """Levy triplet algebra: boundedness/small-jump diagnostics, the modified
 second characteristic, exponents, generators and measure feature maps.
 
+A TripletStack holds P triplets as arrays.  The feature map, the modified
+second characteristic and the exponent take a stack and evaluate every row
+at once, with each row's arithmetic that of the single-triplet evaluation;
+a single triplet goes through the same code as a stack of one.
+
 Conventions fixed here and used everywhere else:
   * truncation h(x) = x * min(1, 1/|x|) (unit-ball projection),
   * |b| Euclidean, |c| Frobenius,
@@ -10,6 +15,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -18,8 +24,10 @@ import numpy as np
 
 from .measures import (
     LevyMeasure,
+    MeasureStack,
     TruncationRule,
     _sqnorm,
+    row_dot,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -48,10 +56,7 @@ class LevyTriplet:
             raise ValueError(f"c has shape {c.shape}, expected ({d}, {d})")
         if self.F.dimension != d:
             raise ValueError("F dimension does not match b")
-        if np.max(np.abs(c - c.T)) > SYMMETRY_TOL:
-            raise ValueError("c is not symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(0.5 * (c + c.T))) < -PSD_EIG_TOL:
-            raise ValueError("c has an eigenvalue below -1e-10")
+        _check_diffusion(c[None])
 
     @property
     def dimension(self) -> int:
@@ -70,6 +75,84 @@ class LevyTriplet:
         )
 
 
+def _check_diffusion(c: np.ndarray) -> None:
+    """Each c[i] of a (P, d, d) array must be symmetric and PSD."""
+    if c.shape[-1] == 1:
+        # the 1 x 1 case: symmetric, and its eigenvalue is the entry itself
+        eig = c[:, 0, 0]
+    else:
+        ct = np.swapaxes(c, -1, -2)
+        if np.max(np.abs(c - ct), initial=0.0) > SYMMETRY_TOL:
+            raise ValueError("c is not symmetric within 1e-12")
+        eig = np.linalg.eigvalsh(0.5 * (c + ct))
+    if (eig < -PSD_EIG_TOL).any():
+        raise ValueError("c has an eigenvalue below -1e-10")
+
+
+@dataclass(frozen=True)
+class TripletStack:
+    """P triplets as arrays: b (P, d), c (P, d, d) and the measures F.
+
+    Every row passes the checks a LevyTriplet makes (c symmetric and PSD).
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    F: MeasureStack
+
+    def __post_init__(self):
+        b = np.asarray(self.b, dtype=float)
+        c = np.asarray(self.c, dtype=float)
+        if b.ndim != 2:
+            raise ValueError(f"b has shape {b.shape}, expected (P, d)")
+        P, d = b.shape
+        if c.shape != (P, d, d):
+            raise ValueError(f"c has shape {c.shape}, expected ({P}, {d}, {d})")
+        if self.F.dimension != d or len(self.F) != P:
+            raise ValueError("F dimension does not match b")
+        _check_diffusion(c)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __len__(self) -> int:
+        return self.b.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.b.shape[1]
+
+    @staticmethod
+    def pack(triplets: Sequence[LevyTriplet]) -> "TripletStack":
+        ts = list(triplets)
+        if not ts:
+            raise ValueError("cannot stack zero triplets")
+        return TripletStack(
+            np.array([t.b for t in ts]),
+            np.array([t.c for t in ts]),
+            ts[0].F.stack if len(ts) == 1 else MeasureStack.pack([t.F for t in ts]),
+        )
+
+    def triplet(self, i: int) -> LevyTriplet:
+        """Row i as a LevyTriplet."""
+        return LevyTriplet(self.b[i].copy(), self.c[i].copy(), self.F.measure(i))
+
+
+def _dots(x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """x @ u for each row u of U (nU, d): (P, n, d) locations -> (P, nU, n).
+
+    Each (row, u) pair is one matrix-vector product, as ``x @ u`` is.
+    """
+    return (x[:, None] @ U[..., None])[..., 0]
+
+
+def _real(v):
+    return v.real
+
+
+def _imag(v):
+    return v.imag
+
+
 def condition_b_value(t: LevyTriplet) -> float:
     """The boundedness functional |b| + |c| + ∫ |x|^2 ∧ |x| F(dx)."""
     jump = t.F.integrate(lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x))))
@@ -83,31 +166,59 @@ def small_jump_second_moment(F: LevyMeasure, delta: float) -> float:
     return F.integrate_ball(_sqnorm, delta)
 
 
-def modified_triplet(t: LevyTriplet) -> LevyTriplet:
-    """(b, c, F) -> (b, c + ∫ h h^T dF, F): the modified second characteristic."""
-    h = t.truncation
-    d = t.dimension
-    corr = np.empty((d, d))
+def modified_triplet(t):
+    """(b, c, F) -> (b, c + ∫ h h^T dF, F): the modified second characteristic.
+
+    Takes a LevyTriplet or a TripletStack and returns the same kind.
+    """
+    single = isinstance(t, LevyTriplet)
+    F = t.F.stack if single else t.F
+    h = TruncationRule(F.dimension)
+    d = F.dimension
+    corr = np.empty((len(F), d, d))
     for i in range(d):
         for j in range(i, d):
-            corr[i, j] = corr[j, i] = t.F.integrate(
+            corr[:, i, j] = corr[:, j, i] = F.integrate(
                 lambda x, i=i, j=j: h.apply(x)[..., i] * h.apply(x)[..., j]
             )
-    return LevyTriplet(t.b, t.c + corr, t.F)
+    if single:
+        return LevyTriplet(t.b, t.c + corr[0], t.F)
+    return TripletStack(t.b, t.c + corr, t.F)
 
 
-def levy_exponent(t: LevyTriplet, u) -> complex:
-    """psi(u) = i u.b - u.c.u/2 + ∫ (e^{i u.x} - 1 - i u.h(x)) F(dx)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (t.dimension,):
+def levy_exponent(t, u):
+    """psi(u) = i u.b - u.c.u/2 + ∫ (e^{i u.x} - 1 - i u.h(x)) F(dx).
+
+    For a LevyTriplet and one frequency u, the complex psi(u).  For a
+    TripletStack and a grid of frequencies ((U,) when d = 1, else (U, d)),
+    the (P, U) array of psi, each entry bit-identical to the single call.
+    """
+    if isinstance(t, LevyTriplet):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.shape != (t.dimension,):
+            raise ValueError("frequency dimension mismatch")
+        return complex(levy_exponent(TripletStack.pack([t]), u[None])[0, 0])
+    d = t.dimension
+    U = np.asarray(u, dtype=float)
+    if U.ndim == 1 and d == 1:
+        U = U[:, None]
+    if U.ndim != 2 or U.shape[1] != d:
         raise ValueError("frequency dimension mismatch")
-    h = t.truncation
-    drift = 1j * float(u @ t.b)
-    diff = -0.5 * float(u @ t.c @ u)
-    jump = t.F.integrate_complex(
-        lambda x: np.exp(1j * (x @ u)) - 1.0 - 1j * (h.apply(x) @ u)
+    h = TruncationRule(d)
+    P = len(t)
+    bu = row_dot(t.b, np.broadcast_to(U, (P,) + U.shape))
+    ucu = (U[None, :, None, :] @ t.c[:, None] @ U[None, :, :, None])[..., 0, 0]
+    diff = -0.5 * ucu
+    re, im = t.F.integrate_parts(
+        lambda grp: np.exp(1j * _dots(grp.x, U)) - 1.0 - 1j * _dots(h.apply(grp.x), U),
+        (_real, _imag),
     )
-    return drift + diff + jump
+    # i*bu + diff + jump in Python's complex arithmetic, spelled out in
+    # floats so that every rounding and every signed zero matches
+    out = np.empty((P, U.shape[0]), dtype=complex)
+    out.real = (0.0 * bu - 0.0) + diff + re
+    out.imag = (0.0 + bu) + 0.0 + im
+    return out
 
 
 def generator_apply(
@@ -168,28 +279,39 @@ class FeatureMapConfig:
     def size(self) -> int:
         return self.m_max + 2 * len(self.u_grid)
 
+    @functools.cached_property
+    def u_array(self) -> np.ndarray:
+        return np.array(self.u_grid)
 
-def _window(m: int, r: np.ndarray) -> np.ndarray:
-    """Piecewise-linear ramp: 0 on [0, 1/(2m)], 1 on [1/m, inf)."""
-    lo, hi = 1.0 / (2 * m), 1.0 / m
-    return np.clip((r - lo) / (hi - lo), 0.0, 1.0)
+    @functools.cached_property
+    def window_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(lo, hi - lo) of the window ramps m = 1..m_max, as (m_max, 1)
+        columns: window m is 0 on [0, 1/(2m)] and 1 on [1/m, inf), linear
+        in between."""
+        m = np.arange(1, self.m_max + 1)[:, None]
+        lo, hi = 1.0 / (2 * m), 1.0 / m
+        return lo, hi - lo
 
 
-def measure_features(F: LevyMeasure, cfg: FeatureMapConfig) -> np.ndarray:
-    """Finite feature map separating the supported parametric measure families."""
-    out = np.empty(cfg.size)
-    for m in range(1, cfg.m_max + 1):
-        out[m - 1] = F.integrate(
-            lambda x, m=m: np.minimum(_sqnorm(x), 1.0) * _window(m, np.sqrt(_sqnorm(x)))
+def measure_features(F, cfg: FeatureMapConfig) -> np.ndarray:
+    """Finite feature map separating the supported parametric measure families.
+
+    For a LevyMeasure the (size,) features; for a MeasureStack a (P, size)
+    array, one row per measure.
+    """
+    stack = F if isinstance(F, MeasureStack) else F.stack
+    lo, width = cfg.window_bounds
+    out = np.empty((len(stack), cfg.size))
+    (out[:, : cfg.m_max],) = stack.integrate_parts(
+        lambda grp: grp.sq1[:, None]
+        * np.minimum(np.maximum((np.sqrt(grp.sq)[:, None] - lo) / width, 0.0), 1.0)
+    )
+    if cfg.u_grid:
+        out[:, cfg.m_max :: 2], out[:, cfg.m_max + 1 :: 2] = stack.integrate_parts(
+            lambda grp: grp.sq1[:, None] * np.exp(1j * _dots(grp.x, cfg.u_array)),
+            (_real, _imag),
         )
-    k = cfg.m_max
-    for u in cfg.u_grid:
-        z = F.integrate_complex(
-            lambda x: np.minimum(_sqnorm(x), 1.0) * np.exp(1j * (x @ u))
-        )
-        out[k], out[k + 1] = z.real, z.imag
-        k += 2
-    return out
+    return out if isinstance(F, MeasureStack) else out[0]
 
 
 @dataclass(frozen=True)
@@ -201,6 +323,8 @@ class ThetaFamily:
     structural_tag: str = "general"
     # for product-box families: parameter indices feeding each component
     blocks: Optional[Mapping[str, Tuple[int, ...]]] = None
+    # (P, n_params) -> TripletStack; without it, stacks pack at(p) rows
+    stack_map: Optional[Callable[[np.ndarray], TripletStack]] = None
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.parameter_box)
@@ -222,6 +346,15 @@ class ThetaFamily:
         if p.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {p.shape}")
         return self.triplet_map(p)
+
+    def stack(self, params) -> TripletStack:
+        """The members at the rows of a (P, n_params) array, as one stack."""
+        params = np.asarray(params, dtype=float)
+        if params.ndim != 2 or params.shape[1] != self.n_params:
+            raise ValueError(f"expected (P, {self.n_params}) parameters, got {params.shape}")
+        if self.stack_map is not None:
+            return self.stack_map(params)
+        return TripletStack.pack([self.at(p) for p in params])
 
     def corners(self) -> np.ndarray:
         return np.array(list(itertools.product(*self.parameter_box)))

@@ -173,3 +173,84 @@ def test_inputs_not_mutated(tmp_path):
                "--set", "resolution=3") == 0
     with open(src, "rb") as fh:
         assert fh.read() == before
+
+
+def test_division_by_zero_in_a_family_is_a_validation_error(tmp_path, capsys):
+    # the projection's scan reaches y = 0.5, where the coefficient divides by 0
+    doc = {
+        "sequence": {"b": ["0"], "c": [["1 + 1 / n"]], "n_schedule": [10, 100, 1000]},
+        "family": {
+            "box": [[0.0, 1.0]],
+            "params": ["y"],
+            "b": ["0"],
+            "c": [["abs(1 / (2 * y - 1))"]],
+        },
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run("limit-analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "abs(1 / (2 * y - 1))" in err[0]
+
+
+def test_sequence_density_pieces_reach_the_outputs(tmp_path):
+    # a constant density 2 on [0.1, 0.5] beside the shrinking atom
+    doc = {
+        "sequence": {
+            "b": ["0"],
+            "c": [["0"]],
+            "F": {
+                "atoms": [{"x": ["1 / pow(n, 0.5)"], "w": "n"}],
+                "pieces": [{"lo": 0.1, "hi": 0.5, "density": "2 + 0 * x"}],
+            },
+            "n_schedule": [10, 100, 1000],
+        },
+        "delta_schedule": [0.5, 0.25, 0.05],
+        "u_grid": [1.0],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path)
+    assert run("limit-analyze", "--input", str(path), "--out", out) == 0
+    with open(os.path.join(out, "small_jump_profile.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    piece_mass = 2.0 * (0.5**3 - 0.1**3) / 3.0  # ∫ x^2 2 dx over [0.1, 0.5]
+    for r in rows:
+        n, delta = int(r["n"]), float(r["delta"])
+        atom = 1.0 if n ** -0.5 <= delta else 0.0  # n * (1 / sqrt(n))^2
+        piece = 2.0 * (min(delta, 0.5) ** 3 - 0.1**3) / 3.0 if delta > 0.1 else 0.0
+        assert float(r["small_jump_mass"]) == pytest.approx(atom + piece, rel=1e-12)
+    assert any(float(r["small_jump_mass"]) == pytest.approx(1.0 + piece_mass) for r in rows)
+    # the exponent at u = 1 carries the piece: ∫ (cos x - 1) 2 dx + i ∫ (sin x - x) 2 dx
+    piece_psi = 2.0 * complex(
+        (np.sin(0.5) - np.sin(0.1)) - 0.4, -(np.cos(0.5) - np.cos(0.1)) - (0.25 - 0.01) / 2
+    )
+    with open(os.path.join(out, "exponent_profile.csv")) as fh:
+        for r in csv.DictReader(fh):
+            n = int(r["n"])
+            y = n ** -0.5
+            atom_psi = n * complex(np.cos(y) - 1.0, np.sin(y) - y)
+            psi = complex(float(r["re_psi"]), float(r["im_psi"]))
+            assert psi == pytest.approx(atom_psi + piece_psi, rel=1e-9)
+
+
+def test_limit_report_lists_each_projection(tmp_path):
+    out = str(tmp_path)
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", out, "--set", "param_map=null") == 0
+    closedness = read_json(os.path.join(out, "limit_report.json"))["closedness"]
+    # without a param_map both prechecks project; the last scheduled triplet
+    # stays 1e-8 away, so the probe stops there, inconclusive
+    assert closedness["limit_in_set"] == "inconclusive"
+    proj = closedness["projection"]
+    assert len(proj) == 2
+    for entry in proj:
+        assert entry["scan_points"] == 17 * 17
+        assert 1 <= len(entry["polish"]) <= 3
+        for start in entry["polish"]:
+            assert set(start) == {"status", "nit", "nfev"}
+            assert start["nit"] <= 600 and start["nfev"] >= start["nit"]
+    # the second precheck's polishes all stop at Nelder-Mead's maxiter
+    assert [s["status"] for s in proj[1]["polish"]] == [2, 2, 2]
+    assert [s["nit"] for s in proj[1]["polish"]] == [600, 600, 600]
