@@ -89,6 +89,7 @@ def _python_pow(a, b):
 
 _CALL_ENV = {"exp": np.exp, "abs": np.abs, "pow": operator.pow, _POW: operator.pow}
 _ROWS_ENV = {"exp": np.exp, "abs": np.abs, "pow": _python_pow, _POW: _python_pow}
+_GLOBALS = {"__builtins__": {}}
 
 
 class Expression:
@@ -105,18 +106,19 @@ class Expression:
         self.variables = tuple(variables)
         self._code = compile(tree, "<expr>", "eval")
 
-    def _eval(self, env: dict, values: Mapping):
-        missing = set(self.variables) - set(values)
-        if missing:
-            raise ExpressionError(f"missing variables {sorted(missing)}")
+    def _eval(self, namespace: Mapping):
+        """The value with the functions and variables of ``namespace``."""
         try:
-            return eval(self._code, {"__builtins__": {}}, {**env, **values})
-        except ArithmeticError as exc:
+            return eval(self._code, _GLOBALS, namespace)
+        except (NameError, ArithmeticError) as exc:
             raise ExpressionError(f"expression {self.source!r}: {exc}") from exc
 
     def __call__(self, **kwargs):
         """Evaluate with numpy broadcasting; a scalar result must be finite."""
-        out = self._eval(_CALL_ENV, kwargs)
+        missing = set(self.variables) - set(kwargs)
+        if missing:
+            raise ExpressionError(f"missing variables {sorted(missing)}")
+        out = self._eval({**_CALL_ENV, **kwargs})
         if isinstance(out, (int, float)) and not math.isfinite(out):
             raise ExpressionError(f"expression {self.source!r} evaluated to {out}")
         return out
@@ -127,15 +129,17 @@ def evaluate_rows(
 ) -> np.ndarray:
     """The (len(exprs), size) values of expressions on rows of variables.
 
-    ``columns`` maps each variable to its (size,) column.  Each row is
-    evaluated as a call on Python floats would evaluate it.  A division by
+    ``columns`` maps each variable to its (size,) float column.  Each row is
+    evaluated as a call on Python floats would evaluate it; an integer-valued
+    variable, such as a sequence index, is a float here too.  A division by
     zero along the way, or a non-finite result in any row, raises
     ExpressionError with the expression's source.
     """
     out = np.empty((len(exprs), size))
+    namespace = {**_ROWS_ENV, **columns}
     with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
         for i, e in enumerate(exprs):
-            out[i] = e._eval(_ROWS_ENV, columns)
+            out[i] = e._eval(namespace)
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
         e = exprs[i]

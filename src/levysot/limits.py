@@ -47,8 +47,6 @@ class TripletSequence:
 
     index_map: Callable[[int], LevyTriplet]
     n_schedule: Tuple[int, ...] = DEFAULT_N_SCHEDULE
-    # (P, 1) array of indices -> TripletStack; without it, stacks pack rows
-    stack_map: Optional[Callable[[np.ndarray], TripletStack]] = None
 
     def __post_init__(self):
         sched = tuple(int(n) for n in self.n_schedule)
@@ -61,8 +59,6 @@ class TripletSequence:
 
     def stack(self) -> TripletStack:
         """The scheduled triplets as one stack."""
-        if self.stack_map is not None:
-            return self.stack_map(np.array(self.n_schedule, dtype=float)[:, None])
         return TripletStack.pack(self.triplets())
 
     def condition_b_bound(self) -> float:
@@ -250,14 +246,14 @@ def project_to_family(
     target: LevyTriplet,
     use_u_map: bool = False,
     scan_resolution: int = 17,
-    log: Optional[list] = None,
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[np.ndarray, float, dict]:
     """Nearest family member (optionally through the modified-triplet map).
 
     Constrained least squares over the parameter box: a coarse scan in a
     normalized unit box, priced as one stack, followed by Nelder-Mead polish
-    from the best cells.  When ``log`` is a list, one entry is appended: the
-    number of scan points and each polish's status, nit and nfev.
+    from the best cells.  Returns the parameters, the distance, and a log
+    entry with the number of scan points and each polish's status, nit and
+    nfev.
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
@@ -292,9 +288,7 @@ def project_to_family(
         polish.append({"status": int(res.status), "nit": int(res.nit), "nfev": int(res.nfev)})
         if res.fun < best_v:
             best_s, best_v = np.clip(res.x, 0.0, 1.0), float(res.fun)
-    if log is not None:
-        log.append({"scan_points": len(scan), "polish": polish})
-    return lows + best_s * span, best_v
+    return lows + best_s * span, best_v, {"scan_points": len(scan), "polish": polish}
 
 
 def closedness_probe(
@@ -321,7 +315,8 @@ def closedness_probe(
         if param_map is not None:
             dist = _triplet_distance(fam.at(param_map(n)), seq.index_map(n))
         else:
-            _, dist = project_to_family(fam, seq.index_map(n), log=log)
+            _, dist, entry = project_to_family(fam, seq.index_map(n))
+            log.append(entry)
         if dist > 1e-8:
             return ClosednessReport(
                 "inconclusive", None, None, float(dist), None, np.inf, tuple(log)
@@ -336,7 +331,8 @@ def closedness_probe(
             "inconclusive", None, None, np.inf, identified, fit_residual, tuple(log)
         )
     target = modified_triplet(identified) if use_u_map else identified
-    params, dist = project_to_family(fam, target, use_u_map=use_u_map, log=log)
+    params, dist, entry = project_to_family(fam, target, use_u_map=use_u_map)
+    log.append(entry)
     witness = fam.at(params)
     extrapolation_error = max(e.error_estimate for e in profile.entries)
     tol = MEMBERSHIP_TOL + 3.0 * (extrapolation_error + fit_residual)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .measures import LevyMeasure
-from .triplets import LevyTriplet, levy_exponent
+from .triplets import LevyTriplet, TripletStack, levy_exponent
 from .limits import TripletSequence
 
 MAX_EXPECTED_JUMPS = 1e8
@@ -229,7 +229,7 @@ def cf_distance(samples, t: LevyTriplet, horizon: float, u_grid) -> float:
     if u.size == 0:
         return 0.0
     emp = empirical_cf(samples, u)
-    model = np.array([np.exp(horizon * levy_exponent(t, ui)) for ui in u])
+    model = np.exp(horizon * levy_exponent(TripletStack.pack([t]), u)[0])
     return float(np.max(np.abs(emp - model)))
 
 

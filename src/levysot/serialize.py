@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .exprs import Expression, ExpressionError, compile_expr, evaluate_rows
+from .exprs import Expression, compile_expr, evaluate_rows
 from .measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure, MeasureStack
 from .transport import CostFunction, Marginal, TransportInstance
 from .triplets import LevyTriplet, ThetaFamily, TripletStack
@@ -135,10 +135,6 @@ class TripletTemplate:
         """b, then c row by row, then the atom weights."""
         return self.b + sum(self.c, ()) + tuple(w for _, w in self.atoms)
 
-    @functools.cached_property
-    def _locations(self) -> Tuple[Expression, ...]:
-        return sum((x for x, _ in self.atoms), ())
-
     def stack(self, values) -> TripletStack:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(self.variables):
@@ -147,26 +143,20 @@ class TripletTemplate:
             )
         P, d, K = values.shape[0], len(self.b), len(self.atoms)
         cols = {name: values[:, i] for i, name in enumerate(self.variables)}
-        n_coef = len(self._coefficients)
-        try:
-            vals = evaluate_rows(self._coefficients + self._locations, cols, P)
-        except ExpressionError:
-            # perhaps at the location of a dropped atom, which a scalar
-            # evaluation never forms: redone below with dropped atoms masked
-            vals = evaluate_rows(self._coefficients, cols, P)
+        vals = evaluate_rows(self._coefficients, cols, P)
         b = vals[:d].T.copy()
         c = vals[d : d + d * d].T.reshape(P, d, d)
-        w = vals[d + d * d : n_coef].T.copy()
+        w = vals[d + d * d :].T.copy()
         keep = w > 0
-        if len(vals) > n_coef:
-            x = vals[n_coef:].T.reshape(P, K, d)
-        else:
-            x = np.ones((P, K, d))
-            for k, (locs, _) in enumerate(self.atoms):
-                rows = keep[:, k]
-                if rows.any():
-                    kept = {name: col[rows] for name, col in cols.items()}
-                    x[rows, k] = evaluate_rows(locs, kept, int(rows.sum())).T
+        # an atom's location only on the rows that keep it, as a scalar
+        # evaluation never forms the location of a dropped atom
+        x = np.ones((P, K, d))
+        for k, (locs, _) in enumerate(self.atoms):
+            rows = keep[:, k]
+            n_kept = np.count_nonzero(rows)
+            if n_kept:
+                kept = {name: col[rows] for name, col in cols.items()}
+                x[rows, k] = evaluate_rows(locs, kept, n_kept).T
         if not keep.all():
             w[~keep] = 0.0
             # each row's kept atoms first, in document order, and no column
@@ -243,12 +233,17 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
 
 
 def sequence_from_dict(doc: Mapping[str, Any]):
-    """Build a TripletSequence from expressions in the index variable n."""
+    """Build a TripletSequence from expressions in the index variable n.
+
+    n is evaluated as a float, so an integer-valued intermediate such as
+    ``n * n * n * n * n`` is rounded at each step: past 2**53 it can differ
+    in the last bit from exact integer arithmetic rounded once.
+    """
     from .limits import DEFAULT_N_SCHEDULE, TripletSequence
 
     template = compile_template(doc, ("n",), "sequence")
     schedule = tuple(doc.get("n_schedule", DEFAULT_N_SCHEDULE))
-    return TripletSequence(lambda n: template.triplet([n]), schedule, template.stack)
+    return TripletSequence(lambda n: template.triplet([n]), schedule)
 
 
 def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:

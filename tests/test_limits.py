@@ -83,7 +83,7 @@ def test_project_to_family_recovers_member():
         parameter_box=((0.0, 4.0),),
         triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
     )
-    params, dist = project_to_family(fam, LevyTriplet.scalar(0.0, 2.5))
+    params, dist, _ = project_to_family(fam, LevyTriplet.scalar(0.0, 2.5))
     assert dist < 1e-8
     assert np.isclose(params[0], 2.5, atol=1e-6)
 

@@ -15,7 +15,7 @@ from levysot import fixtures
 from levysot.exprs import ExpressionError
 from levysot.limits import _PROBE_FEATURES, _distances, exponent_limit_profile
 from levysot.measures import DensityPiece, LevyMeasure, TruncationRule, _sqnorm
-from levysot.serialize import family_from_dict, sequence_from_dict
+from levysot.serialize import compile_template, family_from_dict, sequence_from_dict
 from levysot.triplets import (
     LevyTriplet,
     ThetaFamily,
@@ -316,9 +316,23 @@ def test_dropped_atom_location_is_never_evaluated():
 
 
 def test_sequence_rows_and_packed_rows_agree():
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    packed = TripletStack.pack(seq.triplets())
-    compiled = seq.stack()
+    # the sequence stack packs index_map rows; the template evaluates the
+    # whole schedule at once, and both give the same arrays
+    doc = fixtures.shrinking_jump_sequence_doc()
+    seq = sequence_from_dict(doc)
+    packed = seq.stack()
+    schedule = np.array(seq.n_schedule, dtype=float)[:, None]
+    compiled = compile_template(doc, ("n",), "sequence").stack(schedule)
+    assert np.array_equal(packed.b, compiled.b)
+    assert np.array_equal(packed.c, compiled.c)
     assert np.array_equal(packed.F.atom_x, compiled.F.atom_x)
     assert np.array_equal(packed.F.atom_w, compiled.F.atom_w)
-    assert np.array_equal(packed.c, compiled.c)
+
+
+def test_sequence_index_is_evaluated_as_a_float():
+    # 100003 ** 4 needs 67 bits: each product is rounded to a double, where
+    # exact integer arithmetic would round once, at the end
+    seq = sequence_from_dict({"b": ["n * n * n * n * n"], "c": [["0"]], "n_schedule": [100003]})
+    n = 100003.0
+    assert seq.index_map(100003).b[0] == (((n * n) * n) * n) * n
+    assert (((n * n) * n) * n) * n != float(100003**5)
