@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -54,9 +54,11 @@ from .serialize import (
 from .transport import (
     CFLError,
     DualAscentConfig,
+    DualityReport,
     HJBGridConfig,
     PrimalConfig,
     StateDependentCostError,
+    TransportInstance,
     duality_report,
     solve_hjb,
 )
@@ -97,7 +99,6 @@ _OVERRIDE_KEYS = {
     ),
     "simulate": ("triplet", "x0", "config", "target", "u_grid", "sequence"),
     "solve-transport": ("mu0", "mu1", "family", "cost", "solver"),
-    "reproduce": (),
 }
 
 
@@ -335,45 +336,51 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
     return EXIT_OK
 
 
-def _primal_config(doc: Mapping[str, Any]) -> PrimalConfig:
-    kwargs: dict = {}
-    if "n_steps" in doc:
-        kwargs["n_steps"] = int(doc["n_steps"])
-    if "u_extent" in doc or "u_count" in doc:
-        kwargs["u_grid"] = np.linspace(
-            -float(doc.get("u_extent", 5.0)),
-            float(doc.get("u_extent", 5.0)),
-            int(doc.get("u_count", 41)),
-        )
-    if "rho_schedule" in doc:
-        kwargs["rho_schedule"] = tuple(float(r) for r in doc["rho_schedule"])
-    return PrimalConfig(**kwargs)
+class TransportRun(NamedTuple):
+    inst: TransportInstance
+    grid: HJBGridConfig  # the dual ascent's grid
+    seed: int  # the Monte Carlo seed used
+    report: DualityReport
 
 
-def _dual_config(doc: Mapping[str, Any]) -> DualAscentConfig:
-    grid_keys = ("x_min", "x_max", "n_x", "n_t", "pad", "drift_stencil")
-    grid = HJBGridConfig(**{k: doc[k] for k in grid_keys if k in doc})
-    kwargs: dict = {"grid": grid}
-    for key in ("bound", "gtol", "max_iterations", "smoothing"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return DualAscentConfig(**kwargs)
+def run_transport(doc: Mapping[str, Any], seed: Optional[int] = None) -> TransportRun:
+    """Validate a transport instance document and run its duality report.
 
-
-def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
+    The document's optional ``solver`` block holds the ``primal`` and
+    ``dual`` configurations and ``mc.n_paths`` and ``mc.seed``; a given
+    ``seed`` replaces ``mc.seed``.  This is the only reader of that block.
+    """
     inst = instance_from_dict(doc)
     inst.validate()
     solver = doc.get("solver", {})
-    mc_doc = solver.get("mc", {})
+    primal, dual, mc_doc = (solver.get(k, {}) for k in ("primal", "dual", "mc"))
+    primal_kwargs: dict = {}
+    if "n_steps" in primal:
+        primal_kwargs["n_steps"] = int(primal["n_steps"])
+    if "u_extent" in primal or "u_count" in primal:
+        extent = float(primal.get("u_extent", 5.0))
+        primal_kwargs["u_grid"] = np.linspace(-extent, extent, int(primal.get("u_count", 41)))
+    if "rho_schedule" in primal:
+        primal_kwargs["rho_schedule"] = tuple(float(r) for r in primal["rho_schedule"])
+    grid_keys = ("x_min", "x_max", "n_x", "n_t", "pad", "drift_stencil")
+    grid = HJBGridConfig(**{k: dual[k] for k in grid_keys if k in dual})
+    ascent_keys = ("bound", "gtol", "max_iterations", "smoothing")
+    dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in ascent_keys if k in dual})
+    mc_seed = seed if seed is not None else int(mc_doc.get("seed", 0))
     report = duality_report(
         inst,
-        primal_cfg=_primal_config(solver.get("primal", {})),
-        dual_cfg=_dual_config(solver.get("dual", {})),
+        primal_cfg=PrimalConfig(**primal_kwargs),
+        dual_cfg=dual_cfg,
         mc_paths=int(mc_doc.get("n_paths", 100_000)),
-        mc_seed=seed if seed is not None else int(mc_doc.get("seed", 0)),
+        mc_seed=mc_seed,
     )
+    return TransportRun(inst, grid, mc_seed, report)
+
+
+def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
+    inst, grid, mc_seed, report = run_transport(doc, seed)
     doc_out = to_jsonable(report)
-    doc_out["seed"] = seed if seed is not None else int(mc_doc.get("seed", 0))
+    doc_out["seed"] = mc_seed
     write_json(os.path.join(out, "duality_report.json"), doc_out)
     k = report.control_schedule.shape[0]
     write_csv(
@@ -386,7 +393,7 @@ def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
         ("x", "lambda1"),
         zip(report.dual_x_grid, report.dual_potential),
     )
-    vg = solve_hjb(inst, report.dual_potential, _dual_config(solver.get("dual", {})).grid)
+    vg = solve_hjb(inst, report.dual_potential, grid)
     lo, hi = vg.report_slice
     write_csv(
         os.path.join(out, "value_surface.csv"),
@@ -400,8 +407,17 @@ def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
     return EXIT_OK
 
 
+def _transport_row(name: str, passed: bool, report: DualityReport) -> dict:
+    return {
+        "fixture": name,
+        "passed": passed,
+        "detail": f"primal {report.primal_value:.4f}, "
+        f"dual {report.dual_value:.4f}, gap {report.gap:.4f}",
+    }
+
+
 def cmd_reproduce(out: str, seed: Optional[int]) -> int:
-    rows: List[dict] = []
+    rows: list[dict] = []
 
     # 1. shrinking-jump sequence: diffusion created, limit escapes the family
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
@@ -446,28 +462,25 @@ def cmd_reproduce(out: str, seed: Optional[int]) -> int:
     )
 
     # 3. Gaussian transport instance: duality gap closes
-    doc = fixtures.gaussian_instance_doc()
-    inst = instance_from_dict(doc)
-    solver = doc["solver"]
-    report = duality_report(
-        inst,
-        dual_cfg=_dual_config(solver["dual"]),
-        mc_paths=int(solver["mc"]["n_paths"]),
-        mc_seed=seed if seed is not None else int(solver["mc"]["seed"]),
-    )
+    report = run_transport(fixtures.gaussian_instance_doc(), seed).report
     ok3 = (
         abs(report.primal_value - 1.0) <= 1e-3
         and report.dual_value >= 0.95
         and report.gap <= 0.06
     )
-    rows.append(
-        {
-            "fixture": "gaussian transport",
-            "passed": ok3,
-            "detail": f"primal {report.primal_value:.4f}, "
-            f"dual {report.dual_value:.4f}, gap {report.gap:.4f}",
-        }
+    rows.append(_transport_row("gaussian transport", ok3, report))
+
+    # 4. compensated-Poisson instance: weak duality at every ascent step
+    report = run_transport(fixtures.poisson_instance_doc(), seed).report
+    ok4 = (
+        abs(report.primal_value - 4.0) <= 0.05
+        and report.dual_value >= 3.7
+        and report.weak_duality_ok
+        and all(
+            v <= report.primal_value + report.allowance for v in report.ascent_history
+        )
     )
+    rows.append(_transport_row("poisson transport", ok4, report))
 
     width = max(len(r["fixture"]) for r in rows)
     for r in rows:

@@ -424,9 +424,6 @@ class ValueGrid:
     def initial(self) -> np.ndarray:
         return self.values[0]
 
-    def interp_initial(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, float), self.x_grid, self.values[0])
-
 
 def _lincomb(coefs, arrays):
     """coefs[0] * arrays[0] + coefs[1] * arrays[1] + ..., summed in order.
@@ -765,22 +762,6 @@ def _forward_ws(ws: _HJBWorkspace, controls: np.ndarray, q0: np.ndarray) -> np.n
     return q
 
 
-def evaluate_dual(
-    inst: TransportInstance,
-    lambda1: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    grid_cfg: HJBGridConfig = HJBGridConfig(),
-) -> float:
-    """∫ λ0 dμ0 - ∫ λ1 dμ1 with λ0 from the backward HJB solve."""
-    vg = solve_hjb(inst, lambda1, grid_cfg)
-    lam0 = lambda x: vg.interp_initial(x)
-    if callable(lambda1):
-        lam1 = lambda1
-    else:
-        arr = np.asarray(lambda1, float)
-        lam1 = lambda x: np.interp(np.asarray(x, float), vg.x_grid, arr)
-    return float(inst.mu0.integrate(lam0) - inst.mu1.integrate(lam1))
-
-
 # ---------------------------------------------------------------------------
 # dual ascent
 
@@ -936,6 +917,16 @@ def _exponent_basis(aff: _AffineFamily, u_grid: np.ndarray):
     return psi0, psi_lin
 
 
+def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
+    """Running cost dt * sum_k L(t_k, ., p_k) of a state-independent cost
+    along a (K, n_params) piecewise-constant schedule on [0, 1]."""
+    K = schedule.shape[0]
+    dt = 1.0 / K
+    t_grid = dt * np.arange(K)
+    x = np.zeros(1)
+    return dt * sum(float(cost(t_grid[k], x, schedule[k])[0]) for k in range(K))
+
+
 def solve_primal_deterministic(
     inst: TransportInstance, cfg: PrimalConfig = PrimalConfig()
 ) -> PrimalResult:
@@ -951,19 +942,14 @@ def solve_primal_deterministic(
     aff = affine_family_structure(inst.fam)
     K = cfg.n_steps
     dt = 1.0 / K
-    t_grid = dt * np.arange(K)
     u = np.asarray(cfg.u_grid, float)
     psi0, psi_lin = _exponent_basis(aff, u)
     cf0 = inst.mu0.cf(u)
     cf1 = inst.mu1.cf(u)
     n_p = aff.n_params
-    dummy_x = np.zeros(1)
 
     def running_cost(flat):
-        P = flat.reshape(K, n_p)
-        return dt * sum(
-            float(inst.cost(t_grid[k], dummy_x, P[k])[0]) for k in range(K)
-        )
+        return schedule_cost(inst.cost, flat.reshape(K, n_p))
 
     def residual(flat):
         P = flat.reshape(K, n_p)
@@ -1011,11 +997,15 @@ def evaluate_cost_mc(
     n_paths: int = 100_000,
     seed: int = 0,
 ) -> MCValidation:
-    """Simulate the schedule, evaluate the running cost and terminal fit."""
+    """Simulate the schedule for its terminal fit; the running cost of a
+    deterministic schedule is its exact ``schedule_cost``."""
+    if inst.cost.is_state_dependent(inst.fam):
+        raise StateDependentCostError(
+            "schedule validation requires a state-independent cost"
+        )
     schedule = np.atleast_2d(np.asarray(schedule, float))
     K = schedule.shape[0]
-    dt = 1.0 / K
-    times = dt * np.arange(K)
+    times = (1.0 / K) * np.arange(K)
     triplets = [inst.fam.at(p) for p in schedule]
     sched_fn = mc.piecewise_schedule(times, triplets)
     sim_cfg = mc.SimulationConfig(
@@ -1025,17 +1015,7 @@ def evaluate_cost_mc(
     x0 = inst.mu0.location if inst.mu0.kind == "point-mass" else inst.mu0.mean
     bundle = mc.simulate_paths(sched_fn, x0, sim_cfg)
     ks = mc.marginal_ks(bundle.terminal, inst.mu1.cdf)
-    if not inst.cost.is_state_dependent(inst.fam):
-        cost = dt * sum(
-            float(inst.cost(times[k], np.zeros(1), schedule[k])[0]) for k in range(K)
-        )
-        return MCValidation(cost, 0.0, ks)
-    per_path = np.zeros(n_paths)
-    for k in range(K):
-        per_path += dt * inst.cost(times[k], bundle.values[:, k], schedule[k])
-    est = float(per_path.mean())
-    ci = float(2.0 * per_path.std(ddof=1) / math.sqrt(n_paths))
-    return MCValidation(est, ci, ks)
+    return MCValidation(schedule_cost(inst.cost, schedule), 0.0, ks)
 
 
 @dataclass(frozen=True)

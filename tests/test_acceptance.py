@@ -11,6 +11,7 @@ import pytest
 
 import property_checks as pc
 from levysot import fixtures
+from levysot.cli import run_transport
 from levysot.limits import (
     TripletSequence,
     closedness_probe,
@@ -30,16 +31,13 @@ from levysot.montecarlo import (
 )
 from levysot.serialize import (
     family_from_dict,
-    instance_from_dict,
     param_map_from_exprs,
     sequence_from_dict,
 )
 from levysot.transport import (
-    DualAscentConfig,
     HJBGridConfig,
     Marginal,
     TransportInstance,
-    duality_report,
     solve_hjb,
 )
 from levysot.serialize import cost_from_expr
@@ -210,23 +208,9 @@ def test_criterion_5_hjb_benchmarks():
     )
 
 
-def _run_fixture_report(doc):
-    from levysot.cli import _dual_config, _primal_config
-
-    inst = instance_from_dict(doc)
-    solver = doc["solver"]
-    return duality_report(
-        inst,
-        primal_cfg=_primal_config(solver.get("primal", {})),
-        dual_cfg=_dual_config(solver["dual"]),
-        mc_paths=int(solver["mc"]["n_paths"]),
-        mc_seed=int(solver["mc"]["seed"]),
-    )
-
-
 def test_criterion_6_gaussian_duality():
     start = time.perf_counter()
-    rep = _run_fixture_report(fixtures.gaussian_instance_doc())
+    rep = run_transport(fixtures.gaussian_instance_doc()).report
     report(
         6,
         [
@@ -246,7 +230,7 @@ def test_criterion_6_gaussian_duality():
 
 def test_criterion_7_poisson_duality():
     start = time.perf_counter()
-    rep = _run_fixture_report(fixtures.poisson_instance_doc())
+    rep = run_transport(fixtures.poisson_instance_doc()).report
     history_ok = rep.weak_duality_ok and all(
         v <= rep.primal_value + rep.allowance for v in rep.ascent_history
     )

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from levysot import cli, fixtures
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -22,6 +24,29 @@ def run(*argv) -> int:
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# each fixture file and the levysot.fixtures document(s) it was written from
+MODULE_DOCS = {
+    "shrinking_jump_sequence.json": lambda: {
+        "sequence": fixtures.shrinking_jump_sequence_doc(),
+        "family": fixtures.pure_jump_family_doc(),
+        "param_map": fixtures.pure_jump_param_map_exprs(),
+    },
+    "pure_jump_family.json": fixtures.pure_jump_family_doc,
+    "pinned_variance_family.json": fixtures.pinned_variance_family_doc,
+    "gaussian_instance.json": fixtures.gaussian_instance_doc,
+    "poisson_instance.json": fixtures.poisson_instance_doc,
+    "trivial_instance.json": fixtures.trivial_instance_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(FIXTURES) if n.endswith(".json")
+))
+def test_fixture_file_matches_module_document(name):
+    # the benchmark reads the files; reproduce and the tests read the module
+    assert read_json(fixture(name)) == MODULE_DOCS[name]()
 
 
 def test_check_theta_writes_report(tmp_path):
@@ -122,6 +147,28 @@ def test_solve_transport_with_overrides(tmp_path):
     assert rep["primal_likely_infeasible"] is False
     for name in ("schedule.csv", "dual_potential.csv", "value_surface.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path)
+    assert run("reproduce", "--out", out) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all("  PASS  " in line for line in lines)
+    rows = read_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
+    assert [r["fixture"] for r in rows] == [
+        "shrinking-jump sequence", "pinned-variance family",
+        "gaussian transport", "poisson transport",
+    ]
+    assert all(r["passed"] for r in rows)
+    assert run("reproduce", "--out", out, "--set", "a=1") == 1
+
+    # a failing row makes the exit code 2
+    bad = SimpleNamespace(primal_value=0.0, dual_value=0.0, gap=0.0, allowance=0.02,
+                          weak_duality_ok=True, ascent_history=())
+    monkeypatch.setattr(cli, "run_transport", lambda doc, seed: SimpleNamespace(report=bad))
+    assert run("reproduce", "--out", out) == 2
+    rows = read_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
+    assert [r["passed"] for r in rows] == [True, True, False, False]
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

@@ -21,7 +21,6 @@ from levysot.transport import (
     dual_ascent,
     duality_report,
     evaluate_cost_mc,
-    evaluate_dual,
     solve_hjb,
     solve_primal_deterministic,
     validate_cost,
@@ -239,10 +238,18 @@ def test_weak_duality_on_fixed_potentials():
     # the mu1 integral -2 gives exactly 1)
     inst = gaussian_instance()
     cfg = HJBGridConfig(n_x=240, n_t=100)
-    val = evaluate_dual(inst, lambda x: 0.5 * x**2 - 0.5, cfg)
+
+    def dual_value(lambda1):
+        # the formula dual_ascent reports: both marginals on the grid nodes
+        vg = solve_hjb(inst, lambda1, cfg)
+        x = vg.x_grid
+        return float(inst.mu0.grid_weights(x) @ vg.initial()
+                     - inst.mu1.grid_weights(x) @ lambda1(x))
+
+    val = dual_value(lambda x: 0.5 * x**2 - 0.5)
     assert val <= 1.0 + 0.02
     assert np.isclose(val, -0.5, atol=0.02)
-    opt = evaluate_dual(inst, lambda x: -2.0 * x**2, cfg)
+    opt = dual_value(lambda x: -2.0 * x**2)
     assert 0.95 <= opt <= 1.0 + 0.02
 
 
@@ -432,6 +439,14 @@ def test_mc_validation_exact_cost_for_state_independent():
     assert np.isclose(val.cost_estimate, 1.0)
     assert val.ci == 0.0
     assert val.terminal_ks < 0.05
+
+
+def test_mc_validation_rejects_state_dependent_cost():
+    inst = gaussian_instance()
+    inst = TransportInstance(inst.mu0, inst.mu1, inst.fam,
+                             cost_from_expr("c * c + x * x", ("c",)))
+    with pytest.raises(StateDependentCostError):
+        evaluate_cost_mc(inst, np.ones((5, 1)), n_paths=1000, seed=0)
 
 
 def test_duality_report_trivial():
