@@ -4,13 +4,17 @@ Subcommands: check-theta, limit-analyze, simulate, solve-transport, reproduce.
 All structured output is JSON; tabular output is CSV.  Files are written
 atomically (write to a temporary sibling, then rename) and echo the seed used,
 so reruns with identical inputs are byte-identical.
+
+Output contract: a CSV has one header line and ``\n`` line endings; integers
+are written as they are and floats by Python ``repr``, so ``float(cell)``
+gives back the exact double.  A JSON report never contains ``NaN`` or
+``Infinity``; a missing value is ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -31,6 +35,7 @@ from .limits import (
 )
 from .measures import QuadratureError
 from .montecarlo import (
+    BLOCK_PATHS,
     JumpIntensityError,
     SimulationConfig,
     cf_distance,
@@ -67,6 +72,7 @@ from .triplets import (
     family_condition_b,
     family_condition_j,
     martingale_residual,
+    small_jump_second_moment,
 )
 
 OUTPUT_DIR_ENV = "LEVYSOT_OUT"
@@ -124,24 +130,53 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
 
 
 def write_json(path: str, doc: Any) -> None:
+    text = json.dumps(to_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(to_jsonable(doc), indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+def write_csv(
+    path: str,
+    header: Sequence[str],
+    outer: Iterable[Any],
+    columns: Sequence[Any],
+    inner: Optional[Iterable[Any]] = None,
+) -> None:
+    """Write a grid as CSV: one line per outer key, or per (outer key, inner
+    key) pair with the inner key varying fastest, then the value columns.
+
+    Each of ``columns`` has shape (len(outer),) without inner keys and
+    (len(outer), len(inner)) with them.  Each inner key is formatted once,
+    into a row template that writes all lines of one outer key; the template
+    is mapped over ``BLOCK_PATHS`` outer keys at a time.
+    """
+    outer = _scalars(outer)
+    cells = [""] if inner is None else [f"{k!r}," for k in _scalars(inner)]
+    width = len(cells)
+    shape = (len(outer),) if inner is None else (len(outer), width)
+    arrays = [np.asarray(c) for c in columns]
+    for a in arrays:
+        if a.shape != shape:
+            raise ValueError(f"{path}: value column of shape {a.shape}, expected {shape}")
+    arrays = [a.reshape(len(outer), width) for a in arrays]
+    template = "".join(
+        "{0!r}," + cell + ",".join(f"{{{1 + c * width + k}!r}}" for c in range(len(arrays)))
+        + "\n"
+        for k, cell in enumerate(cells)
+    )
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(outer), BLOCK_PATHS):
+            stop = start + BLOCK_PATHS
+            args = [col for a in arrays for col in a[start:stop].T.tolist()]
+            fh.write("".join(map(template.format, outer[start:stop], *args)))
 
 
-def _fmt(v: Any) -> Any:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+def _scalars(keys: Iterable[Any]) -> list:
+    """Keys as Python ints and floats, each keeping its own type."""
+    if isinstance(keys, np.ndarray):
+        return keys.tolist()
+    return [k.item() if isinstance(k, np.generic) else k for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +296,21 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
             "projection": list(probe.projections),
         }
     write_json(os.path.join(out, "limit_report.json"), report)
+    psi = np.array([e.values for e in profile.entries])
     write_csv(
         os.path.join(out, "exponent_profile.csv"),
         ("u", "n", "re_psi", "im_psi"),
-        (
-            (e.u, n, v.real, v.imag)
-            for e in profile.entries
-            for n, v in zip(profile.n_schedule, e.values)
-        ),
+        [e.u for e in profile.entries],
+        (psi.real, psi.imag),
+        inner=profile.n_schedule,
     )
-    from .triplets import small_jump_second_moment
-
     triplets = seq.triplets()
     write_csv(
         os.path.join(out, "small_jump_profile.csv"),
         ("delta", "n", "small_jump_mass"),
-        (
-            (d, n, small_jump_second_moment(t.F, d))
-            for d in deltas
-            for n, t in zip(seq.n_schedule, triplets)
-        ),
+        deltas,
+        ([[small_jump_second_moment(t.F, d) for t in triplets] for d in deltas],),
+        inner=seq.n_schedule,
     )
     return EXIT_OK
 
@@ -323,15 +353,12 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
                 terminal, target, cfg.horizon, u_grid
             )
     write_json(os.path.join(out, "simulate_report.json"), report)
-    times = bundle.time_grid.tolist()
     write_csv(
         os.path.join(out, "paths.csv"),
         ("path_id", "t", "value"),
-        (
-            (i, t, v)
-            for i, path in enumerate(bundle.values)
-            for t, v in zip(times, path.tolist())
-        ),
+        range(bundle.values.shape[0]),
+        (bundle.values,),
+        inner=bundle.time_grid,
     )
     return EXIT_OK
 
@@ -382,27 +409,27 @@ def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
     doc_out = to_jsonable(report)
     doc_out["seed"] = mc_seed
     write_json(os.path.join(out, "duality_report.json"), doc_out)
-    k = report.control_schedule.shape[0]
+    k, n_params = report.control_schedule.shape
     write_csv(
         os.path.join(out, "schedule.csv"),
-        ("t",) + tuple(f"theta_{i}" for i in range(report.control_schedule.shape[1])),
-        ((j / k, *report.control_schedule[j]) for j in range(k)),
+        ("t",) + tuple(f"theta_{i}" for i in range(n_params)),
+        np.arange(k) / k,
+        report.control_schedule.T,
     )
     write_csv(
         os.path.join(out, "dual_potential.csv"),
         ("x", "lambda1"),
-        zip(report.dual_x_grid, report.dual_potential),
+        report.dual_x_grid,
+        (report.dual_potential,),
     )
     vg = solve_hjb(inst, report.dual_potential, grid)
     lo, hi = vg.report_slice
     write_csv(
         os.path.join(out, "value_surface.csv"),
         ("t", "x", "v"),
-        (
-            (t, vg.x_grid[i], vg.values[k, i])
-            for k, t in enumerate(vg.t_grid)
-            for i in range(lo, hi)
-        ),
+        vg.t_grid,
+        (vg.values[:, lo:hi],),
+        inner=vg.x_grid[lo:hi],
     )
     return EXIT_OK
 
@@ -452,12 +479,13 @@ def cmd_reproduce(out: str, seed: Optional[int]) -> int:
         param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
     )
     ok2 = probe_pinned.limit_in_set == "yes"
+    distance = probe_pinned.distance
     rows.append(
         {
             "fixture": "pinned-variance family",
             "passed": ok2,
-            "detail": f"membership {probe_pinned.limit_in_set}, "
-            f"distance {probe_pinned.distance:.3g}",
+            "detail": f"membership {probe_pinned.limit_in_set}, distance "
+            + ("none" if distance is None else f"{distance:.3g}"),
         }
     )
 

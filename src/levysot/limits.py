@@ -210,9 +210,9 @@ class ClosednessReport:
     limit_in_set: str  # yes | no | inconclusive
     witness_params: Optional[np.ndarray]
     witness_triplet: Optional[LevyTriplet]
-    distance: float
+    distance: Optional[float]  # None when nothing was projected
     identified: Optional[LevyTriplet]
-    fit_residual: float
+    fit_residual: Optional[float]  # None when no limit was identified
     # one entry per projection run: scan size and each polish's status
     projections: Tuple[dict, ...] = ()
 
@@ -319,16 +319,16 @@ def closedness_probe(
             log.append(entry)
         if dist > 1e-8:
             return ClosednessReport(
-                "inconclusive", None, None, float(dist), None, np.inf, tuple(log)
+                "inconclusive", None, None, float(dist), None, None, tuple(log)
             )
     profile = exponent_limit_profile(seq, u_grid)
     try:
         identified, fit_residual = limit_triplet_identify(profile, structure)
     except ValueError:
-        return ClosednessReport("inconclusive", None, None, np.inf, None, np.inf, tuple(log))
+        return ClosednessReport("inconclusive", None, None, None, None, None, tuple(log))
     if fit_residual > IDENTIFICATION_RESIDUAL_CAP:
         return ClosednessReport(
-            "inconclusive", None, None, np.inf, identified, fit_residual, tuple(log)
+            "inconclusive", None, None, None, identified, fit_residual, tuple(log)
         )
     target = modified_triplet(identified) if use_u_map else identified
     params, dist, entry = project_to_family(fam, target, use_u_map=use_u_map)

@@ -9,6 +9,11 @@ import pytest
 
 from levysot import cli, fixtures
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
+from levysot.limits import default_u_grid, exponent_limit_profile
+from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, constant_schedule, simulate_paths
+from levysot.serialize import sequence_from_dict, triplet_from_dict
+from levysot.transport import solve_hjb
+from levysot.triplets import small_jump_second_moment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -112,31 +117,104 @@ def test_write_csv_streams_the_buffered_bytes(tmp_path):
         for k, t in enumerate(times):
             ref.writerow([i, repr(float(t)), repr(float(values[i, k]))])
     path = tmp_path / "paths.csv"
-    write_csv(str(path), header, (
-        (i, t, v)
-        for i, row in enumerate(values.tolist())
-        for t, v in zip(times.tolist(), row)
-    ))
+    write_csv(str(path), header, range(values.shape[0]), (values,), inner=times)
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
     assert os.listdir(tmp_path) == ["paths.csv"]
 
-    def failing_rows():
-        yield (0, 0.0, 1.0)
-        raise RuntimeError("row source failed")
+    # a cell that cannot be formatted, in the second block of rows: the
+    # header and the first block are written before the write fails
+    class Unformattable:
+        def __repr__(self):
+            raise RuntimeError("cell cannot be formatted")
 
+    failing = np.zeros((BLOCK_PATHS + 1, 3), dtype=object)
+    failing[-1, -1] = Unformattable()
     with pytest.raises(RuntimeError):
-        write_csv(str(path), header, failing_rows())
+        write_csv(str(path), header, range(BLOCK_PATHS + 1), (failing,), inner=times)
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
     assert os.listdir(tmp_path) == ["paths.csv"]
+    # value columns whose inner length disagrees with the inner keys
+    with pytest.raises(ValueError):
+        write_csv(str(path), header, range(2), (values,), inner=times[:2])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert os.listdir(tmp_path) == ["paths.csv"]
+
+
+def _row_writer_bytes(header, rows) -> bytes:
+    """The row-at-a-time writer the grid writer replaced: csv.writer, with
+    floats written by repr and numpy integers as Python ints."""
+
+    def fmt(v):
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        if isinstance(v, np.integer):
+            return int(v)
+        return v
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _read_bytes(out, name) -> bytes:
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
+
+
+def test_paths_csv_matches_the_row_writer(tmp_path):
+    # two full blocks of rows and a short third one, starting at x0 = -0.0
+    doc = {
+        "triplet": {"b": [0.3], "c": [[0.5]], "F": {"atoms": [{"x": [0.4], "w": 2.0}]}},
+        "x0": -0.0,
+        "config": {"n_paths": 2 * BLOCK_PATHS + 3, "n_steps": 2},
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert run("simulate", "--input", str(path), "--out", out, "--seed", "4") == 0
+    cfg = SimulationConfig(**doc["config"], seed=4)
+    bundle = simulate_paths(constant_schedule(triplet_from_dict(doc["triplet"])), -0.0, cfg)
+    times = bundle.time_grid.tolist()
+    expected = _row_writer_bytes(("path_id", "t", "value"), (
+        (i, t, v) for i, path in enumerate(bundle.values) for t, v in zip(times, path.tolist())
+    ))
+    written = _read_bytes(out, "paths.csv")
+    assert written == expected
+    assert b"\n0,0.0,-0.0\n" in written
+    last_row = f"\n{2 * BLOCK_PATHS + 2},1.0,{float(bundle.values[-1, -1])!r}\n"
+    assert written.endswith(last_row.encode())
+
+
+def test_limit_csvs_match_the_row_writer(tmp_path):
+    # an integer entry in delta_schedule is written as an integer
+    out = str(tmp_path)
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", out, "--set", "delta_schedule=[1, 0.5, 0.25]") == 0
+    seq = sequence_from_dict(read_json(fixture("shrinking_jump_sequence.json"))["sequence"])
+    profile = exponent_limit_profile(seq, default_u_grid())
+    assert _read_bytes(out, "exponent_profile.csv") == _row_writer_bytes(
+        ("u", "n", "re_psi", "im_psi"),
+        ((e.u, n, v.real, v.imag) for e in profile.entries
+         for n, v in zip(profile.n_schedule, e.values)),
+    )
+    written = _read_bytes(out, "small_jump_profile.csv")
+    assert written == _row_writer_bytes(
+        ("delta", "n", "small_jump_mass"),
+        ((d, n, small_jump_second_moment(t.F, d)) for d in [1, 0.5, 0.25]
+         for n, t in zip(seq.n_schedule, seq.triplets())),
+    )
+    assert written.splitlines()[1].startswith(b"1,10,")
 
 
 def test_solve_transport_with_overrides(tmp_path):
     out = str(tmp_path)
+    overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")
     code = run(
         "solve-transport", "--input", fixture("trivial_instance.json"),
-        "--out", out, "--seed", "0",
-        "--set", "solver.dual.n_x=60", "--set", "solver.dual.n_t=30",
-        "--set", "solver.mc.n_paths=1000",
+        "--out", out, "--seed", "0", *(arg for o in overrides for arg in ("--set", o)),
     )
     assert code == 0
     rep = read_json(os.path.join(out, "duality_report.json"))
@@ -145,8 +223,26 @@ def test_solve_transport_with_overrides(tmp_path):
     assert rep["dual_converged"] is True
     assert rep["dual_likely_infeasible"] is False
     assert rep["primal_likely_infeasible"] is False
-    for name in ("schedule.csv", "dual_potential.csv", "value_surface.csv"):
-        assert os.path.exists(os.path.join(out, name))
+
+    # each CSV is byte-identical to the row writer's on the same report
+    doc = cli.apply_overrides(read_json(fixture("trivial_instance.json")), overrides,
+                              "solve-transport")
+    inst, grid, _, report = cli.run_transport(doc, 0)
+    k, n_params = report.control_schedule.shape
+    assert _read_bytes(out, "schedule.csv") == _row_writer_bytes(
+        ("t",) + tuple(f"theta_{i}" for i in range(n_params)),
+        ((j / k, *report.control_schedule[j]) for j in range(k)),
+    )
+    assert _read_bytes(out, "dual_potential.csv") == _row_writer_bytes(
+        ("x", "lambda1"), zip(report.dual_x_grid, report.dual_potential)
+    )
+    vg = solve_hjb(inst, report.dual_potential, grid)
+    lo, hi = vg.report_slice
+    assert _read_bytes(out, "value_surface.csv") == _row_writer_bytes(
+        ("t", "x", "v"),
+        ((t, vg.x_grid[i], vg.values[k, i]) for k, t in enumerate(vg.t_grid)
+         for i in range(lo, hi)),
+    )
 
 
 def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
@@ -280,6 +376,29 @@ def test_sequence_density_pieces_reach_the_outputs(tmp_path):
             atom_psi = n * complex(np.cos(y) - 1.0, np.sin(y) - y)
             psi = complex(float(r["re_psi"]), float(r["im_psi"]))
             assert psi == pytest.approx(atom_psi + piece_psi, rel=1e-9)
+
+
+def test_limit_report_is_strict_json_when_nothing_is_projected(tmp_path):
+    # an atom fixed at 0.5 with weight n has no limit: the identification
+    # residual exceeds the cap, so the probe projects nothing
+    out = str(tmp_path)
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", out, "--set", 'sequence.F.atoms=[{"x": ["0.5"], "w": "n"}]',
+               "--set", 'param_map=["n", "0.5"]') == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with open(os.path.join(out, "limit_report.json")) as fh:
+        closedness = json.load(fh, parse_constant=reject)["closedness"]
+    assert closedness["limit_in_set"] == "inconclusive"
+    assert closedness["distance"] is None
+
+    with pytest.raises(ValueError):
+        cli.write_json(os.path.join(out, "bad.json"), {"x": float("nan")})
+    assert sorted(os.listdir(out)) == [
+        "exponent_profile.csv", "limit_report.json", "small_jump_profile.csv"
+    ]
 
 
 def test_limit_report_lists_each_projection(tmp_path):
