@@ -21,6 +21,7 @@ from .triplets import (
     ThetaFamily,
     TripletStack,
     condition_b_value,
+    delta_schedule_floats,
     levy_exponent,
     measure_features,
     modified_triplet,
@@ -120,9 +121,7 @@ def diffusion_creation_diagnostic(
     horizon: float = 1.0,
 ) -> DiffusionReport:
     """Numerical surrogate for the small-jump double-limit criterion."""
-    deltas = [float(d) for d in delta_schedule]
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta_schedule must be strictly decreasing")
+    deltas = delta_schedule_floats(delta_schedule)
     tail = seq.triplets()[-TAIL_LENGTH:]
     profile = []
     for d in deltas:

@@ -211,6 +211,8 @@ def simulate_paths(
         )
         if record_jumps:
             logs.extend(tuple(log) for log in block_logs)
+    if not np.isfinite(values).all():
+        raise FloatingPointError("simulated paths overflowed to infinite or NaN values")
     return PathBundle(time_grid, values, tuple(logs) if record_jumps else None)
 
 

@@ -4,9 +4,16 @@ The dual side solves the HJB partial integro-differential equation backward in
 time (implicit upwinded drift/diffusion, explicit jump integral) and ascends
 over piecewise-linear bounded terminal potentials; the gradient of the dual
 value is the terminal law of the optimally controlled process minus the target
-marginal, transported forward by the adjoint of the backward scheme.  The
-primal side optimizes deterministic piecewise-constant control schedules under
-a characteristic-function matching penalty with continuation.
+marginal, transported forward by the adjoint of the backward scheme.  Each
+backward step minimizes the discrete Hamiltonian per node, one control
+coordinate at a time, in closed form: the cost is fitted once per grid as a
+quadratic in the controls at every (step, node) and checked at off-probe
+points, and the drift, diffusion and jump terms are linear in each
+coordinate, so the minimizer is a clipped vertex (one per stencil branch
+under the ``auto`` stencil).  Only the cells whose cost fails the check fall
+back to golden section on the exact cost.  The primal side optimizes
+deterministic piecewise-constant control schedules under a
+characteristic-function matching penalty with continuation.
 
 Control families must have affine parameter-to-characteristics maps with
 fixed jump locations (verified numerically); this covers product-box families
@@ -40,6 +47,11 @@ FTOL_PRIMAL = 1e-2
 GAP_ALLOWANCE_REL = 0.02
 RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5)
 INFEASIBLE_DUAL_CAP = 1e3
+# a cell's cost model holds where it matches L within this relative error
+QUADRATIC_FIT_TOL = 1e-9
+# offset, as a share of the box, of the candidates on either side of an
+# auto-stencil split point
+SPLIT_STEP = 2.0**-40
 
 
 class CFLError(RuntimeError):
@@ -156,7 +168,8 @@ class CostFunction:
     """Running cost L(t, x, p) over a family's parameter vector p.
 
     The evaluator must broadcast over numpy arrays: x of shape (M,) with p of
-    shape (n_params,) or (M, n_params) returns shape (M,).
+    shape (n_params,) or (M, n_params) returns shape (M,).  t is a float or an
+    array that broadcasts against x, such as one time per entry of x.
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -456,15 +469,110 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray) -> np.
     return x
 
 
+@dataclass(frozen=True)
+class _QuadraticCost:
+    """A running cost as a quadratic in the controls at each (step, node).
+
+    L(t_k, x_n, mid + d) = L(t_k, x_n, mid) + g[k, n] . d + d . hess[k, n] . d / 2
+    where ``ok[k, n]``; elsewhere the fit missed the cost at a check point.
+    """
+
+    mid: np.ndarray  # (n_params,)
+    g: np.ndarray  # (n_t, n, n_params)
+    hess: np.ndarray  # (n_t, n, n_params, n_params)
+    ok: np.ndarray  # (n_t, n)
+
+
+def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
+    """Probe L on the steps x nodes grid and fit a quadratic per cell.
+
+    As ``affine_family_structure`` probes the characteristics: each
+    coordinate at its low, mid and high value with the others at mid, each
+    pair of coordinates at both highs for the cross term.  The fit is
+    checked at each coordinate's quarter points and, with several
+    coordinates, at the two joint quarter points; one cost call per probe.
+    """
+    aff = ws.aff
+    mid = 0.5 * (aff.lows + aff.highs)
+    r = 0.5 * (aff.highs - aff.lows)
+    n_p = aff.n_params
+    active = [i for i in range(n_p) if r[i] > 0]
+    t = np.repeat(ws.t_grid[:-1], ws.n)
+    x = np.tile(ws.x_grid, ws.n_t)
+
+    def offset(scales) -> np.ndarray:
+        d = np.zeros(n_p)
+        for i, scale in scales.items():
+            d[i] = scale * r[i]
+        return d
+
+    def probe(d: np.ndarray) -> np.ndarray:
+        p = np.broadcast_to(mid + d, (t.size, n_p))
+        return L(t, x, p).reshape(ws.n_t, ws.n)
+
+    g = np.zeros((ws.n_t, ws.n, n_p))
+    hess = np.zeros((ws.n_t, ws.n, n_p, n_p))
+    ok = np.ones((ws.n_t, ws.n), dtype=bool)
+    if not active:
+        return _QuadraticCost(mid, g, hess, ok)
+    f0 = probe(np.zeros(n_p))
+    f_hi = {}
+    with np.errstate(all="ignore"):
+        for i in active:
+            f_lo, f_hi[i] = probe(offset({i: -1.0})), probe(offset({i: 1.0}))
+            g[..., i] = (f_hi[i] - f_lo) / (2.0 * r[i])
+            hess[..., i, i] = (f_lo - 2.0 * f0 + f_hi[i]) / r[i] ** 2
+        for pos, i in enumerate(active):
+            for j in active[pos + 1:]:
+                f_ij = probe(offset({i: 1.0, j: 1.0}))
+                hess[..., i, j] = hess[..., j, i] = (
+                    (f_ij - f_hi[i] - f_hi[j] + f0) / (r[i] * r[j]))
+        checks = [offset({i: s}) for i in active for s in (-0.5, 0.5)]
+        if len(active) > 1:
+            checks += [offset({i: s for i in active}) for s in (-0.5, 0.5)]
+        for d in checks:
+            f = probe(d)
+            fit = f0 + g @ d + 0.5 * ((hess @ d) @ d)
+            ok &= np.abs(fit - f) <= QUADRATIC_FIT_TOL * (1.0 + np.abs(f))
+    return _QuadraticCost(mid, g, hess, ok)
+
+
+def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float) -> np.ndarray:
+    """argmin over [lo, hi] of a (s - mid)^2 + m (s - mid), mid the midpoint,
+    given rate = -1 / (2a) where a > 0 (``convex``): the clipped vertex
+    there, else the lower end, lo on ties.  Works in place on m."""
+    ends = None if convex.all() else np.where(m >= 0, lo, hi)
+    s = np.multiply(m, rate, out=m)
+    s += mid
+    np.clip(s, lo, hi, out=s)
+    return s if ends is None else np.where(convex, s, ends)
+
+
+def _lowest(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Per entry, the candidate of S (K, ...) with the lowest H, the first
+    on ties."""
+    return np.take_along_axis(S, np.argmin(H, axis=0)[None], axis=0)[0]
+
+
+def _restrict(terms, cols):
+    """The stencil terms of a (B, n) stack at the nodes ``cols``."""
+    *arrays, jlin = terms
+    return tuple(None if a is None else a[:, cols] for a in arrays) + (
+        None if jlin is None else [j[:, cols] for j in jlin],)
+
+
 class _HJBWorkspace:
     """Per-grid precomputation shared by backward and forward sweeps.
 
     The backward step works on a (B, n) stack of value vectors, one row per
-    terminal potential: every array it builds carries the stack as leading
-    axes, the Hamiltonian probes of one coordinate go through one cost call,
-    and the B implicit systems are solved as one block-diagonal tridiagonal
-    system.  The arithmetic per row does not depend on B, so a batched solve
-    equals B single solves bit for bit.
+    terminal potential, and the B implicit systems are solved as one
+    block-diagonal tridiagonal system.  Controls are chosen one coordinate
+    at a time in closed form from a quadratic model of the cost, fitted once
+    per (workspace, cost) on the grid of steps x nodes; the cells where the
+    model fails its check take golden section on the exact cost, node by
+    node.  The model depends on (step, node) only and every array carries
+    the stack as leading axes, so a batched solve equals B single solves bit
+    for bit.
     """
 
     def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig):
@@ -499,7 +607,7 @@ class _HJBWorkspace:
         self.drift0 = self.aff.b0 - float(self.trunc @ self.aff.w0)
         self.drift_lin = self.aff.b_lin - self.trunc @ self.aff.w_lin
         self.central = grid_cfg.drift_stencil == "central"
-        self._x_tiles = {}
+        self._model: Optional[Tuple[CostFunction, _QuadraticCost]] = None
 
     # -- characteristics at controls P of shape (..., n_params) -----------
 
@@ -515,13 +623,18 @@ class _HJBWorkspace:
         return [np.maximum(w0 + _lincomb(wl, ps), 0.0)
                 for w0, wl in zip(self.aff.w0, self.aff.w_lin)]
 
-    def cost(self, L: CostFunction, t: float, P: np.ndarray) -> np.ndarray:
-        """L(t, x, P) over the grid for a stack of controls, in one call."""
-        rows = P.size // (self.n * P.shape[-1])
-        x = self._x_tiles.get(rows)
-        if x is None:
-            x = self._x_tiles[rows] = np.tile(self.x_grid, rows)
+    def cost(self, L: CostFunction, t: float, P: np.ndarray, cols=None) -> np.ndarray:
+        """L(t, x, P) for a stack of controls over the grid nodes (or the
+        nodes ``cols``, P's second-to-last axis), in one call."""
+        x = self.x_grid if cols is None else self.x_grid[cols]
+        x = np.broadcast_to(x, P.shape[:-1]).ravel()
         return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
+
+    def cost_model(self, L: CostFunction) -> _QuadraticCost:
+        """The quadratic model of L on this grid, fitted on first use."""
+        if self._model is None or self._model[0] is not L:
+            self._model = (L, _fit_quadratic_cost(self, L))
+        return self._model[1]
 
     # -- explicit jump part ------------------------------------------------
 
@@ -549,49 +662,55 @@ class _HJBWorkspace:
     def _stencils(self, V: np.ndarray, parts: List[np.ndarray]):
         """Difference quotients and jump terms of H for a (B, n) stack."""
         h = self.h
-        diff = (V[:, 1:] - V[:, :-1]) / h
         dc = np.empty_like(V)
         dc[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (2.0 * h)
-        dc[:, 0] = diff[:, 0]
-        dc[:, -1] = diff[:, -1]
+        dc[:, 0] = (V[:, 1] - V[:, 0]) / h
+        dc[:, -1] = (V[:, -1] - V[:, -2]) / h
         # linear-extrapolation ghosts: zero curvature at the padded edges
         d2v = np.zeros_like(V)
         d2v[:, 1:-1] = (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / self.h2
         dp = dm = None
         if not self.central:
+            diff = (V[:, 1:] - V[:, :-1]) / h
             dp = np.empty_like(V)
             dp[:, :-1] = diff
             dp[:, -1] = diff[:, -1]
             dm = np.empty_like(V)
             dm[:, 1:] = diff
             dm[:, 0] = diff[:, 0]
-        # J(p)v = j0 + sum_i p_i j_i, with j_i stacked on a last axis
+        # J(p)v = j0 + sum_i p_i j_i, with the j_i in a list
         j0 = jlin = None
         if parts:
             j0 = _lincomb(self.aff.w0, parts)
-            jlin = np.stack([_lincomb(wl, parts) for wl in self.aff.w_lin.T], axis=-1)
+            jlin = [_lincomb(wl, parts) for wl in self.aff.w_lin.T]
         return dp, dm, dc, d2v, j0, jlin
 
-    def hamiltonian(self, t, L, P, i, S, terms) -> np.ndarray:
-        """H with coordinate i of P set to each of the K probes in S.
+    def hamiltonian(self, k, L, P, i, S, terms, cols=None) -> np.ndarray:
+        """H at step k with coordinate i of P set to each of the K probes in S.
 
-        P has shape (B, n, n_params); S broadcasts to (K, B, n).  Returns
-        (K, B, n), from a single cost call.
+        P has shape (..., m, n_params) for the m nodes ``cols`` (all nodes
+        when None) and ``terms`` are restricted to them; S broadcasts to
+        (K,) + P.shape[:-1].  Returns that shape, from a single exact cost
+        call.
         """
-        dp, dm, dc, d2v, j0, jlin = terms
+        Q = self._with_coordinate(P, i, S)
+        H = self._stencil_terms(Q, terms)
+        H += self.cost(L, self.t_grid[k], Q, cols)
+        return H
+
+    @staticmethod
+    def _with_coordinate(P, i, S) -> np.ndarray:
+        """Controls P with coordinate i set to each of the K probes in S."""
         Q = np.empty((len(S),) + P.shape)
         if P.shape[-1] > 1:
             Q[...] = P
         Q[..., i] = S
-        H = self._transport_terms(Q, dp, dm, dc, d2v)
-        if j0 is not None:
-            H += j0 + _lincomb(_params(jlin), _params(Q))
-        H += self.cost(L, t, Q)
-        return H
+        return Q
 
-    def _transport_terms(self, Q, dp, dm, dc, d2v) -> np.ndarray:
-        """Drift and diffusion terms of H; a function of its own so that its
-        temporaries are freed before the cost call."""
+    def _stencil_terms(self, Q, terms) -> np.ndarray:
+        """H at controls Q without the cost; a function of its own so that
+        its temporaries are freed before the cost call."""
+        dp, dm, dc, d2v, j0, jlin = terms
         b = self.effective_drift(Q)
         c = self.diffusion(Q)
         if self.central:
@@ -600,10 +719,12 @@ class _HJBWorkspace:
             upwind = np.maximum(b, 0.0) * dp + np.minimum(b, 0.0) * dm
             H = np.where(c >= np.abs(b) * self.h, b * dc, upwind)
         H += 0.5 * c * d2v
+        if j0 is not None:
+            H += j0 + _lincomb(jlin, _params(Q))
         return H
 
-    def optimize_controls(self, t: float, L: CostFunction, terms, shape) -> np.ndarray:
-        """Per-node minimizing parameters of the discrete Hamiltonian."""
+    def optimize_controls(self, k: int, L: CostFunction, terms, shape) -> np.ndarray:
+        """Per-node minimizing parameters of the discrete Hamiltonian at step k."""
         aff = self.aff
         P = np.empty(shape + (aff.n_params,))
         P[...] = 0.5 * (aff.lows + aff.highs)
@@ -612,41 +733,102 @@ class _HJBWorkspace:
             for i in range(aff.n_params):
                 lo, hi = aff.lows[i], aff.highs[i]
                 P[..., i] = lo if hi <= lo else self._minimize_coordinate(
-                    t, L, P, i, lo, hi, terms)
+                    k, L, P, i, lo, hi, terms)
         return P
 
-    def _minimize_coordinate(self, t, L, P, i, lo, hi, terms) -> np.ndarray:
-        """Per-node argmin over coordinate i; closed form when quadratic."""
-        mid = 0.5 * (lo + hi)
-        span = hi - lo
-        probe = lo + 0.25 * span
-        probes = np.array([lo, mid, hi, probe])[:, None, None]
-        f_lo, f_mid, f_hi, f_probe = self.hamiltonian(t, L, P, i, probes, terms)
-        # fit A (s-lo)^2 + B (s-lo) + f_lo through three probes and verify at
-        # the fourth before trusting the closed-form argmin; the check is one
-        # decision per potential, over all of its nodes
-        A = 2.0 * (f_lo - 2.0 * f_mid + f_hi) / span**2
-        B = (4.0 * f_mid - 3.0 * f_lo - f_hi) / span
-        fit = A * (probe - lo) ** 2 + B * (probe - lo) + f_lo
-        quadratic = np.all(np.abs(fit - f_probe) <= 1e-9 * (1.0 + np.abs(f_probe)), axis=-1)
-        with np.errstate(all="ignore"):
-            vertex = lo - B / (2.0 * A)
-        interior = np.where(A > 0, np.clip(vertex, lo, hi), lo)
-        endpoint = np.where(f_lo <= f_hi, lo, hi)
-        s = np.where(A > 0, interior, endpoint)
-        if not quadratic.all():
-            rows = np.flatnonzero(~quadratic)
-            sub = tuple(None if a is None else a[rows] for a in terms)
-            s[rows] = self._golden_section(t, L, P[rows], i, lo, hi, sub)
+    def _minimize_coordinate(self, k, L, P, i, lo, hi, terms) -> np.ndarray:
+        """Per-node argmin over coordinate i at step k.
+
+        Along the coordinate, H(s) = const + beta (s - mid) + L(s): beta
+        comes exactly from the stencil terms, and the cost model gives L's
+        slope and curvature at the other coordinates of P.  Under the
+        central stencil H is one quadratic and the argmin its clipped
+        vertex.  Under the auto stencil H is one quadratic on each piece
+        between the split points, and the argmin is the best of each
+        branch's clipped vertex and the piece ends.  The cells where the
+        cost model failed its check take golden section on the exact cost.
+        """
+        model = self.cost_model(L)
+        dp, dm, dc, d2v, _, jlin = terms
+        mid = model.mid[i]
+        a = 0.5 * model.hess[k, :, i, i]
+        convex = a > 0
+        rate = np.divide(-0.5, a, out=np.zeros_like(a), where=convex)
+        cost_slope = model.g[k, :, i]
+        for j in range(P.shape[-1]):
+            if j != i:
+                cost_slope = cost_slope + model.hess[k, :, i, j] * (P[..., j] - model.mid[j])
+        # H's slope at mid apart from the drift term, whose difference
+        # quotient depends on the stencil branch
+        slope = 0.5 * self.aff.c_lin[i] * d2v + cost_slope
+        if jlin is not None:
+            slope += jlin[i]
+        dl = self.drift_lin[i]
+        if self.central:
+            s = _vertex_or_end(slope + dl * dc, rate, convex, mid, lo, hi)
+        else:
+            vertices = [_vertex_or_end(slope + dl * d, rate, convex, mid, lo, hi)
+                        for d in (dc, dp, dm)]
+            S = np.stack(vertices + self._piece_ends(P, i, lo, hi))
+            u = S - mid
+            # H up to terms constant in s, with the modelled cost
+            H = self._stencil_terms(self._with_coordinate(P, i, S), terms)
+            H += (a * u + cost_slope) * u
+            s = _lowest(S, H)
+        bad = np.flatnonzero(~model.ok[k])
+        if bad.size:
+            s[:, bad] = self._piecewise_golden(
+                k, L, P[:, bad], i, lo, hi, _restrict(terms, bad), bad)
         return s
 
-    def _golden_section(self, t, L, P, i, lo, hi, terms) -> np.ndarray:
-        a = np.full(P.shape[:-1], lo)
-        b_ = np.full(P.shape[:-1], hi)
+    def _split_points(self, P, i, lo, hi) -> List[np.ndarray]:
+        """The points of [lo, hi] where c(s) = |b(s)| h along coordinate i.
+
+        Under the auto stencil the drift term of H switches there between
+        b dc and the upwind b dp or b dm, so H is one quadratic in s
+        between them and jumps at them.  None under the central stencil.
+        """
+        if self.central:
+            return []
+        dl, cl, h = self.drift_lin[i], self.aff.c_lin[i], self.h
+        b_rest = self.effective_drift(P) - dl * P[..., i]
+        c_rest = self.diffusion(P) - cl * P[..., i]
+        splits = []
+        for sign in (1.0, -1.0):
+            denom = cl - sign * h * dl
+            if denom != 0.0:
+                splits.append(np.clip((sign * h * b_rest - c_rest) / denom, lo, hi))
+        return splits
+
+    def _piece_ends(self, P, i, lo, hi) -> List[np.ndarray]:
+        """Both ends of [lo, hi], and each split point with a point just
+        inside either side, because the upwind side of a split is open."""
+        inside = SPLIT_STEP * (hi - lo)
+        shape = P.shape[:-1]
+        return [np.full(shape, lo), np.full(shape, hi)] + [
+            np.clip(r + e, lo, hi) for r in self._split_points(P, i, lo, hi)
+            for e in (-inside, 0.0, inside)]
+
+    def _piecewise_golden(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+        """Golden section on the exact cost over each piece of [lo, hi]
+        between the split points; the piece minimum with the lowest H wins."""
+        shape = P.shape[:-1]
+        ends = np.sort(np.stack(
+            [np.full(shape, lo), *self._split_points(P, i, lo, hi), np.full(shape, hi)]), axis=0)
+        pieces = np.broadcast_to(P, (len(ends) - 1,) + P.shape)
+        S = self._golden_section(k, L, pieces, i, ends[:-1], ends[1:], terms, cols)
+        if len(S) == 1:
+            return S[0]
+        return _lowest(S, self.hamiltonian(k, L, P, i, S, terms, cols))
+
+    def _golden_section(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+        """Per-node golden-section argmin of H over coordinate i on the
+        brackets [lo, hi], arrays of shape P.shape[:-1]."""
+        a, b_ = lo, hi
         for _ in range(48):
             c1 = b_ - GOLDEN * (b_ - a)
             c2 = a + GOLDEN * (b_ - a)
-            f1, f2 = self.hamiltonian(t, L, P, i, np.stack([c1, c2]), terms)
+            f1, f2 = self.hamiltonian(k, L, P, i, np.stack([c1, c2]), terms, cols)
             left = f1 < f2
             b_ = np.where(left, c2, b_)
             a = np.where(left, a, c1)
@@ -691,10 +873,9 @@ class _HJBWorkspace:
 
         Returns the controls (B, n, n_params) and the values (B, n).
         """
-        t = self.t_grid[k]
         parts = self.jump_parts(V)
-        P = self.optimize_controls(t, L, self._stencils(V, parts), V.shape)
-        source = self.cost(L, t, P)
+        P = self.optimize_controls(k, L, self._stencils(V, parts), V.shape)
+        source = self.cost(L, self.t_grid[k], P)
         if parts:
             source = _lincomb(self.jump_weights(P), parts) + source
         rhs = V + self.dt * source
@@ -922,9 +1103,9 @@ def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
     along a (K, n_params) piecewise-constant schedule on [0, 1]."""
     K = schedule.shape[0]
     dt = 1.0 / K
-    t_grid = dt * np.arange(K)
-    x = np.zeros(1)
-    return dt * sum(float(cost(t_grid[k], x, schedule[k])[0]) for k in range(K))
+    vals = cost(dt * np.arange(K), np.zeros(K), schedule)
+    # summed left to right, as K scalar calls would be
+    return dt * sum(vals.tolist())
 
 
 def solve_primal_deterministic(

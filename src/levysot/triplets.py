@@ -413,15 +413,22 @@ class ConditionJReport:
     resolution: int
 
 
+def delta_schedule_floats(delta_schedule: Sequence[float]) -> list:
+    """The schedule as floats; it must be strictly decreasing, with at least
+    three entries for the profile's decay fit."""
+    deltas = [float(d) for d in delta_schedule]
+    if len(deltas) < 3 or any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("delta_schedule must be strictly decreasing with >= 3 entries")
+    return deltas
+
+
 def family_condition_j(
     fam: ThetaFamily,
     delta_schedule: Sequence[float],
     resolution: int = 9,
 ) -> ConditionJReport:
     """Probe the uniform vanishing of small-jump second moments over the family."""
-    deltas = [float(d) for d in delta_schedule]
-    if len(deltas) < 3 or any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta_schedule must be strictly decreasing with >= 3 entries")
+    deltas = delta_schedule_floats(delta_schedule)
     pts = np.vstack([fam.corners(), fam.grid(resolution)])
     if pts.size == 0:
         raise ValueError("empty family")

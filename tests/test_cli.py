@@ -291,6 +291,32 @@ def test_exit_code_numerical_error(tmp_path):
     assert run("simulate", "--input", str(doc), "--out", str(tmp_path)) == 2
 
 
+def test_simulate_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the paths overflow to inf and NaN: exit 2 with no report, not exit 1
+    # from the strict JSON writer
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({
+        "triplet": {"b": [1e308], "c": [[0.0]]},
+        "config": {"n_paths": 10, "n_steps": 3, "horizon": 3.0},
+    }))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("simulate", "--input", str(doc), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (out / "simulate_report.json").exists()
+
+
+@pytest.mark.parametrize("schedule", ["[]", "[0.5]", "[0.5, 0.25]", "[0.25, 0.5, 0.1]"])
+def test_limit_analyze_rejects_a_bad_delta_schedule(tmp_path, capsys, schedule):
+    # the rule check-theta applies: strictly decreasing, three entries or more
+    for command, name in (("limit-analyze", "shrinking_jump_sequence.json"),
+                          ("check-theta", "pure_jump_family.json")):
+        assert run(command, "--input", fixture(name), "--out", str(tmp_path),
+                   "--set", f"delta_schedule={schedule}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta_schedule must be strictly decreasing")
+
+
 def test_idempotent_outputs(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):

@@ -336,13 +336,20 @@ BATCH_CASES = {
         _drift_family(), cost_from_expr("p0 * p0", ("p0",)),
         HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
     ),
-    # two parameters (two sweeps), non-quadratic costs: golden section
+    # two parameters (two sweeps), costs that are not quadratic in p0:
+    # golden section on every cell
     "two-param-abs": lambda: (
         _two_param_family(), cost_from_expr("abs(p0 - 0.3) + p1 * p1", ("p0", "p1")),
         HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
     ),
     "two-param-exp": lambda: (
         _two_param_family(), cost_from_expr("exp(p0) + p1 * p1", ("p0", "p1")),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
+    # not quadratic on x < 0 only: closed form and golden section side by side
+    "two-param-abs-left": lambda: (
+        _two_param_family(),
+        cost_from_expr("(abs(x) - x) * abs(p0 - 0.3) + p1 * p1 + p0 * p1", ("p0", "p1")),
         HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
     ),
 }
@@ -356,12 +363,12 @@ def test_batched_solve_equals_single_solves(case):
     terminals = np.stack([
         np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
     ])
-    golden_rows = []
+    golden_cells = []
     golden = ws._golden_section
 
-    def spy(t, L, P, *args):
-        golden_rows.append(P.shape[0])
-        return golden(t, L, P, *args)
+    def spy(k, L, P, i, lo, hi, terms, cols):
+        golden_cells.append((k, P.shape[-3], tuple(cols)))
+        return golden(k, L, P, i, lo, hi, terms, cols)
 
     ws._golden_section = spy
     V = terminals
@@ -376,14 +383,88 @@ def test_batched_solve_equals_single_solves(case):
         assert np.array_equal(vg.initial(), V[row])
         for k, P in zip(range(ws.n_t - 1, -1, -1), batched_controls):
             assert np.array_equal(vg.controls[k], P[row])
+    # golden section runs per node: on every row of the stack, at exactly
+    # the cells whose cost model failed its check
+    ok = ws.cost_model(cost).ok
     B = len(terminals)
-    if case.startswith("two-param"):
-        assert B in golden_rows
-    elif case == "drift-auto-mixed":
-        # the fourth-point check decides per potential, not per batch
-        assert any(0 < r < B for r in golden_rows)
+    for k, rows, cols in golden_cells:
+        assert rows == B
+        assert cols == tuple(np.flatnonzero(~ok[k]))
+    if case == "two-param-abs-left":
+        assert 0 < (~ok).sum() < ok.size
+        assert np.all(~ok[:, ws.x_grid < 0]) and np.all(ok[:, ws.x_grid >= 0])
+    elif case.startswith("two-param"):
+        assert not ok.any()
     else:
-        assert not golden_rows
+        # quadratic costs; on drift-auto-mixed the upwind switch makes H
+        # piecewise in p, which the closed form handles by itself
+        assert ok.all()
+    steps_with_golden = {k for k, _, _ in golden_cells}
+    assert steps_with_golden == {k for k in range(ws.n_t) if not ok[k].all()}
+
+
+def test_cost_model_fits_quadratics_and_flags_the_rest():
+    # per (step, node) coefficients of a time- and state-dependent quadratic
+    # with a cross term; a cubic cross term fails the joint check points
+    cfg = HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10)
+    ws = _HJBWorkspace(_two_param_family(), cfg)
+    names = ("p0", "p1")
+    model = ws.cost_model(cost_from_expr("t * p0 * p1 + x * p1 * p1 + 2 * p0", names))
+    assert model.ok.all()
+    t = ws.t_grid[:-1, None]
+    x = ws.x_grid[None, :]
+    d0 = d1 = 0.5  # the box midpoint
+    assert np.allclose(model.g[..., 0], t * d1 + 2.0, atol=1e-12)
+    assert np.allclose(model.g[..., 1], t * d0 + 2.0 * x * d1, atol=1e-12)
+    assert np.allclose(model.hess[..., 0, 0], 0.0, atol=1e-12)
+    assert np.allclose(model.hess[..., 0, 1], t, atol=1e-12)
+    assert np.allclose(model.hess[..., 1, 0], t, atol=1e-12)
+    assert np.allclose(model.hess[..., 1, 1], 2.0 * x, atol=1e-12)
+    assert not ws.cost_model(cost_from_expr("p0 * p0 * p1", names)).ok.any()
+
+
+def _oracle_cases():
+    cases = dict(BATCH_CASES)
+    for name, doc in (("poisson-fixture", fixtures.poisson_instance_doc()),
+                      ("gaussian-fixture", fixtures.gaussian_instance_doc())):
+        def make(doc=doc):
+            inst = instance_from_dict(doc)
+            stencil = doc["solver"]["dual"].get("drift_stencil", "auto")
+            return inst.fam, inst.cost, HJBGridConfig(n_x=60, n_t=20, drift_stencil=stencil)
+        cases[name] = make
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_control_step_beats_a_dense_scan(case):
+    # each coordinate step's H at the returned control is no higher than
+    # the least H over 2001 evenly spaced points of the box, per node
+    fam, cost, cfg = ORACLE_CASES[case]()
+    ws = _HJBWorkspace(fam, cfg)
+    x = ws.x_grid
+    V = np.stack([
+        np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
+    ])
+    aff = ws.aff
+    for k in range(ws.n_t - 1, -1, -1):
+        terms = ws._stencils(V, ws.jump_parts(V))
+        P = np.empty(V.shape + (aff.n_params,))
+        P[...] = 0.5 * (aff.lows + aff.highs)
+        for i in range(aff.n_params):
+            lo, hi = aff.lows[i], aff.highs[i]
+            if hi <= lo:
+                continue
+            s = ws._minimize_coordinate(k, cost, P, i, lo, hi, terms)
+            assert np.all((lo <= s) & (s <= hi))
+            h_at = ws.hamiltonian(k, cost, P, i, s[None], terms)[0]
+            scan = np.linspace(lo, hi, 2001)[:, None, None]
+            h_min = ws.hamiltonian(k, cost, P, i, scan, terms).min(axis=0)
+            assert np.all(h_at <= h_min + 1e-9 * (1.0 + np.abs(h_at))), (k, i)
+            P[..., i] = s
+        _, V = ws.backward_step(k, V, cost)
 
 
 # ---------------------------------------------------------------------------
