@@ -22,6 +22,7 @@ whose drift, diffusion and jump weights are affine in the parameters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -31,6 +32,7 @@ from scipy import stats
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import minimize
 
+from .exprs import ExpressionError
 from .measures import truncate_scalar
 from .triplets import (
     LevyTriplet,
@@ -490,7 +492,9 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
     coordinate at its low, mid and high value with the others at mid, each
     pair of coordinates at both highs for the cross term.  The fit is
     checked at each coordinate's quarter points and, with several
-    coordinates, at the two joint quarter points; one cost call per probe.
+    coordinates, at every corner of the box and at the four quarter points
+    of each pair's two diagonals, so that a kink between the probe lines
+    and a corner is seen; one cost call per probe.
     """
     aff = ws.aff
     mid = 0.5 * (aff.lows + aff.highs)
@@ -529,7 +533,11 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
                     (f_ij - f_hi[i] - f_hi[j] + f0) / (r[i] * r[j]))
         checks = [offset({i: s}) for i in active for s in (-0.5, 0.5)]
         if len(active) > 1:
-            checks += [offset({i: s for i in active}) for s in (-0.5, 0.5)]
+            checks += [offset(dict(zip(active, signs)))
+                       for signs in itertools.product((-1.0, 1.0), repeat=len(active))]
+            checks += [offset({i: si, j: sj})
+                       for pos, i in enumerate(active) for j in active[pos + 1:]
+                       for si in (-0.5, 0.5) for sj in (-0.5, 0.5)]
         for d in checks:
             f = probe(d)
             fit = f0 + g @ d + 0.5 * ((hess @ d) @ d)
@@ -1104,6 +1112,11 @@ def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
     K = schedule.shape[0]
     dt = 1.0 / K
     vals = cost(dt * np.arange(K), np.zeros(K), schedule)
+    bad = vals[~np.isfinite(vals)]
+    if bad.size:
+        source = getattr(cost, "source", None)
+        what = "running cost" if source is None else f"expression {source!r}"
+        raise ExpressionError(f"{what} evaluated to {float(bad[0])}")
     # summed left to right, as K scalar calls would be
     return dt * sum(vals.tolist())
 

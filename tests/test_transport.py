@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from levysot import fixtures
+from levysot.exprs import ExpressionError
 from levysot.measures import LevyMeasure
 from levysot.serialize import cost_from_expr, instance_from_dict
 from levysot.transport import (
@@ -21,6 +22,7 @@ from levysot.transport import (
     dual_ascent,
     duality_report,
     evaluate_cost_mc,
+    schedule_cost,
     solve_hjb,
     solve_primal_deterministic,
     validate_cost,
@@ -346,6 +348,12 @@ BATCH_CASES = {
         _two_param_family(), cost_from_expr("exp(p0) + p1 * p1", ("p0", "p1")),
         HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
     ),
+    # a kink that crosses neither the axes through the box midpoint nor its
+    # diagonal; only the corner (1, 0) lies past it
+    "two-param-off-axis": lambda: (
+        _two_param_family(), cost_from_expr("abs(p0 - p1 - 0.75)", ("p0", "p1")),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
     # not quadratic on x < 0 only: closed form and golden section side by side
     "two-param-abs-left": lambda: (
         _two_param_family(),
@@ -405,7 +413,7 @@ def test_batched_solve_equals_single_solves(case):
 
 def test_cost_model_fits_quadratics_and_flags_the_rest():
     # per (step, node) coefficients of a time- and state-dependent quadratic
-    # with a cross term; a cubic cross term fails the joint check points
+    # with a cross term; a cubic cross term fails the check points off the axes
     cfg = HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10)
     ws = _HJBWorkspace(_two_param_family(), cfg)
     names = ("p0", "p1")
@@ -469,6 +477,17 @@ def test_control_step_beats_a_dense_scan(case):
 
 # ---------------------------------------------------------------------------
 # primal, dual ascent, duality report
+
+
+def test_schedule_cost_rejects_a_non_finite_cost():
+    # one call prices the whole schedule; an overflow anywhere along it is
+    # an error, as a scalar call would have raised
+    schedule = np.array([[0.0], [0.5], [1.0]])
+    assert schedule_cost(cost_from_expr("lam * lam", ("lam",)), schedule) == pytest.approx(1.25 / 3)
+    for source in ("exp(1000 * lam)", "x + exp(1000 * lam)"):
+        with pytest.raises(ExpressionError, match="evaluated to inf"):
+            with np.errstate(over="ignore"):
+                schedule_cost(cost_from_expr(source, ("lam",)), schedule)
 
 
 def test_primal_gaussian():
