@@ -39,7 +39,6 @@ from .montecarlo import (
     JumpIntensityError,
     SimulationConfig,
     cf_distance,
-    constant_schedule,
     convergence_experiment,
     marginal_cdf,
     marginal_ks,
@@ -331,13 +330,11 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
             "ks": list(conv.ks_distances),
             "cf_distance": list(conv.cf_distances),
         }
-        bundle = simulate_paths(
-            constant_schedule(seq.index_map(seq.n_schedule[-1])), 0.0, cfg
-        )
+        bundle = simulate_paths(seq.index_map(seq.n_schedule[-1]), 0.0, cfg)
     else:
         t = triplet_from_dict(doc.get("triplet", doc))
         x0 = float(doc.get("x0", 0.0))
-        bundle = simulate_paths(constant_schedule(t), x0, cfg)
+        bundle = simulate_paths(t, x0, cfg)
         terminal = bundle.terminal
         report["terminal"] = {
             "mean": float(terminal.mean()),

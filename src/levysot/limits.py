@@ -8,8 +8,8 @@ surrogates are recorded in the returned reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
@@ -208,16 +208,15 @@ def limit_triplet_identify(
 class ClosednessReport:
     limit_in_set: str  # yes | no | inconclusive
     witness_params: Optional[np.ndarray]
-    witness_triplet: Optional[LevyTriplet]
     distance: Optional[float]  # None when nothing was projected
-    identified: Optional[LevyTriplet]
-    fit_residual: Optional[float]  # None when no limit was identified
     # one entry per projection run: scan size and each polish's status
     projections: Tuple[dict, ...] = ()
 
 
 _PROBE_FEATURES = FeatureMapConfig(m_max=3, u_grid=(np.array([0.5]), np.array([1.0]), np.array([2.0])))
 IDENTIFICATION_RESIDUAL_CAP = 0.1
+# grid points per parameter of the projection's coarse scan
+SCAN_RESOLUTION = 17
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -244,7 +243,6 @@ def project_to_family(
     fam: ThetaFamily,
     target: LevyTriplet,
     use_u_map: bool = False,
-    scan_resolution: int = 17,
 ) -> Tuple[np.ndarray, float, dict]:
     """Nearest family member (optionally through the modified-triplet map).
 
@@ -269,7 +267,7 @@ def project_to_family(
         return float(distances(s[None])[0])
 
     n_params = len(lows)
-    axes = [np.linspace(0.0, 1.0, scan_resolution)] * n_params
+    axes = [np.linspace(0.0, 1.0, SCAN_RESOLUTION)] * n_params
     scan = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n_params, -1).T
     values = distances(scan)
     order = np.argsort(values)
@@ -317,25 +315,18 @@ def closedness_probe(
             _, dist, entry = project_to_family(fam, seq.index_map(n))
             log.append(entry)
         if dist > 1e-8:
-            return ClosednessReport(
-                "inconclusive", None, None, float(dist), None, None, tuple(log)
-            )
+            return ClosednessReport("inconclusive", None, float(dist), tuple(log))
     profile = exponent_limit_profile(seq, u_grid)
     try:
         identified, fit_residual = limit_triplet_identify(profile, structure)
     except ValueError:
-        return ClosednessReport("inconclusive", None, None, None, None, None, tuple(log))
+        return ClosednessReport("inconclusive", None, None, tuple(log))
     if fit_residual > IDENTIFICATION_RESIDUAL_CAP:
-        return ClosednessReport(
-            "inconclusive", None, None, None, identified, fit_residual, tuple(log)
-        )
+        return ClosednessReport("inconclusive", None, None, tuple(log))
     target = modified_triplet(identified) if use_u_map else identified
     params, dist, entry = project_to_family(fam, target, use_u_map=use_u_map)
     log.append(entry)
-    witness = fam.at(params)
     extrapolation_error = max(e.error_estimate for e in profile.entries)
     tol = MEMBERSHIP_TOL + 3.0 * (extrapolation_error + fit_residual)
     verdict = "yes" if dist <= tol else "no"
-    return ClosednessReport(
-        verdict, params, witness, float(dist), identified, fit_residual, tuple(log)
-    )
+    return ClosednessReport(verdict, params, float(dist), tuple(log))

@@ -42,13 +42,10 @@ class TruncationRule:
     """Projection of jumps onto the closed unit ball: h(x) = x * min(1, 1/|x|)."""
 
     dimension: int
-    rule: str = "canonical-ball-projection"
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.rule != "canonical-ball-projection":
-            raise ValueError(f"unknown truncation rule {self.rule!r}")
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -116,7 +113,6 @@ class LevyMeasure:
     dimension: int
     atoms: Tuple[Tuple[np.ndarray, float], ...] = ()
     density_pieces: Tuple[DensityPiece, ...] = ()
-    mass_cap: float = DEFAULT_MASS_CAP
 
     def __post_init__(self):
         norm_atoms = []
@@ -171,28 +167,6 @@ class LevyMeasure:
                 total += float(np.dot(w, np.asarray(g(x[:, None]), dtype=float)))
         return total
 
-    def scaled(self, factor: float) -> "LevyMeasure":
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        if factor == 0:
-            return LevyMeasure.zero(self.dimension)
-        atoms = tuple((loc, w * factor) for loc, w in self.atoms)
-        pieces = tuple(
-            DensityPiece(p.lo, p.hi, _scale_density(p.density, factor), p.nodes)
-            for p in self.density_pieces
-        )
-        return LevyMeasure(self.dimension, atoms, pieces, self.mass_cap)
-
-    def combined(self, other: "LevyMeasure") -> "LevyMeasure":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return LevyMeasure(
-            self.dimension,
-            self.atoms + other.atoms,
-            self.density_pieces + other.density_pieces,
-            max(self.mass_cap, other.mass_cap),
-        )
-
     def state_key(self):
         """Hashable snapshot used for bit-identity comparisons."""
         atom_key = tuple(
@@ -223,7 +197,6 @@ class MeasureStack:
     atom_x: np.ndarray  # (P, K, d)
     atom_w: np.ndarray  # (P, K)
     pieces: Tuple[Tuple[DensityPiece, ...], ...] = ()
-    mass_cap: float = DEFAULT_MASS_CAP
     # the atoms, then one group per piece slot
     _groups: Tuple["_Group", ...] = field(init=False, repr=False, compare=False)
 
@@ -269,9 +242,9 @@ class MeasureStack:
         object.__setattr__(self, "_groups", tuple(groups))
         # finiteness of ∫ |x|^2 ∧ 1 dF, checked numerically against the cap
         (mass,) = self.integrate_parts(lambda grp: grp.sq1)
-        if not (mass <= self.mass_cap).all():
-            bad = int(np.argmax(~(mass <= self.mass_cap)))
-            raise ValueError(f"∫|x|^2∧1 dF = {mass[bad]} exceeds cap {self.mass_cap}")
+        if not (mass <= DEFAULT_MASS_CAP).all():
+            bad = int(np.argmax(~(mass <= DEFAULT_MASS_CAP)))
+            raise ValueError(f"∫|x|^2∧1 dF = {mass[bad]} exceeds cap {DEFAULT_MASS_CAP}")
 
     def __len__(self) -> int:
         return self.atom_w.shape[0]
@@ -291,7 +264,7 @@ class MeasureStack:
             for k, (loc, wt) in enumerate(m.atoms):
                 x[i, k], w[i, k] = loc, wt
         pieces = tuple(m.density_pieces for m in ms) if any(m.density_pieces for m in ms) else ()
-        return MeasureStack(d, x, w, pieces, max(m.mass_cap for m in ms))
+        return MeasureStack(d, x, w, pieces)
 
     def measure(self, i: int) -> LevyMeasure:
         """Row i as a LevyMeasure."""
@@ -301,7 +274,7 @@ class MeasureStack:
             for loc, wt in zip(self.atom_x[i][keep], self.atom_w[i][keep])
         )
         pieces = self.pieces[i] if self.pieces else ()
-        return LevyMeasure(self.dimension, atoms, pieces, self.mass_cap)
+        return LevyMeasure(self.dimension, atoms, pieces)
 
     def integrate_parts(self, g, parts=(lambda v: v,)) -> list:
         """Row-wise integrals of each part of g.
@@ -369,10 +342,6 @@ def row_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _probe(piece: DensityPiece) -> np.ndarray:
     return np.linspace(piece.lo, piece.hi, 5)
-
-
-def _scale_density(density, factor):
-    return lambda x: factor * np.asarray(density(x), dtype=float)
 
 
 def _sqnorm(x: np.ndarray) -> np.ndarray:

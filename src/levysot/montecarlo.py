@@ -17,13 +17,12 @@ convention of the triplets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
-from .measures import LevyMeasure
 from .triplets import LevyTriplet, TripletStack, levy_exponent
 from .limits import TripletSequence
 
@@ -116,26 +115,6 @@ def _build_step_model(t: LevyTriplet, eps: float, compensate_small: bool) -> _St
     )
 
 
-def constant_schedule(t: LevyTriplet) -> Callable[[float], LevyTriplet]:
-    return lambda _t: t
-
-
-def piecewise_schedule(
-    times: Sequence[float], triplets: Sequence[LevyTriplet]
-) -> Callable[[float], LevyTriplet]:
-    """Left-continuous piecewise-constant schedule on [times[k], times[k+1])."""
-    times = np.asarray(times, dtype=float)
-    trips = list(triplets)
-    if times.size != len(trips):
-        raise ValueError("times and triplets must have equal length")
-
-    def schedule(t: float) -> LevyTriplet:
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        return trips[max(0, min(k, len(trips) - 1))]
-
-    return schedule
-
-
 def _simulate_block(
     rng: np.random.Generator,
     n: int,
@@ -175,25 +154,27 @@ def _simulate_block(
 
 
 def simulate_paths(
-    schedule: Callable[[float], LevyTriplet] | LevyTriplet,
+    triplets: LevyTriplet | Sequence[LevyTriplet],
     x0: float,
     cfg: SimulationConfig,
     record_jumps: bool = False,
 ) -> PathBundle:
-    """Sample paths under a piecewise-constant triplet schedule.
+    """Sample paths under one triplet, or one triplet per step.
 
-    Paths are drawn in blocks of ``BLOCK_PATHS``; block j uses the Philox
-    stream keyed (seed, j), so the rows of a full block do not depend on
-    n_paths.
+    A sequence must hold ``cfg.n_steps`` triplets; step k, on
+    [t_k, t_{k+1}), uses the k-th.  Paths are drawn in blocks of
+    ``BLOCK_PATHS``; block j uses the Philox stream keyed (seed, j), so the
+    rows of a full block do not depend on n_paths.
     """
-    if isinstance(schedule, LevyTriplet):
-        schedule = constant_schedule(schedule)
+    if isinstance(triplets, LevyTriplet):
+        triplets = [triplets] * cfg.n_steps
+    if len(triplets) != cfg.n_steps:
+        raise ValueError(f"got {len(triplets)} triplets for {cfg.n_steps} steps")
     dt = cfg.horizon / cfg.n_steps
     time_grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    eps = cfg.small_jump_threshold
     models = [
-        _build_step_model(schedule(float(time_grid[k])), eps, cfg.gaussian_compensation)
-        for k in range(cfg.n_steps)
+        _build_step_model(t, cfg.small_jump_threshold, cfg.gaussian_compensation)
+        for t in triplets
     ]
     expected_jumps = sum(float(np.sum(m.jump_intensities)) * dt for m in models)
     if expected_jumps > MAX_EXPECTED_JUMPS:
@@ -306,10 +287,6 @@ class ConvergenceReport:
     n_schedule: Tuple[int, ...]
     cf_distances: Tuple[float, ...]
     ks_distances: Tuple[Optional[float], ...]
-    decreasing_cf: bool
-    decreasing_ks: Optional[bool]
-    final_cf: float
-    final_ks: Optional[float]
 
 
 def convergence_experiment(
@@ -326,9 +303,4 @@ def convergence_experiment(
         term = bundle.terminal
         cfs.append(cf_distance(term, target, cfg.horizon, u_grid))
         kss.append(marginal_ks(term, cdf) if cdf is not None else None)
-    dec_cf = bool(np.all(np.diff(cfs) < 0))
-    dec_ks = bool(np.all(np.diff([k for k in kss]) < 0)) if cdf is not None else None
-    return ConvergenceReport(
-        seq.n_schedule, tuple(cfs), tuple(kss), dec_cf, dec_ks, cfs[-1],
-        kss[-1] if cdf is not None else None,
-    )
+    return ConvergenceReport(seq.n_schedule, tuple(cfs), tuple(kss))

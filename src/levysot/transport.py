@@ -49,6 +49,14 @@ FTOL_PRIMAL = 1e-2
 GAP_ALLOWANCE_REL = 0.02
 RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5)
 INFEASIBLE_DUAL_CAP = 1e3
+# relative error of the affine parameter-to-characteristics fit at the box
+# midpoint above which a family is rejected
+AFFINE_CHECK_TOL = 1e-8
+# random (t, p) points at which a cost is tested for dependence on x
+STATE_SAMPLES = 24
+# grid resolution and delta schedule of the family checks on an instance
+FAMILY_CHECK_RESOLUTION = 5
+FAMILY_CHECK_DELTAS = (0.4, 0.2, 0.1)
 # a cell's cost model holds where it matches L within this relative error
 QUADRATIC_FIT_TOL = 1e-9
 # offset, as a share of the box, of the candidates on either side of an
@@ -175,63 +183,22 @@ class CostFunction:
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    declared_convex: bool = True
 
     def __call__(self, t: float, x, p):
         return np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(p, float)), float)
 
-    def is_state_dependent(self, fam: ThetaFamily, samples: int = 24, seed: int = 0) -> bool:
-        rng = np.random.default_rng(seed)
-        ps = fam.sample(rng, samples)
-        xs = rng.uniform(-5.0, 5.0, size=(samples, 2))
-        ts = rng.random(samples)
+    def is_state_dependent(self, fam: ThetaFamily) -> bool:
+        """Whether L changes with x at any of STATE_SAMPLES random (t, p)."""
+        rng = np.random.default_rng(0)
+        ps = fam.sample(rng, STATE_SAMPLES)
+        xs = rng.uniform(-5.0, 5.0, size=(STATE_SAMPLES, 2))
+        ts = rng.random(STATE_SAMPLES)
         for t, (x1, x2), p in zip(ts, xs, ps):
             v1 = float(self(t, np.array([x1]), p)[0])
             v2 = float(self(t, np.array([x2]), p)[0])
             if abs(v1 - v2) > 1e-10 * (1.0 + abs(v1)):
                 return True
         return False
-
-
-@dataclass(frozen=True)
-class CostValidationReport:
-    nonnegative: bool
-    convex_along_segments: bool
-    time_moduli: Tuple[Tuple[float, float], ...]  # (epsilon, sampled modulus)
-    passed: bool
-
-
-def validate_cost(
-    L: CostFunction, fam: ThetaFamily, samples: int = 200, seed: int = 0
-) -> CostValidationReport:
-    """Sampled nonnegativity, theta-convexity and time-continuity checks."""
-    rng = np.random.default_rng(seed)
-    ps = fam.sample(rng, samples)
-    xs = rng.uniform(-5.0, 5.0, samples)
-    ts = rng.random(samples)
-    nonneg = True
-    convex = True
-    for t, x, p in zip(ts, xs, ps):
-        if float(L(t, np.array([x]), p)[0]) < 0:
-            nonneg = False
-    if L.declared_convex:
-        qs = fam.sample(rng, samples)
-        for t, x, p, q in zip(ts, xs, ps, qs):
-            mid = float(L(t, np.array([x]), 0.5 * (p + q))[0])
-            avg = 0.5 * (float(L(t, np.array([x]), p)[0]) + float(L(t, np.array([x]), q)[0]))
-            if mid > avg + 1e-8:
-                convex = False
-    moduli = []
-    for eps in (0.1, 0.01):
-        worst = 0.0
-        for t, x, p in zip(ts, xs, ps):
-            s = min(max(t + rng.uniform(-eps, eps), 0.0), 1.0)
-            lt = float(L(t, np.array([x]), p)[0])
-            ls = float(L(s, np.array([x]), p)[0])
-            worst = max(worst, abs(ls - lt) / (1.0 + lt))
-        moduli.append((eps, worst))
-    passed = nonneg and (convex or not L.declared_convex)
-    return CostValidationReport(nonneg, convex, tuple(moduli), passed)
 
 
 @dataclass(frozen=True)
@@ -243,14 +210,14 @@ class TransportInstance:
     fam: ThetaFamily
     cost: CostFunction
 
-    def validate(self, resolution: int = 5, delta_schedule=(0.4, 0.2, 0.1)) -> None:
+    def validate(self) -> None:
         probe = self.fam.at(self.fam.corners()[0])
         if probe.dimension != 1:
             raise ValueError("transport instances must be one-dimensional")
-        bound = family_condition_b(self.fam, resolution)
+        bound = family_condition_b(self.fam, FAMILY_CHECK_RESOLUTION)
         if not bound.finite_flag:
             raise ValueError("family violates the boundedness condition")
-        rep = family_condition_j(self.fam, delta_schedule, resolution)
+        rep = family_condition_j(self.fam, FAMILY_CHECK_DELTAS, FAMILY_CHECK_RESOLUTION)
         if rep.verdict != "holds":
             raise ValueError(
                 f"family small-jump condition verdict {rep.verdict!r}; need 'holds'"
@@ -338,7 +305,7 @@ def _align_profile(
     return out
 
 
-def affine_family_structure(fam: ThetaFamily, check_tol: float = 1e-8) -> _AffineFamily:
+def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
     """Extract and verify the affine parameter-to-characteristics structure."""
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
@@ -389,7 +356,7 @@ def affine_family_structure(fam: ThetaFamily, check_tol: float = 1e-8) -> _Affin
     err = abs(pred_b - float(t_mid.b[0])) + abs(pred_c - float(t_mid.c[0, 0]))
     if union.size:
         err += float(np.max(np.abs(aff.weights(mid[None, :])[0] - w_mid)))
-    if err > check_tol * scale:
+    if err > AFFINE_CHECK_TOL * scale:
         raise NotImplementedError(
             "HJB/primal solvers require characteristics affine in the parameters"
         )
@@ -819,14 +786,16 @@ class _HJBWorkspace:
 
     def _piecewise_golden(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
         """Golden section on the exact cost over each piece of [lo, hi]
-        between the split points; the piece minimum with the lowest H wins."""
+        between the split points; of the piece minima and the piece ends,
+        the candidate with the lowest exact H wins.  Where H is infinite at
+        both probes, golden section returns the upper end of its bracket;
+        the priced ends let a finite H at another end win."""
         shape = P.shape[:-1]
         ends = np.sort(np.stack(
             [np.full(shape, lo), *self._split_points(P, i, lo, hi), np.full(shape, hi)]), axis=0)
         pieces = np.broadcast_to(P, (len(ends) - 1,) + P.shape)
         S = self._golden_section(k, L, pieces, i, ends[:-1], ends[1:], terms, cols)
-        if len(S) == 1:
-            return S[0]
+        S = np.concatenate([S, ends])
         return _lowest(S, self.hamiltonian(k, L, P, i, S, terms, cols))
 
     def _golden_section(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
@@ -1078,7 +1047,6 @@ class PrimalConfig:
     n_steps: int = 20
     u_grid: np.ndarray = field(default_factory=lambda: np.linspace(-5.0, 5.0, 41))
     rho_schedule: Tuple[float, ...] = RHO_SCHEDULE
-    ftol: float = FTOL_PRIMAL
 
 
 @dataclass(frozen=True)
@@ -1170,7 +1138,7 @@ def solve_primal_deterministic(
         primal_value=running_cost(flat),
         schedule=P,
         feasibility_residual=resid,
-        likely_infeasible=resid > cfg.ftol,
+        likely_infeasible=resid > FTOL_PRIMAL,
     )
 
 
@@ -1198,16 +1166,12 @@ def evaluate_cost_mc(
             "schedule validation requires a state-independent cost"
         )
     schedule = np.atleast_2d(np.asarray(schedule, float))
-    K = schedule.shape[0]
-    times = (1.0 / K) * np.arange(K)
-    triplets = [inst.fam.at(p) for p in schedule]
-    sched_fn = mc.piecewise_schedule(times, triplets)
     sim_cfg = mc.SimulationConfig(
-        horizon=1.0, n_steps=K, n_paths=n_paths, seed=seed,
+        horizon=1.0, n_steps=schedule.shape[0], n_paths=n_paths, seed=seed,
         small_jump_threshold=1e-3, gaussian_compensation=True,
     )
     x0 = inst.mu0.location if inst.mu0.kind == "point-mass" else inst.mu0.mean
-    bundle = mc.simulate_paths(sched_fn, x0, sim_cfg)
+    bundle = mc.simulate_paths([inst.fam.at(p) for p in schedule], x0, sim_cfg)
     ks = mc.marginal_ks(bundle.terminal, inst.mu1.cdf)
     return MCValidation(schedule_cost(inst.cost, schedule), 0.0, ks)
 

@@ -370,15 +370,6 @@ class ThetaFamily:
         highs = np.array([hi for _, hi in self.parameter_box])
         return lows + (highs - lows) * rng.random((n, len(lows)))
 
-    def validate(self, rng: Optional[np.random.Generator] = None, n_interior: int = 8):
-        """Evaluate the map on corners and random interior points."""
-        rng = rng or np.random.default_rng(0)
-        pts = np.vstack([self.corners(), self.sample(rng, n_interior)])
-        for p in pts:
-            t = self.at(p)
-            if not (np.all(np.isfinite(t.b)) and np.all(np.isfinite(t.c))):
-                raise ValueError(f"triplet map non-finite at p={p}")
-
 
 @dataclass(frozen=True)
 class FamilyBoundEstimate:

@@ -10,7 +10,7 @@ import pytest
 from levysot import cli, fixtures
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 from levysot.limits import default_u_grid, exponent_limit_profile
-from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, constant_schedule, simulate_paths
+from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import sequence_from_dict, triplet_from_dict
 from levysot.transport import solve_hjb
 from levysot.triplets import small_jump_second_moment
@@ -176,7 +176,7 @@ def test_paths_csv_matches_the_row_writer(tmp_path):
     out = str(tmp_path / "out")
     assert run("simulate", "--input", str(path), "--out", out, "--seed", "4") == 0
     cfg = SimulationConfig(**doc["config"], seed=4)
-    bundle = simulate_paths(constant_schedule(triplet_from_dict(doc["triplet"])), -0.0, cfg)
+    bundle = simulate_paths(triplet_from_dict(doc["triplet"]), -0.0, cfg)
     times = bundle.time_grid.tolist()
     expected = _row_writer_bytes(("path_id", "t", "value"), (
         (i, t, v) for i, path in enumerate(bundle.values) for t, v in zip(times, path.tolist())

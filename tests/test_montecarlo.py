@@ -10,13 +10,11 @@ from levysot.montecarlo import (
     JumpIntensityError,
     SimulationConfig,
     cf_distance,
-    constant_schedule,
     convergence_experiment,
     empirical_cf,
     gaussian_cdf,
     marginal_cdf,
     marginal_ks,
-    piecewise_schedule,
     simulate_paths,
 )
 from levysot.limits import TripletSequence
@@ -34,16 +32,25 @@ def test_config_validation():
         SimulationConfig(seed=-1)
 
 
-def test_schedules():
+def test_per_step_triplets_give_the_piecewise_path():
     a = LevyTriplet.scalar(1.0, 0.0)
     b = LevyTriplet.scalar(2.0, 0.0)
-    sched = piecewise_schedule([0.0, 0.5], [a, b])
-    assert sched(0.2) is a
-    assert sched(0.5) is b
-    assert sched(0.9) is b
-    assert constant_schedule(a)(0.7) is a
+    bundle = simulate_paths([a, a, b, b], 0.0, SimulationConfig(n_paths=3, n_steps=4))
+    assert np.array_equal(bundle.values, np.tile([0.0, 0.25, 0.5, 1.0, 1.5], (3, 1)))
+
+
+def test_triplet_count_must_match_steps():
+    t = LevyTriplet.scalar(1.0, 0.0)
     with pytest.raises(ValueError):
-        piecewise_schedule([0.0], [a, b])
+        simulate_paths([t] * 3, 0.0, SimulationConfig(n_paths=3, n_steps=4))
+
+
+def test_one_triplet_equals_one_per_step():
+    t = LevyTriplet.scalar(0.3, 0.5, LevyMeasure.from_atoms((0.4, 2.0), (-1.5, 1.0)))
+    cfg = SimulationConfig(n_paths=BLOCK_PATHS + 5, n_steps=3, seed=7)
+    single = simulate_paths(t, 0.2, cfg)
+    listed = simulate_paths([t] * cfg.n_steps, 0.2, cfg)
+    assert np.array_equal(single.values, listed.values)
 
 
 def test_pure_drift_is_deterministic():
@@ -179,6 +186,6 @@ def test_convergence_experiment_decreases():
     target = LevyTriplet.scalar(0.0, 1.0)
     cfg = SimulationConfig(n_paths=4000, n_steps=1, seed=0)
     report = convergence_experiment(seq, target, cfg, np.linspace(-2, 2, 9))
-    assert report.decreasing_cf
-    assert report.final_cf < 0.05
-    assert report.final_ks is not None and report.final_ks < 0.05
+    assert np.all(np.diff(report.cf_distances) < 0)
+    assert report.cf_distances[-1] < 0.05
+    assert report.ks_distances[-1] is not None and report.ks_distances[-1] < 0.05

@@ -25,7 +25,6 @@ from levysot.transport import (
     schedule_cost,
     solve_hjb,
     solve_primal_deterministic,
-    validate_cost,
 )
 from levysot.triplets import LevyTriplet, ThetaFamily
 
@@ -87,14 +86,6 @@ def test_cost_state_dependence_detection():
     fam = diffusion_family()
     assert not cost_from_expr("c * c", ("c",)).is_state_dependent(fam)
     assert cost_from_expr("x * x + c", ("c",)).is_state_dependent(fam)
-
-
-def test_validate_cost():
-    fam = diffusion_family()
-    good = validate_cost(cost_from_expr("c * c", ("c",)), fam)
-    assert good.passed and good.nonnegative and good.convex_along_segments
-    concave = validate_cost(cost_from_expr("4 * c - c * c", ("c",)), fam)
-    assert not concave.convex_along_segments and not concave.passed
 
 
 def test_instance_validate_rejects_bad_small_jumps():
@@ -256,13 +247,26 @@ def test_weak_duality_on_fixed_potentials():
 
 
 def test_hjb_non_finite_step_raises():
-    # exp(1000 lam) overflows: a non-finite right-hand side is a ValueError
+    # exp(1000 + lam) overflows at every control: a non-finite right-hand
+    # side is a ValueError
     inst = instance_from_dict(fixtures.poisson_instance_doc())
     inst = TransportInstance(inst.mu0, inst.mu1, inst.fam,
-                             cost_from_expr("exp(1000 * lam)", ("lam",)))
+                             cost_from_expr("exp(1000 + lam)", ("lam",)))
     cfg = HJBGridConfig(n_x=40, n_t=10, drift_stencil="central")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         solve_hjb(inst, lambda x: 0.0 * x, cfg)
+
+
+def test_golden_fallback_takes_a_finite_end():
+    # exp(1000 lam) is infinite at both golden-section probes of every
+    # round, so the bracket runs to lam = 6; lam = 0 gives H = 1
+    fam = instance_from_dict(fixtures.poisson_instance_doc()).fam
+    ws = _HJBWorkspace(fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"))
+    V = np.zeros((1, ws.n))
+    cost = cost_from_expr("exp(1000 * lam)", ("lam",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = ws.optimize_controls(9, cost, ws._stencils(V, ws.jump_parts(V)), V.shape)
+    assert np.all(P == 0.0)
 
 
 def test_gtsv_raises_the_solve_banded_exception_types():

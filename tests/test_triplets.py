@@ -123,7 +123,6 @@ def test_family_shapes_and_validation():
     fam = _pure_jump_family()
     assert fam.corners().shape == (4, 2)
     assert fam.grid(3).shape == (9, 2)
-    fam.validate()
     with pytest.raises(ValueError):
         ThetaFamily(((0.0, 1.0),), lambda p: None, structural_tag="mystery")
     with pytest.raises(ValueError):
