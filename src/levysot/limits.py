@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
+from scipy.optimize import least_squares, lsq_linear
 
 from .measures import LevyMeasure, row_dot, truncate_scalar
 from .triplets import (
@@ -217,6 +217,12 @@ _PROBE_FEATURES = FeatureMapConfig(m_max=3, u_grid=(np.array([0.5]), np.array([1
 IDENTIFICATION_RESIDUAL_CAP = 0.1
 # grid points per parameter of the projection's coarse scan
 SCAN_RESOLUTION = 17
+# a parameter whose box spans more than this ratio is log-scaled
+LOG_SCALE_RATIO = 100.0
+# forward-difference step and termination tolerances of the polish, in unit
+# coordinates
+FD_STEP = np.sqrt(np.finfo(float).eps)
+POLISH_TOL = 1e-15
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -239,6 +245,31 @@ def _triplet_distance(s: LevyTriplet, t: LevyTriplet) -> float:
     return float(_distances(TripletStack.pack([s]), t, t_features)[0])
 
 
+def _unit_map(lows: np.ndarray, highs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Map of the unit box onto the parameter box, one scale per parameter.
+
+    A parameter is geometric in its unit coordinate where 0 < lo and hi / lo
+    exceeds LOG_SCALE_RATIO, ``expm1(u * log1p(hi))`` where lo = 0 and hi
+    exceeds LOG_SCALE_RATIO, and linear otherwise.  0 and 1 map to lo and hi
+    exactly.
+    """
+    ratio = np.divide(highs, lows, out=np.ones_like(lows), where=lows > 0)
+    geometric = (lows > 0) & (ratio > LOG_SCALE_RATIO)
+    log1p_scaled = (lows == 0) & (highs > LOG_SCALE_RATIO)
+    rate = np.where(geometric, np.log(ratio), np.log1p(np.where(log1p_scaled, highs, 0.0)))
+
+    def to_box(S):
+        S = np.clip(S, 0.0, 1.0)
+        p = np.where(
+            geometric,
+            lows * np.exp(S * rate),
+            np.where(log1p_scaled, np.expm1(S * rate), lows + S * (highs - lows)),
+        )
+        return np.where(S == 1.0, highs, p)
+
+    return to_box
+
+
 def project_to_family(
     fam: ThetaFamily,
     target: LevyTriplet,
@@ -246,46 +277,81 @@ def project_to_family(
 ) -> Tuple[np.ndarray, float, dict]:
     """Nearest family member (optionally through the modified-triplet map).
 
-    Constrained least squares over the parameter box: a coarse scan in a
-    normalized unit box, priced as one stack, followed by Nelder-Mead polish
-    from the best cells.  Returns the parameters, the distance, and a log
-    entry with the number of scan points and each polish's status, nit and
-    nfev.
+    Works in unit coordinates (see ``_unit_map``: boxes spanning more than
+    two decades are log-scaled).  A coarse 17^n scan of the unit box is
+    priced as one stack.  From each of the best three scan cells, bounded
+    trust-region least squares ('trf', Branch, Coleman & Li 1999) minimises
+    the residual vector (b - b_t, c - c_t, features - features_t) of one
+    row; each forward-difference Jacobian is one stack of n + 1 rows.  A
+    start is skipped when its scan value ties bitwise with an earlier
+    start's, or when an earlier polish ended within one scan cell of it.
+    The distance is ``_distances`` at the best point found.  Returns the
+    parameters, the distance, and a log entry with the number of scan
+    points and each polish's status, nit (Jacobian evaluations) and nfev
+    (rows priced).
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
-    span = np.where(highs > lows, highs - lows, 1.0)
+    to_box = _unit_map(lows, highs)
     t_features = measure_features(target.F, _PROBE_FEATURES)
+    t_c = target.c.reshape(-1)
 
-    def distances(S):
-        st = fam.stack(lows + np.clip(S, 0.0, 1.0) * span)
-        if use_u_map:
-            st = modified_triplet(st)
-        return _distances(st, target, t_features)
+    def members(S):
+        st = fam.stack(to_box(S))
+        return modified_triplet(st) if use_u_map else st
 
-    def objective(s):
-        return float(distances(s[None])[0])
+    priced = [0]  # rows priced by the current polish
+
+    def residuals(S):
+        priced[0] += len(S)
+        st = members(S)
+        return np.hstack([
+            st.b - target.b,
+            st.c.reshape(len(S), -1) - t_c,
+            measure_features(st.F, _PROBE_FEATURES) - t_features,
+        ])
+
+    def jacobian(s):
+        # forward differences, stepping back from the upper bound
+        step = np.where(s + FD_STEP <= 1.0, FD_STEP, -FD_STEP)
+        r = residuals(np.vstack([s, s + np.diag(step)]))
+        return ((r[1:] - r[0]) / step[:, None]).T
 
     n_params = len(lows)
+    cell = 1.0 / (SCAN_RESOLUTION - 1)
     axes = [np.linspace(0.0, 1.0, SCAN_RESOLUTION)] * n_params
     scan = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n_params, -1).T
-    values = distances(scan)
+    values = _distances(members(scan), target, t_features)
     order = np.argsort(values)
     best_s, best_v = scan[order[0]], float(values[order[0]])
-    polish = []
+    polish, start_values, ends = [], [], []
     for idx in order[:3]:
         if best_v <= 0.1 * MEMBERSHIP_TOL:
             break
-        res = minimize(
-            objective,
-            scan[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600},
+        start = scan[idx]
+        repeated = values[idx] in start_values or any(
+            np.max(np.abs(start - end)) <= cell for end in ends
         )
-        polish.append({"status": int(res.status), "nit": int(res.nit), "nfev": int(res.nfev)})
-        if res.fun < best_v:
-            best_s, best_v = np.clip(res.x, 0.0, 1.0), float(res.fun)
-    return lows + best_s * span, best_v, {"scan_points": len(scan), "polish": polish}
+        start_values.append(values[idx])
+        if repeated:
+            continue
+        priced[0] = 0
+        res = least_squares(
+            lambda s: residuals(s[None])[0],
+            start,
+            jac=jacobian,
+            bounds=(0.0, 1.0),
+            method="trf",
+            ftol=POLISH_TOL,
+            xtol=POLISH_TOL,
+            gtol=POLISH_TOL,
+        )
+        polish.append({"status": int(res.status), "nit": int(res.njev), "nfev": priced[0]})
+        ends.append(res.x)
+        v = float(_distances(members(res.x[None]), target, t_features)[0])
+        if v < best_v:
+            best_s, best_v = res.x, v
+    return to_box(best_s[None])[0], best_v, {"scan_points": len(scan), "polish": polish}
 
 
 def closedness_probe(

@@ -271,18 +271,6 @@ def marginal_from_dict(doc: Mapping[str, Any]) -> Marginal:
     raise SchemaError(f"marginal: unknown kind {kind!r}")
 
 
-def marginal_to_dict(m: Marginal) -> dict:
-    if m.kind == "point-mass":
-        return {"kind": m.kind, "location": m.location}
-    if m.kind == "gaussian":
-        return {"kind": m.kind, "mean": m.mean, "variance": m.variance}
-    return {
-        "kind": m.kind,
-        "points": list(map(float, m.points)),
-        "weights": list(map(float, m.weights)),
-    }
-
-
 def cost_from_expr(source: str, param_names: Sequence[str]) -> CostFunction:
     names = tuple(param_names)
     fn = compile_expr(source, ("t", "x") + names)

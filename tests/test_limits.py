@@ -5,6 +5,7 @@ from levysot import fixtures
 from levysot.limits import (
     LimitStructure,
     TripletSequence,
+    _unit_map,
     closedness_probe,
     default_u_grid,
     diffusion_creation_diagnostic,
@@ -13,7 +14,7 @@ from levysot.limits import (
     project_to_family,
 )
 from levysot.measures import LevyMeasure
-from levysot.serialize import family_from_dict, sequence_from_dict
+from levysot.serialize import family_from_dict, param_map_from_exprs, sequence_from_dict
 from levysot.triplets import LevyTriplet, ThetaFamily, levy_exponent
 
 
@@ -86,6 +87,44 @@ def test_project_to_family_recovers_member():
     params, dist, _ = project_to_family(fam, LevyTriplet.scalar(0.0, 2.5))
     assert dist < 1e-8
     assert np.isclose(params[0], 2.5, atol=1e-6)
+
+
+def test_unit_map_hits_the_box_ends_and_log_scales_wide_boxes():
+    lows = np.array([0.0, 1e-4, 0.0, -1.0, 0.1])
+    highs = np.array([1e6, 1.0, 6.0, 1.0, 0.3])
+    to_box = _unit_map(lows, highs)
+    assert np.array_equal(to_box(np.zeros((1, 5)))[0], lows)
+    assert np.array_equal(to_box(np.ones((1, 5)))[0], highs)
+    mid = to_box(np.full((1, 5), 0.5))[0]
+    assert np.isclose(mid[0], np.sqrt(1e6 + 1) - 1)  # expm1(log1p(hi) / 2)
+    assert np.isclose(mid[1], 1e-2)  # geometric
+    assert np.allclose(mid[2:], [3.0, 0.0, 0.2])  # linear
+
+
+def test_project_to_family_reaches_the_large_rate_member():
+    # lambda = 1e5 sits at the far end of a box spanning six decades, where
+    # only the features' weak dependence on y fixes the point in the
+    # lambda * y^2 = 1 valley
+    fam = family_from_dict(fixtures.pure_jump_family_doc())
+    lam = 1e5
+    member = fam.at([lam, 1.0 / np.sqrt(lam)])
+    params, dist, entry = project_to_family(fam, member)
+    assert dist <= 1e-8
+    assert abs(params[0] - lam) <= 1e-6 * lam
+    assert all(1 <= p["status"] <= 4 for p in entry["polish"])
+
+
+def test_pinned_variance_projection_polishes_once():
+    # on the c = 1 edge the atom's weight is 0, so y does nothing and the
+    # best scan cells tie: one polish serves them all
+    fam = family_from_dict(fixtures.pinned_variance_family_doc())
+    report = closedness_probe(
+        fam, shrinking_jump_sequence(), use_u_map=True,
+        param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
+    )
+    assert report.limit_in_set == "yes"
+    assert len(report.projections) == 1
+    assert len(report.projections[-1]["polish"]) == 1
 
 
 def test_closedness_probe_inconclusive_outside_family():
