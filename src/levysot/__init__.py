@@ -20,7 +20,6 @@ from .transport import (
     DualAscentConfig,
     HJBGridConfig,
     Marginal,
-    PrimalConfig,
     TransportInstance,
     duality_report,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DualAscentConfig",
     "HJBGridConfig",
     "Marginal",
-    "PrimalConfig",
     "TransportInstance",
     "duality_report",
     "__version__",

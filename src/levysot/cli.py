@@ -60,7 +60,6 @@ from .transport import (
     DualAscentConfig,
     DualityReport,
     HJBGridConfig,
-    PrimalConfig,
     StateDependentCostError,
     TransportInstance,
     duality_report,
@@ -105,6 +104,14 @@ _OVERRIDE_KEYS = {
     "simulate": ("triplet", "x0", "config", "target", "u_grid", "sequence"),
     "solve-transport": ("mu0", "mu1", "family", "cost", "solver"),
 }
+
+_GRID_KEYS = ("x_min", "x_max", "n_x", "n_t", "pad", "drift_stencil")
+_ASCENT_KEYS = ("bound", "gtol", "max_iterations", "smoothing")
+# every key an instance document's solver block may set
+_SOLVER_KEYS = tuple(
+    [f"solver.dual.{k}" for k in _GRID_KEYS + _ASCENT_KEYS]
+    + ["solver.mc.n_paths", "solver.mc.seed"]
+)
 
 
 class ValidationError(ValueError):
@@ -367,33 +374,38 @@ class TransportRun(NamedTuple):
     report: DualityReport
 
 
+def _check_solver_keys(key: str, doc: Any) -> None:
+    """Raise on any leaf of the solver block that is not in _SOLVER_KEYS; an
+    empty block on the way to valid keys is allowed."""
+    if isinstance(doc, Mapping) and doc:
+        for k, v in doc.items():
+            _check_solver_keys(f"{key}.{k}", v)
+    elif key not in _SOLVER_KEYS and not (
+        doc == {} and any(v.startswith(key + ".") for v in _SOLVER_KEYS)
+    ):
+        raise ValidationError(
+            f"unknown solver key {key!r}; valid keys: " + ", ".join(_SOLVER_KEYS)
+        )
+
+
 def run_transport(doc: Mapping[str, Any], seed: Optional[int] = None) -> TransportRun:
     """Validate a transport instance document and run its duality report.
 
-    The document's optional ``solver`` block holds the ``primal`` and
-    ``dual`` configurations and ``mc.n_paths`` and ``mc.seed``; a given
-    ``seed`` replaces ``mc.seed``.  This is the only reader of that block.
+    The document's optional ``solver`` block may set the keys in
+    _SOLVER_KEYS, the ``dual`` configuration and ``mc.n_paths`` and
+    ``mc.seed``, and no others; a given ``seed`` replaces ``mc.seed``.  This
+    is the only reader of that block.
     """
+    solver = doc.get("solver", {})
+    _check_solver_keys("solver", solver)
     inst = instance_from_dict(doc)
     inst.validate()
-    solver = doc.get("solver", {})
-    primal, dual, mc_doc = (solver.get(k, {}) for k in ("primal", "dual", "mc"))
-    primal_kwargs: dict = {}
-    if "n_steps" in primal:
-        primal_kwargs["n_steps"] = int(primal["n_steps"])
-    if "u_extent" in primal or "u_count" in primal:
-        extent = float(primal.get("u_extent", 5.0))
-        primal_kwargs["u_grid"] = np.linspace(-extent, extent, int(primal.get("u_count", 41)))
-    if "rho_schedule" in primal:
-        primal_kwargs["rho_schedule"] = tuple(float(r) for r in primal["rho_schedule"])
-    grid_keys = ("x_min", "x_max", "n_x", "n_t", "pad", "drift_stencil")
-    grid = HJBGridConfig(**{k: dual[k] for k in grid_keys if k in dual})
-    ascent_keys = ("bound", "gtol", "max_iterations", "smoothing")
-    dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in ascent_keys if k in dual})
+    dual, mc_doc = solver.get("dual", {}), solver.get("mc", {})
+    grid = HJBGridConfig(**{k: dual[k] for k in _GRID_KEYS if k in dual})
+    dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in _ASCENT_KEYS if k in dual})
     mc_seed = seed if seed is not None else int(mc_doc.get("seed", 0))
     report = duality_report(
         inst,
-        primal_cfg=PrimalConfig(**primal_kwargs),
         dual_cfg=dual_cfg,
         mc_paths=int(mc_doc.get("n_paths", 100_000)),
         mc_seed=mc_seed,

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .measures import LevyMeasure, row_dot, truncate_scalar
+from .measures import LevyMeasure, row_dot
 from .triplets import (
     FeatureMapConfig,
     LevyTriplet,
@@ -22,6 +22,7 @@ from .triplets import (
     TripletStack,
     condition_b_value,
     delta_schedule_floats,
+    jump_exponent,
     levy_exponent,
     measure_features,
     modified_triplet,
@@ -73,7 +74,6 @@ class FrequencyLimit:
     values: Tuple[complex, ...]
     limit: complex
     error_estimate: float
-    cauchy: bool
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def exponent_limit_profile(seq: TripletSequence, u_grid) -> ExponentProfile:
             raise RuntimeError(f"non-finite exponent at u={u}")
         diffs = np.abs(np.diff(vals))
         err = float(diffs[-1]) if diffs.size else 0.0
-        cauchy = bool(np.all(np.diff(diffs) <= max(1e-12, 0.5 * diffs[0]))) if diffs.size > 1 else True
-        entries.append(FrequencyLimit(float(u), tuple(vals), vals[-1], err, cauchy))
+        entries.append(FrequencyLimit(float(u), tuple(vals), vals[-1], err))
     return ExponentProfile(seq.n_schedule, tuple(entries))
 
 
@@ -179,9 +178,8 @@ def limit_triplet_identify(
     a_im = np.zeros((u.size, n_params))
     a_im[:, 0] = u
     a_re[:, 1] = -0.5 * u**2
-    for j, y in enumerate(locs):
-        a_re[:, 2 + j] = np.cos(u * y) - 1.0
-        a_im[:, 2 + j] = np.sin(u * y) - u * truncate_scalar(y)
+    jumps = jump_exponent(u, locs).T
+    a_re[:, 2:], a_im[:, 2:] = jumps.real, jumps.imag
     A = np.vstack([a_re, a_im])
     rhs = np.concatenate([target.real, target.imag])
     params = np.linalg.lstsq(A, rhs, rcond=None)[0]

@@ -64,9 +64,9 @@ class TruncationRule:
         return out[0] if scalar_input else out
 
 
-def truncate_scalar(y: float) -> float:
-    """Scalar form of the canonical truncation (d = 1)."""
-    return y if abs(y) <= 1.0 else float(np.sign(y))
+def truncate_scalar(y):
+    """The canonical truncation in d = 1, elementwise: y clipped to [-1, 1]."""
+    return np.clip(y, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -275,6 +275,19 @@ class MeasureStack:
         )
         pieces = self.pieces[i] if self.pieces else ()
         return LevyMeasure(self.dimension, atoms, pieces)
+
+    def jump_profile(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row i as discrete jumps: its atoms, then the quadrature nodes of
+        each density piece in order, as locations (n, d) and weights (n,).
+
+        Read from the stack's arrays, so no density is evaluated again.
+        """
+        used = [
+            (grp.x[i], grp.w[i]) if grp.sizes is None
+            else (grp.x[i, : grp.sizes[i]], grp.w[i, : grp.sizes[i]])
+            for grp in self._groups
+        ]
+        return np.concatenate([x for x, _ in used]), np.concatenate([w for _, w in used])
 
     def integrate_parts(self, g, parts=(lambda v: v,)) -> list:
         """Row-wise integrals of each part of g.

@@ -7,11 +7,12 @@ reproducible, distinct seeds give distinct samples, and growing n_paths keeps
 the rows of every full block.  Per block, the diffusion and small-jump normals
 are (paths, steps) arrays, and each step draws the Poisson jump counts as a
 (paths, jump locations) matrix, so memory does not grow with the intensity.
-Jumps above the threshold eps are sampled as compound Poisson; jumps below it
-are either dropped or replaced by a centered Gaussian matching their variance
-rate (Asmussen-Rosinski substitution).  Compound-Poisson increments from
-{eps < |x| <= 1} are centered by their mean, matching the unit-ball truncation
-convention of the triplets.
+A step's jumps are its triplet's jump profile: the atoms, then the quadrature
+nodes of each density piece.  Jumps above SMALL_JUMP_THRESHOLD are sampled as
+compound Poisson; jumps below it are replaced by a centered Gaussian matching
+their variance rate (Asmussen-Rosinski substitution).  The compound-Poisson
+increments of the sampled jumps with |x| <= 1 are centered by their mean,
+matching the unit-ball truncation convention of the triplets.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .triplets import LevyTriplet, TripletStack, levy_exponent
 from .limits import TripletSequence
 
 MAX_EXPECTED_JUMPS = 1e8
+# eps: jumps with |x| <= eps are replaced by a Gaussian of the same variance
+SMALL_JUMP_THRESHOLD = 1e-3
 # paths per Philox stream; part of the sample's definition, so changing it
 # changes every simulated value
 BLOCK_PATHS = 8192
@@ -42,14 +45,10 @@ class SimulationConfig:
     n_steps: int = 1
     n_paths: int = 10_000
     seed: int = 0
-    small_jump_threshold: float = 1e-3
-    gaussian_compensation: bool = True
 
     def __post_init__(self):
         if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("horizon, n_steps, n_paths must be positive")
-        if not 0.0 <= self.small_jump_threshold <= 1.0:
-            raise ValueError("small_jump_threshold must lie in [0, 1]")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -77,41 +76,27 @@ class _StepModel:
     small_std: float  # Gaussian substitution std per unit sqrt(time)
 
 
-def _build_step_model(t: LevyTriplet, eps: float, compensate_small: bool) -> _StepModel:
+def _build_step_model(t: TripletStack, i: int) -> _StepModel:
+    """Sampling data of row i of a stack, from its jump profile."""
     if t.dimension != 1:
         raise NotImplementedError("path simulation is implemented for d = 1")
-    locs: List[float] = []
-    lams: List[float] = []
-    small_var = 0.0
-    comp = 0.0
-    for loc, w in t.F.atoms:
-        x = float(loc[0])
-        if abs(x) > eps:
-            locs.append(x)
-            lams.append(w)
-            if abs(x) <= 1.0:
-                comp += w * x
-        else:
-            small_var += w * x * x
-    for piece in t.F.density_pieces:
-        xq, wq = piece.quad()
-        for x, w in zip(xq, wq):
-            if w <= 0:
-                continue
-            if abs(x) > eps:
-                locs.append(float(x))
-                lams.append(float(w))
-                if abs(x) <= 1.0:
-                    comp += w * x
-            else:
-                small_var += w * x * x
+    x, w = t.F.jump_profile(i)
+    x = x[:, 0]
+    size = np.abs(x)
+    # a node where the density vanishes carries no jump
+    large = (w > 0) & (size > SMALL_JUMP_THRESHOLD)
+    small = (w > 0) & ~large
+    inner = large & (size <= 1.0)
+    # summed left to right, in profile order
+    comp = sum((w[inner] * x[inner]).tolist())
+    small_var = sum((w[small] * x[small] * x[small]).tolist())
     return _StepModel(
-        drift=float(t.b[0]),
-        diffusion_std=math.sqrt(max(float(t.c[0, 0]), 0.0)),
-        jump_locations=np.array(locs),
-        jump_intensities=np.array(lams),
+        drift=float(t.b[i, 0]),
+        diffusion_std=math.sqrt(max(float(t.c[i, 0, 0]), 0.0)),
+        jump_locations=x[large],
+        jump_intensities=w[large],
         compensator=float(comp),
-        small_std=math.sqrt(small_var) if compensate_small else 0.0,
+        small_std=math.sqrt(small_var),
     )
 
 
@@ -154,28 +139,27 @@ def _simulate_block(
 
 
 def simulate_paths(
-    triplets: LevyTriplet | Sequence[LevyTriplet],
+    triplets: LevyTriplet | Sequence[LevyTriplet] | TripletStack,
     x0: float,
     cfg: SimulationConfig,
     record_jumps: bool = False,
 ) -> PathBundle:
     """Sample paths under one triplet, or one triplet per step.
 
-    A sequence must hold ``cfg.n_steps`` triplets; step k, on
+    A sequence or stack must hold ``cfg.n_steps`` triplets; step k, on
     [t_k, t_{k+1}), uses the k-th.  Paths are drawn in blocks of
     ``BLOCK_PATHS``; block j uses the Philox stream keyed (seed, j), so the
     rows of a full block do not depend on n_paths.
     """
     if isinstance(triplets, LevyTriplet):
-        triplets = [triplets] * cfg.n_steps
-    if len(triplets) != cfg.n_steps:
-        raise ValueError(f"got {len(triplets)} triplets for {cfg.n_steps} steps")
+        models = [_build_step_model(TripletStack.pack([triplets]), 0)] * cfg.n_steps
+    else:
+        st = triplets if isinstance(triplets, TripletStack) else TripletStack.pack(triplets)
+        models = [_build_step_model(st, i) for i in range(len(st))]
+    if len(models) != cfg.n_steps:
+        raise ValueError(f"got {len(models)} triplets for {cfg.n_steps} steps")
     dt = cfg.horizon / cfg.n_steps
     time_grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    models = [
-        _build_step_model(t, cfg.small_jump_threshold, cfg.gaussian_compensation)
-        for t in triplets
-    ]
     expected_jumps = sum(float(np.sum(m.jump_intensities)) * dt for m in models)
     if expected_jumps > MAX_EXPECTED_JUMPS:
         raise JumpIntensityError(
@@ -243,12 +227,11 @@ def marginal_cdf(t: LevyTriplet, horizon: float, x0: float = 0.0):
     Supported: no jumps (Gaussian), or c = 0 with at most 3 atoms (compound
     Poisson via enumeration of jump counts).  Returns None otherwise.
     """
-    if t.dimension != 1:
+    if t.dimension != 1 or not t.F.is_atomic:
         return None
     b, c = float(t.b[0]), float(t.c[0, 0])
-    if not t.F.is_atomic:
-        return None
-    atoms = [(float(loc[0]), w) for loc, w in t.F.atoms]
+    x, w = t.F.stack.jump_profile(0)
+    atoms = list(zip(x[:, 0].tolist(), w.tolist()))
     if not atoms:
         return gaussian_cdf(x0 + b * horizon, c * horizon)
     if c != 0.0 or len(atoms) > 3:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -35,10 +35,10 @@ from scipy.optimize import minimize
 from .exprs import ExpressionError
 from .measures import truncate_scalar
 from .triplets import (
-    LevyTriplet,
     ThetaFamily,
     family_condition_b,
     family_condition_j,
+    jump_exponent,
 )
 from . import montecarlo as mc
 
@@ -47,6 +47,11 @@ DUAL_BOUND_DEFAULT = 50.0
 GTOL_DEFAULT = 1e-3
 FTOL_PRIMAL = 1e-2
 GAP_ALLOWANCE_REL = 0.02
+# the primal schedule: constant controls on PRIMAL_STEPS equal steps, fitted
+# on PRIMAL_U_GRID with penalty weights RHO_SCHEDULE in turn
+PRIMAL_STEPS = 20
+PRIMAL_U_GRID = np.linspace(-5.0, 5.0, 41)
+PRIMAL_U_GRID.setflags(write=False)
 RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5)
 INFEASIBLE_DUAL_CAP = 1e3
 # relative error of the affine parameter-to-characteristics fit at the box
@@ -269,20 +274,6 @@ class _AffineFamily:
         return float(np.max(np.sum(self.weights(corners), axis=1)))
 
 
-def _jump_profile(t: LevyTriplet) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten a measure into (locations, weights) including quadrature nodes."""
-    locs: List[float] = []
-    wts: List[float] = []
-    for loc, w in t.F.atoms:
-        locs.append(float(loc[0]))
-        wts.append(float(w))
-    for piece in t.F.density_pieces:
-        x, w = piece.quad()
-        locs.extend(float(v) for v in x)
-        wts.extend(float(v) for v in w)
-    return np.array(locs), np.array(wts)
-
-
 def _align_profile(
     union: np.ndarray, locs: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
@@ -306,54 +297,44 @@ def _align_profile(
 
 
 def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
-    """Extract and verify the affine parameter-to-characteristics structure."""
+    """Extract and verify the affine parameter-to-characteristics structure.
+
+    The n + 2 probes (the low corner, the box midpoint, and each parameter
+    at its high end with the others low) are priced as one stack; each
+    row's jump profile is scattered onto the union of their locations.
+    """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
-    base = lows.copy()
     n_p = lows.size
     mid = 0.5 * (lows + highs)
-    probes = [base, mid]
-    for i in range(n_p):
-        p = base.copy()
-        p[i] = highs[i]
-        probes.append(p)
-    triplets = [fam.at(p) for p in probes]
-    profiles = [_jump_profile(t) for t in triplets]
-    all_locs = np.concatenate([locs for locs, _ in profiles]) if profiles else np.empty(0)
-    if all_locs.size:
-        union = np.sort(all_locs)
-        keep = np.concatenate([[True], np.diff(union) > 1e-12])
-        union = union[keep]
-    else:
-        union = np.empty(0)
-    aligned = [_align_profile(union, locs, w) for locs, w in profiles]
+    st = fam.stack(np.vstack([lows, mid, np.where(np.eye(n_p, dtype=bool), highs, lows)]))
+    b, c = st.b[:, 0], st.c[:, 0, 0]
+    profiles = [st.F.jump_profile(k) for k in range(len(st))]
+    union = np.sort(np.concatenate([x[:, 0] for x, _ in profiles]))
+    if union.size:
+        union = union[np.concatenate([[True], np.diff(union) > 1e-12])]
+    aligned = np.array([_align_profile(union, x[:, 0], w) for x, w in profiles])
+    w0, w_mid = aligned[0], aligned[1]
 
-    t0 = triplets[0]
-    w0 = aligned[0]
+    span = highs - lows
+    live = span > 0
     b_lin = np.zeros(n_p)
     c_lin = np.zeros(n_p)
     w_lin = np.zeros((union.size, n_p))
-    for i in range(n_p):
-        span = highs[i] - lows[i]
-        if span <= 0:
-            continue
-        t = triplets[2 + i]
-        b_lin[i] = (float(t.b[0]) - float(t0.b[0])) / span
-        c_lin[i] = (float(t.c[0, 0]) - float(t0.c[0, 0])) / span
-        w_lin[:, i] = (aligned[2 + i] - w0) / span
+    b_lin[live] = (b[2:][live] - b[0]) / span[live]
+    c_lin[live] = (c[2:][live] - c[0]) / span[live]
+    w_lin[:, live] = ((aligned[2:][live] - w0) / span[live, None]).T
     aff = _AffineFamily(
         lows, highs,
-        float(t0.b[0]) - float(lows @ b_lin), b_lin,
-        float(t0.c[0, 0]) - float(lows @ c_lin), c_lin,
+        float(b[0]) - float(lows @ b_lin), b_lin,
+        float(c[0]) - float(lows @ c_lin), c_lin,
         union, w0 - w_lin @ lows, w_lin,
     )
     # verify affinity at the box midpoint
-    t_mid = triplets[1]
-    w_mid = aligned[1]
     pred_b = float(aff.drift(mid[None, :])[0])
     pred_c = float(aff.diffusion(mid[None, :])[0])
     scale = 1.0 + abs(pred_b) + abs(pred_c) + (np.max(np.abs(w_mid)) if w_mid.size else 0.0)
-    err = abs(pred_b - float(t_mid.b[0])) + abs(pred_c - float(t_mid.c[0, 0]))
+    err = abs(pred_b - float(b[1])) + abs(pred_c - float(c[1]))
     if union.size:
         err += float(np.max(np.abs(aff.weights(mid[None, :])[0] - w_mid)))
     if err > AFFINE_CHECK_TOL * scale:
@@ -384,6 +365,12 @@ class HJBGridConfig:
     def __post_init__(self):
         if self.drift_stencil not in ("auto", "central"):
             raise ValueError(f"unknown drift stencil {self.drift_stencil!r}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.n_x, self.n_t)):
+            raise ValueError(f"n_x = {self.n_x!r} and n_t = {self.n_t!r} must be positive integers")
+        if not self.x_max > self.x_min:
+            raise ValueError(f"x_max = {self.x_max} must exceed x_min = {self.x_min}")
+        if not self.pad >= 0:
+            raise ValueError(f"pad = {self.pad} must be nonnegative")
 
     def build_grid(self) -> Tuple[np.ndarray, int, int]:
         """Padded grid plus the slice [i0, i1] covering the reported domain."""
@@ -575,7 +562,7 @@ class _HJBWorkspace:
             i = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
             f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
             self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel()))
-        self.trunc = np.array([truncate_scalar(y) for y in self.aff.locations])
+        self.trunc = truncate_scalar(self.aff.locations)
         # the jump compensator -sum_j w_j h(y_j) v_x is an ordinary drift;
         # folding it into the implicit upwinded drift keeps the explicit jump
         # part S - I monotone and the whole scheme stable under the CFL bound
@@ -1043,13 +1030,6 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
 
 
 @dataclass(frozen=True)
-class PrimalConfig:
-    n_steps: int = 20
-    u_grid: np.ndarray = field(default_factory=lambda: np.linspace(-5.0, 5.0, 41))
-    rho_schedule: Tuple[float, ...] = RHO_SCHEDULE
-
-
-@dataclass(frozen=True)
 class PrimalResult:
     primal_value: float
     schedule: np.ndarray  # (n_steps, n_params)
@@ -1062,9 +1042,7 @@ def _exponent_basis(aff: _AffineFamily, u_grid: np.ndarray):
     u = u_grid
     psi0 = 1j * u * aff.b0 - 0.5 * aff.c0 * u**2
     psi_lin = np.empty((aff.n_params, u.size), dtype=complex)
-    jump_core = np.empty((aff.locations.size, u.size), dtype=complex)
-    for j, y in enumerate(aff.locations):
-        jump_core[j] = np.exp(1j * u * y) - 1.0 - 1j * u * truncate_scalar(y)
+    jump_core = jump_exponent(u, aff.locations)
     if aff.locations.size:
         psi0 = psi0 + aff.w0 @ jump_core
     for i in range(aff.n_params):
@@ -1089,22 +1067,20 @@ def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
     return dt * sum(vals.tolist())
 
 
-def solve_primal_deterministic(
-    inst: TransportInstance, cfg: PrimalConfig = PrimalConfig()
-) -> PrimalResult:
-    """Optimize a deterministic piecewise-constant control schedule.
+def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
+    """Optimize a deterministic schedule of PRIMAL_STEPS constant controls.
 
-    Terminal-law matching in characteristic-function sup norm over a frequency
-    grid, quadratic penalty with continuation over rho.
+    Terminal-law matching in characteristic-function sup norm over
+    PRIMAL_U_GRID, quadratic penalty with continuation over RHO_SCHEDULE.
     """
     if inst.cost.is_state_dependent(inst.fam):
         raise StateDependentCostError(
             "deterministic primal solver requires a state-independent cost"
         )
     aff = affine_family_structure(inst.fam)
-    K = cfg.n_steps
+    K = PRIMAL_STEPS
     dt = 1.0 / K
-    u = np.asarray(cfg.u_grid, float)
+    u = PRIMAL_U_GRID
     psi0, psi_lin = _exponent_basis(aff, u)
     cf0 = inst.mu0.cf(u)
     cf1 = inst.mu1.cf(u)
@@ -1117,13 +1093,11 @@ def solve_primal_deterministic(
         P = flat.reshape(K, n_p)
         exponent = dt * (K * psi0 + P.sum(axis=0) @ psi_lin)
         cf_term = cf0 * np.exp(exponent)
-        if u.size == 0:
-            return 0.0
         return float(np.max(np.abs(cf_term - cf1) ** 2))
 
     bounds = [(aff.lows[i], aff.highs[i]) for i in range(n_p)] * K
     flat = np.tile(0.5 * (aff.lows + aff.highs), K)
-    for rho in cfg.rho_schedule:
+    for rho in RHO_SCHEDULE:
         res = minimize(
             lambda z, r=rho: running_cost(z) + r * residual(z),
             flat,
@@ -1168,10 +1142,9 @@ def evaluate_cost_mc(
     schedule = np.atleast_2d(np.asarray(schedule, float))
     sim_cfg = mc.SimulationConfig(
         horizon=1.0, n_steps=schedule.shape[0], n_paths=n_paths, seed=seed,
-        small_jump_threshold=1e-3, gaussian_compensation=True,
     )
     x0 = inst.mu0.location if inst.mu0.kind == "point-mass" else inst.mu0.mean
-    bundle = mc.simulate_paths([inst.fam.at(p) for p in schedule], x0, sim_cfg)
+    bundle = mc.simulate_paths(inst.fam.stack(schedule), x0, sim_cfg)
     ks = mc.marginal_ks(bundle.terminal, inst.mu1.cdf)
     return MCValidation(schedule_cost(inst.cost, schedule), 0.0, ks)
 
@@ -1196,13 +1169,12 @@ class DualityReport:
 
 def duality_report(
     inst: TransportInstance,
-    primal_cfg: PrimalConfig = PrimalConfig(),
     dual_cfg: DualAscentConfig = DualAscentConfig(),
     mc_paths: int = 100_000,
     mc_seed: int = 0,
 ) -> DualityReport:
     """Run both sides of the transport problem and report the duality gap."""
-    primal = solve_primal_deterministic(inst, primal_cfg)
+    primal = solve_primal_deterministic(inst)
     dual = dual_ascent(inst, dual_cfg)
     gap = primal.primal_value - dual.dual_value
     allowance = GAP_ALLOWANCE_REL * (1.0 + abs(primal.primal_value))

@@ -28,6 +28,7 @@ from .measures import (
     TruncationRule,
     _sqnorm,
     row_dot,
+    truncate_scalar,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -219,6 +220,14 @@ def levy_exponent(t, u):
     out.real = (0.0 * bu - 0.0) + diff + re
     out.imag = (0.0 + bu) + 0.0 + im
     return out
+
+
+def jump_exponent(u, locations) -> np.ndarray:
+    """e^{iuy} - 1 - iu h(y), the term a unit jump at y adds to the exponent,
+    for each location y (rows) and frequency u (columns), in d = 1."""
+    y = np.asarray(locations, dtype=float)[:, None]
+    u = np.asarray(u, dtype=float)
+    return np.exp(1j * u * y) - 1.0 - 1j * u * truncate_scalar(y)
 
 
 def generator_apply(

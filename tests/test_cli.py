@@ -445,3 +445,26 @@ def test_limit_report_lists_each_projection(tmp_path):
             assert 1 <= start["status"] <= 4
             # nfev counts rows: each Jacobian prices n + 1 = 3 of them
             assert start["nfev"] > 3 * start["nit"]
+
+
+@pytest.mark.parametrize("override", [
+    "solver.dual.n_X=10", "solver.primal.n_steps=3", "solver.mc.paths=5",
+])
+def test_unknown_solver_keys_are_rejected(tmp_path, capsys, override):
+    assert run("solve-transport", "--input", fixture("trivial_instance.json"),
+               "--out", str(tmp_path), "--set", override) == 1
+    err = capsys.readouterr().err
+    assert repr(override.split("=")[0]) in err
+    assert "valid keys: solver.dual.x_min" in err and "solver.mc.seed" in err
+
+
+@pytest.mark.parametrize("override", [
+    "solver.dual.n_x=0", "solver.dual.n_t=0", "solver.dual.x_max=-6", "solver.dual.n_x=-4",
+    "solver.dual.pad=-6", "solver.dual.n_x=10.5",
+])
+def test_degenerate_hjb_grid_is_a_validation_error(tmp_path, capsys, override):
+    assert run("solve-transport", "--input", fixture("trivial_instance.json"),
+               "--out", str(tmp_path), "--set", override) == 1
+    err = capsys.readouterr().err
+    # one error line that names the offending grid field
+    assert err.startswith("error: ") and override.split("=")[0].split(".")[-1] in err

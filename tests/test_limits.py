@@ -40,7 +40,6 @@ def test_profile_on_constant_sequence_is_exact():
     for entry in profile.entries:
         assert entry.limit == levy_exponent(t, entry.u)
         assert entry.error_estimate == 0.0
-        assert entry.cauchy
 
 
 def test_diffusion_diagnostic_verdicts():

@@ -1,14 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from levysot import fixtures
 from levysot.measures import DensityPiece, LevyMeasure
 from levysot.montecarlo import (
     BLOCK_PATHS,
     JumpIntensityError,
     SimulationConfig,
+    _build_step_model,
+    _StepModel,
     cf_distance,
     convergence_experiment,
     empirical_cf,
@@ -18,7 +22,8 @@ from levysot.montecarlo import (
     simulate_paths,
 )
 from levysot.limits import TripletSequence
-from levysot.triplets import LevyTriplet
+from levysot.serialize import family_from_dict
+from levysot.triplets import LevyTriplet, TripletStack
 
 
 def test_config_validation():
@@ -26,8 +31,6 @@ def test_config_validation():
         SimulationConfig(horizon=0.0)
     with pytest.raises(ValueError):
         SimulationConfig(n_paths=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(small_jump_threshold=2.0)
     with pytest.raises(ValueError):
         SimulationConfig(seed=-1)
 
@@ -189,3 +192,71 @@ def test_convergence_experiment_decreases():
     assert np.all(np.diff(report.cf_distances) < 0)
     assert report.cf_distances[-1] < 0.05
     assert report.ks_distances[-1] is not None and report.ks_distances[-1] < 0.05
+
+
+def _loop_step_model(t, eps=1e-3):
+    """The step model as a loop over the atoms, then over each density
+    piece's quadrature nodes, skipping nodes of zero weight."""
+    locs, lams = [], []
+    small_var = 0.0
+    comp = 0.0
+    for loc, w in t.F.atoms:
+        x = float(loc[0])
+        if abs(x) > eps:
+            locs.append(x)
+            lams.append(w)
+            if abs(x) <= 1.0:
+                comp += w * x
+        else:
+            small_var += w * x * x
+    for piece in t.F.density_pieces:
+        xq, wq = piece.quad()
+        for x, w in zip(xq, wq):
+            if w <= 0:
+                continue
+            if abs(x) > eps:
+                locs.append(float(x))
+                lams.append(float(w))
+                if abs(x) <= 1.0:
+                    comp += w * x
+            else:
+                small_var += w * x * x
+    return _StepModel(
+        drift=float(t.b[0]),
+        diffusion_std=math.sqrt(max(float(t.c[0, 0]), 0.0)),
+        jump_locations=np.array(locs),
+        jump_intensities=np.array(lams),
+        compensator=float(comp),
+        small_std=math.sqrt(small_var),
+    )
+
+
+def test_step_model_matches_the_loop_bit_for_bit():
+    # atoms below eps, between eps and 1 on both sides, and outside the unit
+    # ball; a piece reaching below eps and one whose density vanishes on
+    # part of its nodes
+    F = LevyMeasure(
+        1,
+        tuple((np.array([x]), w) for x, w in
+              ((5e-4, 3.0), (-2e-4, 1.5), (0.4, 2.0), (-0.7, 0.3), (1.5, 0.6), (-2.5, 0.2))),
+        (DensityPiece(1e-4, 0.6, lambda x: 2.5 + 0.0 * x),
+         DensityPiece(-0.9, -0.1, lambda x: np.maximum(-0.5 - x, 0.0), nodes=16)),
+    )
+    t = LevyTriplet.scalar(0.3, 0.5, F)
+    got = _build_step_model(TripletStack.pack([t]), 0)
+    ref = _loop_step_model(t)
+    assert got.jump_locations.size and got.small_std > 0.0
+    for field in ("drift", "diffusion_std", "compensator", "small_std"):
+        assert getattr(got, field).hex() == getattr(ref, field).hex(), field
+    for field in ("jump_locations", "jump_intensities"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_stack_rows_simulate_as_the_listed_triplets():
+    fam = family_from_dict(fixtures.poisson_instance_doc()["family"])
+    schedule = np.array([[0.0], [1.5], [6.0], [2.25]])
+    cfg = SimulationConfig(n_paths=500, n_steps=4, seed=5)
+    stacked = simulate_paths(fam.stack(schedule), 0.0, cfg)
+    listed = simulate_paths([fam.at(p) for p in schedule], 0.0, cfg)
+    assert np.array_equal(stacked.values, listed.values)

@@ -14,7 +14,7 @@ import pytest
 from levysot import fixtures
 from levysot.exprs import ExpressionError
 from levysot.limits import _PROBE_FEATURES, _distances, exponent_limit_profile
-from levysot.measures import DensityPiece, LevyMeasure, TruncationRule, _sqnorm
+from levysot.measures import DensityPiece, LevyMeasure, MeasureStack, TruncationRule, _sqnorm
 from levysot.serialize import compile_template, family_from_dict, sequence_from_dict
 from levysot.triplets import (
     LevyTriplet,
@@ -336,3 +336,24 @@ def test_sequence_index_is_evaluated_as_a_float():
     n = 100003.0
     assert seq.index_map(100003).b[0] == (((n * n) * n) * n) * n
     assert (((n * n) * n) * n) * n != float(100003**5)
+
+
+def test_jump_profile_is_each_rows_atoms_then_piece_nodes():
+    # rows differ in atom count (row 1 is padded, row 2 has none) and in
+    # piece slots (row 1 has one piece, with fewer nodes; row 2 has none)
+    wide = DensityPiece(0.1, 0.6, lambda x: 2.0 + x)
+    narrow = DensityPiece(-0.8, -0.2, lambda x: x * x, nodes=12)
+    measures = [
+        LevyMeasure(1, ((np.array([0.4]), 2.0), (np.array([-1.5]), 0.5)), (wide, narrow)),
+        LevyMeasure(1, ((np.array([2.5]), 1.0),), (narrow,)),
+        LevyMeasure.zero(1),
+    ]
+    stack = MeasureStack.pack(measures)
+    for i, F in enumerate(measures):
+        x, w = stack.jump_profile(i)
+        quads = [p.quad() for p in F.density_pieces]
+        ref_x = np.concatenate([[loc[0] for loc, _ in F.atoms]] + [q[0] for q in quads])
+        ref_w = np.concatenate([[wt for _, wt in F.atoms]] + [q[1] for q in quads])
+        assert x.shape == (ref_x.size, 1)
+        assert np.array_equal(_bits(x[:, 0]), _bits(ref_x))
+        assert np.array_equal(_bits(w), _bits(ref_w))

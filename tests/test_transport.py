@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -11,7 +13,6 @@ from levysot.transport import (
     DualAscentConfig,
     HJBGridConfig,
     Marginal,
-    PrimalConfig,
     StateDependentCostError,
     TransportInstance,
     _gtsv,
@@ -565,3 +566,19 @@ def test_duality_report_trivial():
     assert abs(report.dual_value) <= 1e-6
     assert abs(report.gap) <= 1e-6
     assert report.weak_duality_ok
+
+
+def test_affine_structure_and_mc_validation_price_stacks_only():
+    # a family whose triplet map raises: both read its members from stacks
+    inst = instance_from_dict(fixtures.poisson_instance_doc())
+
+    def no_member(p):
+        raise AssertionError("ThetaFamily.at called")
+
+    fam = replace(inst.fam, triplet_map=no_member)
+    aff = affine_family_structure(fam)
+    assert np.array_equal(aff.locations, [0.5])
+    assert np.array_equal(aff.w0, [0.0]) and np.array_equal(aff.w_lin, [[1.0]])
+    inst = TransportInstance(inst.mu0, inst.mu1, fam, inst.cost)
+    val = evaluate_cost_mc(inst, np.full((4, 1), 2.0), n_paths=500, seed=0)
+    assert val.cost_estimate == 1.0

@@ -11,6 +11,7 @@ from levysot.triplets import (
     family_condition_b,
     family_condition_j,
     generator_apply,
+    jump_exponent,
     levy_exponent,
     martingale_residual,
     measure_features,
@@ -158,3 +159,11 @@ def test_box_independence():
         triplet_map=lambda p: LevyTriplet.scalar(float(p[0]), 0.0),
     )
     assert not box_independence_check(general)
+
+
+def test_jump_exponent_is_the_exponent_of_a_unit_atom():
+    u = np.array([-2.0, 0.0, 0.7, 3.0])
+    for y in (0.3, -0.8, 2.5, -4.0):
+        column = jump_exponent(u, [y])[0]
+        ref = [levy_exponent(scalar(atoms=((y, 1.0),)), v) for v in u]
+        assert np.allclose(column, ref, rtol=1e-14, atol=1e-14)
