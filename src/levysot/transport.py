@@ -11,9 +11,10 @@ quadratic in the controls at every (step, node) and checked at off-probe
 points, and the drift, diffusion and jump terms are linear in each
 coordinate, so the minimizer is a clipped vertex (one per stencil branch
 under the ``auto`` stencil).  Only the cells whose cost fails the check fall
-back to golden section on the exact cost.  The primal side optimizes
-deterministic piecewise-constant control schedules under a
-characteristic-function matching penalty with continuation.
+back to golden section on the exact cost.  The primal side fits the mean
+of a deterministic piecewise-constant control schedule to the target's
+characteristic function by bounded linear least squares, then spreads it
+over the steps at least cost with that mean held.
 
 Control families must have affine parameter-to-characteristics maps with
 fixed jump locations (verified numerically); this covers product-box families
@@ -30,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy import stats
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
 from .exprs import ExpressionError
 from .measures import truncate_scalar
@@ -45,14 +46,14 @@ from . import montecarlo as mc
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DUAL_BOUND_DEFAULT = 50.0
 GTOL_DEFAULT = 1e-3
-FTOL_PRIMAL = 1e-2
+FEASIBILITY_TOL = 1e-9
 GAP_ALLOWANCE_REL = 0.02
-# the primal schedule: constant controls on PRIMAL_STEPS equal steps, fitted
-# on PRIMAL_U_GRID with penalty weights RHO_SCHEDULE in turn
+# the primal schedule: constant controls on PRIMAL_STEPS equal steps, whose mean
+# is held along the fit's singular vectors above PRIMAL_RANK_TOL * the largest
 PRIMAL_STEPS = 20
 PRIMAL_U_GRID = np.linspace(-5.0, 5.0, 41)
 PRIMAL_U_GRID.setflags(write=False)
-RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5)
+PRIMAL_RANK_TOL = 1e-10
 INFEASIBLE_DUAL_CAP = 1e3
 # relative error of the affine parameter-to-characteristics fit at the box
 # midpoint above which a family is rejected
@@ -125,6 +126,14 @@ class Marginal:
     def discrete(points, weights) -> "Marginal":
         return Marginal("grid-density", points=np.asarray(points, float),
                         weights=np.asarray(weights, float))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n independent draws."""
+        if self.kind == "point-mass":
+            return np.full(n, self.location)
+        if self.kind == "gaussian":
+            return self.mean + math.sqrt(self.variance) * rng.standard_normal(n)
+        return rng.choice(self.points, size=n, p=self.weights)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -216,8 +225,7 @@ class TransportInstance:
     cost: CostFunction
 
     def validate(self) -> None:
-        probe = self.fam.at(self.fam.corners()[0])
-        if probe.dimension != 1:
+        if self.fam.stack(self.fam.corners()[:1]).dimension != 1:
             raise ValueError("transport instances must be one-dimensional")
         bound = family_condition_b(self.fam, FAMILY_CHECK_RESOLUTION)
         if not bound.finite_flag:
@@ -255,12 +263,6 @@ class _AffineFamily:
     def n_params(self) -> int:
         return self.lows.size
 
-    def drift(self, p: np.ndarray) -> np.ndarray:
-        return self.b0 + p @ self.b_lin
-
-    def diffusion(self, p: np.ndarray) -> np.ndarray:
-        return self.c0 + p @ self.c_lin
-
     def weights(self, p: np.ndarray) -> np.ndarray:
         # p: (M, n_params) -> (M, n_locations)
         return self.w0 + p @ self.w_lin.T
@@ -277,22 +279,12 @@ class _AffineFamily:
 def _align_profile(
     union: np.ndarray, locs: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """Scatter a (locations, weights) profile onto the union of locations."""
+    """Scatter a (locations, weights) profile onto the nearest locations of
+    the union; a location that moves with the parameters fails the affine
+    check at the box midpoint."""
     out = np.zeros(union.size)
-    if locs.size == 0:
-        return out
-    idx = np.searchsorted(union, locs)
-    idx = np.clip(idx, 0, union.size - 1)
-    near = np.where(
-        (idx > 0) & (np.abs(union[np.maximum(idx - 1, 0)] - locs) < np.abs(union[idx] - locs)),
-        idx - 1,
-        idx,
-    )
-    if np.max(np.abs(union[near] - locs)) > 1e-12:
-        raise NotImplementedError(
-            "HJB/primal solvers require fixed jump locations across parameters"
-        )
-    np.add.at(out, near, w)
+    if locs.size:
+        np.add.at(out, np.abs(union[:, None] - locs).argmin(axis=0), w)
     return out
 
 
@@ -331,12 +323,10 @@ def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
         union, w0 - w_lin @ lows, w_lin,
     )
     # verify affinity at the box midpoint
-    pred_b = float(aff.drift(mid[None, :])[0])
-    pred_c = float(aff.diffusion(mid[None, :])[0])
-    scale = 1.0 + abs(pred_b) + abs(pred_c) + (np.max(np.abs(w_mid)) if w_mid.size else 0.0)
-    err = abs(pred_b - float(b[1])) + abs(pred_c - float(c[1]))
-    if union.size:
-        err += float(np.max(np.abs(aff.weights(mid[None, :])[0] - w_mid)))
+    pred_b, pred_c = aff.b0 + mid @ b_lin, aff.c0 + mid @ c_lin
+    scale = 1.0 + abs(pred_b) + abs(pred_c) + np.max(np.abs(w_mid), initial=0.0)
+    err = abs(pred_b - b[1]) + abs(pred_c - c[1]) + np.max(
+        np.abs(aff.weights(mid[None, :])[0] - w_mid), initial=0.0)
     if err > AFFINE_CHECK_TOL * scale:
         raise NotImplementedError(
             "HJB/primal solvers require characteristics affine in the parameters"
@@ -1026,7 +1016,7 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
 
 
 # ---------------------------------------------------------------------------
-# primal side: deterministic schedules with CF-matching penalty
+# primal side: a deterministic schedule whose mean control fits the target
 
 
 @dataclass(frozen=True)
@@ -1035,20 +1025,15 @@ class PrimalResult:
     schedule: np.ndarray  # (n_steps, n_params)
     feasibility_residual: float
     likely_infeasible: bool
+    evidence: dict  # fit and schedule run statuses and counts; None if nothing is free
 
 
-def _exponent_basis(aff: _AffineFamily, u_grid: np.ndarray):
+def _exponent_basis(aff: _AffineFamily, u: np.ndarray):
     """psi(u; p) = psi0(u) + sum_i p_i psi_i(u) on the frequency grid."""
-    u = u_grid
-    psi0 = 1j * u * aff.b0 - 0.5 * aff.c0 * u**2
-    psi_lin = np.empty((aff.n_params, u.size), dtype=complex)
-    jump_core = jump_exponent(u, aff.locations)
-    if aff.locations.size:
-        psi0 = psi0 + aff.w0 @ jump_core
-    for i in range(aff.n_params):
-        psi_lin[i] = 1j * u * aff.b_lin[i] - 0.5 * aff.c_lin[i] * u**2
-        if aff.locations.size:
-            psi_lin[i] = psi_lin[i] + aff.w_lin[:, i] @ jump_core
+    jumps = jump_exponent(u, aff.locations)
+    psi0 = 1j * u * aff.b0 - 0.5 * aff.c0 * u**2 + aff.w0 @ jumps
+    psi_lin = (1j * np.outer(aff.b_lin, u) - 0.5 * np.outer(aff.c_lin, u**2)
+               + aff.w_lin.T @ jumps)
     return psi0, psi_lin
 
 
@@ -1068,10 +1053,14 @@ def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
 
 
 def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
-    """Optimize a deterministic schedule of PRIMAL_STEPS constant controls.
+    """The cheapest schedule of PRIMAL_STEPS constant controls whose mean
+    best fits the target on PRIMAL_U_GRID.
 
-    Terminal-law matching in characteristic-function sup norm over
-    PRIMAL_U_GRID, quadratic penalty with continuation over RHO_SCHEDULE.
+    The terminal exponent psi0 + mean(P) . psi_lin is linear in the mean
+    control, so the mean is a bounded linear least-squares fit to
+    log(cf1 / cf0) - psi0.  One SLSQP run from the constant schedule then
+    minimises the cost with the combinations of the mean that the fit
+    identifies held fixed.
     """
     if inst.cost.is_state_dependent(inst.fam):
         raise StateDependentCostError(
@@ -1079,40 +1068,46 @@ def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
         )
     aff = affine_family_structure(inst.fam)
     K = PRIMAL_STEPS
-    dt = 1.0 / K
     u = PRIMAL_U_GRID
     psi0, psi_lin = _exponent_basis(aff, u)
-    cf0 = inst.mu0.cf(u)
-    cf1 = inst.mu1.cf(u)
-    n_p = aff.n_params
-
-    def running_cost(flat):
-        return schedule_cost(inst.cost, flat.reshape(K, n_p))
-
-    def residual(flat):
-        P = flat.reshape(K, n_p)
-        exponent = dt * (K * psi0 + P.sum(axis=0) @ psi_lin)
-        cf_term = cf0 * np.exp(exponent)
-        return float(np.max(np.abs(cf_term - cf1) ** 2))
-
-    bounds = [(aff.lows[i], aff.highs[i]) for i in range(n_p)] * K
-    flat = np.tile(0.5 * (aff.lows + aff.highs), K)
-    for rho in RHO_SCHEDULE:
+    cf0, cf1 = inst.mu0.cf(u), inst.mu1.cf(u)
+    free = aff.highs > aff.lows
+    P = np.tile(aff.lows, (K, 1))
+    evidence = dict.fromkeys(("fit_status", "schedule_status", "schedule_nit", "schedule_nfev"))
+    if free.any():
+        with np.errstate(all="ignore"):
+            ratio = cf1 / cf0
+            # cf(-u) = conj cf(u): u >= 0 carries the fit, unwrapped from 0 at u = 0
+            ok = (u >= 0) & np.isfinite(np.log(np.abs(ratio)))
+        phase = np.unwrap(np.angle(ratio[ok]))
+        A = np.vstack([psi_lin[:, ok].real.T, psi_lin[:, ok].imag.T])
+        rhs = np.concatenate([np.log(np.abs(ratio[ok])) - psi0[ok].real, phase - psi0[ok].imag])
+        rhs -= A[:, ~free] @ aff.lows[~free]
+        A[:, ~free] = 0.0  # fixed parameters are neither fitted nor held
+        fit = lsq_linear(A[:, free], rhs, bounds=(aff.lows[free], aff.highs[free]), tol=1e-14)
+        mean = aff.lows.copy()
+        mean[free] = fit.x
+        _, sv, vt = np.linalg.svd(A, full_matrices=False)
+        R = vt[sv > PRIMAL_RANK_TOL * sv.max()]
         res = minimize(
-            lambda z, r=rho: running_cost(z) + r * residual(z),
-            flat,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
+            lambda z: schedule_cost(inst.cost, z.reshape(K, -1)),
+            np.tile(mean, K),
+            method="SLSQP",
+            bounds=list(zip(np.tile(aff.lows, K), np.tile(aff.highs, K))),
+            constraints={"type": "eq", "fun": lambda z: R @ (z.reshape(K, -1).mean(axis=0) - mean),
+                         "jac": lambda z: np.tile(R / K, K)},
+            options={"ftol": 1e-15, "maxiter": 200},
         )
-        flat = np.asarray(res.x, float)
-    P = flat.reshape(K, n_p)
-    resid = math.sqrt(residual(flat))
+        P = (res.x if res.success else np.tile(mean, K)).reshape(K, -1)
+        evidence = {"fit_status": int(fit.status), "schedule_status": int(res.status),
+                    "schedule_nit": int(res.nit), "schedule_nfev": int(res.nfev)}
+    resid = float(np.max(np.abs(cf0 * np.exp(psi0 + P.mean(axis=0) @ psi_lin) - cf1)))
     return PrimalResult(
-        primal_value=running_cost(flat),
+        primal_value=schedule_cost(inst.cost, P),
         schedule=P,
         feasibility_residual=resid,
-        likely_infeasible=resid > FTOL_PRIMAL,
+        likely_infeasible=resid > FEASIBILITY_TOL,
+        evidence=evidence,
     )
 
 
@@ -1134,7 +1129,8 @@ def evaluate_cost_mc(
     seed: int = 0,
 ) -> MCValidation:
     """Simulate the schedule for its terminal fit; the running cost of a
-    deterministic schedule is its exact ``schedule_cost``."""
+    deterministic schedule is its exact ``schedule_cost``.  Paths start at
+    independent draws from mu0, or at mu0's point."""
     if inst.cost.is_state_dependent(inst.fam):
         raise StateDependentCostError(
             "schedule validation requires a state-independent cost"
@@ -1143,9 +1139,11 @@ def evaluate_cost_mc(
     sim_cfg = mc.SimulationConfig(
         horizon=1.0, n_steps=schedule.shape[0], n_paths=n_paths, seed=seed,
     )
-    x0 = inst.mu0.location if inst.mu0.kind == "point-mass" else inst.mu0.mean
+    x0, start = inst.mu0.location, 0.0
+    if inst.mu0.kind != "point-mass":  # mu0's draws come from a generator of their own
+        x0, start = 0.0, inst.mu0.sample(np.random.default_rng(seed), n_paths)
     bundle = mc.simulate_paths(inst.fam.stack(schedule), x0, sim_cfg)
-    ks = mc.marginal_ks(bundle.terminal, inst.mu1.cdf)
+    ks = mc.marginal_ks(bundle.terminal + start, inst.mu1.cdf)
     return MCValidation(schedule_cost(inst.cost, schedule), 0.0, ks)
 
 
@@ -1165,6 +1163,7 @@ class DualityReport:
     dual_converged: bool  # L-BFGS-B's success flag
     dual_likely_infeasible: bool
     primal_likely_infeasible: bool
+    primal_evidence: dict  # PrimalResult.evidence
 
 
 def duality_report(
@@ -1194,4 +1193,5 @@ def duality_report(
         dual_converged=dual.converged,
         dual_likely_infeasible=dual.likely_infeasible,
         primal_likely_infeasible=primal.likely_infeasible,
+        primal_evidence=primal.evidence,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -390,20 +390,26 @@ class FamilyBoundEstimate:
     note: str = "grid estimate including corners; lower bound on the true sup"
 
 
+def _family_points(fam: ThetaFamily, resolution: int) -> TripletStack:
+    """The members at the box corners and the grid points, as one stack;
+    when one fails, the error names its point."""
+    pts = np.vstack([fam.corners(), fam.grid(resolution)])
+    try:
+        return fam.stack(pts)
+    except Exception:
+        for p in pts:
+            try:
+                fam.at(p)
+            except Exception as exc:
+                raise RuntimeError(f"family evaluation failed at p={p}: {exc}") from exc
+        raise
+
+
 def family_condition_b(fam: ThetaFamily, resolution: int = 9) -> FamilyBoundEstimate:
     """Estimate sup over the family of the boundedness functional."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    pts = np.vstack([fam.corners(), fam.grid(resolution)])
-    values = []
-    for p in pts:
-        try:
-            values.append(condition_b_value(fam.at(p)))
-        except Exception as exc:
-            raise RuntimeError(f"family evaluation failed at p={p}: {exc}") from exc
-    values = np.array(values)
-    finite = bool(np.all(np.isfinite(values)))
-    return FamilyBoundEstimate(float(np.max(values)), finite, resolution)
+    st = _family_points(fam, resolution)
+    values = np.array([condition_b_value(st.triplet(i)) for i in range(len(st))])
+    return FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all()), resolution)
 
 
 @dataclass(frozen=True)
@@ -429,15 +435,9 @@ def family_condition_j(
 ) -> ConditionJReport:
     """Probe the uniform vanishing of small-jump second moments over the family."""
     deltas = delta_schedule_floats(delta_schedule)
-    pts = np.vstack([fam.corners(), fam.grid(resolution)])
-    if pts.size == 0:
-        raise ValueError("empty family")
-    triplets = [fam.at(p) for p in pts]
-    profile = []
-    for d in deltas:
-        sup = max(small_jump_second_moment(t.F, d) for t in triplets)
-        profile.append((d, float(sup)))
-    sups = np.array([s for _, s in profile])
+    st = _family_points(fam, resolution)
+    measures = [st.F.measure(i) for i in range(len(st))]
+    sups = np.array([max(small_jump_second_moment(F, d) for F in measures) for d in deltas])
     if np.min(sups) >= COND_J_FAIL_FACTOR * TOL_J:
         verdict = "fails"
     elif sups[-1] <= TOL_J and np.all(np.diff(sups) <= 1e-12):
@@ -446,7 +446,7 @@ def family_condition_j(
         verdict = "holds"
     else:
         verdict = "inconclusive"
-    return ConditionJReport(tuple(profile), verdict, resolution)
+    return ConditionJReport(tuple(zip(deltas, sups.tolist())), verdict, resolution)
 
 
 def box_independence_check(

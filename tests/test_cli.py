@@ -209,6 +209,16 @@ def test_limit_csvs_match_the_row_writer(tmp_path):
     assert written.splitlines()[1].startswith(b"1,10,")
 
 
+def test_duality_report_carries_the_primal_evidence(tmp_path):
+    overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")
+    assert run("solve-transport", "--input", fixture("gaussian_instance.json"), "--out",
+               str(tmp_path), *(arg for o in overrides for arg in ("--set", o))) == 0
+    evidence = read_json(os.path.join(str(tmp_path), "duality_report.json"))["primal_evidence"]
+    assert evidence["fit_status"] in (1, 2, 3)  # lsq_linear converged
+    assert evidence["schedule_status"] == 0  # SLSQP converged
+    assert evidence["schedule_nit"] >= 1 and evidence["schedule_nfev"] >= 1
+
+
 def test_solve_transport_with_overrides(tmp_path):
     out = str(tmp_path)
     overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")

@@ -7,7 +7,7 @@ from scipy import sparse
 from levysot import fixtures
 from levysot.exprs import ExpressionError
 from levysot.measures import LevyMeasure
-from levysot.serialize import cost_from_expr, instance_from_dict
+from levysot.serialize import cost_from_expr, family_from_dict, instance_from_dict
 from levysot.transport import (
     CFLError,
     DualAscentConfig,
@@ -27,7 +27,7 @@ from levysot.transport import (
     solve_hjb,
     solve_primal_deterministic,
 )
-from levysot.triplets import LevyTriplet, ThetaFamily
+from levysot.triplets import LevyTriplet, ThetaFamily, family_condition_b, family_condition_j
 
 
 def diffusion_family(c_max=4.0):
@@ -503,6 +503,49 @@ def test_primal_gaussian():
     assert not res.likely_infeasible
 
 
+def test_primal_is_exact_on_both_fixtures():
+    # E int c dt = Var X_1 = 1 and E int lam dt = 4 Var X_1 = 3 pin the
+    # constant controls c = 1 and lam = 3, so the values are 1 and 4
+    for doc, value in ((fixtures.gaussian_instance_doc(), 1.0),
+                       (fixtures.poisson_instance_doc(), 4.0)):
+        res = solve_primal_deterministic(instance_from_dict(doc))
+        assert abs(res.primal_value - value) <= 1e-9
+        assert res.feasibility_residual <= 1e-9
+        assert not res.likely_infeasible
+
+
+def test_primal_time_dependent_cost_meets_the_discrete_optimum():
+    # min dt sum (1 + t_k) c_k^2 subject to mean(c_k) = 1 puts c_k in
+    # proportion to 1 / (1 + t_k), with value 1 / mean(1 / (1 + t_k))
+    inst = replace(gaussian_instance(), cost=cost_from_expr("(1 + t) * c * c", ("c",)))
+    res = solve_primal_deterministic(inst)
+    t = np.arange(res.schedule.shape[0]) / res.schedule.shape[0]
+    assert abs(res.primal_value - 1.0 / np.mean(1.0 / (1.0 + t))) <= 1e-9
+    assert not res.likely_infeasible
+
+
+def test_primal_holds_only_the_identified_combination():
+    # c = a + b: the target pins mean(a + b) = 1 only, and the cost
+    # a^2 + 2 b^2 splits it as a = 2/3, b = 1/3 (holding both means costs 3/4)
+    fam = ThetaFamily(((0.0, 4.0), (0.0, 4.0)),
+                      lambda p: LevyTriplet.scalar(0.0, float(p[0] + p[1])))
+    inst = TransportInstance(Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), fam,
+                             cost_from_expr("a * a + 2 * b * b", ("a", "b")))
+    res = solve_primal_deterministic(inst)
+    assert abs(res.primal_value - 2.0 / 3.0) <= 1e-9
+    assert not res.likely_infeasible
+
+
+@pytest.mark.parametrize("variance", [4.0001, 9.0, 100.0])
+def test_primal_flags_targets_beyond_the_box(variance):
+    # c <= 4 reaches variance 4 at most; the best fit is c = 4 throughout,
+    # and at variance 100 the target's CF underflows where |u| >= 4
+    res = solve_primal_deterministic(gaussian_instance(variance=variance))
+    assert res.likely_infeasible
+    assert res.feasibility_residual > 0.0
+    assert abs(res.primal_value - 16.0) <= 1e-9
+
+
 def test_primal_rejects_state_dependent_cost():
     inst = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), diffusion_family(),
@@ -546,6 +589,17 @@ def test_mc_validation_exact_cost_for_state_independent():
     assert val.terminal_ks < 0.05
 
 
+@pytest.mark.parametrize("mu0, mu1, c", [
+    (Marginal.discrete([1.0, 3.0], [0.5, 0.5]), Marginal.discrete([1.0, 3.0], [0.5, 0.5]), 0.0),
+    (Marginal.gaussian(0.0, 1.0), Marginal.gaussian(0.0, 2.0), 1.0),
+])
+def test_mc_validation_starts_paths_from_mu0(mu0, mu1, c):
+    # the schedule carries mu0 to mu1 exactly, so only sampling error is left
+    inst = TransportInstance(mu0, mu1, diffusion_family(), cost_from_expr("c * c", ("c",)))
+    val = evaluate_cost_mc(inst, np.full((20, 1), c), n_paths=20_000, seed=0)
+    assert val.terminal_ks <= 0.02
+
+
 def test_mc_validation_rejects_state_dependent_cost():
     inst = gaussian_instance()
     inst = TransportInstance(inst.mu0, inst.mu1, inst.fam,
@@ -582,3 +636,21 @@ def test_affine_structure_and_mc_validation_price_stacks_only():
     inst = TransportInstance(inst.mu0, inst.mu1, fam, inst.cost)
     val = evaluate_cost_mc(inst, np.full((4, 1), 2.0), n_paths=500, seed=0)
     assert val.cost_estimate == 1.0
+
+
+def test_instance_validation_prices_stacks_only():
+    inst = instance_from_dict(fixtures.poisson_instance_doc())
+
+    def no_member(p):
+        raise AssertionError("ThetaFamily.at called")
+
+    replace(inst, fam=replace(inst.fam, triplet_map=no_member)).validate()
+
+
+def test_family_checks_name_a_failing_member():
+    fam = family_from_dict({"box": [[0.0, 1.0]], "params": ["y"], "b": ["0"],
+                            "c": [["abs(1 / (2 * y - 1))"]]})
+    for check in (lambda: family_condition_b(fam, 5),
+                  lambda: family_condition_j(fam, (0.4, 0.2, 0.1), 5)):
+        with pytest.raises(RuntimeError, match=r"failed at p=\[0\.5\]"):
+            check()
