@@ -91,7 +91,7 @@ _NUMERICAL_ERRORS = (
 # valid --set key prefixes per command; a key is accepted when it equals a
 # listed path or extends one (nested documents)
 _OVERRIDE_KEYS = {
-    "check-theta": ("family", "delta_schedule", "resolution", "samples"),
+    "check-theta": ("family", "delta_schedule", "resolution"),
     "limit-analyze": (
         "sequence",
         "u_grid",
@@ -227,16 +227,13 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     fam = family_from_dict(fam_doc)
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
     resolution = int(doc.get("resolution", 9))
-    samples = int(doc.get("samples", 16))
     bound = family_condition_b(fam, resolution)
     cond_j = family_condition_j(fam, deltas, resolution)
-    independent = box_independence_check(fam, samples, seed or 0)
+    corners = fam.corners()
+    members = fam.stack(corners)
     residuals = [
-        {
-            "params": p.tolist(),
-            "residual": martingale_residual(fam.at(p)).tolist(),
-        }
-        for p in fam.corners()
+        {"params": p.tolist(), "residual": martingale_residual(members.triplet(i)).tolist()}
+        for i, p in enumerate(corners)
     ]
     report = {
         "seed": seed,
@@ -250,7 +247,7 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
             "verdict": cond_j.verdict,
             "profile": [list(pair) for pair in cond_j.profile],
         },
-        "box_independence": independent,
+        "box_independence": box_independence_check(fam),
         "martingale_residuals_at_corners": residuals,
     }
     write_json(os.path.join(out, "check_theta.json"), report)

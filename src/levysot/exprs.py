@@ -2,7 +2,8 @@
 
 Densities, family coefficients and cost functions arrive as strings.  Only a
 small whitelist is evaluated: +, -, *, /, pow, exp, abs, numeric constants and
-named variables.  Everything else is rejected at compile time.
+named variables.  Everything else is rejected at compile time, as is a
+variable named twice or named like a function.
 
 A compiled expression evaluates two ways.  Called with keyword arguments it
 broadcasts like numpy (costs and densities on grids).  ``evaluate_rows``
@@ -35,30 +36,32 @@ class ExpressionError(ValueError):
     evaluate to a finite real number."""
 
 
-def _check(node: ast.AST, variables: Sequence[str]) -> None:
+def _check(node: ast.AST, variables: Sequence[str], reads: set) -> None:
+    """Reject what falls outside the grammar; add each variable read to ``reads``."""
     if isinstance(node, ast.Expression):
-        _check(node.body, variables)
+        _check(node.body, variables, reads)
     elif isinstance(node, ast.BinOp):
         if not isinstance(node.op, _ALLOWED_BINOPS):
             raise ExpressionError(f"operator {ast.dump(node.op)} not allowed")
-        _check(node.left, variables)
-        _check(node.right, variables)
+        _check(node.left, variables, reads)
+        _check(node.right, variables, reads)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, _ALLOWED_UNARY):
             raise ExpressionError(f"unary operator {ast.dump(node.op)} not allowed")
-        _check(node.operand, variables)
+        _check(node.operand, variables, reads)
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
             raise ExpressionError("only exp, abs, pow calls are allowed")
         if node.keywords:
             raise ExpressionError("keyword arguments not allowed")
         for arg in node.args:
-            _check(arg, variables)
+            _check(arg, variables, reads)
     elif isinstance(node, ast.Name):
         if node.id not in variables:
             raise ExpressionError(
                 f"unknown variable {node.id!r}; allowed: {sorted(variables)}"
             )
+        reads.add(node.id)
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} is not numeric")
@@ -93,17 +96,28 @@ _GLOBALS = {"__builtins__": {}}
 
 
 class Expression:
-    """A compiled expression over named variables."""
+    """A compiled expression over named variables.
+
+    ``reads`` holds the variables the source names outside call targets: the
+    value can change only with these.
+    """
 
     def __init__(self, source: str, variables: Sequence[str]):
+        clash = sorted(set(variables) & set(_CALL_ENV))
+        if clash:
+            raise ExpressionError(f"variable {clash[0]!r} has a function's name")
+        if len(set(variables)) < len(variables):
+            raise ExpressionError(f"variable names repeat: {list(variables)}")
         try:
             tree = ast.parse(source, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
-        _check(tree, variables)
+        reads: set = set()
+        _check(tree, variables, reads)
         tree = ast.fix_missing_locations(_PowAsCall().visit(tree))
         self.source = source
         self.variables = tuple(variables)
+        self.reads = frozenset(reads)
         self._code = compile(tree, "<expr>", "eval")
 
     def _eval(self, namespace: Mapping):

@@ -130,6 +130,18 @@ class TripletTemplate:
     atoms: Tuple[Tuple[Tuple[Expression, ...], Expression], ...]
     pieces: Tuple[Tuple[float, float, Expression, int], ...]
 
+    @property
+    def reads(self) -> Mapping[str, frozenset]:
+        """The variables that b, c and F read; F's density pieces count
+        without their jump variable x."""
+        atoms = [e for locs, w in self.atoms for e in locs + (w,)]
+        return {
+            "b": frozenset().union(*(e.reads for e in self.b)),
+            "c": frozenset().union(*(e.reads for row in self.c for e in row)),
+            "F": frozenset().union(*(e.reads for e in atoms),
+                                   *(fn.reads - {"x"} for _, _, fn, _ in self.pieces)),
+        }
+
     @functools.cached_property
     def _coefficients(self) -> Tuple[Expression, ...]:
         """b, then c row by row, then the atom weights."""
@@ -229,6 +241,8 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
         structural_tag=doc.get("structural_tag", "general"),
         blocks={k: tuple(v) for k, v in blocks.items()} if blocks else None,
         stack_map=template.stack,
+        reads={k: tuple(i for i, name in enumerate(names) if name in v)
+               for k, v in template.reads.items()},
     )
 
 
@@ -272,22 +286,12 @@ def marginal_from_dict(doc: Mapping[str, Any]) -> Marginal:
 
 
 def cost_from_expr(source: str, param_names: Sequence[str]) -> CostFunction:
-    names = tuple(param_names)
-    fn = compile_expr(source, ("t", "x") + names)
-
-    def evaluator(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        if p.ndim == 1:
-            env = {name: float(v) for name, v in zip(names, p)}
-        else:
-            env = {name: p[..., i] for i, name in enumerate(names)}
-        out = fn(t=t, x=x, **env)
-        return np.broadcast_to(np.asarray(out, float), x.shape).copy()
-
-    ev = CostFunction(evaluator)
-    object.__setattr__(ev, "source", source)
-    return ev
+    """The running cost ``source``, an expression in t, x and the family's
+    parameter names; a parameter may not be named t or x."""
+    for name in ("t", "x"):
+        if name in param_names:
+            raise SchemaError(f"cost: family parameter {name!r} has the name of a cost variable")
+    return CostFunction(source, tuple(param_names))
 
 
 def instance_from_dict(doc: Mapping[str, Any]) -> TransportInstance:

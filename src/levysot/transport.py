@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from scipy import stats
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import lsq_linear, minimize
 
-from .exprs import ExpressionError
+from .exprs import Expression, ExpressionError, compile_expr
 from .measures import truncate_scalar
 from .triplets import (
     ThetaFamily,
@@ -58,8 +58,6 @@ INFEASIBLE_DUAL_CAP = 1e3
 # relative error of the affine parameter-to-characteristics fit at the box
 # midpoint above which a family is rejected
 AFFINE_CHECK_TOL = 1e-8
-# random (t, p) points at which a cost is tested for dependence on x
-STATE_SAMPLES = 24
 # grid resolution and delta schedule of the family checks on an instance
 FAMILY_CHECK_RESOLUTION = 5
 FAMILY_CHECK_DELTAS = (0.4, 0.2, 0.1)
@@ -189,30 +187,36 @@ class Marginal:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Running cost L(t, x, p) over a family's parameter vector p.
+    """Running cost L(t, x, p): an expression in t, x and a family's
+    parameter names, where p is the parameter vector in that order.
 
-    The evaluator must broadcast over numpy arrays: x of shape (M,) with p of
-    shape (n_params,) or (M, n_params) returns shape (M,).  t is a float or an
+    A call broadcasts over numpy arrays: x of shape (M,) with p of shape
+    (n_params,) or (M, n_params) returns shape (M,).  t is a float or an
     array that broadcasts against x, such as one time per entry of x.
     """
 
-    evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    source: str
+    param_names: Tuple[str, ...]
+    expr: Expression = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        variables = ("t", "x") + tuple(self.param_names)
+        object.__setattr__(self, "expr", compile_expr(self.source, variables))
+
+    @property
+    def reads_state(self) -> bool:
+        """Whether the expression names x, even as 0 * x."""
+        return "x" in self.expr.reads
 
     def __call__(self, t: float, x, p):
-        return np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(p, float)), float)
-
-    def is_state_dependent(self, fam: ThetaFamily) -> bool:
-        """Whether L changes with x at any of STATE_SAMPLES random (t, p)."""
-        rng = np.random.default_rng(0)
-        ps = fam.sample(rng, STATE_SAMPLES)
-        xs = rng.uniform(-5.0, 5.0, size=(STATE_SAMPLES, 2))
-        ts = rng.random(STATE_SAMPLES)
-        for t, (x1, x2), p in zip(ts, xs, ps):
-            v1 = float(self(t, np.array([x1]), p)[0])
-            v2 = float(self(t, np.array([x2]), p)[0])
-            if abs(v1 - v2) > 1e-10 * (1.0 + abs(v1)):
-                return True
-        return False
+        x = np.asarray(x, float)
+        p = np.asarray(p, float)
+        if p.ndim == 1:
+            env = {name: float(v) for name, v in zip(self.param_names, p)}
+        else:
+            env = {name: p[..., i] for i, name in enumerate(self.param_names)}
+        out = self.expr(t=t, x=x, **env)
+        return np.broadcast_to(np.asarray(out, float), x.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -1045,9 +1049,7 @@ def schedule_cost(cost: CostFunction, schedule: np.ndarray) -> float:
     vals = cost(dt * np.arange(K), np.zeros(K), schedule)
     bad = vals[~np.isfinite(vals)]
     if bad.size:
-        source = getattr(cost, "source", None)
-        what = "running cost" if source is None else f"expression {source!r}"
-        raise ExpressionError(f"{what} evaluated to {float(bad[0])}")
+        raise ExpressionError(f"expression {cost.source!r} evaluated to {float(bad[0])}")
     # summed left to right, as K scalar calls would be
     return dt * sum(vals.tolist())
 
@@ -1062,7 +1064,7 @@ def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
     minimises the cost with the combinations of the mean that the fit
     identifies held fixed.
     """
-    if inst.cost.is_state_dependent(inst.fam):
+    if inst.cost.reads_state:
         raise StateDependentCostError(
             "deterministic primal solver requires a state-independent cost"
         )
@@ -1131,7 +1133,7 @@ def evaluate_cost_mc(
     """Simulate the schedule for its terminal fit; the running cost of a
     deterministic schedule is its exact ``schedule_cost``.  Paths start at
     independent draws from mu0, or at mu0's point."""
-    if inst.cost.is_state_dependent(inst.fam):
+    if inst.cost.reads_state:
         raise StateDependentCostError(
             "schedule validation requires a state-independent cost"
         )

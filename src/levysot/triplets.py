@@ -334,6 +334,8 @@ class ThetaFamily:
     blocks: Optional[Mapping[str, Tuple[int, ...]]] = None
     # (P, n_params) -> TripletStack; without it, stacks pack at(p) rows
     stack_map: Optional[Callable[[np.ndarray], TripletStack]] = None
+    # for compiled families: parameter indices that b, c and F each read
+    reads: Optional[Mapping[str, Tuple[int, ...]]] = None
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.parameter_box)
@@ -373,11 +375,6 @@ class ThetaFamily:
             raise ValueError("resolution must be >= 2 grid points per axis")
         axes = [np.linspace(lo, hi, resolution) for lo, hi in self.parameter_box]
         return np.array(list(itertools.product(*axes)))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lows = np.array([lo for lo, _ in self.parameter_box])
-        highs = np.array([hi for _, hi in self.parameter_box])
-        return lows + (highs - lows) * rng.random((n, len(lows)))
 
 
 @dataclass(frozen=True)
@@ -449,32 +446,14 @@ def family_condition_j(
     return ConditionJReport(tuple(zip(deltas, sups.tolist())), verdict, resolution)
 
 
-def box_independence_check(
-    fam: ThetaFamily, samples: int = 16, seed: int = 0
-) -> bool:
-    """Sampled verification that each component only sees its own block."""
-    if fam.structural_tag != "product-box":
+def box_independence_check(fam: ThetaFamily) -> bool:
+    """Whether a product-box family is box-like: no component of (b, c, F)
+    reads a parameter that another component's block lists.
+
+    The reads come from the family's compiled expressions, so this is exact;
+    a family without recorded reads, such as a Python map, answers False.
+    """
+    if fam.structural_tag != "product-box" or fam.reads is None:
         return False
-    blocks = {k: tuple(v) for k, v in (fam.blocks or {}).items()}
-    rng = np.random.default_rng(seed)
-    pts = fam.sample(rng, samples)
-    lows = np.array([lo for lo, _ in fam.parameter_box])
-    highs = np.array([hi for _, hi in fam.parameter_box])
-    for p in pts:
-        base = fam.at(p)
-        for component, idx in blocks.items():
-            if not idx:
-                continue
-            q = p.copy()
-            for i in idx:
-                lo, hi = lows[i], highs[i]
-                if hi > lo:
-                    q[i] = lo + (hi - lo) * rng.random()
-            other = fam.at(q)
-            if component != "b" and not np.array_equal(base.b, other.b):
-                return False
-            if component != "c" and not np.array_equal(base.c, other.c):
-                return False
-            if component != "F" and base.F.state_key() != other.F.state_key():
-                return False
-    return True
+    return not any(set(fam.reads[comp]) & set(idx) for owner, idx in fam.blocks.items()
+                   for comp in ("b", "c", "F") if comp != owner)

@@ -75,6 +75,33 @@ def test_check_theta_pinned_variance_matches_expectations(tmp_path):
     assert doc["box_independence"] is False
 
 
+@pytest.mark.parametrize("component, entry", [
+    ("b", ["abs(y - 0.001) - (y - 0.001)"]),
+    ("c", [["abs(lam - 1) - (lam - 1)"]]),
+])
+def test_check_theta_reads_a_dependence_across_blocks(tmp_path, component, entry):
+    # the dependence sits in a thin slice of the box (y < 0.001 or lam < 1)
+    doc = fixtures.pure_jump_family_doc()
+    doc[component] = entry
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert run("check-theta", "--input", str(path), "--out", str(tmp_path)) == 0
+    assert read_json(os.path.join(tmp_path, "check_theta.json"))["box_independence"] is False
+
+
+@pytest.mark.parametrize("name", ["t", "x"])
+def test_a_parameter_named_like_a_cost_variable_is_a_validation_error(tmp_path, capsys, name):
+    doc = fixtures.trivial_instance_doc()
+    doc["family"]["params"] = [name]
+    doc["family"]["c"] = [[name]]
+    doc["cost"] = f"{name} * {name}"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert run("solve-transport", "--input", str(path), "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"family parameter {name!r}" in err and " at 0x" not in err
+
+
 def test_limit_analyze_outputs(tmp_path):
     out = str(tmp_path)
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
@@ -286,6 +313,9 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert run("check-theta", "--input", fixture("pure_jump_family.json"),
                "--out", str(tmp_path), "--set", "bogus=1") == 1
     assert "valid keys" in capsys.readouterr().err
+    assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+               "--out", str(tmp_path), "--set", "samples=8") == 1
+    assert "'samples'" in capsys.readouterr().err
 
     assert run("check-theta", "--input", str(tmp_path / "missing.json"),
                "--out", str(tmp_path)) == 1

@@ -33,8 +33,31 @@ def test_expression_grammar_rejects_escapes():
         compile_expr("y + 1", ("x",))
     with pytest.raises(ExpressionError):
         compile_expr("lambda: 0", ("x",))
+    # a variable must not shadow a function or another variable
+    for name in ("exp", "abs", "pow"):
+        with pytest.raises(ExpressionError, match=repr(name)):
+            compile_expr(f"exp({name})", (name,))
+    with pytest.raises(ExpressionError, match="repeat"):
+        compile_expr("x", ("x", "x"))
     fn = compile_expr("exp(-x * x) + pow(x, 2)", ("x",))
     assert np.isclose(fn(x=0.0), 1.0)
+
+
+def test_expression_reads_the_names_outside_call_targets():
+    e = compile_expr("exp(-y * y) + 0 * x + pow(lam, 2) ** 2", ("x", "y", "lam", "n"))
+    assert e.reads == {"x", "y", "lam"}
+    assert compile_expr("exp(1)", ("x",)).reads == set()
+
+
+def test_family_records_the_parameters_each_component_reads():
+    doc = fixtures.pure_jump_family_doc()
+    doc["params"] = ["lam", "y", "s"]
+    doc["box"] = doc["box"] + [[0.0, 1.0]]
+    doc["F"]["pieces"] = [{"lo": 0.5, "hi": 1.0, "density": "s * exp(-x)"}]
+    assert family_from_dict(doc).reads == {"b": (), "c": (), "F": (0, 1, 2)}
+    doc["b"] = ["0 * s"]
+    doc["F"]["pieces"][0]["density"] = "exp(-x)"
+    assert family_from_dict(doc).reads == {"b": (2,), "c": (), "F": (0, 1)}
 
 
 def test_triplet_round_trip():
@@ -107,6 +130,9 @@ def test_cost_expr_broadcasting():
     assert np.allclose(cost(0.5, x, np.array([2.0])), 4.5)
     P = np.array([[1.0], [2.0], [3.0]])
     assert np.allclose(cost(0.0, x, P), [1.0, 4.0, 9.0])
+    for name in ("t", "x"):
+        with pytest.raises(SchemaError, match=f"family parameter {name!r}"):
+            cost_from_expr("1", (name,))
 
 
 def test_instance_from_dict_and_validate():

@@ -83,10 +83,16 @@ def test_marginal_grid_weights_preserve_mass_and_mean():
         assert np.isclose(w @ grid, m.integrate(lambda x: x), atol=1e-3)
 
 
+# x changes this cost only where x > 4.99, a slice that random probes miss
+THIN_SLICE_COST = "c * c + abs(x - 4.99) + (x - 4.99)"
+
+
 def test_cost_state_dependence_detection():
-    fam = diffusion_family()
-    assert not cost_from_expr("c * c", ("c",)).is_state_dependent(fam)
-    assert cost_from_expr("x * x + c", ("c",)).is_state_dependent(fam)
+    assert not cost_from_expr("c * c", ("c",)).reads_state
+    assert cost_from_expr("x * x + c", ("c",)).reads_state
+    assert cost_from_expr(THIN_SLICE_COST, ("c",)).reads_state
+    # a name counts even where it cannot change the value
+    assert cost_from_expr("c * c + 0 * x", ("c",)).reads_state
 
 
 def test_instance_validate_rejects_bad_small_jumps():
@@ -547,12 +553,13 @@ def test_primal_flags_targets_beyond_the_box(variance):
 
 
 def test_primal_rejects_state_dependent_cost():
-    inst = TransportInstance(
-        Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), diffusion_family(),
-        cost_from_expr("x * x + c", ("c",)),
-    )
-    with pytest.raises(StateDependentCostError):
-        solve_primal_deterministic(inst)
+    for source in ("x * x + c", THIN_SLICE_COST):
+        inst = TransportInstance(
+            Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), diffusion_family(),
+            cost_from_expr(source, ("c",)),
+        )
+        with pytest.raises(StateDependentCostError):
+            solve_primal_deterministic(inst)
 
 
 def test_dual_ascent_trivial_instance():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from levysot import fixtures
 from levysot.measures import LevyMeasure
+from levysot.serialize import family_from_dict
 from levysot.triplets import (
     FeatureMapConfig,
     LevyTriplet,
@@ -153,7 +155,9 @@ def test_family_condition_j_verdicts():
 
 
 def test_box_independence():
-    assert box_independence_check(_pure_jump_family(), samples=8)
+    assert box_independence_check(family_from_dict(fixtures.pure_jump_family_doc()))
+    # a Python map records no reads, so nothing is known of its blocks
+    assert not box_independence_check(_pure_jump_family())
     general = ThetaFamily(
         parameter_box=((0.0, 1.0),),
         triplet_map=lambda p: LevyTriplet.scalar(float(p[0]), 0.0),
