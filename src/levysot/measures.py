@@ -167,17 +167,6 @@ class LevyMeasure:
                 total += float(np.dot(w, np.asarray(g(x[:, None]), dtype=float)))
         return total
 
-    def state_key(self):
-        """Hashable snapshot used for bit-identity comparisons."""
-        atom_key = tuple(
-            (loc.tobytes(), w) for loc, w in self.atoms
-        )
-        piece_key = tuple(
-            (p.lo, p.hi, p.nodes, tuple(np.asarray(p.density(_probe(p)), float)))
-            for p in self.density_pieces
-        )
-        return (self.dimension, atom_key, piece_key)
-
 
 @dataclass(frozen=True)
 class MeasureStack:
@@ -351,10 +340,6 @@ def row_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     lead = (w.shape[0],) + (1,) * (v.ndim - 2) + (1, w.shape[1])
     return np.matmul(w.reshape(lead), v[..., None])[..., 0, 0]
-
-
-def _probe(piece: DensityPiece) -> np.ndarray:
-    return np.linspace(piece.lo, piece.hi, 5)
 
 
 def _sqnorm(x: np.ndarray) -> np.ndarray:

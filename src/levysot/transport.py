@@ -55,6 +55,10 @@ PRIMAL_U_GRID = np.linspace(-5.0, 5.0, 41)
 PRIMAL_U_GRID.setflags(write=False)
 PRIMAL_RANK_TOL = 1e-10
 INFEASIBLE_DUAL_CAP = 1e3
+# L-BFGS-B polish of the best warm-start quadratic over its two coefficients
+POLISH_MAXITER = 60
+POLISH_FTOL = 1e-12
+POLISH_GTOL = 1e-6
 # relative error of the affine parameter-to-characteristics fit at the box
 # midpoint above which a family is rejected
 AFFINE_CHECK_TOL = 1e-8
@@ -928,19 +932,31 @@ class DualAscentResult:
     history: Tuple[float, ...]
     converged: bool
     likely_infeasible: bool
+    evidence: dict  # warm-start row count; status, message, nit and nfev per L-BFGS-B stage
+
+
+def _stage_evidence(res) -> dict:
+    return {"status": int(res.status), "message": str(res.message),
+            "nit": int(res.nit), "nfev": int(res.nfev)}
 
 
 def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfig()) -> DualAscentResult:
     """Maximize the dual value over bounded piecewise-linear terminal potentials.
 
-    Three stages, all recorded in ``history``:
+    Three stages, each dual value recorded in ``history``:
 
     1. a warm start over λ = 0 and 50 clipped quadratics a x^2 + d x, whose
        51 dual values come from one batched backward sweep;
-    2. a Nelder–Mead polish of (a, d) from the best of them;
-    3. L-BFGS-B over the full grid potential from the polished quadratic,
-       with the forward-transported terminal law minus the target as the
-       exact ascent direction.
+    2. an L-BFGS-B polish of (a, d) from the best of them, whose gradient is
+       the full-grid gradient of stage 3 chained through the clip;
+    3. L-BFGS-B over the full grid potential from the best quadratic priced
+       in stages 1 and 2, ascending along the forward-transported terminal
+       law minus the target.
+
+    That direction is the adjoint under the frozen optimal controls, not
+    the exact gradient of the discrete dual, so the polish's last iterate
+    can be worse than a quadratic it priced earlier; stage 3 starts from
+    the best one.
     """
     ws = _HJBWorkspace(inst.fam, cfg.grid)
     x_grid = ws.x_grid
@@ -989,14 +1005,24 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     values = dual_values([np.zeros(x_grid.size)] + [quad_potential(*ad) for ad in ad_grid[1:]])
     best = int(np.argmax(values))  # the first of equal maxima
     best_ad, best_val = ad_grid[best], values[best]
+
+    def negative_quad_dual(ad: np.ndarray):
+        # the full-grid value and gradient, chained through the clip
+        nonlocal best_ad, best_val
+        a, d = float(ad[0]), float(ad[1])
+        inside = np.abs(a * x_grid**2 + d * x_grid) < cfg.bound
+        f, g = negative_dual(quad_potential(a, d))
+        if -f > best_val:
+            best_ad, best_val = (a, d), -f
+        return f, np.array([g @ (x_grid**2 * inside), g @ (x_grid * inside)])
+
     polish = minimize(
-        lambda ad: -dual_values([quad_potential(ad[0], ad[1])])[0],
+        negative_quad_dual,
         np.array(best_ad),
-        method="Nelder-Mead",
-        options={"maxiter": 60, "xatol": 1e-4, "fatol": 1e-6},
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL},
     )
-    if -polish.fun > best_val:
-        best_ad = (float(polish.x[0]), float(polish.x[1]))
 
     x0 = quad_potential(*best_ad)
     res = minimize(
@@ -1016,6 +1042,8 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
         history=tuple(history),
         converged=bool(res.success),
         likely_infeasible=best > INFEASIBLE_DUAL_CAP,
+        evidence={"warm_start_rows": len(ad_grid), "polish": _stage_evidence(polish),
+                  "full_grid": _stage_evidence(res)},
     )
 
 
@@ -1166,6 +1194,7 @@ class DualityReport:
     dual_likely_infeasible: bool
     primal_likely_infeasible: bool
     primal_evidence: dict  # PrimalResult.evidence
+    dual_evidence: dict  # DualAscentResult.evidence
 
 
 def duality_report(
@@ -1196,4 +1225,5 @@ def duality_report(
         dual_likely_infeasible=dual.likely_infeasible,
         primal_likely_infeasible=primal.likely_infeasible,
         primal_evidence=primal.evidence,
+        dual_evidence=dual.evidence,
     )

@@ -447,13 +447,17 @@ def family_condition_j(
 
 
 def box_independence_check(fam: ThetaFamily) -> bool:
-    """Whether a product-box family is box-like: no component of (b, c, F)
-    reads a parameter that another component's block lists.
+    """Whether a product-box family is box-like: each component of (b, c, F)
+    reads only parameters that its own block lists and no other block does.
 
     The reads come from the family's compiled expressions, so this is exact;
     a family without recorded reads, such as a Python map, answers False.
     """
     if fam.structural_tag != "product-box" or fam.reads is None:
         return False
-    return not any(set(fam.reads[comp]) & set(idx) for owner, idx in fam.blocks.items()
-                   for comp in ("b", "c", "F") if comp != owner)
+
+    def owned(comp: str) -> set:
+        others = {i for owner, idx in fam.blocks.items() if owner != comp for i in idx}
+        return set(fam.blocks.get(comp, ())) - others
+
+    return all(set(fam.reads[comp]) <= owned(comp) for comp in ("b", "c", "F"))

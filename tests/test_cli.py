@@ -246,6 +246,24 @@ def test_duality_report_carries_the_primal_evidence(tmp_path):
     assert evidence["schedule_nit"] >= 1 and evidence["schedule_nfev"] >= 1
 
 
+def test_duality_report_carries_the_dual_evidence(tmp_path):
+    overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")
+    assert run("solve-transport", "--input", fixture("gaussian_instance.json"), "--out",
+               str(tmp_path), *(arg for o in overrides for arg in ("--set", o))) == 0
+    rep = read_json(os.path.join(str(tmp_path), "duality_report.json"))
+    evidence = rep["dual_evidence"]
+    assert evidence["warm_start_rows"] == 51
+    for stage in ("polish", "full_grid"):
+        assert evidence[stage]["status"] in (0, 1, 2)  # L-BFGS-B's status codes
+        assert evidence[stage]["message"]
+        assert evidence[stage]["nit"] >= 0 and evidence[stage]["nfev"] >= 1
+    assert evidence["full_grid"]["status"] == 0
+    assert rep["dual_converged"] is True
+    # every priced potential is one ascent value
+    assert len(rep["ascent_history"]) == (
+        evidence["warm_start_rows"] + evidence["polish"]["nfev"] + evidence["full_grid"]["nfev"])
+
+
 def test_solve_transport_with_overrides(tmp_path):
     out = str(tmp_path)
     overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")

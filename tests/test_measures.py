@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from measure_keys import state_key
 from levysot.measures import (
     DensityPiece,
     LevyMeasure,
@@ -96,5 +97,5 @@ def test_state_key_distinguishes_measures():
     F = LevyMeasure.from_atoms((0.5, 2.0))
     G = LevyMeasure.from_atoms((0.5, 2.0))
     H = LevyMeasure.from_atoms((0.5, 2.5))
-    assert F.state_key() == G.state_key()
-    assert F.state_key() != H.state_key()
+    assert state_key(F) == state_key(G)
+    assert state_key(F) != state_key(H)

@@ -1,10 +1,13 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import minimize
 
-from levysot import fixtures
+from levysot import fixtures, transport
+from levysot.cli import run_transport
 from levysot.exprs import ExpressionError
 from levysot.measures import LevyMeasure
 from levysot.serialize import cost_from_expr, family_from_dict, instance_from_dict
@@ -585,6 +588,63 @@ def test_dual_ascent_flags_likely_infeasible():
     ))
     assert res.likely_infeasible
     assert res.dual_value > 1e3
+
+
+@pytest.fixture(scope="module")
+def poisson_ascent():
+    """The Poisson fixture's duality report, with the objective and result
+    of the polish and of the full-grid L-BFGS-B."""
+    calls = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        if kwargs.get("method") == "L-BFGS-B":
+            calls.append((fun, res))
+        return res
+
+    doc = fixtures.poisson_instance_doc()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "minimize", recording_minimize)
+        report = run_transport(doc).report
+    (polish_fun, polish_res), (full_fun, full_res) = calls
+    return SimpleNamespace(report=report, polish_fun=polish_fun, polish_res=polish_res,
+                           full_fun=full_fun, full_res=full_res,
+                           bound=doc["solver"]["dual"]["bound"])
+
+
+@pytest.mark.parametrize("ad", [(-16.0, -1.0), (4.0, 1.0)])
+def test_polish_gradient_chains_the_full_grid_gradient(poisson_ascent, ad):
+    # the polish prices a quadratic by the full-grid objective and contracts
+    # its gradient with the clip's derivative in a and in d
+    x = poisson_ascent.report.dual_x_grid
+    a, d = ad
+    z = a * x**2 + d * x
+    inside = np.abs(z) < poisson_ascent.bound
+    assert 0 < inside.sum() < x.size  # the clip binds at both points
+    f_quad, g_quad = poisson_ascent.polish_fun(np.array(ad))
+    f_full, g_full = poisson_ascent.full_fun(np.clip(z, -poisson_ascent.bound,
+                                                     poisson_ascent.bound))
+    assert f_quad == f_full
+    np.testing.assert_allclose(
+        g_quad, [g_full @ (x**2 * inside), g_full @ (x * inside)], rtol=1e-12, atol=0.0)
+
+
+def test_polish_prices_few_quadratics_and_starts_from_the_best(poisson_ascent):
+    rep = poisson_ascent.report
+    ev = rep.dual_evidence
+    polish_res, full_res = poisson_ascent.polish_res, poisson_ascent.full_res
+    assert ev["polish"]["nfev"] == polish_res.nfev <= 40
+    assert ev["full_grid"]["nfev"] == full_res.nfev
+    priced = ev["warm_start_rows"] + polish_res.nfev
+    assert len(rep.ascent_history) == priced + full_res.nfev
+    # the full-grid stage opens on the best quadratic priced, not the last
+    assert rep.ascent_history[priced] == max(rep.ascent_history[:priced])
+
+
+def test_polish_keeps_the_poisson_dual(poisson_ascent):
+    rep = poisson_ascent.report
+    assert rep.dual_value >= 3.9978617 - 1e-4  # what a derivative-free polish reached
+    assert rep.weak_duality_ok
 
 
 def test_mc_validation_exact_cost_for_state_independent():

@@ -165,6 +165,20 @@ def test_box_independence():
     assert not box_independence_check(general)
 
 
+@pytest.mark.parametrize("blocks, b, atom_x, box_like", [
+    # b and the atom location both read y, which no block lists
+    ({"b": [], "c": [], "F": [0]}, "y", "y", False),
+    # y listed by two blocks belongs to neither
+    ({"b": [1], "c": [], "F": [0, 1]}, "y", "y", False),
+    ({"b": [1], "c": [], "F": [0]}, "y", "0.5", True),
+])
+def test_box_independence_needs_each_read_in_its_own_block(blocks, b, atom_x, box_like):
+    doc = fixtures.pure_jump_family_doc()
+    doc["blocks"], doc["b"] = blocks, [b]
+    doc["F"]["atoms"][0]["x"] = [atom_x]
+    assert box_independence_check(family_from_dict(doc)) is box_like
+
+
 def test_jump_exponent_is_the_exponent_of_a_unit_atom():
     u = np.array([-2.0, 0.0, 0.7, 3.0])
     for y in (0.3, -0.8, 2.5, -4.0):
