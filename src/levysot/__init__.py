@@ -3,7 +3,7 @@ optimal transport.
 
 Modules:
     measures    Levy measures (atoms + density pieces) and quadrature
-    triplets    triplets, exponents, generators, parametric families
+    triplets    triplets, exponents, parametric families
     limits      triplet sequences, limit identification, closedness probes
     montecarlo  path simulation and distributional validation
     transport   primal/dual transport solvers and duality reports

@@ -269,25 +269,22 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
     structure = LimitStructure(tuple(doc.get("structure", {}).get("atoms", ())))
     profile = exponent_limit_profile(seq, u_grid)
     diffusion = diffusion_creation_diagnostic(seq, deltas)
-    identified, fit_residual = limit_triplet_identify(profile, structure)
+    identified = limit_triplet_identify(profile, structure)
+    limit, fit_residual = identified
     report = {
         "seed": seed,
         "condition_b_bound": seq.condition_b_bound(),
         "diffusion_increment": diffusion.estimate,
         "verdict": diffusion.verdict,
-        "identified_triplet": triplet_to_dict(identified),
+        "identified_triplet": triplet_to_dict(limit),
         "fit_residual": fit_residual,
-        "extrapolation_error": max(e.error_estimate for e in profile.entries),
+        "extrapolation_error": float(profile.error.max()),
     }
     if "family" in doc:
         fam = family_from_dict(doc["family"])
         pm_doc = doc.get("param_map")
         probe = closedness_probe(
-            fam,
-            seq,
-            bool(doc.get("use_u_map", False)),
-            structure,
-            u_grid,
+            fam, seq, bool(doc.get("use_u_map", False)), profile, identified,
             param_map=param_map_from_exprs(pm_doc) if pm_doc else None,
         )
         report["closedness"] = {
@@ -299,20 +296,18 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
             "projection": list(probe.projections),
         }
     write_json(os.path.join(out, "limit_report.json"), report)
-    psi = np.array([e.values for e in profile.entries])
     write_csv(
         os.path.join(out, "exponent_profile.csv"),
         ("u", "n", "re_psi", "im_psi"),
-        [e.u for e in profile.entries],
-        (psi.real, psi.imag),
+        profile.u,
+        (profile.values.real, profile.values.imag),
         inner=profile.n_schedule,
     )
-    triplets = seq.triplets()
     write_csv(
         os.path.join(out, "small_jump_profile.csv"),
         ("delta", "n", "small_jump_mass"),
         deltas,
-        ([[small_jump_second_moment(t.F, d) for t in triplets] for d in deltas],),
+        ([[small_jump_second_moment(t.F, d) for t in seq.rows] for d in deltas],),
         inner=seq.n_schedule,
     )
     return EXIT_OK
@@ -334,7 +329,7 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
             "ks": list(conv.ks_distances),
             "cf_distance": list(conv.cf_distances),
         }
-        bundle = simulate_paths(seq.index_map(seq.n_schedule[-1]), 0.0, cfg)
+        bundle = simulate_paths(seq.rows[-1], 0.0, cfg)
     else:
         t = triplet_from_dict(doc.get("triplet", doc))
         x0 = float(doc.get("x0", 0.0))
@@ -454,12 +449,12 @@ def cmd_reproduce(out: str, seed: Optional[int]) -> int:
 
     # 1. shrinking-jump sequence: diffusion created, limit escapes the family
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    profile = exponent_limit_profile(seq, default_u_grid())
+    identified = limit_triplet_identify(profile)
     fam_jump = family_from_dict(fixtures.pure_jump_family_doc())
     diffusion = diffusion_creation_diagnostic(seq)
     probe_jump = closedness_probe(
-        fam_jump,
-        seq,
-        use_u_map=False,
+        fam_jump, seq, False, profile, identified,
         param_map=param_map_from_exprs(fixtures.pure_jump_param_map_exprs()),
     )
     ok1 = (
@@ -479,9 +474,7 @@ def cmd_reproduce(out: str, seed: Optional[int]) -> int:
     # 2. pinned-variance family: the modified limit stays inside
     fam_pinned = family_from_dict(fixtures.pinned_variance_family_doc())
     probe_pinned = closedness_probe(
-        fam_pinned,
-        seq,
-        use_u_map=True,
+        fam_pinned, seq, True, profile, identified,
         param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
     )
     ok2 = probe_pinned.limit_in_set == "yes"

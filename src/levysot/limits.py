@@ -8,6 +8,7 @@ surrogates are recorded in the returned reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -43,51 +44,54 @@ def default_u_grid(extent: float = 2.0, count: int = 42) -> np.ndarray:
     return u[np.abs(u) > 1e-12]
 
 
+def n_schedule_ints(n_schedule: Sequence[int]) -> Tuple[int, ...]:
+    """The schedule as ints; it must be nonempty, positive and increasing."""
+    sched = tuple(int(n) for n in n_schedule)
+    if not sched or sched[0] < 1 or any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError("n_schedule must be increasing positive integers")
+    return sched
+
+
 @dataclass(frozen=True)
 class TripletSequence:
-    """A sequence n -> (b_n, c_n, F_n) evaluated along a fixed n-schedule."""
+    """A sequence n -> (b_n, c_n, F_n) on a fixed n-schedule: the triplets
+    at the scheduled n as one stack, row i at ``n_schedule[i]``."""
 
-    index_map: Callable[[int], LevyTriplet]
-    n_schedule: Tuple[int, ...] = DEFAULT_N_SCHEDULE
+    n_schedule: Tuple[int, ...]
+    stack: TripletStack
 
     def __post_init__(self):
-        sched = tuple(int(n) for n in self.n_schedule)
-        if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 1:
-            raise ValueError("n_schedule must be increasing positive integers")
-        object.__setattr__(self, "n_schedule", sched)
+        object.__setattr__(self, "n_schedule", n_schedule_ints(self.n_schedule))
+        if len(self.stack) != len(self.n_schedule):
+            raise ValueError("the stack must hold one row per scheduled n")
 
-    def triplets(self):
-        return [self.index_map(n) for n in self.n_schedule]
+    @staticmethod
+    def from_map(index_map: Callable[[int], LevyTriplet], n_schedule=DEFAULT_N_SCHEDULE):
+        """The sequence of ``index_map`` at each scheduled n, packed once."""
+        sched = n_schedule_ints(n_schedule)
+        return TripletSequence(sched, TripletStack.pack([index_map(n) for n in sched]))
 
-    def stack(self) -> TripletStack:
-        """The scheduled triplets as one stack."""
-        return TripletStack.pack(self.triplets())
+    @functools.cached_property
+    def rows(self) -> Tuple[LevyTriplet, ...]:
+        """The scheduled triplets, built once from the stack."""
+        return tuple(self.stack.triplet(i) for i in range(len(self.stack)))
 
     def condition_b_bound(self) -> float:
         """Max of the boundedness functional over the schedule (recorded bound)."""
-        return max(condition_b_value(t) for t in self.triplets())
-
-
-@dataclass(frozen=True)
-class FrequencyLimit:
-    u: float
-    values: Tuple[complex, ...]
-    limit: complex
-    error_estimate: float
+        return max(condition_b_value(t) for t in self.rows)
 
 
 @dataclass(frozen=True)
 class ExponentProfile:
+    """psi_n(u) on the schedule: ``values`` is (U, N), one row per frequency
+    in ``u``; ``limit`` is its last column and ``error`` the modulus of its
+    last difference (0 for a one-entry schedule)."""
+
     n_schedule: Tuple[int, ...]
-    entries: Tuple[FrequencyLimit, ...]
-
-    @property
-    def u_grid(self) -> np.ndarray:
-        return np.array([e.u for e in self.entries])
-
-    @property
-    def limits(self) -> np.ndarray:
-        return np.array([e.limit for e in self.entries])
+    u: np.ndarray
+    values: np.ndarray
+    limit: np.ndarray
+    error: np.ndarray
 
 
 def exponent_limit_profile(seq: TripletSequence, u_grid) -> ExponentProfile:
@@ -95,16 +99,13 @@ def exponent_limit_profile(seq: TripletSequence, u_grid) -> ExponentProfile:
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise ValueError("u_grid must be nonempty")
-    psi = levy_exponent(seq.stack(), u_grid)
-    entries = []
-    for u, column in zip(u_grid, psi.T):
-        vals = column.tolist()
-        if not all(np.isfinite(v) for v in vals):
-            raise RuntimeError(f"non-finite exponent at u={u}")
-        diffs = np.abs(np.diff(vals))
-        err = float(diffs[-1]) if diffs.size else 0.0
-        entries.append(FrequencyLimit(float(u), tuple(vals), vals[-1], err))
-    return ExponentProfile(seq.n_schedule, tuple(entries))
+    values = levy_exponent(seq.stack, u_grid).T
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise RuntimeError(f"non-finite exponent at u={u_grid[np.argmin(finite)]}")
+    last = values[:, -1]
+    error = np.abs(last - values[:, -2]) if values.shape[1] > 1 else np.zeros(u_grid.size)
+    return ExponentProfile(seq.n_schedule, u_grid, values, last, error)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def diffusion_creation_diagnostic(
 ) -> DiffusionReport:
     """Numerical surrogate for the small-jump double-limit criterion."""
     deltas = delta_schedule_floats(delta_schedule)
-    tail = seq.triplets()[-TAIL_LENGTH:]
+    tail = seq.rows[-TAIL_LENGTH:]
     profile = []
     for d in deltas:
         sup = max(horizon * small_jump_second_moment(t.F, d) for t in tail)
@@ -167,8 +168,8 @@ def limit_triplet_identify(
     The exponent is affine in (b, c, atom weights) for fixed atom locations, so
     the fit is linear with sign constraints c >= 0 and weights >= 0.
     """
-    u = profile.u_grid
-    target = profile.limits
+    u = profile.u
+    target = profile.limit
     locs = np.asarray(structure.atom_locations, dtype=float)
     n_params = 2 + locs.size
     if 2 * u.size < n_params:
@@ -356,12 +357,14 @@ def closedness_probe(
     fam: ThetaFamily,
     seq: TripletSequence,
     use_u_map: bool,
-    structure: LimitStructure = LimitStructure(),
-    u_grid=None,
+    profile: ExponentProfile,
+    identified: Tuple[LevyTriplet, float],
     param_map: Optional[Callable[[int], np.ndarray]] = None,
 ) -> ClosednessReport:
-    """Identify the sequence limit and test whether it stays in the family.
+    """Test whether the identified sequence limit stays in the family.
 
+    ``profile`` is the sequence's exponent profile and ``identified`` the
+    (triplet, fit residual) that ``limit_triplet_identify`` fitted to it.
     With ``use_u_map`` the modified-triplet map is applied to both the
     identified limit and the family before the membership test.  When
     ``param_map`` gives the family parameters of each scheduled triplet, the
@@ -369,28 +372,22 @@ def closedness_probe(
     box.  The membership tolerance widens with the extrapolation error of the
     exponent profile, since the identified limit is only that accurate.
     """
-    u_grid = default_u_grid() if u_grid is None else np.asarray(u_grid, float)
     log: list = []
     # precheck: the scheduled triplets must (numerically) lie in the family
-    for n in (seq.n_schedule[0], seq.n_schedule[-1]):
+    for i in (0, -1):
         if param_map is not None:
-            dist = _triplet_distance(fam.at(param_map(n)), seq.index_map(n))
+            dist = _triplet_distance(fam.at(param_map(seq.n_schedule[i])), seq.rows[i])
         else:
-            _, dist, entry = project_to_family(fam, seq.index_map(n))
+            _, dist, entry = project_to_family(fam, seq.rows[i])
             log.append(entry)
         if dist > 1e-8:
             return ClosednessReport("inconclusive", None, float(dist), tuple(log))
-    profile = exponent_limit_profile(seq, u_grid)
-    try:
-        identified, fit_residual = limit_triplet_identify(profile, structure)
-    except ValueError:
-        return ClosednessReport("inconclusive", None, None, tuple(log))
+    limit, fit_residual = identified
     if fit_residual > IDENTIFICATION_RESIDUAL_CAP:
         return ClosednessReport("inconclusive", None, None, tuple(log))
-    target = modified_triplet(identified) if use_u_map else identified
+    target = modified_triplet(limit) if use_u_map else limit
     params, dist, entry = project_to_family(fam, target, use_u_map=use_u_map)
     log.append(entry)
-    extrapolation_error = max(e.error_estimate for e in profile.entries)
-    tol = MEMBERSHIP_TOL + 3.0 * (extrapolation_error + fit_residual)
+    tol = MEMBERSHIP_TOL + 3.0 * (float(profile.error.max()) + fit_residual)
     verdict = "yes" if dist <= tol else "no"
     return ClosednessReport(verdict, params, float(dist), tuple(log))

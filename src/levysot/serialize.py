@@ -247,17 +247,18 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
 
 
 def sequence_from_dict(doc: Mapping[str, Any]):
-    """Build a TripletSequence from expressions in the index variable n.
+    """Build a TripletSequence from expressions in the index variable n,
+    evaluated once over the whole schedule.
 
     n is evaluated as a float, so an integer-valued intermediate such as
     ``n * n * n * n * n`` is rounded at each step: past 2**53 it can differ
     in the last bit from exact integer arithmetic rounded once.
     """
-    from .limits import DEFAULT_N_SCHEDULE, TripletSequence
+    from .limits import DEFAULT_N_SCHEDULE, TripletSequence, n_schedule_ints
 
     template = compile_template(doc, ("n",), "sequence")
-    schedule = tuple(doc.get("n_schedule", DEFAULT_N_SCHEDULE))
-    return TripletSequence(lambda n: template.triplet([n]), schedule)
+    schedule = n_schedule_ints(doc.get("n_schedule", DEFAULT_N_SCHEDULE))
+    return TripletSequence(schedule, template.stack(np.array(schedule, dtype=float)[:, None]))
 
 
 def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:

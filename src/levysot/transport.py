@@ -155,16 +155,6 @@ class Marginal:
             return np.exp(1j * u * self.mean - 0.5 * self.variance * u**2)
         return np.exp(1j * np.outer(u, self.points)) @ self.weights
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """∫ f dμ by the marginal's native quadrature."""
-        if self.kind == "point-mass":
-            return float(np.asarray(f(np.array([self.location])))[0])
-        if self.kind == "gaussian":
-            nodes, wts = np.polynomial.hermite.hermgauss(96)
-            x = self.mean + math.sqrt(2.0 * self.variance) * nodes
-            return float(np.dot(wts / math.sqrt(math.pi), np.asarray(f(x), float)))
-        return float(np.dot(self.weights, np.asarray(f(self.points), float)))
-
     def grid_weights(self, x_grid: np.ndarray) -> np.ndarray:
         """Project the marginal onto grid nodes, preserving total mass."""
         x_grid = np.asarray(x_grid, dtype=float)
@@ -289,7 +279,7 @@ def _align_profile(
 ) -> np.ndarray:
     """Scatter a (locations, weights) profile onto the nearest locations of
     the union; a location that moves with the parameters fails the affine
-    check at the box midpoint."""
+    check."""
     out = np.zeros(union.size)
     if locs.size:
         np.add.at(out, np.abs(union[:, None] - locs).argmin(axis=0), w)
@@ -299,43 +289,57 @@ def _align_profile(
 def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
     """Extract and verify the affine parameter-to-characteristics structure.
 
-    The n + 2 probes (the low corner, the box midpoint, and each parameter
-    at its high end with the others low) are priced as one stack; each
-    row's jump profile is scattered onto the union of their locations.
+    The fit reads the low corner and each parameter at its high end with
+    the others low.  The check reads the box midpoint, the quarter points
+    of each parameter's edge and, with several parameters, the quarter
+    points and far end of each pair's diagonal from the low corner: five
+    collinear probes per edge reject a characteristic that is a non-affine
+    polynomial of degree 4 or less along it.  All probes are one stack;
+    each row's jump profile is scattered onto the union of their locations.
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
     n_p = lows.size
-    mid = 0.5 * (lows + highs)
-    st = fam.stack(np.vstack([lows, mid, np.where(np.eye(n_p, dtype=bool), highs, lows)]))
+    ends = np.where(np.eye(n_p, dtype=bool), highs, lows)
+    edges = ends - lows
+    quarters = np.array([0.25, 0.5, 0.75])[:, None]
+    checks = [0.5 * (lows + highs)] + [lows + quarters * e for e in edges] + [
+        lows + np.append(quarters, 1.0)[:, None] * (edges[i] + edges[j])
+        for i, j in itertools.combinations(range(n_p), 2)]
+    probes = np.vstack([lows, ends] + checks)
+    st = fam.stack(probes)
     b, c = st.b[:, 0], st.c[:, 0, 0]
     profiles = [st.F.jump_profile(k) for k in range(len(st))]
     union = np.sort(np.concatenate([x[:, 0] for x, _ in profiles]))
     if union.size:
         union = union[np.concatenate([[True], np.diff(union) > 1e-12])]
     aligned = np.array([_align_profile(union, x[:, 0], w) for x, w in profiles])
-    w0, w_mid = aligned[0], aligned[1]
+    w0 = aligned[0]
 
     span = highs - lows
     live = span > 0
+    fit = slice(1, 1 + n_p)
     b_lin = np.zeros(n_p)
     c_lin = np.zeros(n_p)
     w_lin = np.zeros((union.size, n_p))
-    b_lin[live] = (b[2:][live] - b[0]) / span[live]
-    c_lin[live] = (c[2:][live] - c[0]) / span[live]
-    w_lin[:, live] = ((aligned[2:][live] - w0) / span[live, None]).T
+    b_lin[live] = (b[fit][live] - b[0]) / span[live]
+    c_lin[live] = (c[fit][live] - c[0]) / span[live]
+    w_lin[:, live] = ((aligned[fit][live] - w0) / span[live, None]).T
     aff = _AffineFamily(
         lows, highs,
         float(b[0]) - float(lows @ b_lin), b_lin,
         float(c[0]) - float(lows @ c_lin), c_lin,
         union, w0 - w_lin @ lows, w_lin,
     )
-    # verify affinity at the box midpoint
-    pred_b, pred_c = aff.b0 + mid @ b_lin, aff.c0 + mid @ c_lin
-    scale = 1.0 + abs(pred_b) + abs(pred_c) + np.max(np.abs(w_mid), initial=0.0)
-    err = abs(pred_b - b[1]) + abs(pred_c - c[1]) + np.max(
-        np.abs(aff.weights(mid[None, :])[0] - w_mid), initial=0.0)
-    if err > AFFINE_CHECK_TOL * scale:
+    # verify affinity at every check probe
+    rest = slice(1 + n_p, None)
+    P = probes[rest]
+    pred_b, pred_c = aff.b0 + P @ b_lin, aff.c0 + P @ c_lin
+    scale = 1.0 + np.abs(pred_b) + np.abs(pred_c) + np.max(
+        np.abs(aligned[rest]), axis=1, initial=0.0)
+    err = np.abs(pred_b - b[rest]) + np.abs(pred_c - c[rest]) + np.max(
+        np.abs(aff.weights(P) - aligned[rest]), axis=1, initial=0.0)
+    if (err > AFFINE_CHECK_TOL * scale).any():
         raise NotImplementedError(
             "HJB/primal solvers require characteristics affine in the parameters"
         )
@@ -566,7 +570,10 @@ class _HJBWorkspace:
         # part S - I monotone and the whole scheme stable under the CFL bound
         self.drift0 = self.aff.b0 - float(self.trunc @ self.aff.w0)
         self.drift_lin = self.aff.b_lin - self.trunc @ self.aff.w_lin
-        self.central = grid_cfg.drift_stencil == "central"
+        # with no drift at any control, c >= |b| h holds at every node, so
+        # the auto stencil is the central one
+        drift_free = self.drift0 == 0.0 and not self.drift_lin.any()
+        self.central = grid_cfg.drift_stencil == "central" or drift_free
         self._model: Optional[Tuple[CostFunction, _QuadraticCost]] = None
 
     # -- characteristics at controls P of shape (..., n_params) -----------
@@ -951,7 +958,8 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
        the full-grid gradient of stage 3 chained through the clip;
     3. L-BFGS-B over the full grid potential from the best quadratic priced
        in stages 1 and 2, ascending along the forward-transported terminal
-       law minus the target.
+       law minus the target; its opening value and gradient are the ones
+       the polish computed there.
 
     That direction is the adjoint under the frozen optimal controls, not
     the exact gradient of the discrete dual, so the polish's last iterate
@@ -1005,15 +1013,20 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     values = dual_values([np.zeros(x_grid.size)] + [quad_potential(*ad) for ad in ad_grid[1:]])
     best = int(np.argmax(values))  # the first of equal maxima
     best_ad, best_val = ad_grid[best], values[best]
+    best_fg = None  # the full-grid (value, gradient) at best_ad
 
     def negative_quad_dual(ad: np.ndarray):
         # the full-grid value and gradient, chained through the clip
-        nonlocal best_ad, best_val
+        nonlocal best_ad, best_val, best_fg
         a, d = float(ad[0]), float(ad[1])
         inside = np.abs(a * x_grid**2 + d * x_grid) < cfg.bound
         f, g = negative_dual(quad_potential(a, d))
         if -f > best_val:
             best_ad, best_val = (a, d), -f
+        # also at the polish's opening point, the warm start's best, whose
+        # value ties the warm start's and so is not recorded above
+        if (a, d) == best_ad:
+            best_fg = (f, g)
         return f, np.array([g @ (x_grid**2 * inside), g @ (x_grid * inside)])
 
     polish = minimize(
@@ -1025,8 +1038,17 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     )
 
     x0 = quad_potential(*best_ad)
+
+    def negative_full_dual(z: np.ndarray):
+        # the opening point was priced by the polish
+        nonlocal best_fg
+        if best_fg is not None and np.array_equal(z, x0):
+            fg, best_fg = best_fg, None
+            return fg
+        return negative_dual(z)
+
     res = minimize(
-        negative_dual,
+        negative_full_dual,
         x0,
         jac=True,
         method="L-BFGS-B",

@@ -1,5 +1,5 @@
 """Levy triplet algebra: boundedness/small-jump diagnostics, the modified
-second characteristic, exponents, generators and measure feature maps.
+second characteristic, exponents and measure feature maps.
 
 A TripletStack holds P triplets as arrays.  The feature map, the modified
 second characteristic and the exponent take a stack and evaluate every row
@@ -228,32 +228,6 @@ def jump_exponent(u, locations) -> np.ndarray:
     y = np.asarray(locations, dtype=float)[:, None]
     u = np.asarray(u, dtype=float)
     return np.exp(1j * u * y) - 1.0 - 1j * u * truncate_scalar(y)
-
-
-def generator_apply(
-    t: LevyTriplet,
-    f: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray], np.ndarray],
-    x,
-) -> float:
-    """Apply the integro-differential generator of (b, c, F) to f at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (t.dimension,):
-        raise ValueError("state dimension mismatch")
-    g = np.atleast_1d(np.asarray(grad(x), dtype=float))
-    H = np.atleast_2d(np.asarray(hess(x), dtype=float))
-    fx = float(f(x))
-    h = t.truncation
-
-    def integrand(y):
-        shifted = np.array([float(f(x + yi)) for yi in y])
-        if not np.all(np.isfinite(shifted)):
-            raise ValueError("f non-finite at a shifted point")
-        return shifted - fx - h.apply(y) @ g
-
-    jump = t.F.integrate(integrand)
-    return float(g @ t.b + 0.5 * np.sum(t.c * H) + jump)
 
 
 def martingale_residual(t: LevyTriplet) -> np.ndarray:

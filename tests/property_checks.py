@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from integrals import generator_apply
 from levysot.measures import LevyMeasure
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import cost_from_expr
@@ -22,7 +23,6 @@ from levysot.triplets import (
     FeatureMapConfig,
     LevyTriplet,
     ThetaFamily,
-    generator_apply,
     levy_exponent,
     measure_features,
     modified_triplet,

@@ -124,7 +124,7 @@ def test_criterion_3_simulation():
     ks = marginal_ks(bundle.terminal, gaussian_cdf(0.0, 1.0))
     target = LevyTriplet.scalar(0.0, 1.0)
     cf = cf_distance(bundle.terminal, target, 1.0, default_u_grid())
-    seq = TripletSequence(shrinking_jump_triplet, (10, 100, 1000, 10000))
+    seq = TripletSequence.from_map(shrinking_jump_triplet, (10, 100, 1000, 10000))
     conv = convergence_experiment(
         seq, target, SimulationConfig(n_paths=20_000, n_steps=1, seed=0),
         default_u_grid(),
@@ -145,12 +145,15 @@ def test_criterion_3_simulation():
 def test_criterion_4_closedness_probes():
     start = time.perf_counter()
     seq = shrinking_jump_sequence()
+    profile = exponent_limit_profile(seq, default_u_grid())
+    identified = limit_triplet_identify(profile)
     with_u = closedness_probe(
-        family_from_dict(fixtures.pinned_variance_family_doc()), seq, use_u_map=True,
+        family_from_dict(fixtures.pinned_variance_family_doc()), seq, True, profile,
+        identified,
         param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
     )
     without = closedness_probe(
-        family_from_dict(fixtures.pure_jump_family_doc()), seq, use_u_map=False,
+        family_from_dict(fixtures.pure_jump_family_doc()), seq, False, profile, identified,
         param_map=param_map_from_exprs(fixtures.pure_jump_param_map_exprs()),
     )
     report(

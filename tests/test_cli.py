@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from levysot import cli, fixtures
+from levysot import cli, fixtures, limits, serialize
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 from levysot.limits import default_u_grid, exponent_limit_profile
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
@@ -114,6 +114,29 @@ def test_limit_analyze_outputs(tmp_path):
         assert fh.readline().strip() == "u,n,re_psi,im_psi"
     with open(os.path.join(out, "small_jump_profile.csv")) as fh:
         assert fh.readline().strip() == "delta,n,small_jump_mass"
+
+
+def test_limit_analyze_evaluates_the_sequence_and_its_profile_once(tmp_path, monkeypatch):
+    # the sequence's template is evaluated over the whole schedule once, and
+    # the probe reads the profile the command computed
+    counts = {"template": 0, "profile": 0}
+    stack, profile = serialize.TripletTemplate.stack, limits.exponent_limit_profile
+
+    def counting_stack(template, values):
+        counts["template"] += template.variables == ("n",)
+        return stack(template, values)
+
+    def counting_profile(*args, **kwargs):
+        counts["profile"] += 1
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(serialize.TripletTemplate, "stack", counting_stack)
+    monkeypatch.setattr(limits, "exponent_limit_profile", counting_profile)
+    monkeypatch.setattr(cli, "exponent_limit_profile", counting_profile)
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path)) == 0
+    assert read_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
+    assert counts == {"template": 1, "profile": 1}
 
 
 def test_simulate_outputs(tmp_path):
@@ -224,14 +247,14 @@ def test_limit_csvs_match_the_row_writer(tmp_path):
     profile = exponent_limit_profile(seq, default_u_grid())
     assert _read_bytes(out, "exponent_profile.csv") == _row_writer_bytes(
         ("u", "n", "re_psi", "im_psi"),
-        ((e.u, n, v.real, v.imag) for e in profile.entries
-         for n, v in zip(profile.n_schedule, e.values)),
+        ((u, n, v.real, v.imag) for u, values in zip(profile.u.tolist(), profile.values)
+         for n, v in zip(profile.n_schedule, values.tolist())),
     )
     written = _read_bytes(out, "small_jump_profile.csv")
     assert written == _row_writer_bytes(
         ("delta", "n", "small_jump_mass"),
         ((d, n, small_jump_second_moment(t.F, d)) for d in [1, 0.5, 0.25]
-         for n, t in zip(seq.n_schedule, seq.triplets())),
+         for n, t in zip(seq.n_schedule, seq.rows)),
     )
     assert written.splitlines()[1].startswith(b"1,10,")
 
@@ -259,9 +282,11 @@ def test_duality_report_carries_the_dual_evidence(tmp_path):
         assert evidence[stage]["nit"] >= 0 and evidence[stage]["nfev"] >= 1
     assert evidence["full_grid"]["status"] == 0
     assert rep["dual_converged"] is True
-    # every priced potential is one ascent value
+    # every priced potential is one ascent value; the full-grid stage's
+    # opening evaluation reuses the polish's pricing of the best quadratic
     assert len(rep["ascent_history"]) == (
-        evidence["warm_start_rows"] + evidence["polish"]["nfev"] + evidence["full_grid"]["nfev"])
+        evidence["warm_start_rows"] + evidence["polish"]["nfev"]
+        + evidence["full_grid"]["nfev"] - 1)
 
 
 def test_solve_transport_with_overrides(tmp_path):

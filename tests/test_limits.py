@@ -22,11 +22,19 @@ def shrinking_jump_sequence() -> TripletSequence:
     return sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
 
 
+def _probe(fam, seq, use_u_map, param_map=None):
+    """The closedness probe on the sequence's profile over the default grid
+    and the limit identified from it."""
+    profile = exponent_limit_profile(seq, default_u_grid())
+    return closedness_probe(fam, seq, use_u_map, profile, limit_triplet_identify(profile),
+                            param_map=param_map)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        TripletSequence(lambda n: None, (10, 10, 100))
+        TripletSequence.from_map(lambda n: None, (10, 10, 100))
     with pytest.raises(ValueError):
-        TripletSequence(lambda n: None, (0, 10))
+        TripletSequence.from_map(lambda n: None, (0, 10))
 
 
 def test_condition_b_bound_along_schedule():
@@ -35,11 +43,11 @@ def test_condition_b_bound_along_schedule():
 
 def test_profile_on_constant_sequence_is_exact():
     t = LevyTriplet.scalar(0.3, 1.2)
-    seq = TripletSequence(lambda n: t, (10, 100, 1000))
+    seq = TripletSequence.from_map(lambda n: t, (10, 100, 1000))
     profile = exponent_limit_profile(seq, np.array([0.7, 1.9]))
-    for entry in profile.entries:
-        assert entry.limit == levy_exponent(t, entry.u)
-        assert entry.error_estimate == 0.0
+    for u, limit, error in zip(profile.u, profile.limit, profile.error):
+        assert limit == levy_exponent(t, u)
+        assert error == 0.0
 
 
 def test_diffusion_diagnostic_verdicts():
@@ -47,7 +55,7 @@ def test_diffusion_diagnostic_verdicts():
     assert created.verdict == "diffusion-created"
     assert abs(created.estimate - 1.0) < 1e-9
 
-    cp = TripletSequence(
+    cp = TripletSequence.from_map(
         lambda n: LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0))),
         (10, 100, 1000),
     )
@@ -60,7 +68,7 @@ def test_diffusion_diagnostic_verdicts():
 
 def test_limit_identification_recovers_known_triplet():
     target = LevyTriplet.scalar(0.4, 0.9, LevyMeasure.from_atoms((0.5, 1.5)))
-    seq = TripletSequence(lambda n: target, (10, 100))
+    seq = TripletSequence.from_map(lambda n: target, (10, 100))
     profile = exponent_limit_profile(seq, default_u_grid())
     fitted, resid = limit_triplet_identify(profile, LimitStructure((0.5,)))
     assert resid < 1e-10
@@ -71,7 +79,7 @@ def test_limit_identification_recovers_known_triplet():
 
 def test_limit_identification_underdetermined():
     profile = exponent_limit_profile(
-        TripletSequence(lambda n: LevyTriplet.scalar(0.0, 1.0), (10, 100)),
+        TripletSequence.from_map(lambda n: LevyTriplet.scalar(0.0, 1.0), (10, 100)),
         np.array([1.0]),
     )
     with pytest.raises(ValueError):
@@ -117,7 +125,7 @@ def test_pinned_variance_projection_polishes_once():
     # on the c = 1 edge the atom's weight is 0, so y does nothing and the
     # best scan cells tie: one polish serves them all
     fam = family_from_dict(fixtures.pinned_variance_family_doc())
-    report = closedness_probe(
+    report = _probe(
         fam, shrinking_jump_sequence(), use_u_map=True,
         param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
     )
@@ -132,8 +140,8 @@ def test_closedness_probe_inconclusive_outside_family():
         parameter_box=((0.0, 4.0),),
         triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
     )
-    seq = TripletSequence(lambda n: LevyTriplet.scalar(1.0, 1.0), (10, 100))
-    report = closedness_probe(fam, seq, use_u_map=False)
+    seq = TripletSequence.from_map(lambda n: LevyTriplet.scalar(1.0, 1.0), (10, 100))
+    report = _probe(fam, seq, use_u_map=False)
     assert report.limit_in_set == "inconclusive"
 
 
@@ -142,9 +150,9 @@ def test_closedness_probe_member_limit_is_yes():
         parameter_box=((0.0, 4.0),),
         triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
     )
-    seq = TripletSequence(
+    seq = TripletSequence.from_map(
         lambda n: LevyTriplet.scalar(0.0, 2.0 + 1.0 / n), (10, 100, 1000, 10000)
     )
-    report = closedness_probe(fam, seq, use_u_map=False)
+    report = _probe(fam, seq, use_u_map=False)
     assert report.limit_in_set == "yes"
     assert np.isclose(report.witness_params[0], 2.0, atol=1e-2)

@@ -180,7 +180,7 @@ def test_marginal_cdf_forms():
 
 
 def test_convergence_experiment_decreases():
-    seq = TripletSequence(
+    seq = TripletSequence.from_map(
         lambda n: LevyTriplet.scalar(
             0.0, 0.0, LevyMeasure.from_atoms((1.0 / np.sqrt(n), float(n)))
         ),

@@ -168,7 +168,7 @@ FAMILIES = {
 
 def _targets():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    ts = [seq.index_map(10), seq.index_map(100000)]
+    ts = [seq.rows[0], seq.rows[-1]]
     ts.append(LevyTriplet.scalar(0.0, 1.0))
     ts.append(LevyTriplet.scalar(0.1, 0.4, LevyMeasure.from_atoms((0.3, 2.0), (-1.2, 0.5))))
     return ts
@@ -257,7 +257,7 @@ def test_stacked_exponent_matches_single_calls_and_reference():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
     fam = family_from_dict(PIECE_DOC)
     u_grid = np.linspace(-2.0, 2.0, 42)
-    for stack in (seq.stack(), fam.stack(_points(fam, n_random=0)[::40])):
+    for stack in (seq.stack, fam.stack(_points(fam, n_random=0)[::40])):
         psi = levy_exponent(stack, u_grid)
         assert psi.shape == (len(stack), u_grid.size)
         for i in range(len(stack)):
@@ -267,8 +267,8 @@ def test_stacked_exponent_matches_single_calls_and_reference():
                 assert repr(complex(psi[i, j])) == repr(single)
                 assert repr(single) == repr(_ref_exponent(t, u_grid[j]))
     profile = exponent_limit_profile(seq, u_grid)
-    assert profile.entries[3].values == tuple(
-        _ref_exponent(t, u_grid[3]) for t in seq.triplets()
+    assert tuple(profile.values[3].tolist()) == tuple(
+        _ref_exponent(t, u_grid[3]) for t in seq.rows
     )
 
 
@@ -317,13 +317,13 @@ def test_dropped_atom_location_is_never_evaluated():
 
 
 def test_sequence_rows_and_packed_rows_agree():
-    # the sequence stack packs index_map rows; the template evaluates the
-    # whole schedule at once, and both give the same arrays
+    # the sequence stack evaluates the template over the whole schedule at
+    # once; packing its one-n evaluations gives the same arrays
     doc = fixtures.shrinking_jump_sequence_doc()
     seq = sequence_from_dict(doc)
-    packed = seq.stack()
-    schedule = np.array(seq.n_schedule, dtype=float)[:, None]
-    compiled = compile_template(doc, ("n",), "sequence").stack(schedule)
+    template = compile_template(doc, ("n",), "sequence")
+    packed = TripletStack.pack([template.triplet([n]) for n in seq.n_schedule])
+    compiled = seq.stack
     assert np.array_equal(packed.b, compiled.b)
     assert np.array_equal(packed.c, compiled.c)
     assert np.array_equal(packed.F.atom_x, compiled.F.atom_x)
@@ -335,7 +335,7 @@ def test_sequence_index_is_evaluated_as_a_float():
     # exact integer arithmetic would round once, at the end
     seq = sequence_from_dict({"b": ["n * n * n * n * n"], "c": [["0"]], "n_schedule": [100003]})
     n = 100003.0
-    assert seq.index_map(100003).b[0] == (((n * n) * n) * n) * n
+    assert seq.rows[0].b[0] == (((n * n) * n) * n) * n
     assert (((n * n) * n) * n) * n != float(100003**5)
 
 

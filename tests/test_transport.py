@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,7 +7,8 @@ import pytest
 from scipy import sparse
 from scipy.optimize import minimize
 
-from levysot import fixtures, transport
+from integrals import marginal_integrate
+from levysot import cli, fixtures, transport
 from levysot.cli import run_transport
 from levysot.exprs import ExpressionError
 from levysot.measures import LevyMeasure
@@ -61,15 +63,15 @@ def gaussian_instance(c_max=4.0, variance=1.0):
 def test_marginal_forms():
     g = Marginal.gaussian(0.0, 1.0)
     assert np.isclose(g.cdf(0.0), 0.5)
-    assert np.isclose(g.integrate(lambda x: x**2), 1.0, atol=1e-10)
+    assert np.isclose(marginal_integrate(g, lambda x: x**2), 1.0, atol=1e-10)
     assert np.isclose(g.cf(np.array([1.0]))[0], np.exp(-0.5))
 
     p = Marginal.point(2.0)
     assert p.cdf(np.array([1.9, 2.0])).tolist() == [0.0, 1.0]
-    assert np.isclose(p.integrate(lambda x: x**3), 8.0)
+    assert np.isclose(marginal_integrate(p, lambda x: x**3), 8.0)
 
     d = Marginal.discrete([0.0, 1.0], [0.25, 0.75])
-    assert np.isclose(d.integrate(lambda x: x), 0.75)
+    assert np.isclose(marginal_integrate(d, lambda x: x), 0.75)
     assert np.isclose(d.cf(np.array([0.0]))[0], 1.0)
     with pytest.raises(ValueError):
         Marginal.gaussian(0.0, 0.0)
@@ -83,7 +85,7 @@ def test_marginal_grid_weights_preserve_mass_and_mean():
               Marginal.discrete([-1.5, 0.5], [0.5, 0.5])):
         w = m.grid_weights(grid)
         assert np.isclose(w.sum(), 1.0, atol=1e-12)
-        assert np.isclose(w @ grid, m.integrate(lambda x: x), atol=1e-3)
+        assert np.isclose(w @ grid, marginal_integrate(m, lambda x: x), atol=1e-3)
 
 
 # x changes this cost only where x > 4.99, a slice that random probes miss
@@ -164,6 +166,32 @@ def test_affine_structure_rejections():
     )
     with pytest.raises(NotImplementedError):
         affine_family_structure(moving)
+
+
+# c = 1 at p = 0, 1 and 2, the low end, the midpoint and the high end of
+# the box, but 1.375 at p = 0.5
+CUBIC_INSTANCE = {
+    "mu0": {"kind": "point-mass", "location": 0.0},
+    "mu1": {"kind": "gaussian", "mean": 0.0, "variance": 1.375},
+    "family": {"box": [[0.0, 2.0]], "params": ["p"], "b": ["0"],
+               "c": [["1 + p * (p - 1) * (p - 2)"]]},
+    "cost": "(p - 0.5) * (p - 0.5)",
+}
+
+
+def test_affine_structure_rejects_a_family_affine_at_the_midpoint_only(tmp_path, capsys):
+    with pytest.raises(NotImplementedError):
+        affine_family_structure(family_from_dict(CUBIC_INSTANCE["family"]))
+    # c = 1 along both edges from the low corner and at the midpoint, but
+    # not along the diagonal between them
+    diagonal = family_from_dict({"box": [[0.0, 1.0], [0.0, 1.0]], "params": ["p", "q"],
+                                 "b": ["p"], "c": [["1 + p * q * (p + q - 1)"]]})
+    with pytest.raises(NotImplementedError):
+        affine_family_structure(diagonal)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC_INSTANCE))
+    assert cli.main(["solve-transport", "--input", str(path), "--out", str(tmp_path)]) == 1
+    assert "affine in the parameters" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +605,25 @@ def test_dual_ascent_trivial_instance():
     assert not res.likely_infeasible
 
 
+def test_drift_free_family_takes_the_central_stencil():
+    # with no drift at any control the auto stencil is central at every
+    # node: selecting central from the family changes no bit of a solve
+    inst = instance_from_dict(fixtures.gaussian_instance_doc())
+    grid = HJBGridConfig(n_x=60, n_t=30)
+    ws = _HJBWorkspace(inst.fam, grid)
+    assert grid.drift_stencil == "auto" and ws.central
+    auto = _HJBWorkspace(inst.fam, grid)
+    auto.central = False  # the auto stencil's per-node branch selection
+    for terminal in (np.clip(0.5 * ws.x_grid**2 - ws.x_grid, -10.0, 10.0),
+                     np.sin(3.0 * ws.x_grid)):
+        a = _solve_hjb_ws(ws, inst.cost, terminal)
+        b = _solve_hjb_ws(auto, inst.cost, terminal)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.controls.tobytes() == b.controls.tobytes()
+    drifting = ThetaFamily(((0.0, 1.0),), lambda p: LevyTriplet.scalar(float(p[0]), 1.0))
+    assert not _HJBWorkspace(drifting, grid).central
+
+
 def test_dual_ascent_flags_likely_infeasible():
     # no control reaches variance 9 when c <= 0.5; dual grows with the bound
     inst = TransportInstance(
@@ -592,24 +639,46 @@ def test_dual_ascent_flags_likely_infeasible():
 
 @pytest.fixture(scope="module")
 def poisson_ascent():
-    """The Poisson fixture's duality report, with the objective and result
-    of the polish and of the full-grid L-BFGS-B."""
+    """The Poisson fixture's duality report, with the objective, result and
+    returned values of the polish and of the full-grid L-BFGS-B, and the
+    terminal potentials priced by the warm start's batched sweep and by the
+    full solves that also give a gradient."""
     calls = []
+    warm, solved = [], []
 
     def recording_minimize(fun, x0, **kwargs):
-        res = minimize(fun, x0, **kwargs)
-        if kwargs.get("method") == "L-BFGS-B":
-            calls.append((fun, res))
+        if kwargs.get("method") != "L-BFGS-B":
+            return minimize(fun, x0, **kwargs)
+        values = []
+
+        def recorded(z):
+            f, g = fun(z)
+            values.append(f)
+            return f, g
+
+        res = minimize(recorded, x0, **kwargs)
+        calls.append((fun, res, values))
         return res
 
+    def recording_solve(ws, cost, terminal):
+        solved.append(terminal.copy())
+        return solve_ws(ws, cost, terminal)
+
+    def recording_initial_values(ws, cost, terminals):
+        warm.extend(terminals.copy())
+        return initial_values(ws, cost, terminals)
+
+    solve_ws, initial_values = transport._solve_hjb_ws, transport._initial_values
     doc = fixtures.poisson_instance_doc()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "minimize", recording_minimize)
+        mp.setattr(transport, "_solve_hjb_ws", recording_solve)
+        mp.setattr(transport, "_initial_values", recording_initial_values)
         report = run_transport(doc).report
-    (polish_fun, polish_res), (full_fun, full_res) = calls
+    (polish_fun, polish_res, _), (full_fun, full_res, full_values) = calls
     return SimpleNamespace(report=report, polish_fun=polish_fun, polish_res=polish_res,
-                           full_fun=full_fun, full_res=full_res,
-                           bound=doc["solver"]["dual"]["bound"])
+                           full_fun=full_fun, full_res=full_res, full_values=full_values,
+                           warm=warm, solved=solved, bound=doc["solver"]["dual"]["bound"])
 
 
 @pytest.mark.parametrize("ad", [(-16.0, -1.0), (4.0, 1.0)])
@@ -636,9 +705,17 @@ def test_polish_prices_few_quadratics_and_starts_from_the_best(poisson_ascent):
     assert ev["polish"]["nfev"] == polish_res.nfev <= 40
     assert ev["full_grid"]["nfev"] == full_res.nfev
     priced = ev["warm_start_rows"] + polish_res.nfev
-    assert len(rep.ascent_history) == priced + full_res.nfev
+    # the full-grid stage's opening evaluation is the polish's pricing of
+    # its start, so it adds no ascent value
+    assert len(rep.ascent_history) == priced + full_res.nfev - 1
     # the full-grid stage opens on the best quadratic priced, not the last
-    assert rep.ascent_history[priced] == max(rep.ascent_history[:priced])
+    assert -poisson_ascent.full_values[0] == max(rep.ascent_history[:priced])
+    # one HJB solve per ascent value, and no potential is priced twice by
+    # either kind of solve
+    warm, solved = poisson_ascent.warm, poisson_ascent.solved
+    assert len(warm) + len(solved) == len(rep.ascent_history)
+    for potentials in (warm, solved):
+        assert len({lam.tobytes() for lam in potentials}) == len(potentials)
 
 
 def test_polish_keeps_the_poisson_dual(poisson_ascent):

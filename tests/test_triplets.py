@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from integrals import generator_apply
 from levysot import fixtures
 from levysot.measures import LevyMeasure
 from levysot.serialize import family_from_dict
@@ -12,7 +13,6 @@ from levysot.triplets import (
     condition_b_value,
     family_condition_b,
     family_condition_j,
-    generator_apply,
     jump_exponent,
     levy_exponent,
     martingale_residual,
