@@ -230,10 +230,9 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     bound = family_condition_b(fam, resolution)
     cond_j = family_condition_j(fam, deltas, resolution)
     corners = fam.corners()
-    members = fam.stack(corners)
     residuals = [
-        {"params": p.tolist(), "residual": martingale_residual(members.triplet(i)).tolist()}
-        for i, p in enumerate(corners)
+        {"params": p, "residual": r}
+        for p, r in zip(corners.tolist(), martingale_residual(fam.stack(corners)).tolist())
     ]
     report = {
         "seed": seed,
@@ -307,7 +306,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
         os.path.join(out, "small_jump_profile.csv"),
         ("delta", "n", "small_jump_mass"),
         deltas,
-        ([[small_jump_second_moment(t.F, d) for t in seq.rows] for d in deltas],),
+        ([small_jump_second_moment(seq.stack.F, d) for d in deltas],),
         inner=seq.n_schedule,
     )
     return EXIT_OK
@@ -321,6 +320,8 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
     report: dict = {"seed": cfg.seed, "config": cfg_doc}
     if "sequence" in doc:
         seq = sequence_from_dict(doc["sequence"])
+        if "target" not in doc:
+            raise ValidationError("simulate on a sequence needs a 'target' triplet")
         target = triplet_from_dict(doc["target"])
         u_grid = _u_grid_from_doc(doc.get("u_grid"))
         conv = convergence_experiment(seq, target, cfg, u_grid)
@@ -329,7 +330,7 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
             "ks": list(conv.ks_distances),
             "cf_distance": list(conv.cf_distances),
         }
-        bundle = simulate_paths(seq.rows[-1], 0.0, cfg)
+        bundle = simulate_paths(seq.stack.triplet(-1), 0.0, cfg)
     else:
         t = triplet_from_dict(doc.get("triplet", doc))
         x0 = float(doc.get("x0", 0.0))

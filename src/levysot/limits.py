@@ -8,14 +8,14 @@ surrogates are recorded in the returned reports.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .measures import LevyMeasure, row_dot
+from .measures import LevyMeasure, row_norm
 from .triplets import (
     FeatureMapConfig,
     LevyTriplet,
@@ -71,14 +71,9 @@ class TripletSequence:
         sched = n_schedule_ints(n_schedule)
         return TripletSequence(sched, TripletStack.pack([index_map(n) for n in sched]))
 
-    @functools.cached_property
-    def rows(self) -> Tuple[LevyTriplet, ...]:
-        """The scheduled triplets, built once from the stack."""
-        return tuple(self.stack.triplet(i) for i in range(len(self.stack)))
-
     def condition_b_bound(self) -> float:
         """Max of the boundedness functional over the schedule (recorded bound)."""
-        return max(condition_b_value(t) for t in self.rows)
+        return float(condition_b_value(self.stack).max())
 
 
 @dataclass(frozen=True)
@@ -122,11 +117,8 @@ def diffusion_creation_diagnostic(
 ) -> DiffusionReport:
     """Numerical surrogate for the small-jump double-limit criterion."""
     deltas = delta_schedule_floats(delta_schedule)
-    tail = seq.rows[-TAIL_LENGTH:]
-    profile = []
-    for d in deltas:
-        sup = max(horizon * small_jump_second_moment(t.F, d) for t in tail)
-        profile.append((d, float(sup)))
+    tails = [small_jump_second_moment(seq.stack.F, d)[-TAIL_LENGTH:] for d in deltas]
+    profile = [(d, float((horizon * tail).max())) for d, tail in zip(deltas, tails)]
     estimate = _extrapolate_delta_profile(profile)
     if estimate <= TOL_D:
         verdict = "purely-discontinuous-limit"
@@ -224,24 +216,15 @@ FD_STEP = np.sqrt(np.finfo(float).eps)
 POLISH_TOL = 1e-15
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, formed as np.linalg.norm forms it."""
-    return np.sqrt(row_dot(x, x))
-
-
-def _distances(st: TripletStack, t: LevyTriplet, t_features: np.ndarray) -> np.ndarray:
-    """|b - b_t| + |c - c_t|_F + |features - features_t| for each row of st."""
+def _distances(st: TripletStack, t, t_features: np.ndarray) -> np.ndarray:
+    """|b - b_t| + |c - c_t|_F + |features - features_t| for each row of st;
+    t's b and c, and t_features, are one triplet's or one per row of st."""
     P, d = st.b.shape
     return (
-        _norms(st.b - t.b)
-        + _norms((st.c - t.c).reshape(P, d * d))
-        + _norms(measure_features(st.F, _PROBE_FEATURES) - t_features)
+        row_norm(st.b - t.b)
+        + row_norm((st.c - t.c).reshape(P, d * d))
+        + row_norm(measure_features(st.F, _PROBE_FEATURES) - t_features)
     )
-
-
-def _triplet_distance(s: LevyTriplet, t: LevyTriplet) -> float:
-    t_features = measure_features(t.F, _PROBE_FEATURES)
-    return float(_distances(TripletStack.pack([s]), t, t_features)[0])
 
 
 def _unit_map(lows: np.ndarray, highs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -373,13 +356,19 @@ def closedness_probe(
     exponent profile, since the identified limit is only that accurate.
     """
     log: list = []
-    # precheck: the scheduled triplets must (numerically) lie in the family
-    for i in (0, -1):
-        if param_map is not None:
-            dist = _triplet_distance(fam.at(param_map(seq.n_schedule[i])), seq.rows[i])
-        else:
-            _, dist, entry = project_to_family(fam, seq.rows[i])
+    # precheck: the first and last scheduled triplets must (numerically) lie
+    # in the family; with a param_map, their members are priced as one stack
+    ends = [0, -1]
+    if param_map is not None:
+        members = fam.stack(np.array([param_map(seq.n_schedule[i]) for i in ends]))
+        rows = SimpleNamespace(b=seq.stack.b[ends], c=seq.stack.c[ends])
+        dists = _distances(members, rows, measure_features(seq.stack.F, _PROBE_FEATURES)[ends])
+    for k, i in enumerate(ends):
+        if param_map is None:
+            _, dist, entry = project_to_family(fam, seq.stack.triplet(i))
             log.append(entry)
+        else:
+            dist = dists[k]
         if dist > 1e-8:
             return ClosednessReport("inconclusive", None, float(dist), tuple(log))
     limit, fit_residual = identified

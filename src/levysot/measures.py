@@ -3,8 +3,9 @@
 A measure is represented by finitely many atoms plus piecewise densities on
 intervals bounded away from zero (one-dimensional pieces).  Integrals against
 the density pieces use Gauss-Legendre quadrature with per-piece node counts.
-A MeasureStack holds many measures as arrays and integrates them row by row;
-LevyMeasure.integrate is the integral of the measure's one-row stack.
+A MeasureStack holds many measures as arrays and integrates them row by row,
+over the whole line or over a ball; LevyMeasure.integrate is the integral of
+the measure's one-row stack.
 """
 
 from __future__ import annotations
@@ -155,18 +156,6 @@ class LevyMeasure:
         """∫ g(x) F(dx); g takes a (n, d) array of locations and returns (n,)."""
         return float(self.stack.integrate(lambda x: np.asarray(g(x[0]))[None])[0])
 
-    def integrate_ball(self, g, radius: float) -> float:
-        """∫_{|x| <= radius} g(x) F(dx)."""
-        total = 0.0
-        for loc, w in self.atoms:
-            if np.linalg.norm(loc) <= radius:
-                total += w * float(np.asarray(g(loc[None, :]), dtype=float)[0])
-        for piece in self.density_pieces:
-            x, w = piece.quad(lo=-radius, hi=radius)
-            if x.size:
-                total += float(np.dot(w, np.asarray(g(x[:, None]), dtype=float)))
-        return total
-
 
 @dataclass(frozen=True)
 class MeasureStack:
@@ -209,22 +198,12 @@ class MeasureStack:
             at_zero = (used & (sq == 0.0)).any()
         if at_zero:
             raise ValueError("no atom at 0 allowed")
-        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))]
         pieces = tuple(tuple(row) for row in self.pieces)
         if pieces and len(pieces) != w.shape[0]:
             raise ValueError("pieces must list one tuple of density pieces per row")
         if any(pieces) and self.dimension != 1:
             raise ValueError("density pieces are supported only in dimension 1")
-        for j in range(max(map(len, pieces), default=0)):
-            quads = [row[j].quad() if j < len(row) else None for row in pieces]
-            sizes = np.array([0 if q is None else q[0].size for q in quads])
-            px, pw = np.ones((len(quads), sizes.max(), 1)), np.zeros((len(quads), sizes.max()))
-            for i, q in enumerate(quads):
-                if q is not None:
-                    px[i, : sizes[i], 0], pw[i, : sizes[i]] = q
-            full = (sizes == sizes.max()).all()
-            psq = _sqnorm(px)
-            groups.append(_Group(px, pw, None if full else sizes, psq, np.minimum(psq, 1.0)))
+        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))] + _piece_groups(pieces)
         object.__setattr__(self, "atom_x", x)
         object.__setattr__(self, "atom_w", w)
         object.__setattr__(self, "pieces", pieces)
@@ -307,6 +286,38 @@ class MeasureStack:
         and the result has shape (P, ...)."""
         return self.integrate_parts(lambda grp: np.asarray(g(grp.x), dtype=float))[0]
 
+    def integrate_ball(self, g: Callable[[np.ndarray], np.ndarray], radius: float) -> np.ndarray:
+        """Row-wise ∫_{|x| <= radius} g dF, g mapping (P, n, d) locations to
+        (P, n) values: a row adds its atoms in the ball one at a time, in
+        atom order (the running total is never -0.0, so the 0.0 of an atom
+        outside leaves it unchanged), then one dot product per density
+        piece over its quadrature on the piece's part of [-radius, radius]."""
+        atoms = self._groups[0]
+        norms = row_norm(atoms.x.reshape(-1, self.dimension)).reshape(atoms.w.shape)
+        terms = np.where((atoms.w > 0.0) & (norms <= radius), atoms.w * g(atoms.x), 0.0)
+        total = np.zeros(len(self))
+        for column in terms.T:
+            total += column
+        for grp in _piece_groups(self.pieces, radius):
+            total += _group_dot(grp.w, np.asarray(g(grp.x), dtype=float), grp.sizes, lambda v: v)
+        return total
+
+
+def _piece_groups(pieces, radius: float = np.inf) -> list:
+    """A _Group per piece slot: each row's piece quadrature on [-radius, radius]."""
+    groups = []
+    for j in range(max(map(len, pieces), default=0)):
+        quads = [row[j].quad(-radius, radius) if j < len(row) else None for row in pieces]
+        sizes = np.array([0 if q is None else q[0].size for q in quads])
+        px, pw = np.ones((len(quads), sizes.max(), 1)), np.zeros((len(quads), sizes.max()))
+        for i, q in enumerate(quads):
+            if q is not None:
+                px[i, : sizes[i], 0], pw[i, : sizes[i]] = q
+        full = (sizes == sizes.max()).all()
+        psq = _sqnorm(px)
+        groups.append(_Group(px, pw, None if full else sizes, psq, np.minimum(psq, 1.0)))
+    return groups
+
 
 class _Group(NamedTuple):
     """Locations and weights summed by one dot product per row."""
@@ -340,6 +351,11 @@ def row_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     lead = (w.shape[0],) + (1,) * (v.ndim - 2) + (1, w.shape[1])
     return np.matmul(w.reshape(lead), v[..., None])[..., 0, 0]
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, formed as np.linalg.norm forms it."""
+    return np.sqrt(row_dot(x, x))
 
 
 def _sqnorm(x: np.ndarray) -> np.ndarray:

@@ -281,8 +281,8 @@ def convergence_experiment(
     """Simulate terminal marginals along the sequence and compare to a target law."""
     cdf = marginal_cdf(target, cfg.horizon)
     cfs, kss = [], []
-    for n, t in zip(seq.n_schedule, seq.rows):
-        bundle = simulate_paths(t, 0.0, replace(cfg, seed=cfg.seed + n))
+    for i, n in enumerate(seq.n_schedule):
+        bundle = simulate_paths(seq.stack.triplet(i), 0.0, replace(cfg, seed=cfg.seed + n))
         term = bundle.terminal
         cfs.append(cf_distance(term, target, cfg.horizon, u_grid))
         kss.append(marginal_ks(term, cdf) if cdf is not None else None)

@@ -958,8 +958,10 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
        the full-grid gradient of stage 3 chained through the clip;
     3. L-BFGS-B over the full grid potential from the best quadratic priced
        in stages 1 and 2, ascending along the forward-transported terminal
-       law minus the target; its opening value and gradient are the ones
-       the polish computed there.
+       law minus the target.
+
+    Stages 2 and 3 solve a potential once: met again, as stage 3's opening
+    point is, it returns the value and gradient computed before.
 
     That direction is the adjoint under the frozen optimal controls, not
     the exact gradient of the discrete dual, so the polish's last iterate
@@ -989,15 +991,20 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
         history.extend(values)
         return values
 
+    priced: dict = {}  # z.tobytes() -> the (value, gradient) pair returned
+
     def negative_dual(z: np.ndarray):
-        lam = potential(z)
-        vg = _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lam))
-        value = float(mu0_w @ vg.initial() - mu1_w @ lam)
-        grad = _forward_ws(ws, vg.controls, mu0_w) - mu1_w
-        if kernel is not None:
-            grad = kernel @ grad  # the mollifier is symmetric
-        history.append(value)
-        return -value, -grad
+        key = z.tobytes()
+        if key not in priced:
+            lam = potential(z)
+            vg = _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lam))
+            value = float(mu0_w @ vg.initial() - mu1_w @ lam)
+            grad = _forward_ws(ws, vg.controls, mu0_w) - mu1_w
+            if kernel is not None:
+                grad = kernel @ grad  # the mollifier is symmetric
+            history.append(value)
+            priced[key] = (-value, -grad)
+        return priced[key]
 
     # coarse initialization: search clipped quadratic potentials a x^2 + d x,
     # which are the natural shapes for variance/rate transport, then refine
@@ -1013,20 +1020,15 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     values = dual_values([np.zeros(x_grid.size)] + [quad_potential(*ad) for ad in ad_grid[1:]])
     best = int(np.argmax(values))  # the first of equal maxima
     best_ad, best_val = ad_grid[best], values[best]
-    best_fg = None  # the full-grid (value, gradient) at best_ad
 
     def negative_quad_dual(ad: np.ndarray):
         # the full-grid value and gradient, chained through the clip
-        nonlocal best_ad, best_val, best_fg
+        nonlocal best_ad, best_val
         a, d = float(ad[0]), float(ad[1])
         inside = np.abs(a * x_grid**2 + d * x_grid) < cfg.bound
         f, g = negative_dual(quad_potential(a, d))
         if -f > best_val:
             best_ad, best_val = (a, d), -f
-        # also at the polish's opening point, the warm start's best, whose
-        # value ties the warm start's and so is not recorded above
-        if (a, d) == best_ad:
-            best_fg = (f, g)
         return f, np.array([g @ (x_grid**2 * inside), g @ (x_grid * inside)])
 
     polish = minimize(
@@ -1036,20 +1038,10 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
         method="L-BFGS-B",
         options={"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL},
     )
-
-    x0 = quad_potential(*best_ad)
-
-    def negative_full_dual(z: np.ndarray):
-        # the opening point was priced by the polish
-        nonlocal best_fg
-        if best_fg is not None and np.array_equal(z, x0):
-            fg, best_fg = best_fg, None
-            return fg
-        return negative_dual(z)
-
+    # the opening point was priced by the polish, so its solve is reused
     res = minimize(
-        negative_full_dual,
-        x0,
+        negative_dual,
+        quad_potential(*best_ad),
         jac=True,
         method="L-BFGS-B",
         bounds=[(-cfg.bound, cfg.bound)] * x_grid.size,

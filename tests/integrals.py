@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from levysot.measures import TruncationRule
+
 
 def generator_apply(t, f, grad, hess, x) -> float:
     """Apply the integro-differential generator of the triplet (b, c, F) to
@@ -14,7 +16,7 @@ def generator_apply(t, f, grad, hess, x) -> float:
     g = np.atleast_1d(np.asarray(grad(x), dtype=float))
     H = np.atleast_2d(np.asarray(hess(x), dtype=float))
     fx = float(f(x))
-    h = t.truncation
+    h = TruncationRule(t.dimension)
 
     def integrand(y):
         shifted = np.array([float(f(x + yi)) for yi in y])
@@ -24,6 +26,21 @@ def generator_apply(t, f, grad, hess, x) -> float:
 
     jump = t.F.integrate(integrand)
     return float(g @ t.b + 0.5 * np.sum(t.c * H) + jump)
+
+
+def ball_integrate(F, g, radius: float) -> float:
+    """∫_{|x| <= radius} g(x) F(dx) for a LevyMeasure: its atoms in the
+    ball added one at a time, then one dot product per density piece over
+    its quadrature on the piece's part of [-radius, radius]."""
+    total = 0.0
+    for loc, w in F.atoms:
+        if np.linalg.norm(loc) <= radius:
+            total += w * float(np.asarray(g(loc[None, :]), dtype=float)[0])
+    for piece in F.density_pieces:
+        x, w = piece.quad(lo=-radius, hi=radius)
+        if x.size:
+            total += float(np.dot(w, np.asarray(g(x[:, None]), dtype=float)))
+    return total
 
 
 def marginal_integrate(m, f) -> float:

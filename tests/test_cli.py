@@ -10,6 +10,7 @@ import pytest
 from levysot import cli, fixtures, limits, serialize
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 from levysot.limits import default_u_grid, exponent_limit_profile
+from levysot.measures import MeasureStack
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import sequence_from_dict, triplet_from_dict
 from levysot.transport import solve_hjb
@@ -139,6 +140,32 @@ def test_limit_analyze_evaluates_the_sequence_and_its_profile_once(tmp_path, mon
     assert counts == {"template": 1, "profile": 1}
 
 
+def test_conditions_build_no_row_of_a_stack(tmp_path, monkeypatch):
+    # check-theta and limit-analyze with a param_map read every condition
+    # and distance from the stacks they hold, never from a rebuilt row
+    calls = [0]
+    measure = MeasureStack.measure
+
+    def counting_measure(stack, i):
+        calls[0] += 1
+        return measure(stack, i)
+
+    monkeypatch.setattr(MeasureStack, "measure", counting_measure)
+    for name in ("pure_jump_family.json", "pinned_variance_family.json"):
+        assert run("check-theta", "--input", fixture(name), "--out", str(tmp_path)) == 0
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path)) == 0
+    assert read_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
+    assert calls[0] == 0
+
+
+def test_simulate_on_a_sequence_needs_a_target(tmp_path, capsys):
+    assert run("simulate", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), "--set", "config.n_paths=10") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'target' triplet" in err
+
+
 def test_simulate_outputs(tmp_path):
     out = str(tmp_path)
     doc = tmp_path / "in.json"
@@ -253,8 +280,8 @@ def test_limit_csvs_match_the_row_writer(tmp_path):
     written = _read_bytes(out, "small_jump_profile.csv")
     assert written == _row_writer_bytes(
         ("delta", "n", "small_jump_mass"),
-        ((d, n, small_jump_second_moment(t.F, d)) for d in [1, 0.5, 0.25]
-         for n, t in zip(seq.n_schedule, seq.rows)),
+        ((d, n, small_jump_second_moment(seq.stack.triplet(i).F, d)) for d in [1, 0.5, 0.25]
+         for i, n in enumerate(seq.n_schedule)),
     )
     assert written.splitlines()[1].startswith(b"1,10,")
 

@@ -87,12 +87,6 @@ def test_mass_cap_enforced():
         LevyMeasure(dimension=1, atoms=((np.array([2.0]), 1e9),))
 
 
-def test_integrate_ball_includes_boundary():
-    F = LevyMeasure.from_atoms((0.5, 2.0), (0.8, 1.0))
-    val = F.integrate_ball(lambda x: np.ones(x.shape[0]), 0.5)
-    assert np.isclose(val, 2.0)
-
-
 def test_state_key_distinguishes_measures():
     F = LevyMeasure.from_atoms((0.5, 2.0))
     G = LevyMeasure.from_atoms((0.5, 2.0))

@@ -105,7 +105,7 @@ def test_family_schema_errors():
 
 def test_sequence_from_dict():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    t = seq.rows[seq.n_schedule.index(100)]
+    t = seq.stack.triplet(seq.n_schedule.index(100))
     assert np.isclose(t.F.atoms[0][0][0], 0.1)
     assert np.isclose(t.F.atoms[0][1], 100.0)
     pm = param_map_from_exprs(fixtures.pure_jump_param_map_exprs())

@@ -11,6 +11,7 @@ frequency at a time.
 import numpy as np
 import pytest
 
+from integrals import ball_integrate
 from measure_keys import state_key
 from levysot import fixtures
 from levysot.exprs import ExpressionError
@@ -21,9 +22,12 @@ from levysot.triplets import (
     LevyTriplet,
     ThetaFamily,
     TripletStack,
+    condition_b_value,
     levy_exponent,
+    martingale_residual,
     measure_features,
     modified_triplet,
+    small_jump_second_moment,
 )
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ FAMILIES = {
 
 def _targets():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    ts = [seq.rows[0], seq.rows[-1]]
+    ts = [seq.stack.triplet(0), seq.stack.triplet(-1)]
     ts.append(LevyTriplet.scalar(0.0, 1.0))
     ts.append(LevyTriplet.scalar(0.1, 0.4, LevyMeasure.from_atoms((0.3, 2.0), (-1.2, 0.5))))
     return ts
@@ -268,7 +272,7 @@ def test_stacked_exponent_matches_single_calls_and_reference():
                 assert repr(single) == repr(_ref_exponent(t, u_grid[j]))
     profile = exponent_limit_profile(seq, u_grid)
     assert tuple(profile.values[3].tolist()) == tuple(
-        _ref_exponent(t, u_grid[3]) for t in seq.rows
+        _ref_exponent(seq.stack.triplet(i), u_grid[3]) for i in range(len(seq.stack))
     )
 
 
@@ -335,7 +339,7 @@ def test_sequence_index_is_evaluated_as_a_float():
     # exact integer arithmetic would round once, at the end
     seq = sequence_from_dict({"b": ["n * n * n * n * n"], "c": [["0"]], "n_schedule": [100003]})
     n = 100003.0
-    assert seq.rows[0].b[0] == (((n * n) * n) * n) * n
+    assert seq.stack.triplet(0).b[0] == (((n * n) * n) * n) * n
     assert (((n * n) * n) * n) * n != float(100003**5)
 
 
@@ -358,3 +362,78 @@ def test_jump_profile_is_each_rows_atoms_then_piece_nodes():
         assert x.shape == (ref_x.size, 1)
         assert np.array_equal(_bits(x[:, 0]), _bits(ref_x))
         assert np.array_equal(_bits(w), _bits(ref_w))
+
+
+# ---------------------------------------------------------------------------
+# the ball integral and the conditions, against the per-row formulas
+
+
+def _ref_condition_b(t):
+    jump = t.F.integrate(lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x))))
+    return float(np.linalg.norm(t.b) + np.linalg.norm(t.c, "fro") + jump)
+
+
+def _ref_martingale_residual(t):
+    h = TruncationRule(t.dimension)
+    return t.b + np.array(
+        [t.F.integrate(lambda x, i=i: x[..., i] - h.apply(x)[..., i]) for i in range(t.dimension)]
+    )
+
+
+def _condition_stacks():
+    """Both family grids at resolution 9, the sequence, and stacks of
+    measures with atoms on the ball's boundary (|x| = 0.5 and, in d = 2,
+    |x| = 0.25 exactly)."""
+    grids = {
+        name: FAMILIES[name]().stack(
+            np.vstack([FAMILIES[name]().corners(), FAMILIES[name]().grid(9)])
+        )
+        for name in ("pure-jump", "pinned-variance")
+    }
+    four_atom = LevyMeasure(
+        1,
+        ((np.array([-0.3]), 1.0), (np.array([0.1]), 2.0), (np.array([0.5]), 3.0),
+         (np.array([1.5]), 0.5)),
+        (DensityPiece(0.05, 0.8, lambda x: 1.0 + x), DensityPiece(-2.0, -0.2, np.exp, nodes=24)),
+    )
+    pieces_1d = [
+        LevyTriplet.scalar(0.3, 0.7, four_atom),
+        LevyTriplet.scalar(-1.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0), (0.8, 1.0))),
+        LevyTriplet.scalar(0.0, 2.0),
+    ]
+    atoms_2d = LevyMeasure(
+        2, ((np.array([0.0, -0.25]), 1.5), (np.array([0.3, 0.4]), 2.0), (np.array([-1.0, 2.0]), 0.5))
+    )
+    plane = [
+        LevyTriplet(np.array([0.1, -0.2]), np.array([[1.0, 0.3], [0.3, 2.0]]), atoms_2d),
+        LevyTriplet(np.zeros(2), np.eye(2), LevyMeasure.zero(2)),
+    ]
+    return {
+        **grids,
+        "sequence": sequence_from_dict(fixtures.shrinking_jump_sequence_doc()).stack,
+        "four-atom-two-piece": TripletStack.pack(pieces_1d),
+        "two-dimensional": TripletStack.pack(plane),
+    }
+
+
+def test_ball_integral_and_row_wise_conditions_equal_the_per_row_oracle():
+    deltas = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+    for name, st in _condition_stacks().items():
+        rows = [st.triplet(i) for i in range(len(st))]
+        for d in deltas:
+            ref = [ball_integrate(t.F, _sqnorm, d) for t in rows]
+            assert np.array_equal(_bits(st.F.integrate_ball(_sqnorm, d)), _bits(ref)), (name, d)
+            assert np.array_equal(_bits(small_jump_second_moment(st.F, d)), _bits(ref)), (name, d)
+            assert [small_jump_second_moment(t.F, d) for t in rows] == ref
+        ref_b = [_ref_condition_b(t) for t in rows]
+        assert np.array_equal(_bits(condition_b_value(st)), _bits(ref_b)), name
+        assert [condition_b_value(t) for t in rows] == ref_b
+        ref_res = np.array([_ref_martingale_residual(t) for t in rows])
+        assert np.array_equal(_bits(martingale_residual(st)), _bits(ref_res)), name
+        assert np.array_equal(_bits(martingale_residual(rows[0])), _bits(ref_res[0]))
+    # an atom at |x| = delta is inside the ball
+    boundary = LevyMeasure.from_atoms((0.5, 2.0), (0.8, 1.0))
+    assert np.isclose(boundary.stack.integrate_ball(lambda x: np.ones(x.shape[:2]), 0.5)[0], 2.0)
+    assert small_jump_second_moment(boundary, 0.5) == 2.0 * 0.25
+    plane = _condition_stacks()["two-dimensional"].F
+    assert small_jump_second_moment(plane, 0.25)[0] == 1.5 * 0.0625

@@ -718,6 +718,27 @@ def test_polish_prices_few_quadratics_and_starts_from_the_best(poisson_ascent):
         assert len({lam.tobytes() for lam in potentials}) == len(potentials)
 
 
+def test_a_potential_met_again_is_not_solved_again(monkeypatch):
+    # for this target rate the polish's line search comes back to
+    # potentials it has priced; each is solved once and recorded once
+    monkeypatch.setattr(fixtures, "POISSON_TARGET_RATE", 2.0 + (4.0 - 2.0) * (2 + 0.5) / 3)
+    doc = fixtures.poisson_instance_doc()
+    doc["solver"]["mc"]["n_paths"] = 2000
+    solved, solve_ws = [], transport._solve_hjb_ws
+
+    def recording_solve(ws, cost, terminal):
+        solved.append(terminal.tobytes())
+        return solve_ws(ws, cost, terminal)
+
+    monkeypatch.setattr(transport, "_solve_hjb_ws", recording_solve)
+    report = run_transport(doc).report
+    ev = report.dual_evidence
+    # the opening point of the full-grid stage is one of the polish's
+    assert ev["polish"]["nfev"] + ev["full_grid"]["nfev"] - 1 > len(solved)
+    assert len(set(solved)) == len(solved)
+    assert len(report.ascent_history) == ev["warm_start_rows"] + len(solved)
+
+
 def test_polish_keeps_the_poisson_dual(poisson_ascent):
     rep = poisson_ascent.report
     assert rep.dual_value >= 3.9978617 - 1e-4  # what a derivative-free polish reached
