@@ -65,13 +65,7 @@ from .transport import (
     duality_report,
     solve_hjb,
 )
-from .triplets import (
-    box_independence_check,
-    family_condition_b,
-    family_condition_j,
-    martingale_residual,
-    small_jump_second_moment,
-)
+from .triplets import box_independence_check, family_checks
 
 OUTPUT_DIR_ENV = "LEVYSOT_OUT"
 
@@ -227,19 +221,18 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     fam = family_from_dict(fam_doc)
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
     resolution = int(doc.get("resolution", 9))
-    bound = family_condition_b(fam, resolution)
-    cond_j = family_condition_j(fam, deltas, resolution)
-    corners = fam.corners()
+    checks = family_checks(fam, deltas, resolution)
+    bound, cond_j = checks.condition_b, checks.condition_j
     residuals = [
         {"params": p, "residual": r}
-        for p, r in zip(corners.tolist(), martingale_residual(fam.stack(corners)).tolist())
+        for p, r in zip(fam.corners().tolist(), checks.corner_residuals.tolist())
     ]
     report = {
         "seed": seed,
         "condition_b": {
             "sup_estimate": bound.sup_estimate,
             "finite": bound.finite_flag,
-            "resolution": bound.resolution,
+            "resolution": resolution,
             "note": bound.note,
         },
         "condition_j": {
@@ -306,7 +299,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
         os.path.join(out, "small_jump_profile.csv"),
         ("delta", "n", "small_jump_mass"),
         deltas,
-        ([small_jump_second_moment(seq.stack.F, d) for d in deltas],),
+        (diffusion.moments,),
         inner=seq.n_schedule,
     )
     return EXIT_OK

@@ -108,6 +108,7 @@ class DiffusionReport:
     estimate: float
     verdict: str  # purely-discontinuous-limit | diffusion-created | inconclusive
     profile: Tuple[Tuple[float, float], ...]  # (delta, tail sup of T * mass)
+    moments: np.ndarray  # (delta, n): the small-jump second moment of each row
 
 
 def diffusion_creation_diagnostic(
@@ -117,8 +118,8 @@ def diffusion_creation_diagnostic(
 ) -> DiffusionReport:
     """Numerical surrogate for the small-jump double-limit criterion."""
     deltas = delta_schedule_floats(delta_schedule)
-    tails = [small_jump_second_moment(seq.stack.F, d)[-TAIL_LENGTH:] for d in deltas]
-    profile = [(d, float((horizon * tail).max())) for d, tail in zip(deltas, tails)]
+    moments = np.array([small_jump_second_moment(seq.stack.F, d) for d in deltas])
+    profile = [(d, float((horizon * row[-TAIL_LENGTH:]).max())) for d, row in zip(deltas, moments)]
     estimate = _extrapolate_delta_profile(profile)
     if estimate <= TOL_D:
         verdict = "purely-discontinuous-limit"
@@ -126,7 +127,7 @@ def diffusion_creation_diagnostic(
         verdict = "diffusion-created"
     else:
         verdict = "inconclusive"
-    return DiffusionReport(float(estimate), verdict, tuple(profile))
+    return DiffusionReport(float(estimate), verdict, tuple(profile), moments)
 
 
 def _extrapolate_delta_profile(profile) -> float:

@@ -8,9 +8,11 @@ Triplet documents:
 
 Family and sequence documents parametrize the same shape with expression
 strings over named variables (the family's parameters, or the index n).  One
-template compiler turns either into a map from a (P, n_vars) array of
-variable values to a TripletStack; atoms whose weight evaluates to 0 or less
-are dropped, so rate parameters may reach the lower edge of their box.
+template compiler turns every triplet document into a map from a (P, n_vars)
+array of variable values to a TripletStack; a plain triplet is a template
+with no variables, read at its one row.  In a family or sequence, atoms whose
+weight evaluates to 0 or less are dropped, so rate parameters may reach the
+lower edge of their box; in a plain triplet such a weight is an error.
 
 Instance documents:
 
@@ -47,34 +49,6 @@ def _require(doc: Mapping[str, Any], key: str, context: str):
 # triplets
 
 
-def _density_from_expr(source: str) -> Callable[[np.ndarray], np.ndarray]:
-    fn = compile_expr(source, ("x",))
-
-    def density(x):
-        return np.asarray(fn(x=np.asarray(x, float)), float)
-
-    density.source = source  # kept for round-trip serialization
-    return density
-
-
-def piece_from_dict(doc: Mapping[str, Any]) -> DensityPiece:
-    return DensityPiece(
-        lo=float(_require(doc, "lo", "piece")),
-        hi=float(_require(doc, "hi", "piece")),
-        density=_density_from_expr(str(_require(doc, "density", "piece"))),
-        nodes=int(doc.get("nodes", DEFAULT_QUAD_NODES)),
-    )
-
-
-def measure_from_dict(doc: Mapping[str, Any], dimension: int) -> LevyMeasure:
-    atoms = tuple(
-        (np.atleast_1d(np.asarray(a["x"], float)), float(a["w"]))
-        for a in doc.get("atoms", ())
-    )
-    pieces = tuple(piece_from_dict(p) for p in doc.get("pieces", ()))
-    return LevyMeasure(dimension=dimension, atoms=atoms, density_pieces=pieces)
-
-
 def measure_to_dict(F: LevyMeasure) -> dict:
     pieces = []
     for p in F.density_pieces:
@@ -88,13 +62,6 @@ def measure_to_dict(F: LevyMeasure) -> dict:
         "atoms": [{"x": list(map(float, loc)), "w": w} for loc, w in F.atoms],
         "pieces": pieces,
     }
-
-
-def triplet_from_dict(doc: Mapping[str, Any]) -> LevyTriplet:
-    b = np.atleast_1d(np.asarray(_require(doc, "b", "triplet"), float))
-    c = np.atleast_2d(np.asarray(_require(doc, "c", "triplet"), float))
-    F = measure_from_dict(doc.get("F", {}), dimension=b.size)
-    return LevyTriplet(b=b, c=c, F=F)
 
 
 def triplet_to_dict(t: LevyTriplet) -> dict:
@@ -111,7 +78,13 @@ def triplet_to_dict(t: LevyTriplet) -> dict:
 
 def _wrap_density(fn, names: Sequence[str], values: np.ndarray):
     params = dict(zip(names, values))
-    return lambda x: np.asarray(fn(x=np.asarray(x, float), **params), float)
+
+    def density(x):
+        return np.asarray(fn(x=np.asarray(x, float), **params), float)
+
+    if not names:
+        density.source = fn.source  # a plain triplet's piece round-trips
+    return density
 
 
 @dataclass(frozen=True)
@@ -194,7 +167,7 @@ class TripletTemplate:
 def compile_template(
     doc: Mapping[str, Any], variables: Sequence[str], context: str
 ) -> TripletTemplate:
-    """Compile a family or sequence document over the named variables."""
+    """Compile a triplet, family or sequence document over the named variables."""
     names = tuple(variables)
 
     def expr(e) -> Expression:
@@ -224,6 +197,21 @@ def compile_template(
     if pieces and d != 1:
         raise SchemaError(f"{context}: density pieces are supported only in dimension 1")
     return TripletTemplate(names, b, c, tuple(atoms), pieces)
+
+
+def triplet_from_dict(doc: Mapping[str, Any]) -> LevyTriplet:
+    """A plain triplet document: a template with no variables, at its one
+    row.  b and c may be given as scalars.  An atom weight must be positive,
+    where a family's template drops the atom instead."""
+    doc = {
+        **doc,
+        "b": np.atleast_1d(np.asarray(_require(doc, "b", "triplet"), dtype=object)).tolist(),
+        "c": np.atleast_2d(np.asarray(_require(doc, "c", "triplet"), dtype=object)).tolist(),
+    }
+    template = compile_template(doc, (), "triplet")
+    if not (evaluate_rows([w for _, w in template.atoms], {}, 1) > 0).all():
+        raise SchemaError("atom weights must be positive")
+    return template.triplet(())
 
 
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:

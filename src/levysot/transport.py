@@ -37,8 +37,7 @@ from .exprs import Expression, ExpressionError, compile_expr
 from .measures import truncate_scalar
 from .triplets import (
     ThetaFamily,
-    family_condition_b,
-    family_condition_j,
+    family_checks,
     jump_exponent,
 )
 from . import montecarlo as mc
@@ -223,16 +222,14 @@ class TransportInstance:
     cost: CostFunction
 
     def validate(self) -> None:
-        if self.fam.stack(self.fam.corners()[:1]).dimension != 1:
+        checks = family_checks(self.fam, FAMILY_CHECK_DELTAS, FAMILY_CHECK_RESOLUTION)
+        if checks.points.dimension != 1:
             raise ValueError("transport instances must be one-dimensional")
-        bound = family_condition_b(self.fam, FAMILY_CHECK_RESOLUTION)
-        if not bound.finite_flag:
+        if not checks.condition_b.finite_flag:
             raise ValueError("family violates the boundedness condition")
-        rep = family_condition_j(self.fam, FAMILY_CHECK_DELTAS, FAMILY_CHECK_RESOLUTION)
-        if rep.verdict != "holds":
-            raise ValueError(
-                f"family small-jump condition verdict {rep.verdict!r}; need 'holds'"
-            )
+        verdict = checks.condition_j.verdict
+        if verdict != "holds":
+            raise ValueError(f"family small-jump condition verdict {verdict!r}; need 'holds'")
 
 
 # ---------------------------------------------------------------------------
@@ -1161,8 +1158,6 @@ def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
 
 @dataclass(frozen=True)
 class MCValidation:
-    cost_estimate: float
-    ci: float
     terminal_ks: float
 
 
@@ -1173,8 +1168,9 @@ def evaluate_cost_mc(
     seed: int = 0,
 ) -> MCValidation:
     """Simulate the schedule for its terminal fit; the running cost of a
-    deterministic schedule is its exact ``schedule_cost``.  Paths start at
-    independent draws from mu0, or at mu0's point."""
+    deterministic schedule is its exact ``schedule_cost``, so only the
+    terminal law is validated.  Paths start at independent draws from mu0,
+    or at mu0's point."""
     if inst.cost.reads_state:
         raise StateDependentCostError(
             "schedule validation requires a state-independent cost"
@@ -1188,7 +1184,7 @@ def evaluate_cost_mc(
         x0, start = 0.0, inst.mu0.sample(np.random.default_rng(seed), n_paths)
     bundle = mc.simulate_paths(inst.fam.stack(schedule), x0, sim_cfg)
     ks = mc.marginal_ks(bundle.terminal + start, inst.mu1.cdf)
-    return MCValidation(schedule_cost(inst.cost, schedule), 0.0, ks)
+    return MCValidation(ks)
 
 
 @dataclass(frozen=True)

@@ -357,13 +357,12 @@ class FamilyBoundEstimate:
 
     sup_estimate: float
     finite_flag: bool
-    resolution: int
     note: str = "grid estimate including corners; lower bound on the true sup"
 
 
-def _family_points(fam: ThetaFamily, resolution: int) -> TripletStack:
-    """The members at the box corners and the grid points, as one stack;
-    when one fails, the error names its point."""
+def family_points(fam: ThetaFamily, resolution: int) -> TripletStack:
+    """The members at the box corners and then the grid points, as one
+    stack; when one fails, the error names its point."""
     pts = np.vstack([fam.corners(), fam.grid(resolution)])
     try:
         return fam.stack(pts)
@@ -376,17 +375,10 @@ def _family_points(fam: ThetaFamily, resolution: int) -> TripletStack:
         raise
 
 
-def family_condition_b(fam: ThetaFamily, resolution: int = 9) -> FamilyBoundEstimate:
-    """Estimate sup over the family of the boundedness functional."""
-    values = condition_b_value(_family_points(fam, resolution))
-    return FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all()), resolution)
-
-
 @dataclass(frozen=True)
 class ConditionJReport:
     profile: Tuple[Tuple[float, float], ...]  # (delta, sup estimate)
     verdict: str  # holds | fails | inconclusive
-    resolution: int
 
 
 def delta_schedule_floats(delta_schedule: Sequence[float]) -> list:
@@ -398,15 +390,11 @@ def delta_schedule_floats(delta_schedule: Sequence[float]) -> list:
     return deltas
 
 
-def family_condition_j(
-    fam: ThetaFamily,
-    delta_schedule: Sequence[float],
-    resolution: int = 9,
-) -> ConditionJReport:
-    """Probe the uniform vanishing of small-jump second moments over the family."""
+def family_condition_j(points: TripletStack, delta_schedule: Sequence[float]) -> ConditionJReport:
+    """Probe the uniform vanishing of small-jump second moments over the
+    family's members at the corners and grid points (``family_points``)."""
     deltas = delta_schedule_floats(delta_schedule)
-    F = _family_points(fam, resolution).F
-    sups = np.array([small_jump_second_moment(F, d).max() for d in deltas])
+    sups = np.array([small_jump_second_moment(points.F, d).max() for d in deltas])
     if np.min(sups) >= COND_J_FAIL_FACTOR * TOL_J:
         verdict = "fails"
     elif sups[-1] <= TOL_J and np.all(np.diff(sups) <= 1e-12):
@@ -415,7 +403,34 @@ def family_condition_j(
         verdict = "holds"
     else:
         verdict = "inconclusive"
-    return ConditionJReport(tuple(zip(deltas, sups.tolist())), verdict, resolution)
+    return ConditionJReport(tuple(zip(deltas, sups.tolist())), verdict)
+
+
+@dataclass(frozen=True)
+class FamilyChecks:
+    """A family's conditions B and J and its martingale residuals at the box
+    corners, read from one stack of its members."""
+
+    points: TripletStack  # the 2**n_params corners, then the grid points
+    condition_b: FamilyBoundEstimate
+    condition_j: ConditionJReport
+    corner_residuals: np.ndarray  # (2**n_params, d), in the order of corners()
+
+
+def family_checks(
+    fam: ThetaFamily, delta_schedule: Sequence[float], resolution: int
+) -> FamilyChecks:
+    """Price the family at its corners and grid points once, and read every
+    check from that stack; condition B is the grid sup of the boundedness
+    functional."""
+    points = family_points(fam, resolution)
+    values = condition_b_value(points)
+    return FamilyChecks(
+        points,
+        FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all())),
+        family_condition_j(points, delta_schedule),
+        martingale_residual(points)[: 2**fam.n_params],
+    )
 
 
 def box_independence_check(fam: ThetaFamily) -> bool:

@@ -45,7 +45,7 @@ from levysot.triplets import (
     LevyTriplet,
     ThetaFamily,
     condition_b_value,
-    family_condition_j,
+    family_checks,
     modified_triplet,
 )
 
@@ -80,7 +80,7 @@ def test_criterion_1_shrinking_jump_analytic():
         parameter_box=((1.0, 1e6),),
         triplet_map=lambda p: shrinking_jump_triplet(p[0]),
     )
-    cj = family_condition_j(fam, (0.5, 0.25, 0.1, 0.05, 0.02, 0.01))
+    cj = family_checks(fam, (0.5, 0.25, 0.1, 0.05, 0.02, 0.01), 9).condition_j
     profile_one = all(abs(s - 1.0) <= 1e-12 for _, s in cj.profile)
     u_exact = all(
         abs(modified_triplet(shrinking_jump_triplet(n)).c[0, 0] - 1.0) <= 1e-12

@@ -14,7 +14,7 @@ from levysot.measures import MeasureStack
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import sequence_from_dict, triplet_from_dict
 from levysot.transport import solve_hjb
-from levysot.triplets import small_jump_second_moment
+from levysot.triplets import ThetaFamily, small_jump_second_moment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -157,6 +157,37 @@ def test_conditions_build_no_row_of_a_stack(tmp_path, monkeypatch):
                "--out", str(tmp_path)) == 0
     assert read_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
     assert calls[0] == 0
+
+
+def test_check_theta_prices_its_family_once(tmp_path, monkeypatch):
+    # condition B, condition J and the corner residuals read one stack of the
+    # 4 corners and the 81 grid points
+    rows = []
+    stack = ThetaFamily.stack
+
+    def counting_stack(fam, params):
+        rows.append(len(params))
+        return stack(fam, params)
+
+    monkeypatch.setattr(ThetaFamily, "stack", counting_stack)
+    assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+               "--out", str(tmp_path)) == 0
+    assert rows == [85]
+
+
+def test_limit_analyze_forms_each_small_jump_moment_once(tmp_path, monkeypatch):
+    # the diagnostic and small_jump_profile.csv read one (delta, n) matrix
+    calls = [0]
+    integrate_ball = MeasureStack.integrate_ball
+
+    def counting_integrate_ball(stack, g, radius):
+        calls[0] += 1
+        return integrate_ball(stack, g, radius)
+
+    monkeypatch.setattr(MeasureStack, "integrate_ball", counting_integrate_ball)
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path)) == 0
+    assert calls[0] == len(limits.DEFAULT_DELTA_SCHEDULE)
 
 
 def test_simulate_on_a_sequence_needs_a_target(tmp_path, capsys):
@@ -389,6 +420,26 @@ def test_exit_code_validation_errors(tmp_path, capsys):
 
     assert run("check-theta", "--input", str(tmp_path / "missing.json"),
                "--out", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("atom, message", [
+    ({"x": [0.5], "w": 0}, "error: atom weights must be positive"),
+    ({"x": [0.5], "w": -1}, "error: atom weights must be positive"),
+    ({"x": [0.0], "w": 1}, "error: no atom at 0 allowed"),
+])
+def test_a_plain_triplet_keeps_the_checks_a_family_relaxes(tmp_path, capsys, atom, message):
+    # a family's template drops an atom of weight <= 0; a plain triplet's may not
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({"triplet": {"b": [0], "c": [[1]], "F": {"atoms": [atom]}},
+                               "config": {"n_paths": 10}}))
+    assert run("simulate", "--input", str(doc), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_a_plain_target_takes_scalar_shorthand(tmp_path):
+    assert run("simulate", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), "--set", 'target={"b":0,"c":1}',
+               "--set", "config.n_paths=10") == 0
 
 
 def test_exit_code_numerical_error(tmp_path):

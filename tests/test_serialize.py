@@ -20,7 +20,7 @@ from levysot.serialize import (
     triplet_from_dict,
     triplet_to_dict,
 )
-from levysot.measures import DensityPiece, LevyMeasure
+from levysot.measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure
 from levysot.transport import Marginal
 from levysot.triplets import LevyTriplet
 
@@ -78,6 +78,65 @@ def test_triplet_round_trip():
     back = triplet_to_dict(t)
     assert back["F"]["pieces"][0]["density"] == "1 / (x * x)"
     assert state_key(triplet_from_dict(back).F) == state_key(t.F)
+
+
+def _oracle_triplet(doc):
+    """The plain-triplet parser that the template compiler replaced: numbers
+    read by float(), each density compiled over x alone."""
+
+    def density(source):
+        fn = compile_expr(source, ("x",))
+
+        def f(x):
+            return np.asarray(fn(x=np.asarray(x, float)), float)
+
+        f.source = source
+        return f
+
+    b = np.atleast_1d(np.asarray(doc["b"], float))
+    c = np.atleast_2d(np.asarray(doc["c"], float))
+    F = doc.get("F", {})
+    atoms = tuple((np.atleast_1d(np.asarray(a["x"], float)), float(a["w"]))
+                  for a in F.get("atoms", ()))
+    pieces = tuple(DensityPiece(float(p["lo"]), float(p["hi"]), density(str(p["density"])),
+                                int(p.get("nodes", DEFAULT_QUAD_NODES)))
+                   for p in F.get("pieces", ()))
+    return LevyTriplet(b, c, LevyMeasure(b.size, atoms, pieces))
+
+
+def _simulate_triplet(w_near, w_far, density):
+    # the shape of the simulate benchmark's triplets
+    return {"b": [0.3], "c": [[0.5]],
+            "F": {"atoms": [{"x": [0.4], "w": w_near}, {"x": [-1.5], "w": w_far}],
+                  "pieces": [{"lo": 0.0001, "hi": 0.6, "density": density}]}}
+
+
+@pytest.mark.parametrize("doc", [
+    _simulate_triplet(2.0236432494005134, 0.9603709570607484, "1.432478838158901"),
+    _simulate_triplet(1.623662904020971, 0.5386611591780606, "3.4831077814613254"),
+    _simulate_triplet(1.8183982727383226, 0.6396749501384476, "1.082677339729205"),
+    {"b": [0], "c": [[1]]},
+    {"b": [0], "c": [[0]], "F": {"atoms": [{"x": [-1.5], "w": 0.6}]}},
+    {"b": [-0.0], "c": [[0.25]],
+     "F": {"atoms": [{"x": [0.7], "w": 1.5}, {"x": [-2.0], "w": 0.3}],
+           "pieces": [{"lo": 0.1, "hi": 1.0, "density": "exp(-x) / x", "nodes": 16}]}},
+])
+def test_plain_triplet_compiles_bit_for_bit_as_the_float_parser(doc):
+    t, ref = triplet_from_dict(doc), _oracle_triplet(doc)
+    assert t.b.tobytes() == ref.b.tobytes() and t.c.tobytes() == ref.c.tobytes()
+    for got, want in zip(t.F.stack.jump_profile(0), ref.F.stack.jump_profile(0)):
+        assert got.tobytes() == want.tobytes()
+    assert repr(triplet_to_dict(t)) == repr(triplet_to_dict(ref))
+
+
+def test_a_family_member_piece_does_not_serialize():
+    # a plain triplet's piece keeps its source (test_triplet_round_trip); a
+    # member's density is bound to its parameters and has none
+    piece = {"lo": 0.5, "hi": 1.0, "density": "s * exp(-x)"}
+    fam = family_from_dict({"box": [[1, 2]], "params": ["s"], "b": ["0"], "c": [["0"]],
+                            "F": {"pieces": [piece]}})
+    with pytest.raises(SchemaError, match="cannot serialize"):
+        measure_to_dict(fam.stack(np.array([[1.5]])).triplet(0).F)
 
 
 def test_measure_to_dict_requires_expression_density():

@@ -11,8 +11,9 @@ from levysot.triplets import (
     ThetaFamily,
     box_independence_check,
     condition_b_value,
-    family_condition_b,
+    family_checks,
     family_condition_j,
+    family_points,
     jump_exponent,
     levy_exponent,
     martingale_residual,
@@ -136,22 +137,22 @@ def test_family_shapes_and_validation():
 
 def test_family_condition_b_grid_estimate():
     fam = _pure_jump_family()
-    est = family_condition_b(fam, resolution=3)
+    est = family_checks(fam, (0.4, 0.2, 0.1), resolution=3).condition_b
     assert est.finite_flag
     # at the (1e6, 1e-4) corner: w * y^2 = 1e6 * 1e-8 = 0.01; sup at y = 1
     assert np.isclose(est.sup_estimate, 1e6)
 
 
 def test_family_condition_j_verdicts():
-    fails = family_condition_j(_pure_jump_family(), (0.4, 0.2, 0.1), resolution=3)
+    fails = family_condition_j(family_points(_pure_jump_family(), 3), (0.4, 0.2, 0.1))
     assert fails.verdict == "fails"
     diffusive = ThetaFamily(
         parameter_box=((0.0, 4.0),),
         triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
     )
-    assert family_condition_j(diffusive, (0.4, 0.2, 0.1)).verdict == "holds"
+    assert family_condition_j(family_points(diffusive, 9), (0.4, 0.2, 0.1)).verdict == "holds"
     with pytest.raises(ValueError):
-        family_condition_j(diffusive, (0.1, 0.2, 0.4))
+        family_condition_j(family_points(diffusive, 9), (0.1, 0.2, 0.4))
 
 
 def test_box_independence():
