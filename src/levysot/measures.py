@@ -10,7 +10,7 @@ the measure's one-row stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -114,8 +114,10 @@ class LevyMeasure:
     dimension: int
     atoms: Tuple[Tuple[np.ndarray, float], ...] = ()
     density_pieces: Tuple[DensityPiece, ...] = ()
+    # the measure's one-row stack, when it is a row of a stack built before
+    row: InitVar[Optional["MeasureStack"]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, row):
         norm_atoms = []
         for loc, w in self.atoms:
             loc = np.atleast_1d(np.asarray(loc, dtype=float))
@@ -131,7 +133,10 @@ class LevyMeasure:
         if self.density_pieces and self.dimension != 1:
             raise ValueError("density pieces are supported only in dimension 1")
         # the one-row stack checks ∫ |x|^2 ∧ 1 dF against the cap
-        self.stack
+        if row is None:
+            self.stack
+        else:
+            object.__setattr__(self, "stack", row)
 
     @staticmethod
     def zero(dimension: int = 1) -> "LevyMeasure":
@@ -177,8 +182,10 @@ class MeasureStack:
     pieces: Tuple[Tuple[DensityPiece, ...], ...] = ()
     # the atoms, then one group per piece slot
     _groups: Tuple["_Group", ...] = field(init=False, repr=False, compare=False)
+    # the piece groups, when another stack has formed their quadrature
+    quadrature: InitVar[Optional[Tuple["_Group", ...]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, quadrature):
         x = np.asarray(self.atom_x, dtype=float)
         w = np.asarray(self.atom_w, dtype=float)
         if x.ndim != 3 or x.shape[2] != self.dimension or w.shape != x.shape[:2]:
@@ -203,7 +210,8 @@ class MeasureStack:
             raise ValueError("pieces must list one tuple of density pieces per row")
         if any(pieces) and self.dimension != 1:
             raise ValueError("density pieces are supported only in dimension 1")
-        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))] + _piece_groups(pieces)
+        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))] + (
+            _piece_groups(pieces) if quadrature is None else list(quadrature))
         object.__setattr__(self, "atom_x", x)
         object.__setattr__(self, "atom_w", w)
         object.__setattr__(self, "pieces", pieces)
@@ -235,14 +243,24 @@ class MeasureStack:
         return MeasureStack(d, x, w, pieces)
 
     def measure(self, i: int) -> LevyMeasure:
-        """Row i as a LevyMeasure."""
+        """Row i as a LevyMeasure, whose one-row stack is ``row(i)``."""
+        row = self.row(i)
+        atoms = tuple((loc.copy(), float(wt)) for loc, wt in zip(row.atom_x[0], row.atom_w[0]))
+        return LevyMeasure(self.dimension, atoms, row.pieces[0] if row.pieces else (), row)
+
+    def row(self, i: int) -> "MeasureStack":
+        """Row i as the one-row stack ``pack`` builds from ``measure(i)``,
+        its pieces' quadrature copied from this stack's instead of formed
+        again."""
         keep = self.atom_w[i] > 0.0
-        atoms = tuple(
-            (loc.copy(), float(wt))
-            for loc, wt in zip(self.atom_x[i][keep], self.atom_w[i][keep])
-        )
         pieces = self.pieces[i] if self.pieces else ()
-        return LevyMeasure(self.dimension, atoms, pieces)
+        quadrature = []
+        for grp in self._groups[1:1 + len(pieces)]:
+            m = grp.w.shape[1] if grp.sizes is None else grp.sizes[i]
+            quadrature.append(_Group(*(a[i:i + 1, :m].copy() for a in (grp.x, grp.w)), None,
+                                     *(a[i:i + 1, :m].copy() for a in (grp.sq, grp.sq1))))
+        return MeasureStack(self.dimension, self.atom_x[i][keep][None], self.atom_w[i][keep][None],
+                            (pieces,) if pieces else (), quadrature)
 
     def jump_profile(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row i as discrete jumps: its atoms, then the quadrature nodes of

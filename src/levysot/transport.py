@@ -208,8 +208,9 @@ class CostFunction:
             env = {name: float(v) for name, v in zip(self.param_names, p)}
         else:
             env = {name: p[..., i] for i, name in enumerate(self.param_names)}
-        out = self.expr(t=t, x=x, **env)
-        return np.broadcast_to(np.asarray(out, float), x.shape).copy()
+        values = np.empty(x.shape)
+        values[...] = self.expr(t=t, x=x, **env)
+        return values
 
 
 @dataclass(frozen=True)
@@ -388,6 +389,8 @@ class ValueGrid:
     values: np.ndarray  # (n_t + 1, n_nodes)
     controls: np.ndarray  # (n_t, n_nodes, n_params)
     report_slice: Tuple[int, int]
+    # each step's implicit system, for the adjoint sweep; None if not kept
+    systems: Optional["_StepSystems"] = field(default=None, repr=False, compare=False)
 
     def initial(self) -> np.ndarray:
         return self.values[0]
@@ -401,7 +404,7 @@ def _lincomb(coefs, arrays):
     """
     out = coefs[0] * arrays[0]
     for c, a in zip(coefs[1:], arrays[1:]):
-        out = out + c * a
+        out += c * a
     return out
 
 
@@ -409,14 +412,16 @@ def _params(P: np.ndarray) -> List[np.ndarray]:
     return [P[..., i] for i in range(P.shape[-1])]
 
 
-def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system in place with LAPACK gtsv.
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray,
+          overwrite: bool = True) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK gtsv, in place on rhs and, if
+    ``overwrite``, on the diagonals too.
 
     Raises LinAlgError on a singular matrix and ValueError on a non-finite
     solution, the exception types of ``scipy.linalg.solve_banded``.
     """
-    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
+    flag = int(overwrite)
+    *_, x, info = dgtsv(dl, d, du, rhs, flag, flag, flag, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if not np.isfinite(x).all():
@@ -430,12 +435,32 @@ class _QuadraticCost:
 
     L(t_k, x_n, mid + d) = L(t_k, x_n, mid) + g[k, n] . d + d . hess[k, n] . d / 2
     where ``ok[k, n]``; elsewhere the fit missed the cost at a check point.
+
+    The parts of the argmin along coordinate i at step k that H's stencil
+    terms do not change are formed once with the fit: half the curvature
+    a[i, k], where it is ``convex`` (a > 0; ``all_convex[i, k]`` when at
+    every node), the vertex's rate = -1 / (2a) there and 0 elsewhere, and
+    the nodes ``bad[k]`` whose check failed.
     """
 
     mid: np.ndarray  # (n_params,)
     g: np.ndarray  # (n_t, n, n_params)
     hess: np.ndarray  # (n_t, n, n_params, n_params)
     ok: np.ndarray  # (n_t, n)
+    a: np.ndarray = field(init=False)  # (n_params, n_t, n)
+    convex: np.ndarray = field(init=False)  # (n_params, n_t, n)
+    all_convex: np.ndarray = field(init=False)  # (n_params, n_t)
+    rate: np.ndarray = field(init=False)  # (n_params, n_t, n)
+    bad: Tuple[np.ndarray, ...] = field(init=False)  # per step
+
+    def __post_init__(self):
+        a = 0.5 * np.moveaxis(np.diagonal(self.hess, axis1=2, axis2=3), -1, 0)
+        convex = a > 0
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "convex", convex)
+        object.__setattr__(self, "all_convex", convex.all(axis=-1))
+        object.__setattr__(self, "rate", np.divide(-0.5, a, out=np.zeros_like(a), where=convex))
+        object.__setattr__(self, "bad", tuple(np.flatnonzero(~row) for row in self.ok))
 
 
 def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
@@ -500,9 +525,10 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
 
 def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float) -> np.ndarray:
     """argmin over [lo, hi] of a (s - mid)^2 + m (s - mid), mid the midpoint,
-    given rate = -1 / (2a) where a > 0 (``convex``): the clipped vertex
-    there, else the lower end, lo on ties.  Works in place on m."""
-    ends = None if convex.all() else np.where(m >= 0, lo, hi)
+    given rate = -1 / (2a) where a > 0 (``convex``, None where a > 0 at
+    every node): the clipped vertex there, else the lower end, lo on ties.
+    Works in place on m."""
+    ends = None if convex is None else np.where(m >= 0, lo, hi)
     s = np.multiply(m, rate, out=m)
     s += mid
     np.clip(s, lo, hi, out=s)
@@ -533,7 +559,9 @@ class _HJBWorkspace:
     model fails its check take golden section on the exact cost, node by
     node.  The model depends on (step, node) only and every array carries
     the stack as leading axes, so a batched solve equals B single solves bit
-    for bit.
+    for bit.  A family with no diffusion at any control (c0 = 0 and no
+    diffusion coefficient) has zero diffusion terms in H and in the
+    implicit systems, and they are not formed.
     """
 
     def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig):
@@ -560,7 +588,9 @@ class _HJBWorkspace:
             pos = np.arange(self.n) + y / self.h
             i = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
             f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
-            self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel()))
+            # the transpose scatters (g, f) * q to the interleaved (i, i + 1)
+            self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel(),
+                              np.column_stack([1.0 - f, f])))
         self.trunc = truncate_scalar(self.aff.locations)
         # the jump compensator -sum_j w_j h(y_j) v_x is an ordinary drift;
         # folding it into the implicit upwinded drift keeps the explicit jump
@@ -571,28 +601,42 @@ class _HJBWorkspace:
         # the auto stencil is the central one
         drift_free = self.drift0 == 0.0 and not self.drift_lin.any()
         self.central = grid_cfg.drift_stencil == "central" or drift_free
+        self.diffusive = self.aff.c0 != 0.0 or bool(self.aff.c_lin.any())
         self._model: Optional[Tuple[CostFunction, _QuadraticCost]] = None
+        self._grid_rows: dict = {}  # stack shape -> the grid repeated over it, flat
 
     # -- characteristics at controls P of shape (..., n_params) -----------
 
     def effective_drift(self, P: np.ndarray) -> np.ndarray:
-        return self.drift0 + _lincomb(self.drift_lin, _params(P))
+        b = _lincomb(self.drift_lin, _params(P))
+        b += self.drift0
+        return b
 
     def diffusion(self, P: np.ndarray) -> np.ndarray:
-        return self.aff.c0 + _lincomb(self.aff.c_lin, _params(P))
+        c = _lincomb(self.aff.c_lin, _params(P))
+        c += self.aff.c0
+        return c
 
     def jump_weights(self, P: np.ndarray) -> List[np.ndarray]:
         """Clipped jump weight per location."""
         ps = _params(P)
-        return [np.maximum(w0 + _lincomb(wl, ps), 0.0)
-                for w0, wl in zip(self.aff.w0, self.aff.w_lin)]
+        weights = [_lincomb(wl, ps) for wl in self.aff.w_lin]
+        for w, w0 in zip(weights, self.aff.w0):
+            w += w0
+            np.maximum(w, 0.0, out=w)
+        return weights
 
     def cost(self, L: CostFunction, t: float, P: np.ndarray, cols=None) -> np.ndarray:
         """L(t, x, P) for a stack of controls over the grid nodes (or the
         nodes ``cols``, P's second-to-last axis), in one call."""
-        x = self.x_grid if cols is None else self.x_grid[cols]
-        x = np.broadcast_to(x, P.shape[:-1]).ravel()
-        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
+        shape = P.shape[:-1]
+        if cols is not None:
+            x = np.broadcast_to(self.x_grid[cols], shape).ravel()
+        elif shape in self._grid_rows:
+            x = self._grid_rows[shape]
+        else:
+            x = self._grid_rows[shape] = np.broadcast_to(self.x_grid, shape).ravel()
+        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(shape)
 
     def cost_model(self, L: CostFunction) -> _QuadraticCost:
         """The quadratic model of L on this grid, fitted on first use."""
@@ -604,7 +648,16 @@ class _HJBWorkspace:
 
     def jump_parts(self, V: np.ndarray) -> List[np.ndarray]:
         """S_j v - v per jump location, for a (B, n) stack."""
-        return [g * V[:, i] + f * V[:, i1] - V for i, i1, g, f, _ in self.taps]
+        parts = []
+        for i, i1, g, f, *_ in self.taps:
+            part = V[:, i]
+            part *= g
+            shifted = V[:, i1]
+            shifted *= f
+            part += shifted
+            part -= V
+            parts.append(part)
+        return parts
 
     def jump_apply_transpose(self, W: List[np.ndarray], q: np.ndarray) -> np.ndarray:
         """J^T q for the forward (adjoint) sweep of one value vector.
@@ -614,26 +667,27 @@ class _HJBWorkspace:
         gradient does not depend on how J^T is stored.
         """
         out = np.zeros(self.n)
-        for (_, _, g, f, index), w in zip(self.taps, W):
+        for (*_, index, gf), w in zip(self.taps, W):
             wq = w * q
-            out += np.bincount(
-                index, weights=np.column_stack([g * wq, f * wq]).ravel(), minlength=self.n
-            ) - wq
+            out += np.bincount(index, weights=(gf * wq[:, None]).ravel(), minlength=self.n) - wq
         return out
 
     # -- per-step Hamiltonian minimization -------------------------------
 
     def _stencils(self, V: np.ndarray, parts: List[np.ndarray]):
-        """Difference quotients and jump terms of H for a (B, n) stack."""
+        """Difference quotients and jump terms of H for a (B, n) stack; no
+        second difference for a family with no diffusion."""
         h = self.h
         dc = np.empty_like(V)
-        dc[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (2.0 * h)
+        np.subtract(V[:, 2:], V[:, :-2], out=dc[:, 1:-1])
+        dc[:, 1:-1] /= 2.0 * h
         dc[:, 0] = (V[:, 1] - V[:, 0]) / h
         dc[:, -1] = (V[:, -1] - V[:, -2]) / h
-        # linear-extrapolation ghosts: zero curvature at the padded edges
-        d2v = np.zeros_like(V)
-        d2v[:, 1:-1] = (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / self.h2
-        dp = dm = None
+        d2v = dp = dm = None
+        if self.diffusive:
+            # linear-extrapolation ghosts: zero curvature at the padded edges
+            d2v = np.zeros_like(V)
+            d2v[:, 1:-1] = (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / self.h2
         if not self.central:
             diff = (V[:, 1:] - V[:, :-1]) / h
             dp = np.empty_like(V)
@@ -676,13 +730,14 @@ class _HJBWorkspace:
         its temporaries are freed before the cost call."""
         dp, dm, dc, d2v, j0, jlin = terms
         b = self.effective_drift(Q)
-        c = self.diffusion(Q)
+        c = 0.0 if d2v is None else self.diffusion(Q)
         if self.central:
             H = b * dc
         else:
             upwind = np.maximum(b, 0.0) * dp + np.minimum(b, 0.0) * dm
             H = np.where(c >= np.abs(b) * self.h, b * dc, upwind)
-        H += 0.5 * c * d2v
+        if d2v is not None:
+            H += 0.5 * c * d2v
         if j0 is not None:
             H += j0 + _lincomb(jlin, _params(Q))
         return H
@@ -691,7 +746,7 @@ class _HJBWorkspace:
         """Per-node minimizing parameters of the discrete Hamiltonian at step k."""
         aff = self.aff
         P = np.empty(shape + (aff.n_params,))
-        P[...] = 0.5 * (aff.lows + aff.highs)
+        P[...] = self.cost_model(L).mid
         sweeps = 1 if aff.n_params == 1 else 2
         for _ in range(sweeps):
             for i in range(aff.n_params):
@@ -715,21 +770,22 @@ class _HJBWorkspace:
         model = self.cost_model(L)
         dp, dm, dc, d2v, _, jlin = terms
         mid = model.mid[i]
-        a = 0.5 * model.hess[k, :, i, i]
-        convex = a > 0
-        rate = np.divide(-0.5, a, out=np.zeros_like(a), where=convex)
+        a, rate = model.a[i, k], model.rate[i, k]
+        convex = None if model.all_convex[i, k] else model.convex[i, k]
         cost_slope = model.g[k, :, i]
         for j in range(P.shape[-1]):
             if j != i:
                 cost_slope = cost_slope + model.hess[k, :, i, j] * (P[..., j] - model.mid[j])
         # H's slope at mid apart from the drift term, whose difference
         # quotient depends on the stencil branch
-        slope = 0.5 * self.aff.c_lin[i] * d2v + cost_slope
+        slope = cost_slope if d2v is None else 0.5 * self.aff.c_lin[i] * d2v + cost_slope
         if jlin is not None:
-            slope += jlin[i]
+            slope = slope + jlin[i]
         dl = self.drift_lin[i]
         if self.central:
-            s = _vertex_or_end(slope + dl * dc, rate, convex, mid, lo, hi)
+            m = dl * dc
+            m += slope
+            s = _vertex_or_end(m, rate, convex, mid, lo, hi)
         else:
             vertices = [_vertex_or_end(slope + dl * d, rate, convex, mid, lo, hi)
                         for d in (dc, dp, dm)]
@@ -739,7 +795,7 @@ class _HJBWorkspace:
             H = self._stencil_terms(self._with_coordinate(P, i, S), terms)
             H += (a * u + cost_slope) * u
             s = _lowest(S, H)
-        bad = np.flatnonzero(~model.ok[k])
+        bad = model.bad[k]
         if bad.size:
             s[:, bad] = self._piecewise_golden(
                 k, L, P[:, bad], i, lo, hi, _restrict(terms, bad), bad)
@@ -802,68 +858,123 @@ class _HJBWorkspace:
 
     # -- frozen-control implicit step ------------------------------------
 
-    def tridiagonal(self, b: np.ndarray, c: np.ndarray):
+    def tridiagonal(self, b: np.ndarray, c: Optional[np.ndarray], out=None):
         """(dl, d, du) of I - dt * (implicit drift + implicit diffusion).
 
-        b and c are (B, n) stacks; the B systems are laid end to end as one
-        system of size B * n whose couplings across block boundaries are
-        zero, so gtsv eliminates each block exactly as it would alone.
+        b and c are (B, n) stacks; c is None for a family with no
+        diffusion, whose c / h^2 terms are zero and not formed.  The B
+        systems are laid end to end as one system of size B * n whose
+        couplings across block boundaries are zero, so gtsv eliminates each
+        block exactly as it would alone.  The rows are written into the
+        three flat buffers of size B * n in ``out`` when given; dl and du
+        are their first B * n - 1 entries.
         """
         h, h2, dt = self.h, self.h2, self.dt
-        half = 0.5 * dt * c / h2
+        dl, d, du = (np.empty(b.size) for _ in range(3)) if out is None else out
+        lower, diag, upper = (buf.reshape(b.shape) for buf in (dl, d, du))
+        # the central drift term of a row: +-0.5 dt b / h on its neighbours
+        drift = 0.5 * dt * b
+        drift /= h
         if self.central:
-            diag = 1.0 + dt * c / h2
-            row_upper = -0.5 * dt * b / h - half
-            row_lower = 0.5 * dt * b / h - half
+            np.negative(drift[:, :-1], out=upper[:, :-1])
+            lower[:, :-1] = drift[:, 1:]
+            if c is None:
+                diag.fill(1.0)
+            else:
+                half = 0.5 * dt * c / h2
+                upper[:, :-1] -= half[:, :-1]
+                lower[:, :-1] -= half[:, 1:]
+                np.add(1.0, dt * c / h2, out=diag)
         else:
             up = np.maximum(b, 0.0)
             dn = np.minimum(b, 0.0)
-            central = c >= np.abs(b) * h
-            diag = np.where(central, 1.0 + dt * c / h2, 1.0 + dt * (up - dn) / h + dt * c / h2)
-            row_upper = np.where(central, -0.5 * dt * b / h - half, -dt * up / h - half)
-            row_lower = np.where(central, 0.5 * dt * b / h - half, dt * dn / h - half)
-        du = np.empty_like(b)
-        dl = np.empty_like(b)
-        du[:, :-1] = row_upper[:, :-1]
-        dl[:, :-1] = row_lower[:, 1:]
-        du[:, -1] = dl[:, -1] = 0.0
+            central = (0.0 if c is None else c) >= np.abs(b) * h
+            row_upper = np.where(central, -drift, -dt * up / h)
+            row_lower = np.where(central, drift, dt * dn / h)
+            if c is None:
+                diag[...] = np.where(central, 1.0, 1.0 + dt * (up - dn) / h)
+            else:
+                diffusion = dt * c / h2
+                diag[...] = np.where(central, 1.0 + diffusion,
+                                     1.0 + dt * (up - dn) / h + diffusion)
+                half = 0.5 * dt * c / h2
+                row_upper -= half
+                row_lower -= half
+            upper[:, :-1] = row_upper[:, :-1]
+            lower[:, :-1] = row_lower[:, 1:]
+        upper[:, -1] = lower[:, -1] = 0.0
         # edge rows sit in the padded region: one-sided drift, zero curvature
-        diag[:, 0] = 1.0 + dt * b[:, 0] / h
-        du[:, 0] = -dt * b[:, 0] / h
-        diag[:, -1] = 1.0 - dt * b[:, -1] / h
-        dl[:, -2] = dt * b[:, -1] / h
-        return dl.ravel()[:-1], diag.ravel(), du.ravel()[:-1]
+        edge = dt * b[:, ::b.shape[1] - 1] / h  # columns 0 and n - 1
+        diag[:, 0] = 1.0 + edge[:, 0]
+        upper[:, 0] = -edge[:, 0]
+        diag[:, -1] = 1.0 - edge[:, 1]
+        lower[:, -2] = edge[:, 1]
+        return dl[:-1], d, du[:-1]
 
-    def backward_step(self, k: int, V: np.ndarray, L: CostFunction):
+    def backward_step(self, k: int, V: np.ndarray, L: CostFunction,
+                      kept: Optional["_StepSystems"] = None):
         """Values at t_k from values V at t_{k+1}, for a (B, n) stack.
 
-        Returns the controls (B, n, n_params) and the values (B, n).
+        Returns the controls (B, n, n_params) and the values (B, n).  With
+        ``kept``, for one value vector, step k's implicit system and clipped
+        jump weights are kept in it and gtsv solves a copy of the system.
         """
         parts = self.jump_parts(V)
         P = self.optimize_controls(k, L, self._stencils(V, parts), V.shape)
-        source = self.cost(L, self.t_grid[k], P)
+        rhs = self.cost(L, self.t_grid[k], P)  # the source term, then V + dt * source
+        weights = self.jump_weights(P)
         if parts:
-            source = _lincomb(self.jump_weights(P), parts) + source
-        rhs = V + self.dt * source
-        dl, d, du = self.tridiagonal(self.effective_drift(P), np.maximum(self.diffusion(P), 0.0))
-        return P, _gtsv(dl, d, du, rhs.ravel()).reshape(V.shape)
+            rhs += _lincomb(weights, parts)
+        rhs *= self.dt
+        rhs += V
+        c = np.maximum(self.diffusion(P), 0.0) if self.diffusive else None
+        if kept is None:
+            system = self.tridiagonal(self.effective_drift(P), c)
+        else:
+            system = self.tridiagonal(self.effective_drift(P), c, kept.rows(k))
+            kept.weights[k] = [w[0] for w in weights]
+        return P, _gtsv(*system, rhs.ravel(), overwrite=kept is None).reshape(V.shape)
 
 
-def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray) -> ValueGrid:
+@dataclass(frozen=True)
+class _StepSystems:
+    """What a backward sweep of one value vector built at each step, kept
+    for its adjoint sweep: the implicit system's rows (dl, d, du; the last
+    entry of dl and du is the zero coupling past the block) and the clipped
+    jump weights, one (n,) array per jump location."""
+
+    dl: np.ndarray  # (n_t, n)
+    d: np.ndarray  # (n_t, n)
+    du: np.ndarray  # (n_t, n)
+    weights: list  # per step
+
+    @staticmethod
+    def empty(ws: _HJBWorkspace) -> "_StepSystems":
+        return _StepSystems(*np.empty((3, ws.n_t, ws.n)), [None] * ws.n_t)
+
+    def rows(self, k: int):
+        return self.dl[k], self.d[k], self.du[k]
+
+
+def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray,
+                  keep_systems: bool = True) -> ValueGrid:
+    """One backward sweep of one terminal potential, keeping each step's
+    system for ``_forward_ws`` unless not ``keep_systems``."""
     values = np.empty((ws.n_t + 1, ws.n))
     controls = np.empty((ws.n_t, ws.n, ws.aff.n_params))
+    kept = _StepSystems.empty(ws) if keep_systems else None
     values[-1] = terminal
     V = values[-1:]
     for k in range(ws.n_t - 1, -1, -1):
-        P, V = ws.backward_step(k, V, cost)
+        P, V = ws.backward_step(k, V, cost, kept)
         controls[k] = P[0]
         values[k] = V[0]
-    return ValueGrid(ws.x_grid, ws.t_grid, values, controls, ws.report)
+    return ValueGrid(ws.x_grid, ws.t_grid, values, controls, ws.report, kept)
 
 
 def _initial_values(ws: _HJBWorkspace, cost: CostFunction, terminals: np.ndarray) -> np.ndarray:
     """v(0, .) for a (B, n) stack of terminal potentials in one backward
-    sweep that keeps only the current step."""
+    sweep that keeps only the current step, and no step's system."""
     V = terminals
     for k in range(ws.n_t - 1, -1, -1):
         _, V = ws.backward_step(k, V, cost)
@@ -893,19 +1004,23 @@ def solve_hjb(
     from each grid point, plus the per-node optimal parameters.
     """
     ws = _HJBWorkspace(inst.fam, grid_cfg)
-    return _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lambda1))
+    return _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lambda1), keep_systems=False)
 
 
-def _forward_ws(ws: _HJBWorkspace, controls: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """Adjoint of the backward step maps applied to q0: the terminal grid law
-    of the controlled process under the frozen controls."""
-    q = q0
+def _forward_ws(ws: _HJBWorkspace, systems: _StepSystems, q0: np.ndarray) -> np.ndarray:
+    """Adjoint of one backward sweep applied to q0: the terminal grid law
+    of the process under the controls that sweep chose.
+
+    Each step solves the transpose of the implicit system the backward
+    step kept, then applies its explicit jump part's transpose with the
+    weights that step clipped; nothing is formed again.  gtsv solves in
+    place, so the kept systems are spent.
+    """
+    q = q0.copy()
     for k in range(ws.n_t):
-        P = controls[k]
-        dl, d, du = ws.tridiagonal(ws.effective_drift(P)[None],
-                                   np.maximum(ws.diffusion(P), 0.0)[None])
-        r = _gtsv(du, d, dl, q.copy())  # the transposed system
-        q = r + ws.dt * ws.jump_apply_transpose(ws.jump_weights(P), r)
+        dl, d, du = systems.rows(k)
+        r = _gtsv(du[:-1], d, dl[:-1], q)  # the transposed system
+        q = r + ws.dt * ws.jump_apply_transpose(systems.weights[k], r)
     return q
 
 
@@ -926,6 +1041,17 @@ class DualAscentConfig:
     # optima (quadratics in particular) pass through up to an additive
     # constant, which the dual value ignores.  0 disables smoothing.
     smoothing: float = 0.0
+
+    def __post_init__(self):
+        if not self.bound > 0:
+            raise ValueError(f"bound = {self.bound!r} must be positive")
+        if not self.smoothing >= 0:
+            raise ValueError(f"smoothing = {self.smoothing!r} must be nonnegative")
+        if not self.gtol >= 0:
+            raise ValueError(f"gtol = {self.gtol!r} must be nonnegative")
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 0):
+            raise ValueError(
+                f"max_iterations = {self.max_iterations!r} must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -958,7 +1084,10 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
        law minus the target.
 
     Stages 2 and 3 solve a potential once: met again, as stage 3's opening
-    point is, it returns the value and gradient computed before.
+    point is, it returns the value and gradient computed before.  Its value
+    comes from one backward sweep that keeps each step's implicit system
+    and jump weights, and its gradient from one adjoint sweep that solves
+    those systems transposed; stage 1 keeps no systems.
 
     That direction is the adjoint under the frozen optimal controls, not
     the exact gradient of the discrete dual, so the polish's last iterate
@@ -996,7 +1125,7 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
             lam = potential(z)
             vg = _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lam))
             value = float(mu0_w @ vg.initial() - mu1_w @ lam)
-            grad = _forward_ws(ws, vg.controls, mu0_w) - mu1_w
+            grad = _forward_ws(ws, vg.systems, mu0_w) - mu1_w
             if kernel is not None:
                 grad = kernel @ grad  # the mollifier is symmetric
             history.append(value)

@@ -629,3 +629,15 @@ def test_degenerate_hjb_grid_is_a_validation_error(tmp_path, capsys, override):
     err = capsys.readouterr().err
     # one error line that names the offending grid field
     assert err.startswith("error: ") and override.split("=")[0].split(".")[-1] in err
+
+
+@pytest.mark.parametrize("override", [
+    "solver.dual.bound=0", "solver.dual.bound=-1", "solver.dual.smoothing=-0.3",
+    "solver.dual.gtol=-1", "solver.dual.max_iterations=-5", "solver.dual.max_iterations=2.5",
+])
+def test_bad_dual_ascent_setting_is_a_validation_error(tmp_path, capsys, override):
+    assert run("solve-transport", "--input", fixture("trivial_instance.json"),
+               "--out", str(tmp_path), "--set", override) == 1
+    err = capsys.readouterr().err
+    # one error line that names the offending ascent setting
+    assert err.startswith("error: ") and override.split("=")[0].split(".")[-1] in err

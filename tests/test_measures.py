@@ -5,6 +5,7 @@ from measure_keys import state_key
 from levysot.measures import (
     DensityPiece,
     LevyMeasure,
+    MeasureStack,
     QuadratureError,
     TruncationRule,
     gauss_legendre_nodes,
@@ -93,3 +94,29 @@ def test_state_key_distinguishes_measures():
     H = LevyMeasure.from_atoms((0.5, 2.5))
     assert state_key(F) == state_key(G)
     assert state_key(F) != state_key(H)
+
+
+def test_a_stack_row_reuses_the_stack_quadrature(monkeypatch):
+    # each row measure's one-row stack equals the stack packed from it, bit
+    # for bit, and costs no density evaluation
+    pieces = (DensityPiece(0.1, 0.6, lambda x: 2.0 + x), DensityPiece(-2.0, -0.5, np.exp, nodes=16))
+    rows = [LevyMeasure.from_atoms((0.4, 2.0), (-1.5, 0.5)),
+            LevyMeasure(1, ((np.array([0.3]), 1.0),), pieces),
+            LevyMeasure(1, (), pieces[1:])]
+    stack = MeasureStack.pack(rows)
+    calls = []
+    quad = DensityPiece.quad
+
+    def counting_quad(piece, *args):
+        calls.append(piece)
+        return quad(piece, *args)
+
+    monkeypatch.setattr(DensityPiece, "quad", counting_quad)
+    measures = [stack.measure(i) for i in range(len(stack))]
+    assert calls == []
+    for m in measures:
+        packed = MeasureStack.pack([m])
+        assert len(m.stack._groups) == len(packed._groups)
+        for got, want in zip(m.stack._groups, packed._groups):
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())

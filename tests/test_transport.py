@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import minimize
 
+from hjb_oracle import Oracle
 from integrals import marginal_integrate
 from levysot import cli, fixtures, transport
 from levysot.cli import run_transport
@@ -20,6 +21,7 @@ from levysot.transport import (
     Marginal,
     StateDependentCostError,
     TransportInstance,
+    _forward_ws,
     _gtsv,
     _HJBWorkspace,
     _initial_values,
@@ -515,6 +517,87 @@ def test_control_step_beats_a_dense_scan(case):
             assert np.all(h_at <= h_min + 1e-9 * (1.0 + np.abs(h_at))), (k, i)
             P[..., i] = s
         _, V = ws.backward_step(k, V, cost)
+
+
+KERNEL_CASES = {
+    # central by configuration, no diffusion: no second difference and no
+    # c / h^2 terms
+    "poisson-central": ORACLE_CASES["poisson-fixture"],
+    # the same family under auto: the upwind branch of a system with no
+    # diffusion
+    "poisson-auto": lambda: ORACLE_CASES["poisson-fixture"]()[:2] + (HJBGridConfig(n_x=60, n_t=20),),
+    # diffusion control, central because the family has no drift
+    "gaussian-diffusive": ORACLE_CASES["gaussian-fixture"],
+    # drift and diffusion controlled under auto, with a jump and a quadratic cost
+    "two-param-auto": lambda: (
+        _two_param_family(), cost_from_expr("p0 * p0 + p1 * p1 + p0 * p1", ("p0", "p1")),
+        HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10),
+    ),
+    # golden-section fallback cells beside closed-form ones
+    "two-param-golden": ORACLE_CASES["two-param-abs-left"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_the_rebuilding_oracle_bitwise(case):
+    # the adjoint sweep over the kept systems equals the sweep that formed
+    # every system again from the controls, and the backward sweep equals
+    # the one that formed every term at every step
+    fam, cost, cfg = KERNEL_CASES[case]()
+    ws = _HJBWorkspace(fam, cfg)
+    oracle = Oracle(ws)
+    assert ws.diffusive == case.startswith(("gaussian", "two-param"))
+    x = ws.x_grid
+    q0 = Marginal.gaussian(0.3, 0.5).grid_weights(x)
+    for terminal in (0.5 * x**2, np.cos(3.0 * x), np.clip(x, -1.0, 2.0)):
+        vg = _solve_hjb_ws(ws, cost, terminal)
+        expected = oracle.solve(cost, terminal)
+        assert vg.initial().tobytes() == expected.initial().tobytes()
+        for k in range(ws.n_t):
+            assert vg.controls[k].tobytes() == expected.controls[k].tobytes(), k
+        law = _forward_ws(ws, vg.systems, q0)
+        assert law.tobytes() == oracle.forward(expected.controls, q0).tobytes()
+
+
+def test_dual_ascent_matches_the_rebuilding_oracle(monkeypatch):
+    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    dual = fixtures.poisson_instance_doc()["solver"]["dual"]
+    cfg = DualAscentConfig(
+        grid=HJBGridConfig(n_x=dual["n_x"], n_t=dual["n_t"], drift_stencil=dual["drift_stencil"]),
+        bound=dual["bound"], smoothing=dual["smoothing"])
+    res = dual_ascent(inst, cfg)
+    monkeypatch.setattr(transport, "_solve_hjb_ws", lambda ws, cost, terminal: Oracle(ws).solve(cost, terminal))
+    monkeypatch.setattr(transport, "_forward_ws", lambda ws, controls, q0: Oracle(ws).forward(controls, q0))
+    monkeypatch.setattr(transport, "_initial_values",
+                        lambda ws, cost, terminals: Oracle(ws).initial_values(cost, terminals))
+    expected = dual_ascent(inst, cfg)
+    assert res.history == expected.history
+    assert res.lambda1.tobytes() == expected.lambda1.tobytes()
+
+
+def test_only_single_solves_keep_their_systems(monkeypatch):
+    # the batched warm start keeps nothing per step; a single solve keeps
+    # one system per step, which the value-surface solve does not
+    fam, cost, cfg = KERNEL_CASES["poisson-central"]()
+    ws = _HJBWorkspace(fam, cfg)
+    kept = []
+    step = ws.backward_step
+
+    def spy(k, V, L, systems=None):
+        kept.append(systems)
+        return step(k, V, L, systems)
+
+    monkeypatch.setattr(ws, "backward_step", spy)
+    x = ws.x_grid
+    _initial_values(ws, cost, np.stack([0.5 * x**2, np.cos(3.0 * x)]))
+    assert kept == [None] * ws.n_t
+    kept.clear()
+    vg = _solve_hjb_ws(ws, cost, 0.5 * x**2)
+    assert len(kept) == ws.n_t and all(systems is vg.systems for systems in kept)
+    assert vg.systems.d.shape == (ws.n_t, ws.n)
+    kept.clear()
+    assert _solve_hjb_ws(ws, cost, 0.5 * x**2, keep_systems=False).systems is None
+    assert kept == [None] * ws.n_t
 
 
 # ---------------------------------------------------------------------------
