@@ -1,6 +1,8 @@
 """Command-line interface: config ingestion, orchestration, report emission.
 
-Subcommands: check-theta, limit-analyze, simulate, solve-transport, reproduce.
+Subcommands: check-theta, limit-analyze, simulate, solve-transport, and
+reproduce, which runs each flagship document through the handler of its own
+command into ``out/<fixture-name>/`` and checks the report that command wrote.
 All structured output is JSON; tabular output is CSV.  Files are written
 atomically (write to a temporary sibling, then rename) and echo the seed used,
 so reruns with identical inputs are byte-identical.
@@ -18,7 +20,9 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
+from typing import (
+    Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO,
+)
 
 import numpy as np
 
@@ -249,8 +253,8 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
 def _u_grid_from_doc(doc: Any) -> np.ndarray:
     if doc is None:
         return default_u_grid()
-    if isinstance(doc, Mapping):
-        return default_u_grid(float(doc.get("extent", 2.0)), int(doc.get("count", 42)))
+    if not isinstance(doc, list):
+        raise ValidationError("u_grid must be a list of frequencies")
     return np.asarray(doc, dtype=float)
 
 
@@ -429,88 +433,73 @@ def cmd_solve_transport(doc: dict, out: str, seed: Optional[int]) -> int:
     return EXIT_OK
 
 
-def _transport_row(name: str, passed: bool, report: DualityReport) -> dict:
-    return {
-        "fixture": name,
-        "passed": passed,
-        "detail": f"primal {report.primal_value:.4f}, "
-        f"dual {report.dual_value:.4f}, gap {report.gap:.4f}",
-    }
+def _membership(r: dict) -> str:
+    return r["closedness"]["limit_in_set"]
+
+
+def _transport_detail(r: dict) -> str:
+    return f"primal {r['primal_value']:.4f}, dual {r['dual_value']:.4f}, gap {r['gap']:.4f}"
+
+
+# each flagship row: its name, the command that reads its document, the
+# document, the report file that command writes, and the pass criteria and
+# detail line read from that report
+_FLAGSHIPS = (
+    # diffusion created, the limit escapes the pure-jump family
+    ("shrinking-jump sequence", "limit-analyze", fixtures.shrinking_jump_limit_doc,
+     "limit_report.json",
+     lambda r: abs(r["diffusion_increment"] - 1.0) <= 1e-6
+     and r["verdict"] == "diffusion-created" and _membership(r) == "no",
+     lambda r: f"diffusion estimate {r['diffusion_increment']:.8f}, "
+     f"membership {_membership(r)}"),
+    # the modified limit stays inside the pinned-variance family
+    ("pinned-variance family", "limit-analyze", fixtures.pinned_variance_limit_doc,
+     "limit_report.json",
+     lambda r: _membership(r) == "yes",
+     lambda r: f"membership {_membership(r)}, distance " + (
+         "none" if r["closedness"]["distance"] is None
+         else f"{r['closedness']['distance']:.3g}")),
+    # the duality gap closes
+    ("gaussian transport", "solve-transport", fixtures.gaussian_instance_doc,
+     "duality_report.json",
+     lambda r: abs(r["primal_value"] - 1.0) <= 1e-3 and r["dual_value"] >= 0.95
+     and r["gap"] <= 0.06,
+     _transport_detail),
+    # weak duality at every ascent step
+    ("poisson transport", "solve-transport", fixtures.poisson_instance_doc,
+     "duality_report.json",
+     lambda r: abs(r["primal_value"] - 4.0) <= 0.05 and r["dual_value"] >= 3.7
+     and r["weak_duality_ok"]
+     and all(v <= r["primal_value"] + r["allowance"] for v in r["ascent_history"]),
+     _transport_detail),
+)
 
 
 def cmd_reproduce(out: str, seed: Optional[int]) -> int:
+    """Run each flagship document through its command into
+    ``out/<fixture-name>/`` and check the report that command wrote."""
     rows: list[dict] = []
-
-    # 1. shrinking-jump sequence: diffusion created, limit escapes the family
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    profile = exponent_limit_profile(seq, default_u_grid())
-    identified = limit_triplet_identify(profile)
-    fam_jump = family_from_dict(fixtures.pure_jump_family_doc())
-    diffusion = diffusion_creation_diagnostic(seq)
-    probe_jump = closedness_probe(
-        fam_jump, seq, False, profile, identified,
-        param_map=param_map_from_exprs(fixtures.pure_jump_param_map_exprs()),
-    )
-    ok1 = (
-        abs(diffusion.estimate - 1.0) <= 1e-6
-        and diffusion.verdict == "diffusion-created"
-        and probe_jump.limit_in_set == "no"
-    )
-    rows.append(
-        {
-            "fixture": "shrinking-jump sequence",
-            "passed": ok1,
-            "detail": f"diffusion estimate {diffusion.estimate:.8f}, "
-            f"membership {probe_jump.limit_in_set}",
-        }
-    )
-
-    # 2. pinned-variance family: the modified limit stays inside
-    fam_pinned = family_from_dict(fixtures.pinned_variance_family_doc())
-    probe_pinned = closedness_probe(
-        fam_pinned, seq, True, profile, identified,
-        param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
-    )
-    ok2 = probe_pinned.limit_in_set == "yes"
-    distance = probe_pinned.distance
-    rows.append(
-        {
-            "fixture": "pinned-variance family",
-            "passed": ok2,
-            "detail": f"membership {probe_pinned.limit_in_set}, distance "
-            + ("none" if distance is None else f"{distance:.3g}"),
-        }
-    )
-
-    # 3. Gaussian transport instance: duality gap closes
-    report = run_transport(fixtures.gaussian_instance_doc(), seed).report
-    ok3 = (
-        abs(report.primal_value - 1.0) <= 1e-3
-        and report.dual_value >= 0.95
-        and report.gap <= 0.06
-    )
-    rows.append(_transport_row("gaussian transport", ok3, report))
-
-    # 4. compensated-Poisson instance: weak duality at every ascent step
-    report = run_transport(fixtures.poisson_instance_doc(), seed).report
-    ok4 = (
-        abs(report.primal_value - 4.0) <= 0.05
-        and report.dual_value >= 3.7
-        and report.weak_duality_ok
-        and all(
-            v <= report.primal_value + report.allowance for v in report.ascent_history
-        )
-    )
-    rows.append(_transport_row("poisson transport", ok4, report))
+    for name, command, doc, report_file, passed, detail in _FLAGSHIPS:
+        sub = os.path.join(out, name.replace(" ", "-"))
+        os.makedirs(sub, exist_ok=True)
+        _HANDLERS[command](doc(), sub, seed)
+        report = load_json(os.path.join(sub, report_file))
+        rows.append({"fixture": name, "passed": passed(report), "detail": detail(report)})
 
     width = max(len(r["fixture"]) for r in rows)
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{r['fixture']:<{width}}  {status}  {r['detail']}")
-    write_json(
-        os.path.join(out, "reproduce_report.json"), {"seed": seed, "fixtures": rows}
-    )
+    write_json(os.path.join(out, "reproduce_report.json"), {"seed": seed, "fixtures": rows})
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_NUMERICAL
+
+
+_HANDLERS: dict[str, Callable[[dict, str, Optional[int]], int]] = {
+    "check-theta": cmd_check_theta,
+    "limit-analyze": cmd_limit_analyze,
+    "simulate": cmd_simulate,
+    "solve-transport": cmd_solve_transport,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Levy-triplet diagnostics and semimartingale transport",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check-theta", "limit-analyze", "simulate", "solve-transport"):
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="JSON input document")
         _common_args(p)
@@ -561,13 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not isinstance(doc, dict):
             raise SchemaError(f"{args.input}: top-level JSON must be an object")
         doc = apply_overrides(doc, args.overrides, args.command)
-        handler = {
-            "check-theta": cmd_check_theta,
-            "limit-analyze": cmd_limit_analyze,
-            "simulate": cmd_simulate,
-            "solve-transport": cmd_solve_transport,
-        }[args.command]
-        return handler(doc, out, args.seed)
+        return _HANDLERS[args.command](doc, out, args.seed)
     except (SchemaError, ExpressionError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -39,10 +39,6 @@ def pure_jump_family_doc() -> dict:
     }
 
 
-def pure_jump_param_map_exprs() -> list:
-    return ["n", "1 / pow(n, 0.5)"]
-
-
 def pinned_variance_family_doc() -> dict:
     """Diffusion/jump trade-off with c + second jump moment pinned to 1."""
     return {
@@ -55,8 +51,22 @@ def pinned_variance_family_doc() -> dict:
     }
 
 
-def pinned_variance_param_map_exprs() -> list:
-    return ["0", "1 / pow(n, 0.5)"]
+def shrinking_jump_limit_doc() -> dict:
+    """limit-analyze on the shrinking-jump sequence against the pure-jump
+    family, matching member n by its rate and atom: the document of
+    ``fixtures/shrinking_jump_sequence.json``."""
+    return {
+        "sequence": shrinking_jump_sequence_doc(),
+        "family": pure_jump_family_doc(),
+        "param_map": ["n", "1 / pow(n, 0.5)"],
+    }
+
+
+def pinned_variance_limit_doc() -> dict:
+    """The same sequence against the pinned-variance family, compared
+    through the modified second characteristic c + int h h^T dF."""
+    return dict(shrinking_jump_limit_doc(), family=pinned_variance_family_doc(),
+                param_map=["0", "1 / pow(n, 0.5)"], use_u_map=True)
 
 
 def gaussian_instance_doc() -> dict:

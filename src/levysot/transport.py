@@ -674,9 +674,11 @@ class _HJBWorkspace:
 
     # -- per-step Hamiltonian minimization -------------------------------
 
-    def _stencils(self, V: np.ndarray, parts: List[np.ndarray]):
+    def _stencils(self, V: np.ndarray, parts: List[np.ndarray], with_j0: bool = True):
         """Difference quotients and jump terms of H for a (B, n) stack; no
-        second difference for a family with no diffusion."""
+        second difference for a family with no diffusion, and no j0 without
+        ``with_j0``: only H itself reads j0, under the auto stencil and in
+        the golden-section fallback cells."""
         h = self.h
         dc = np.empty_like(V)
         np.subtract(V[:, 2:], V[:, :-2], out=dc[:, 1:-1])
@@ -699,7 +701,7 @@ class _HJBWorkspace:
         # J(p)v = j0 + sum_i p_i j_i, with the j_i in a list
         j0 = jlin = None
         if parts:
-            j0 = _lincomb(self.aff.w0, parts)
+            j0 = _lincomb(self.aff.w0, parts) if with_j0 else None
             jlin = [_lincomb(wl, parts) for wl in self.aff.w_lin.T]
         return dp, dm, dc, d2v, j0, jlin
 
@@ -738,7 +740,7 @@ class _HJBWorkspace:
             H = np.where(c >= np.abs(b) * self.h, b * dc, upwind)
         if d2v is not None:
             H += 0.5 * c * d2v
-        if j0 is not None:
+        if jlin is not None:
             H += j0 + _lincomb(jlin, _params(Q))
         return H
 
@@ -920,7 +922,8 @@ class _HJBWorkspace:
         jump weights are kept in it and gtsv solves a copy of the system.
         """
         parts = self.jump_parts(V)
-        P = self.optimize_controls(k, L, self._stencils(V, parts), V.shape)
+        with_j0 = not self.central or self.cost_model(L).bad[k].size > 0
+        P = self.optimize_controls(k, L, self._stencils(V, parts, with_j0), V.shape)
         rhs = self.cost(L, self.t_grid[k], P)  # the source term, then V + dt * source
         weights = self.jump_weights(P)
         if parts:

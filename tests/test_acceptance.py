@@ -150,11 +150,11 @@ def test_criterion_4_closedness_probes():
     with_u = closedness_probe(
         family_from_dict(fixtures.pinned_variance_family_doc()), seq, True, profile,
         identified,
-        param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
+        param_map=param_map_from_exprs(fixtures.pinned_variance_limit_doc()["param_map"]),
     )
     without = closedness_probe(
         family_from_dict(fixtures.pure_jump_family_doc()), seq, False, profile, identified,
-        param_map=param_map_from_exprs(fixtures.pure_jump_param_map_exprs()),
+        param_map=param_map_from_exprs(fixtures.shrinking_jump_limit_doc()["param_map"]),
     )
     report(
         4,

@@ -1,8 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,11 +34,7 @@ def read_json(path):
 
 # each fixture file and the levysot.fixtures document(s) it was written from
 MODULE_DOCS = {
-    "shrinking_jump_sequence.json": lambda: {
-        "sequence": fixtures.shrinking_jump_sequence_doc(),
-        "family": fixtures.pure_jump_family_doc(),
-        "param_map": fixtures.pure_jump_param_map_exprs(),
-    },
+    "shrinking_jump_sequence.json": fixtures.shrinking_jump_limit_doc,
     "pure_jump_family.json": fixtures.pure_jump_family_doc,
     "pinned_variance_family.json": fixtures.pinned_variance_family_doc,
     "gaussian_instance.json": fixtures.gaussian_instance_doc,
@@ -383,8 +379,34 @@ def test_solve_transport_with_overrides(tmp_path):
     )
 
 
+# the README's limit-analyze command for the pinned-variance family, on
+# fixtures/shrinking_jump_sequence.json
+PINNED_SETS = (
+    "family=" + _read_bytes(FIXTURES, "pinned_variance_family.json").decode(),
+    "use_u_map=true",
+    'param_map=["0", "1 / pow(n, 0.5)"]',
+)
+
+# each reproduce row's output directory, and the command, input file and
+# overrides that write the same files alone
+FLAGSHIP_COMMANDS = {
+    "shrinking-jump-sequence": ("limit-analyze", "shrinking_jump_sequence.json", ()),
+    "pinned-variance-family": ("limit-analyze", "shrinking_jump_sequence.json", PINNED_SETS),
+    "gaussian-transport": ("solve-transport", "gaussian_instance.json", ()),
+    "poisson-transport": ("solve-transport", "poisson_instance.json", ()),
+}
+
+
 def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
-    out = str(tmp_path)
+    reports = []
+    duality_report = cli.duality_report
+
+    def recording(*args, **kwargs):
+        reports.append(duality_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "duality_report", recording)
+    out = str(tmp_path / "rep")
     assert run("reproduce", "--out", out) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and all("  PASS  " in line for line in lines)
@@ -396,13 +418,104 @@ def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
     assert all(r["passed"] for r in rows)
     assert run("reproduce", "--out", out, "--set", "a=1") == 1
 
-    # a failing row makes the exit code 2
-    bad = SimpleNamespace(primal_value=0.0, dual_value=0.0, gap=0.0, allowance=0.02,
-                          weak_duality_ok=True, ascent_history=())
-    monkeypatch.setattr(cli, "run_transport", lambda doc, seed: SimpleNamespace(report=bad))
+    # each row's directory holds exactly the files its command writes alone
+    monkeypatch.setattr(cli, "duality_report", duality_report)
+    for name, (command, path, sets) in FLAGSHIP_COMMANDS.items():
+        alone = str(tmp_path / "alone" / name)
+        assert run(command, "--input", fixture(path), "--out", alone,
+                   *(arg for s in sets for arg in ("--set", s))) == 0
+        written = sorted(os.listdir(os.path.join(out, name)))
+        assert written == sorted(os.listdir(alone))
+        for f in written:
+            assert _read_bytes(os.path.join(out, name), f) == _read_bytes(alone, f), (name, f)
+
+    # a failing row makes the exit code 2: the same duality reports with a
+    # primal value that misses both targets
+    missed = iter([dataclasses.replace(r, primal_value=0.0) for r in reports])
+    monkeypatch.setattr(cli, "duality_report", lambda *args, **kwargs: next(missed))
     assert run("reproduce", "--out", out) == 2
     rows = read_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
     assert [r["passed"] for r in rows] == [True, True, False, False]
+    assert rows[2]["detail"].startswith("primal 0.0000, ")
+
+
+def test_reproduce_goes_only_through_the_command_handlers(tmp_path, capsys, monkeypatch):
+    # each handler is a recorder that writes a canned report; reproduce reads
+    # its rows from those reports and calls no pipeline function itself
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reproduce called a pipeline function")
+
+    for name in ("sequence_from_dict", "family_from_dict", "param_map_from_exprs",
+                 "instance_from_dict", "exponent_limit_profile", "limit_triplet_identify",
+                 "diffusion_creation_diagnostic", "closedness_probe", "run_transport",
+                 "duality_report", "solve_hjb"):
+        monkeypatch.setattr(cli, name, forbidden)
+    canned = {
+        "limit-analyze": ("limit_report.json", {
+            "diffusion_increment": 1.0, "verdict": "diffusion-created",
+            "closedness": {"limit_in_set": "no", "distance": None}}),
+        "solve-transport": ("duality_report.json", {
+            "primal_value": 1.0, "dual_value": 0.99, "gap": 0.01, "weak_duality_ok": True,
+            "allowance": 0.04, "ascent_history": [0.5, 0.99]}),
+    }
+    out = str(tmp_path)
+    calls = []
+
+    def recorder(command):
+        def handler(doc, sub, seed):
+            calls.append((command, doc, os.path.relpath(sub, out), seed))
+            name, report = canned[command]
+            cli.write_json(os.path.join(sub, name), report)
+            return cli.EXIT_OK
+        return handler
+
+    for command in list(cli._HANDLERS):
+        monkeypatch.setitem(cli._HANDLERS, command, recorder(command))
+    assert run("reproduce", "--out", out, "--seed", "4") == 2
+    docs = {
+        name: cli.apply_overrides(read_json(fixture(path)), sets, command)
+        for name, (command, path, sets) in FLAGSHIP_COMMANDS.items()
+    }
+    assert calls == [(command, docs[name], name, 4)
+                     for name, (command, _, _) in FLAGSHIP_COMMANDS.items()]
+    assert capsys.readouterr().out.splitlines() == [
+        "shrinking-jump sequence  PASS  diffusion estimate 1.00000000, membership no",
+        "pinned-variance family   FAIL  membership no, distance none",
+        "gaussian transport       PASS  primal 1.0000, dual 0.9900, gap 0.0100",
+        "poisson transport        FAIL  primal 1.0000, dual 0.9900, gap 0.0100",
+    ]
+    assert read_json(os.path.join(out, "reproduce_report.json"))["seed"] == 4
+
+
+def test_u_grid_is_a_list_or_absent(tmp_path, capsys):
+    args = ("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+            "--out", str(tmp_path))
+    assert run(*args, "--set", 'u_grid={"extent": 1.0, "count": 6}') == 1
+    assert "u_grid" in capsys.readouterr().err
+    assert run(*args, "--set", "u_grid=[0.5, 1.0]") == 0
+    with open(os.path.join(str(tmp_path), "exponent_profile.csv")) as fh:
+        assert {row["u"] for row in csv.DictReader(fh)} == {"0.5", "1.0"}
+
+
+def test_simulate_reports_the_cf_distance_to_a_plain_target(tmp_path):
+    # sup over the grid of |mean of e^{iuX} - e^{-u^2/2}|, N(0, 1)'s cf
+    out = str(tmp_path)
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({
+        "triplet": {"b": [0.3], "c": [[0.5]]},
+        "target": {"b": [0.0], "c": [[1.0]]},
+        "u_grid": [0.5, 1.0, 2.0],
+        "config": {"n_paths": 400, "n_steps": 2},
+    }))
+    assert run("simulate", "--input", str(doc), "--out", out, "--seed", "2") == 0
+    rows = np.loadtxt(os.path.join(out, "paths.csv"), delimiter=",", skiprows=1)
+    terminal = rows[rows[:, 1] == 1.0, 2]
+    assert terminal.size == 400
+    u = np.array([0.5, 1.0, 2.0])
+    expected = np.max(np.abs(np.exp(1j * np.outer(u, terminal)).mean(axis=1)
+                             - np.exp(-0.5 * u**2)))
+    rep = read_json(os.path.join(out, "simulate_report.json"))
+    assert abs(rep["terminal"]["cf_distance_to_target"] - expected) <= 1e-12
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

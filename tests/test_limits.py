@@ -3,6 +3,7 @@ import pytest
 
 from levysot import fixtures
 from levysot.limits import (
+    ExponentProfile,
     LimitStructure,
     TripletSequence,
     _unit_map,
@@ -13,7 +14,7 @@ from levysot.limits import (
     limit_triplet_identify,
     project_to_family,
 )
-from levysot.measures import LevyMeasure
+from levysot.measures import DensityPiece, LevyMeasure
 from levysot.serialize import family_from_dict, param_map_from_exprs, sequence_from_dict
 from levysot.triplets import LevyTriplet, ThetaFamily, levy_exponent
 
@@ -77,6 +78,39 @@ def test_limit_identification_recovers_known_triplet():
     assert np.isclose(fitted.F.atoms[0][1], 1.5, atol=1e-8)
 
 
+def test_diffusion_diagnostic_extrapolates_a_decaying_profile_and_flags_the_band():
+    # a unit density on [1e-4, 1]: the small-jump mass within delta is
+    # (delta^3 - 1e-12) / 3, all positive and decaying like delta^3
+    piece = DensityPiece(1e-4, 1.0, np.ones_like)
+    dens = TripletSequence.from_map(
+        lambda n: LevyTriplet.scalar(0.0, 0.0, LevyMeasure(1, density_pieces=(piece,))),
+        (10, 100, 1000),
+    )
+    decaying = diffusion_creation_diagnostic(dens)
+    assert all(v > 0.0 for _, v in decaying.profile)
+    assert decaying.verdict == "purely-discontinuous-limit"
+    assert decaying.estimate == 0.0
+
+    # n atoms of size sqrt(a2 / n): mass a2 within every delta of the tail,
+    # between TOL_D and ten times it
+    doc = fixtures.shrinking_jump_sequence_doc()
+    doc["F"]["atoms"][0]["x"] = ["pow(0.005 / n, 0.5)"]
+    band = diffusion_creation_diagnostic(sequence_from_dict(doc))
+    assert band.verdict == "inconclusive"
+    assert abs(band.estimate - 0.005) <= 1e-12
+
+
+def test_limit_identification_bounds_a_negative_diffusion():
+    # psi(u) = +0.25 u^2 asks for c = -0.5; the bounded fit holds c at 0 and
+    # leaves the whole limit as residual
+    u = default_u_grid()
+    limit = (0.25 * u**2).astype(complex)
+    profile = ExponentProfile((1,), u, limit[:, None], limit, np.zeros(u.size))
+    fitted, resid = limit_triplet_identify(profile)
+    assert 0.0 <= fitted.c[0, 0] <= 1e-12
+    assert abs(resid - 0.25 * np.max(u**2)) <= 1e-12
+
+
 def test_limit_identification_underdetermined():
     profile = exponent_limit_profile(
         TripletSequence.from_map(lambda n: LevyTriplet.scalar(0.0, 1.0), (10, 100)),
@@ -127,7 +161,7 @@ def test_pinned_variance_projection_polishes_once():
     fam = family_from_dict(fixtures.pinned_variance_family_doc())
     report = _probe(
         fam, shrinking_jump_sequence(), use_u_map=True,
-        param_map=param_map_from_exprs(fixtures.pinned_variance_param_map_exprs()),
+        param_map=param_map_from_exprs(fixtures.pinned_variance_limit_doc()["param_map"]),
     )
     assert report.limit_in_set == "yes"
     assert len(report.projections) == 1

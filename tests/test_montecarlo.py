@@ -171,7 +171,12 @@ def test_marginal_cdf_forms():
     assert marginal_cdf(LevyTriplet.scalar(0.5, 2.0), 1.0) is not None
     cp = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0)))
     cdf = marginal_cdf(cp, 1.0)
-    assert cdf is not None
+    # 0.5 N - 1 with N ~ Poisson(2): the atom's compensator shifts by -1;
+    # checked at each atom, just below it and between atoms
+    atoms = 0.5 * np.arange(12) - 1.0
+    x = np.concatenate([atoms, atoms - 1e-9, atoms + 0.25, [-3.0]])
+    expected = stats.poisson(2.0).cdf(np.floor((x + 1.0) / 0.5))
+    assert np.max(np.abs(cdf(x) - expected)) <= 1e-12
     # mixed diffusion + many-atom cases have no closed form here
     many = LevyTriplet.scalar(
         0.0, 1.0, LevyMeasure.from_atoms((0.5, 1.0), (0.7, 1.0), (0.9, 1.0), (1.1, 1.0))

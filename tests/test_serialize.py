@@ -167,7 +167,7 @@ def test_sequence_from_dict():
     t = seq.stack.triplet(seq.n_schedule.index(100))
     assert np.isclose(t.F.atoms[0][0][0], 0.1)
     assert np.isclose(t.F.atoms[0][1], 100.0)
-    pm = param_map_from_exprs(fixtures.pure_jump_param_map_exprs())
+    pm = param_map_from_exprs(fixtures.shrinking_jump_limit_doc()["param_map"])
     assert np.allclose(pm(100), [100.0, 0.1])
 
 
