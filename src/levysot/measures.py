@@ -1,4 +1,4 @@
-"""Jump-intensity measures and the canonical truncation function.
+"""Jump-intensity measures and the truncation function h.
 
 A measure is represented by finitely many atoms plus piecewise densities on
 intervals bounded away from zero (one-dimensional pieces).  Integrals against
@@ -6,6 +6,9 @@ the density pieces use Gauss-Legendre quadrature with per-piece node counts.
 A MeasureStack holds many measures as arrays and integrates them row by row,
 over the whole line or over a ball; LevyMeasure.integrate is the integral of
 the measure's one-row stack.
+
+``truncate`` is the package's one truncation function: h(x) = x on the
+closed unit ball and x / |x| beyond it, which is exactly ±1 in d = 1.
 """
 
 from __future__ import annotations
@@ -38,36 +41,12 @@ def gauss_legendre_nodes(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.n
     return mid + half * x, half * w
 
 
-@dataclass(frozen=True)
-class TruncationRule:
-    """Projection of jumps onto the closed unit ball: h(x) = x * min(1, 1/|x|)."""
-
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scalar_input = x.ndim == 0
-        if scalar_input:
-            if self.dimension != 1:
-                raise ValueError("scalar input requires dimension 1")
-            x = x[None]
-        if x.shape[-1] != self.dimension:
-            raise ValueError(
-                f"dimension mismatch: expected {self.dimension}, got shape {x.shape}"
-            )
-        norm = np.linalg.norm(x, axis=-1, keepdims=True)
-        scale = np.where(norm > 1.0, 1.0 / np.maximum(norm, 1e-300), 1.0)
-        out = x * scale
-        return out[0] if scalar_input else out
-
-
-def truncate_scalar(y):
-    """The canonical truncation in d = 1, elementwise: y clipped to [-1, 1]."""
-    return np.clip(y, -1.0, 1.0)
+def truncate(x) -> np.ndarray:
+    """The truncation function h along the last axis: x inside the closed
+    unit ball, x / |x| beyond it (exactly ±1 in d = 1)."""
+    x = np.asarray(x, dtype=float)
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.where(norm > 1.0, x / np.maximum(norm, 1.0), x)
 
 
 @dataclass(frozen=True)

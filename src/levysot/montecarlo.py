@@ -11,15 +11,16 @@ A step's jumps are its triplet's jump profile: the atoms, then the quadrature
 nodes of each density piece.  Jumps above SMALL_JUMP_THRESHOLD are sampled as
 compound Poisson; jumps below it are replaced by a centered Gaussian matching
 their variance rate (Asmussen-Rosinski substitution).  The compound-Poisson
-increments of the sampled jumps with |x| <= 1 are centered by their mean,
-matching the unit-ball truncation convention of the triplets.
+increments of the sampled jumps with |x| <= 1 are centered by their mean:
+the indicator rule x 1{|x| <= 1}, which agrees with the package's
+truncation function measures.truncate only on the closed unit ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -47,17 +48,19 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1:
-            raise ValueError("horizon, n_steps, n_paths must be positive")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon = {self.horizon!r} must be positive and finite")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.n_steps, self.n_paths)):
+            raise ValueError(
+                f"n_steps = {self.n_steps!r} and n_paths = {self.n_paths!r} must be positive integers")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed = {self.seed!r} must be an integer that fits in 64 bits")
 
 
 @dataclass(frozen=True)
 class PathBundle:
     time_grid: np.ndarray
     values: np.ndarray  # (n_paths, n_steps + 1)
-    jump_log: Optional[Tuple[Tuple[Tuple[float, float], ...], ...]] = None
 
     @property
     def terminal(self) -> np.ndarray:
@@ -106,10 +109,8 @@ def _simulate_block(
     models: Sequence[_StepModel],
     dt: float,
     x0: float,
-    record_jumps: bool,
-    time_grid: np.ndarray,
-):
-    """Sample n paths from one block stream; returns (values, jump logs)."""
+) -> np.ndarray:
+    """Sample n paths from one block stream: (n, n_steps + 1) values."""
     n_steps = len(models)
     sqrt_dt = math.sqrt(dt)
     normals = rng.standard_normal((n, n_steps))
@@ -117,7 +118,6 @@ def _simulate_block(
     # column 0 holds x0 so the cumulative sum adds increments in path order
     incr = np.empty((n, n_steps + 1))
     incr[:, 0] = x0
-    logs = [[] for _ in range(n)] if record_jumps else None
     for k, m in enumerate(models):
         dx = m.drift * dt + m.diffusion_std * sqrt_dt * normals[:, k]
         if m.jump_locations.size:
@@ -128,21 +128,16 @@ def _simulate_block(
             # einsum, not a threaded BLAS matvec, which is ten times slower
             # at this size on a busy host
             dx += np.einsum("ij,j->i", counts, m.jump_locations) - m.compensator * dt
-            if record_jumps:
-                t = float(time_grid[k + 1])
-                for row, col in zip(*np.nonzero(counts)):
-                    logs[row].extend([(t, float(m.jump_locations[col]))] * int(counts[row, col]))
         if m.small_std > 0.0:
             dx += m.small_std * sqrt_dt * small[:, k]
         incr[:, k + 1] = dx
-    return np.cumsum(incr, axis=1, out=incr), logs
+    return np.cumsum(incr, axis=1, out=incr)
 
 
 def simulate_paths(
     triplets: LevyTriplet | Sequence[LevyTriplet] | TripletStack,
     x0: float,
     cfg: SimulationConfig,
-    record_jumps: bool = False,
 ) -> PathBundle:
     """Sample paths under one triplet, or one triplet per step.
 
@@ -167,18 +162,13 @@ def simulate_paths(
         )
 
     values = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    logs: List[Tuple[Tuple[float, float], ...]] = []
     for block, start in enumerate(range(0, cfg.n_paths, BLOCK_PATHS)):
         stop = min(start + BLOCK_PATHS, cfg.n_paths)
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, block]))
-        values[start:stop], block_logs = _simulate_block(
-            rng, stop - start, models, dt, float(x0), record_jumps, time_grid
-        )
-        if record_jumps:
-            logs.extend(tuple(log) for log in block_logs)
+        values[start:stop] = _simulate_block(rng, stop - start, models, dt, float(x0))
     if not np.isfinite(values).all():
         raise FloatingPointError("simulated paths overflowed to infinite or NaN values")
-    return PathBundle(time_grid, values, tuple(logs) if record_jumps else None)
+    return PathBundle(time_grid, values)
 
 
 def empirical_cf(samples: np.ndarray, u_grid) -> np.ndarray:

@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.optimize import lsq_linear, minimize
 
 from .exprs import Expression, ExpressionError, compile_expr
-from .measures import truncate_scalar
+from .measures import truncate
 from .triplets import (
     ThetaFamily,
     family_checks,
@@ -97,6 +97,9 @@ class Marginal:
     def __post_init__(self):
         if self.kind not in ("point-mass", "gaussian", "grid-density"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
+        for name in ("location", "mean", "variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"marginal {name} = {getattr(self, name)!r} must be finite")
         if self.kind == "gaussian" and self.variance <= 0:
             raise ValueError("gaussian marginal needs positive variance")
         if self.kind == "grid-density":
@@ -104,6 +107,9 @@ class Marginal:
             wts = np.asarray(self.weights, dtype=float)
             if pts.shape != wts.shape or pts.ndim != 1:
                 raise ValueError("grid-density needs matching 1-d points/weights")
+            for name, values in (("points", pts), ("weights", wts)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"marginal {name} must be finite")
             if np.any(wts < 0):
                 raise ValueError("weights must be nonnegative")
             if abs(wts.sum() - 1.0) > 1e-12:
@@ -352,8 +358,8 @@ def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
 class HJBGridConfig:
     x_min: float = -6.0
     x_max: float = 6.0
-    n_x: int = 400  # intervals on the reported domain
-    n_t: int = 400
+    n_x: int = 240  # intervals on the reported domain
+    n_t: int = 100
     pad: float = 6.0  # grid extension on each side, same spacing
     # "auto" keeps the scheme monotone: central drift where c >= |b| h
     # (M-matrix preserved), first-order upwind elsewhere.  "central" forces
@@ -591,7 +597,7 @@ class _HJBWorkspace:
             # the transpose scatters (g, f) * q to the interleaved (i, i + 1)
             self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel(),
                               np.column_stack([1.0 - f, f])))
-        self.trunc = truncate_scalar(self.aff.locations)
+        self.trunc = truncate(self.aff.locations[:, None])[:, 0]
         # the jump compensator -sum_j w_j h(y_j) v_x is an ordinary drift;
         # folding it into the implicit upwinded drift keeps the explicit jump
         # part S - I monotone and the whole scheme stable under the CFL bound
@@ -1033,7 +1039,7 @@ def _forward_ws(ws: _HJBWorkspace, systems: _StepSystems, q0: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class DualAscentConfig:
-    grid: HJBGridConfig = HJBGridConfig(n_x=240, n_t=100)
+    grid: HJBGridConfig = HJBGridConfig()
     bound: float = DUAL_BOUND_DEFAULT
     gtol: float = GTOL_DEFAULT
     max_iterations: int = 400

@@ -7,7 +7,8 @@ that of the single-triplet evaluation; a single triplet or measure goes
 through the same code as a stack of one.
 
 Conventions fixed here and used everywhere else:
-  * truncation h(x) = x * min(1, 1/|x|) (unit-ball projection),
+  * truncation h = measures.truncate: x on the closed unit ball and x / |x|
+    beyond it (exactly ±1 in d = 1),
   * |b| Euclidean, |c| Frobenius,
   * family suprema are grid estimates including box corners and are reported
     as lower bounds on the true supremum.
@@ -22,15 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .measures import (
-    LevyMeasure,
-    MeasureStack,
-    TruncationRule,
-    _sqnorm,
-    row_dot,
-    row_norm,
-    truncate_scalar,
-)
+from .measures import LevyMeasure, MeasureStack, _sqnorm, row_dot, row_norm, truncate
 
 SYMMETRY_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
@@ -176,14 +169,13 @@ def modified_triplet(t):
     """
     single = isinstance(t, LevyTriplet)
     F = t.F.stack if single else t.F
-    h = TruncationRule(F.dimension)
-    d = F.dimension
-    corr = np.empty((len(F), d, d))
-    for i in range(d):
-        for j in range(i, d):
-            corr[:, i, j] = corr[:, j, i] = F.integrate(
-                lambda x, i=i, j=j: h.apply(x)[..., i] * h.apply(x)[..., j]
-            )
+
+    def outer(x):  # (P, n, d) -> h h^T as (P, d, d, n)
+        # contiguous rows, as one integral per entry would have them
+        h = np.ascontiguousarray(np.swapaxes(truncate(x), 1, 2))
+        return h[:, :, None, :] * h[:, None, :, :]
+
+    corr = F.integrate(outer)
     if single:
         return LevyTriplet(t.b, t.c + corr[0], t.F)
     return TripletStack(t.b, t.c + corr, t.F)
@@ -207,13 +199,12 @@ def levy_exponent(t, u):
         U = U[:, None]
     if U.ndim != 2 or U.shape[1] != d:
         raise ValueError("frequency dimension mismatch")
-    h = TruncationRule(d)
     P = len(t)
     bu = row_dot(t.b, np.broadcast_to(U, (P,) + U.shape))
     ucu = (U[None, :, None, :] @ t.c[:, None] @ U[None, :, :, None])[..., 0, 0]
     diff = -0.5 * ucu
     re, im = t.F.integrate_parts(
-        lambda grp: np.exp(1j * _dots(grp.x, U)) - 1.0 - 1j * _dots(h.apply(grp.x), U),
+        lambda grp: np.exp(1j * _dots(grp.x, U)) - 1.0 - 1j * _dots(truncate(grp.x), U),
         (_real, _imag),
     )
     # i*bu + diff + jump in Python's complex arithmetic, spelled out in
@@ -229,16 +220,15 @@ def jump_exponent(u, locations) -> np.ndarray:
     for each location y (rows) and frequency u (columns), in d = 1."""
     y = np.asarray(locations, dtype=float)[:, None]
     u = np.asarray(u, dtype=float)
-    return np.exp(1j * u * y) - 1.0 - 1j * u * truncate_scalar(y)
+    return np.exp(1j * u * y) - 1.0 - 1j * u * truncate(y)
 
 
 def martingale_residual(t) -> np.ndarray:
     """b + ∫ (x - h(x)) F(dx), (d,) for a LevyTriplet and (P, d) for a
     TripletStack; a zero vector certifies the martingale set."""
     st = TripletStack.pack([t]) if isinstance(t, LevyTriplet) else t
-    h = TruncationRule(st.dimension)
     # one contiguous row per component, as one integral per component would have it
-    out = st.b + st.F.integrate(lambda x: np.ascontiguousarray(np.swapaxes(x - h.apply(x), 1, 2)))
+    out = st.b + st.F.integrate(lambda x: np.ascontiguousarray(np.swapaxes(x - truncate(x), 1, 2)))
     return out[0] if isinstance(t, LevyTriplet) else out
 
 

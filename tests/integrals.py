@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from levysot.measures import TruncationRule
+from levysot.measures import truncate
 
 
 def generator_apply(t, f, grad, hess, x) -> float:
@@ -16,13 +16,12 @@ def generator_apply(t, f, grad, hess, x) -> float:
     g = np.atleast_1d(np.asarray(grad(x), dtype=float))
     H = np.atleast_2d(np.asarray(hess(x), dtype=float))
     fx = float(f(x))
-    h = TruncationRule(t.dimension)
 
     def integrand(y):
         shifted = np.array([float(f(x + yi)) for yi in y])
         if not np.all(np.isfinite(shifted)):
             raise ValueError("f non-finite at a shifted point")
-        return shifted - fx - h.apply(y) @ g
+        return shifted - fx - truncate(y) @ g
 
     jump = t.F.integrate(integrand)
     return float(g @ t.b + 0.5 * np.sum(t.c * H) + jump)

@@ -379,6 +379,39 @@ def test_solve_transport_with_overrides(tmp_path):
     )
 
 
+def test_hjb_grid_defaults_to_the_fixture_grid(tmp_path):
+    # an instance that sets no solver.dual.n_x or n_t solves on the grid
+    # duality_report uses by default, which every fixture sets
+    doc = read_json(fixture("gaussian_instance.json"))
+    assert (doc["solver"]["dual"]["n_x"], doc["solver"]["dual"]["n_t"]) == (240, 100)
+    del doc["solver"]["dual"]["n_x"], doc["solver"]["dual"]["n_t"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    for name, path in (("fixture", fixture("gaussian_instance.json")), ("bare", str(bare))):
+        assert run("solve-transport", "--input", path, "--out", str(tmp_path / name)) == 0
+    assert (_read_bytes(tmp_path / "bare", "duality_report.json")
+            == _read_bytes(tmp_path / "fixture", "duality_report.json"))
+
+
+@pytest.mark.parametrize("command, name, override", [
+    ("solve-transport", "gaussian_instance.json", "mu1.variance=NaN"),
+    ("solve-transport", "gaussian_instance.json", "mu1.variance=Infinity"),
+    ("solve-transport", "gaussian_instance.json", "mu1.mean=NaN"),
+    ("solve-transport", "gaussian_instance.json", "mu0.location=NaN"),
+    ("simulate", "shrinking_jump_sequence.json", "config.horizon=NaN"),
+])
+def test_non_finite_marginal_or_horizon_is_a_validation_error(tmp_path, capsys, command, name,
+                                                              override):
+    # json.load reads NaN and Infinity; the marginal and the horizon refuse them
+    sets = ("--set", override)
+    if command == "simulate":
+        sets += ("--set", 'target={"b":[0],"c":[[1]]}', "--set", "config.n_paths=10")
+    assert run(command, "--input", fixture(name), "--out", str(tmp_path), *sets) == 1
+    err = capsys.readouterr().err
+    # one error line that names the offending field
+    assert err.startswith("error: ") and override.split("=")[0].split(".")[-1] in err
+
+
 # the README's limit-analyze command for the pinned-variance family, on
 # fixtures/shrinking_jump_sequence.json
 PINNED_SETS = (

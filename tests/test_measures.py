@@ -7,35 +7,33 @@ from levysot.measures import (
     LevyMeasure,
     MeasureStack,
     QuadratureError,
-    TruncationRule,
     gauss_legendre_nodes,
-    truncate_scalar,
+    truncate,
 )
 
 
 def test_truncation_identity_inside_ball():
-    rule = TruncationRule(1)
-    x = np.array([[0.3], [-0.9], [1.0]])
-    assert np.allclose(rule.apply(x), x)
+    x = np.array([[0.3], [-0.9], [1.0], [-1.0]])
+    assert truncate(x).tobytes() == x.tobytes()
+    y = np.random.default_rng(5).uniform(-1.0, 1.0, (1000, 1))
+    assert truncate(y).tobytes() == y.tobytes()
 
 
 def test_truncation_projects_outside_ball():
-    rule = TruncationRule(2)
     x = np.array([3.0, 4.0])
-    out = rule.apply(x)
+    out = truncate(x)
     assert np.isclose(np.linalg.norm(out), 1.0)
     assert np.allclose(out, x / 5.0)
 
 
-def test_truncate_scalar():
-    assert truncate_scalar(0.5) == 0.5
-    assert truncate_scalar(-3.0) == -1.0
-    assert truncate_scalar(1.0) == 1.0
-
-
-def test_truncation_rejects_bad_rule():
-    with pytest.raises(ValueError):
-        TruncationRule(0)
+def test_truncate_is_clip_in_one_dimension():
+    # x / |x| is exactly ±1 in d = 1, where x * (1 / |x|) reads 0.9999999999999999
+    # at 3.7 and 7.3
+    for y in (3.7, 7.3):
+        assert truncate([y])[0] == 1.0 and truncate([-y])[0] == -1.0
+    rng = np.random.default_rng(11)
+    y = rng.uniform(1.0, 10.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert truncate(y[:, None])[:, 0].tobytes() == np.clip(y, -1.0, 1.0).tobytes()
 
 
 def test_gauss_legendre_exact_on_polynomials():

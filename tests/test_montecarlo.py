@@ -33,6 +33,12 @@ def test_config_validation():
         SimulationConfig(n_paths=0)
     with pytest.raises(ValueError):
         SimulationConfig(seed=-1)
+    for horizon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="horizon"):
+            SimulationConfig(horizon=horizon)
+    for field in ("n_steps", "n_paths", "seed"):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: 2.5})
 
 
 def test_per_step_triplets_give_the_piecewise_path():
@@ -130,25 +136,17 @@ def test_terminal_moments_match_closed_form():
     assert abs(terminal.var(ddof=1) - var) <= 5.0 * se_var
 
 
-def test_terminal_is_start_plus_logged_jumps():
+def test_terminal_is_start_plus_compensated_lattice_jumps():
+    # both atoms are multiples of 0.5, so a terminal value minus x0 plus the
+    # compensator 1.5 T is a multiple of 0.5; with 1.5 T = 3.15 not one, the
+    # test fails if the atom at 0.5 loses its compensator or the one at -1.5
+    # gains one
     t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 3.0), (-1.5, 0.7)))
-    x0, horizon = 0.2, 2.0
+    x0, horizon = 0.2, 2.1
     cfg = SimulationConfig(horizon=horizon, n_paths=300, n_steps=4, seed=6)
-    bundle = simulate_paths(t, x0, cfg, record_jumps=True)
-    compensator = 0.5 * 3.0
-    for value, log in zip(bundle.terminal, bundle.jump_log):
-        expected = x0 + sum(size for _, size in log) - compensator * horizon
-        assert abs(value - expected) <= 1e-12
-
-
-def test_jump_log_recorded():
-    t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 3.0)))
-    bundle = simulate_paths(
-        t, 0.0, SimulationConfig(n_paths=20, n_steps=2, seed=4), record_jumps=True
-    )
-    assert bundle.jump_log is not None and len(bundle.jump_log) == 20
-    sizes = [sz for path in bundle.jump_log for _, sz in path]
-    assert sizes and all(s == 0.5 for s in sizes)
+    k = (simulate_paths(t, x0, cfg).terminal - x0 + 0.5 * 3.0 * horizon) / 0.5
+    assert np.abs(k - np.round(k)).max() <= 1e-9
+    assert np.unique(np.round(k)).size > 5
 
 
 def test_empirical_cf_and_distance():

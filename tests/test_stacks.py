@@ -16,7 +16,7 @@ from measure_keys import state_key
 from levysot import fixtures
 from levysot.exprs import ExpressionError
 from levysot.limits import _PROBE_FEATURES, _distances, exponent_limit_profile
-from levysot.measures import DensityPiece, LevyMeasure, MeasureStack, TruncationRule, _sqnorm
+from levysot.measures import DensityPiece, LevyMeasure, MeasureStack, _sqnorm, truncate
 from levysot.serialize import compile_template, family_from_dict, sequence_from_dict
 from levysot.triplets import (
     LevyTriplet,
@@ -65,12 +65,11 @@ def _ref_features(F, cfg):
 
 
 def _ref_modified(t):
-    h = TruncationRule(t.dimension)
     corr = np.empty((t.dimension, t.dimension))
     for i in range(t.dimension):
         for j in range(i, t.dimension):
             corr[i, j] = corr[j, i] = _ref_integrate(
-                t.F, lambda x: h.apply(x)[..., i] * h.apply(x)[..., j]
+                t.F, lambda x: truncate(x)[..., i] * truncate(x)[..., j]
             )
     return LevyTriplet(t.b, t.c + corr, t.F)
 
@@ -87,8 +86,7 @@ def _ref_distance(s, t):
 
 def _ref_exponent(t, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    h = TruncationRule(t.dimension)
-    g = lambda x: np.exp(1j * (x @ u)) - 1.0 - 1j * (h.apply(x) @ u)  # noqa: E731
+    g = lambda x: np.exp(1j * (x @ u)) - 1.0 - 1j * (truncate(x) @ u)  # noqa: E731
     jump = complex(
         _ref_integrate(t.F, lambda x: np.real(g(x))), _ref_integrate(t.F, lambda x: np.imag(g(x)))
     )
@@ -374,9 +372,8 @@ def _ref_condition_b(t):
 
 
 def _ref_martingale_residual(t):
-    h = TruncationRule(t.dimension)
     return t.b + np.array(
-        [t.F.integrate(lambda x, i=i: x[..., i] - h.apply(x)[..., i]) for i in range(t.dimension)]
+        [t.F.integrate(lambda x, i=i: x[..., i] - truncate(x)[..., i]) for i in range(t.dimension)]
     )
 
 

@@ -79,6 +79,16 @@ def test_marginal_forms():
         Marginal.gaussian(0.0, 0.0)
     with pytest.raises(ValueError):
         Marginal.discrete([0.0, 1.0], [0.2, 0.2])
+    nan, inf = float("nan"), float("inf")
+    for build, field in ((lambda: Marginal.gaussian(0.0, nan), "variance"),
+                         (lambda: Marginal.gaussian(0.0, inf), "variance"),
+                         (lambda: Marginal.gaussian(nan, 1.0), "mean"),
+                         (lambda: Marginal.point(-inf), "location"),
+                         (lambda: Marginal.discrete([0.0, nan], [0.5, 0.5]), "points"),
+                         # a NaN weight passes the sum check: |nan - 1| > 1e-12 is False
+                         (lambda: Marginal.discrete([0.0, 1.0], [nan, 1.0]), "weights")):
+        with pytest.raises(ValueError, match=field):
+            build()
 
 
 def test_marginal_grid_weights_preserve_mass_and_mean():
@@ -371,7 +381,9 @@ BATCH_CASES = {
         cost_from_expr("(lam - 1) * (lam - 1)", ("lam",)),
         HJBGridConfig(n_x=60, n_t=20, drift_stencil="central"),
     ),
-    # auto stencil, diffusion control
+    # auto stencil, diffusion control: the family is drift-free, so the auto
+    # stencil is the central one here; only drift-auto-mixed and the
+    # two-param-* cases run the upwind and split-point path
     "gaussian-auto": lambda: (
         diffusion_family(), cost_from_expr("c * c", ("c",)),
         HJBGridConfig(n_x=60, n_t=20),
