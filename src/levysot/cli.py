@@ -43,6 +43,7 @@ from .montecarlo import (
     JumpIntensityError,
     SimulationConfig,
     cf_distance,
+    check_number,
     convergence_experiment,
     marginal_cdf,
     marginal_ks,
@@ -393,13 +394,11 @@ def run_transport(doc: Mapping[str, Any], seed: Optional[int] = None) -> Transpo
     dual, mc_doc = solver.get("dual", {}), solver.get("mc", {})
     grid = HJBGridConfig(**{k: dual[k] for k in _GRID_KEYS if k in dual})
     dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in _ASCENT_KEYS if k in dual})
-    mc_seed = seed if seed is not None else int(mc_doc.get("seed", 0))
-    report = duality_report(
-        inst,
-        dual_cfg=dual_cfg,
-        mc_paths=int(mc_doc.get("n_paths", 100_000)),
-        mc_seed=mc_seed,
-    )
+    mc_paths = mc_doc.get("n_paths", 100_000)
+    mc_seed = seed if seed is not None else mc_doc.get("seed", 0)
+    check_number("solver.mc.n_paths", mc_paths, integer=True)
+    check_number("solver.mc.seed", mc_seed, integer=True)
+    report = duality_report(inst, dual_cfg=dual_cfg, mc_paths=mc_paths, mc_seed=mc_seed)
     return TransportRun(inst, grid, mc_seed, report)
 
 

@@ -40,6 +40,16 @@ class JumpIntensityError(RuntimeError):
     """Expected number of sampled jumps per path exceeds the overflow cap."""
 
 
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise a ValueError that names ``name`` unless ``value`` is a real
+    number, or an integer with ``integer``; a boolean or a string, as a
+    configuration document may hold, is neither."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} = {value!r} must be {kind}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     horizon: float = 1.0
@@ -48,12 +58,15 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("horizon", self.horizon)
+        for name in ("n_steps", "n_paths", "seed"):
+            check_number(name, getattr(self, name), integer=True)
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon = {self.horizon!r} must be positive and finite")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.n_steps, self.n_paths)):
+        if not (self.n_steps >= 1 and self.n_paths >= 1):
             raise ValueError(
                 f"n_steps = {self.n_steps!r} and n_paths = {self.n_paths!r} must be positive integers")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed = {self.seed!r} must be an integer that fits in 64 bits")
 
 

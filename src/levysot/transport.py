@@ -16,6 +16,15 @@ of a deterministic piecewise-constant control schedule to the target's
 characteristic function by bounded linear least squares, then spreads it
 over the steps at least cost with that mean held.
 
+Each backward step runs in place on the step buffers of its stack's shape,
+(n,) for one value vector and (B, n) for a batched sweep: it gathers each
+jump location's part S_j v - v, forms the difference quotients, sets each
+control coordinate to its argmin, calls the cost once at the chosen
+controls, adds the clipped jump weights' source, writes the three rows of
+the implicit system and solves it with gtsv in place on the values.  Every
+operation writes into a buffer made once, with the arithmetic of forming
+each term afresh, so the bits are those of a step that allocates them.
+
 Control families must have affine parameter-to-characteristics maps with
 fixed jump locations (verified numerically); this covers product-box families
 whose drift, diffusion and jump weights are affine in the parameters.
@@ -23,6 +32,7 @@ whose drift, diffusion and jump weights are affine in the parameters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -371,7 +381,11 @@ class HJBGridConfig:
     def __post_init__(self):
         if self.drift_stencil not in ("auto", "central"):
             raise ValueError(f"unknown drift stencil {self.drift_stencil!r}")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.n_x, self.n_t)):
+        for name in ("x_min", "x_max", "pad"):
+            mc.check_number(name, getattr(self, name))
+        for name in ("n_x", "n_t"):
+            mc.check_number(name, getattr(self, name), integer=True)
+        if not (self.n_x >= 1 and self.n_t >= 1):
             raise ValueError(f"n_x = {self.n_x!r} and n_t = {self.n_t!r} must be positive integers")
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max = {self.x_max} must exceed x_min = {self.x_min}")
@@ -402,15 +416,16 @@ class ValueGrid:
         return self.values[0]
 
 
-def _lincomb(coefs, arrays):
-    """coefs[0] * arrays[0] + coefs[1] * arrays[1] + ..., summed in order.
+def _lincomb(coefs, arrays, out=None):
+    """coefs[0] * arrays[0] + coefs[1] * arrays[1] + ..., summed in order,
+    into ``out`` when given.
 
     Elementwise, so every entry gets the same arithmetic at any array shape;
     a BLAS product would not promise that across batch sizes.
     """
-    out = coefs[0] * arrays[0]
-    for c, a in zip(coefs[1:], arrays[1:]):
-        out += c * a
+    out = np.multiply(coefs[0], arrays[0], out=out)
+    for j in range(1, len(arrays)):
+        out += coefs[j] * arrays[j]
     return out
 
 
@@ -418,19 +433,17 @@ def _params(P: np.ndarray) -> List[np.ndarray]:
     return [P[..., i] for i in range(P.shape[-1])]
 
 
-def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-          overwrite: bool = True) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK gtsv, in place on rhs and, if
-    ``overwrite``, on the diagonals too.
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK gtsv, in place on all four
+    arrays.
 
     Raises LinAlgError on a singular matrix and ValueError on a non-finite
     solution, the exception types of ``scipy.linalg.solve_banded``.
     """
-    flag = int(overwrite)
-    *_, x, info = dgtsv(dl, d, du, rhs, flag, flag, flag, 1)
+    *_, x, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):  # x.all() with less overhead
         raise ValueError("HJB step produced infs or NaNs")
     return x
 
@@ -529,16 +542,18 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
     return _QuadraticCost(mid, g, hess, ok)
 
 
-def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float) -> np.ndarray:
+def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float, out=None) -> np.ndarray:
     """argmin over [lo, hi] of a (s - mid)^2 + m (s - mid), mid the midpoint,
     given rate = -1 / (2a) where a > 0 (``convex``, None where a > 0 at
     every node): the clipped vertex there, else the lower end, lo on ties.
-    Works in place on m."""
+    Works in place on m, and writes into ``out`` (m when None)."""
     ends = None if convex is None else np.where(m >= 0, lo, hi)
-    s = np.multiply(m, rate, out=m)
-    s += mid
-    np.clip(s, lo, hi, out=s)
-    return s if ends is None else np.where(convex, s, ends)
+    m *= rate
+    m += mid
+    out = m.clip(lo, hi, out=m if out is None else out)
+    if ends is not None:
+        out[...] = np.where(convex, out, ends)
+    return out
 
 
 def _lowest(S: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -547,27 +562,100 @@ def _lowest(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.take_along_axis(S, np.argmin(H, axis=0)[None], axis=0)[0]
 
 
-def _restrict(terms, cols):
-    """The stencil terms of a (B, n) stack at the nodes ``cols``."""
-    *arrays, jlin = terms
-    return tuple(None if a is None else a[:, cols] for a in arrays) + (
-        None if jlin is None else [j[:, cols] for j in jlin],)
+class _StepBuffers:
+    """The arrays a backward step writes in place, for a stack of shape
+    (n,), one value vector, or (B, n), a stack of B.
+
+    ``V`` holds the values at t_{k+1} going into a step and those at t_k
+    coming out, ``P`` the controls the step chose, ``rows`` the (dl, d, du)
+    rows of its implicit system and ``weights`` its clipped jump weights,
+    one block per jump location.  ``terms`` are the terms of H the
+    controls read: the upwind and central difference quotients dp, dm and
+    dc, the second difference d2v, and the jump parts j0 and jlin of
+    J(p)v = j0 + sum_i p_i jlin_i.  A term the workspace does not form is
+    None: dp and dm under the central stencil, d2v without diffusion, jlin
+    without jumps, and j0 without jumps or under the central stencil, whose
+    closed form does not read it (``_HJBWorkspace._terms_at`` forms it at
+    the golden-section cells).  The rest are a step's intermediates and
+    fixed views of the arrays, made once because a view costs about as
+    much as an operation at this size.
+    """
+
+    def __init__(self, ws: "_HJBWorkspace", shape: Tuple[int, ...]):
+        n, n_p, n_loc = ws.n, ws.aff.n_params, ws.aff.locations.size
+        lead = shape[:-1]
+        V = self.V = np.empty(shape)
+        self.V_flat = V.reshape(-1)
+        self.P = np.empty(shape + (n_p,))
+        self.p = _params(self.P)
+        self.x = np.broadcast_to(ws.x_grid, shape)  # the node of each entry
+        # (minuend, subtrahend, out, divisor) of dc's interior and of its
+        # two one-sided edges, columns (1, n - 1) less (0, n - 2) into
+        # columns (0, n - 1); one column each, broadcast, when n = 2
+        stride = max(n - 2, 1)
+        dc = np.empty(shape)
+        self.quotients = ((V[..., 2:], V[..., :-2], dc[..., 1:-1], np.asarray(2.0 * ws.h)),
+                          (V[..., 1::stride], V[..., :n - 1:stride], dc[..., ::n - 1], ws.step_h))
+        d2v = dp = dm = None
+        if ws.diffusive:
+            d2v = np.zeros(shape)  # linear-extrapolation ghosts: zero curvature at the padded edges
+            self.curvature = (V[..., 2:], V[..., 1:-1], V[..., :-2], d2v[..., 1:-1])
+        if not ws.central:
+            # the forward differences, each end one repeated past it: dm
+            # and dp are the differences left and right of each node
+            diff = np.empty(lead + (n + 1,))
+            dm, dp = diff[..., :-1], diff[..., 1:]
+            self.differences = (V[..., 1:], V[..., :-1], diff[..., 1:-1], diff[..., ::n],
+                                diff[..., 1:n:stride])
+        j0 = jlin = None
+        self.weights = np.empty((n_loc,) + shape)
+        if n_loc:
+            self.taps = np.empty(lead + ws.tap_index.shape)  # (n_locations, 2, n) per row
+            self.tap_pair = (self.taps[..., 0, :], self.taps[..., 1, :])
+            self.parts = np.empty(lead + (n_loc, n))  # S_j v - v per location
+            self.parts_rows = [self.parts[..., j, :] for j in range(n_loc)]
+            jlin = np.empty((n_p,) + shape)
+            j0 = None if ws.central else np.empty(shape)  # only H itself reads it
+            self.jlin_rows, self.weight_rows = list(jlin), list(self.weights)
+        self.terms = (dp, dm, dc, d2v, j0, jlin)
+        # two scratch arrays, each reused along a step: H's slope, then the
+        # jump source, then the drift b; the vertex argument m, then b's
+        # central drift term
+        self.slope = self.jumps = self.b = np.empty(shape)
+        self.m = self.drift = np.empty(shape)
+        self.c = np.empty(shape) if ws.diffusive else None
+        self.rows = np.empty((3,) + shape)
+        lower, diag, upper = self.rows
+        # the three rows laid end to end as gtsv takes them: a stack's
+        # systems are one system whose couplings across block boundaries,
+        # the last entry of each block of dl and du, are zero
+        self.system = (lower.reshape(-1)[:-1], diag.reshape(-1), upper.reshape(-1)[:-1])
+        self.block_ends = self.rows[::2, ..., -1]
+        self.central_rows = (self.drift[..., :-1], upper[..., :-1],
+                             self.drift[..., 1:], lower[..., :-1])
+        self.edge = np.empty(lead + (2,))
+        self.edge_pair = (self.edge[..., 0], self.edge[..., 1])
+        self.edges = (self.b[..., ::n - 1], diag[..., ::n - 1], upper[..., 0], lower[..., -2])
 
 
 class _HJBWorkspace:
     """Per-grid precomputation shared by backward and forward sweeps.
 
-    The backward step works on a (B, n) stack of value vectors, one row per
-    terminal potential, and the B implicit systems are solved as one
-    block-diagonal tridiagonal system.  Controls are chosen one coordinate
-    at a time in closed form from a quadratic model of the cost, fitted once
-    per (workspace, cost) on the grid of steps x nodes; the cells where the
-    model fails its check take golden section on the exact cost, node by
-    node.  The model depends on (step, node) only and every array carries
-    the stack as leading axes, so a batched solve equals B single solves bit
-    for bit.  A family with no diffusion at any control (c0 = 0 and no
-    diffusion coefficient) has zero diffusion terms in H and in the
-    implicit systems, and they are not formed.
+    The backward step works on one value vector or on a (B, n) stack of
+    them, one row per terminal potential, and the B implicit systems are
+    solved as one block-diagonal tridiagonal system.  Controls are chosen
+    one coordinate at a time in closed form from a quadratic model of the
+    cost, fitted once per (workspace, cost) on the grid of steps x nodes;
+    the cells where the model fails its check take golden section on the
+    exact cost, node by node.  The model depends on (step, node) only and
+    every array carries the stack as leading axes, so a batched solve
+    equals B single solves bit for bit.  A family with no diffusion at any
+    control (c0 = 0 and no diffusion coefficient) has zero diffusion terms
+    in H and in the implicit systems, and they are not formed.
+
+    Every step writes into the ``_StepBuffers`` of its stack's shape, so a
+    sweep allocates little beyond the cost call's result: the workspace
+    keeps those of single sweeps, and a batched sweep makes its own.
     """
 
     def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig):
@@ -589,60 +677,68 @@ class _HJBWorkspace:
             )
         # a jump by y is linear interpolation of v at x + y, extrapolated
         # linearly past the edges: the two-tap gather (1 - f) v[i] + f v[i+1]
-        self.taps = []
-        for y in self.aff.locations:
-            pos = np.arange(self.n) + y / self.h
-            i = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
-            f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
-            # the transpose scatters (g, f) * q to the interleaved (i, i + 1)
-            self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel(),
-                              np.column_stack([1.0 - f, f])))
+        # at taps (i, i + 1) with weights (1 - f, f), per location
+        pos = np.arange(self.n) + self.aff.locations[:, None] / self.h
+        i = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
+        f = pos - i  # may fall outside [0, 1] at the edges: extrapolation
+        self.tap_index = np.stack([i, i + 1], axis=1)  # (n_locations, 2, n)
+        self.tap_weights = np.stack([1.0 - f, f], axis=1)
+        # the transpose scatters (1 - f, f) * q to the interleaved (i, i + 1)
+        self.scatter = [(np.column_stack(ij).ravel(), g, f) for ij, (g, f) in
+                        zip(self.tap_index, self.tap_weights)]
         self.trunc = truncate(self.aff.locations[:, None])[:, 0]
         # the jump compensator -sum_j w_j h(y_j) v_x is an ordinary drift;
         # folding it into the implicit upwinded drift keeps the explicit jump
         # part S - I monotone and the whole scheme stable under the CFL bound
         self.drift0 = self.aff.b0 - float(self.trunc @ self.aff.w0)
         self.drift_lin = self.aff.b_lin - self.trunc @ self.aff.w_lin
+        # the scalars a step multiplies, adds or divides by, as 0-d arrays,
+        # which a ufunc takes in less time than floats; the values are the
+        # same, and so is every result.  Per parameter or location: the
+        # drift, diffusion and jump-weight coefficients, the coefficients
+        # of each jlin_i, and the box.  (-dt, dt) scales the edge rows' b
+        self.edge_dt = np.array([-self.dt, self.dt])
+        zd = np.asarray
+        self.zero, self.one = zd(0.0), zd(1.0)
+        self.step_dt, self.half_dt, self.step_h = zd(self.dt), zd(0.5 * self.dt), zd(self.h)
+        self.drift_coefs, self.drift_const = [zd(v) for v in self.drift_lin], zd(self.drift0)
+        self.c_coefs, self.c_const = [zd(v) for v in self.aff.c_lin], zd(self.aff.c0)
+        self.weight_coefs = [[zd(v) for v in row] for row in self.aff.w_lin]
+        self.weight_consts = [zd(v) for v in self.aff.w0]
+        self.jlin_coefs = [[zd(v) for v in col] for col in self.aff.w_lin.T]
+        self.box = [(zd(lo), zd(hi)) for lo, hi in zip(self.aff.lows, self.aff.highs)]
         # with no drift at any control, c >= |b| h holds at every node, so
         # the auto stencil is the central one
         drift_free = self.drift0 == 0.0 and not self.drift_lin.any()
         self.central = grid_cfg.drift_stencil == "central" or drift_free
         self.diffusive = self.aff.c0 != 0.0 or bool(self.aff.c_lin.any())
+        self.sweeps = 1 if self.aff.n_params == 1 else 2
         self._model: Optional[Tuple[CostFunction, _QuadraticCost]] = None
-        self._grid_rows: dict = {}  # stack shape -> the grid repeated over it, flat
 
-    # -- characteristics at controls P of shape (..., n_params) -----------
+    @functools.cached_property
+    def single(self) -> _StepBuffers:
+        """The buffers of single sweeps, which a dual ascent runs many
+        times, made on first use."""
+        return _StepBuffers(self, (self.n,))
 
-    def effective_drift(self, P: np.ndarray) -> np.ndarray:
-        b = _lincomb(self.drift_lin, _params(P))
-        b += self.drift0
+    # -- characteristics at controls ps, a list of per-parameter arrays ----
+
+    def effective_drift(self, ps: List[np.ndarray], out=None) -> np.ndarray:
+        b = _lincomb(self.drift_coefs, ps, out)
+        b += self.drift_const
         return b
 
-    def diffusion(self, P: np.ndarray) -> np.ndarray:
-        c = _lincomb(self.aff.c_lin, _params(P))
-        c += self.aff.c0
+    def diffusion(self, ps: List[np.ndarray], out=None) -> np.ndarray:
+        c = _lincomb(self.c_coefs, ps, out)
+        c += self.c_const
         return c
-
-    def jump_weights(self, P: np.ndarray) -> List[np.ndarray]:
-        """Clipped jump weight per location."""
-        ps = _params(P)
-        weights = [_lincomb(wl, ps) for wl in self.aff.w_lin]
-        for w, w0 in zip(weights, self.aff.w0):
-            w += w0
-            np.maximum(w, 0.0, out=w)
-        return weights
 
     def cost(self, L: CostFunction, t: float, P: np.ndarray, cols=None) -> np.ndarray:
         """L(t, x, P) for a stack of controls over the grid nodes (or the
         nodes ``cols``, P's second-to-last axis), in one call."""
-        shape = P.shape[:-1]
-        if cols is not None:
-            x = np.broadcast_to(self.x_grid[cols], shape).ravel()
-        elif shape in self._grid_rows:
-            x = self._grid_rows[shape]
-        else:
-            x = self._grid_rows[shape] = np.broadcast_to(self.x_grid, shape).ravel()
-        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(shape)
+        x = self.x_grid if cols is None else self.x_grid[cols]
+        x = np.broadcast_to(x, P.shape[:-1]).ravel()
+        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
     def cost_model(self, L: CostFunction) -> _QuadraticCost:
         """The quadratic model of L on this grid, fitted on first use."""
@@ -650,66 +746,182 @@ class _HJBWorkspace:
             self._model = (L, _fit_quadratic_cost(self, L))
         return self._model[1]
 
-    # -- explicit jump part ------------------------------------------------
+    # -- the backward step ------------------------------------------------
 
-    def jump_parts(self, V: np.ndarray) -> List[np.ndarray]:
-        """S_j v - v per jump location, for a (B, n) stack."""
-        parts = []
-        for i, i1, g, f, *_ in self.taps:
-            part = V[:, i]
-            part *= g
-            shifted = V[:, i1]
-            shifted *= f
-            part += shifted
-            part -= V
-            parts.append(part)
-        return parts
+    def form_terms(self, buf: _StepBuffers) -> None:
+        """H's terms of the values buf.V into buf.terms."""
+        V = buf.V
+        dp, dm, dc, d2v, j0, jlin = buf.terms
+        if jlin is not None:
+            # S_j v - v = (1 - f) v[i] + f v[i + 1] - v per location
+            V.take(self.tap_index, axis=-1, out=buf.taps, mode="clip")
+            buf.taps *= self.tap_weights
+            np.add(*buf.tap_pair, out=buf.parts)
+            for part in buf.parts_rows:
+                part -= V
+            for row, wl in zip(buf.jlin_rows, self.jlin_coefs):
+                _lincomb(wl, buf.parts_rows, row)
+            if j0 is not None:
+                _lincomb(self.weight_consts, buf.parts_rows, j0)
+        for left, right, out, width in buf.quotients:
+            np.subtract(left, right, out=out)
+            out /= width
+        if d2v is not None:
+            ahead, at, behind, out = buf.curvature
+            np.multiply(at, 2.0, out=out)
+            np.subtract(ahead, out, out=out)
+            out += behind
+            out /= self.h2
+        if dp is not None:
+            ahead, behind, out, ends, nearest = buf.differences
+            np.subtract(ahead, behind, out=out)
+            out /= self.h
+            ends[...] = nearest
 
-    def jump_apply_transpose(self, W: List[np.ndarray], q: np.ndarray) -> np.ndarray:
-        """J^T q for the forward (adjoint) sweep of one value vector.
+    def backward_step(self, k: int, L: CostFunction, buf: _StepBuffers,
+                      kept: Optional["_StepSystems"] = None) -> None:
+        """Step k of the backward sweep, in place on buf: the values buf.V
+        at t_{k+1} become those at t_k, and buf.P holds the controls chosen.
 
-        The scatter-add visits source nodes in ascending order, so each sum
-        runs in the order of a CSR product with S^T and the L-BFGS-B
-        gradient does not depend on how J^T is stored.
+        The step minimizes H per node over the controls, one coordinate at
+        a time, then solves the implicit system of those controls with the
+        cost and the explicit jump part as source.  With ``kept``, for one
+        value vector, step k's implicit system and clipped jump weights are
+        copied into it before gtsv spends them.
         """
-        out = np.zeros(self.n)
-        for (*_, index, gf), w in zip(self.taps, W):
-            wq = w * q
-            out += np.bincount(index, weights=(gf * wq[:, None]).ravel(), minlength=self.n) - wq
-        return out
-
-    # -- per-step Hamiltonian minimization -------------------------------
-
-    def _stencils(self, V: np.ndarray, parts: List[np.ndarray], with_j0: bool = True):
-        """Difference quotients and jump terms of H for a (B, n) stack; no
-        second difference for a family with no diffusion, and no j0 without
-        ``with_j0``: only H itself reads j0, under the auto stencil and in
-        the golden-section fallback cells."""
-        h = self.h
-        dc = np.empty_like(V)
-        np.subtract(V[:, 2:], V[:, :-2], out=dc[:, 1:-1])
-        dc[:, 1:-1] /= 2.0 * h
-        dc[:, 0] = (V[:, 1] - V[:, 0]) / h
-        dc[:, -1] = (V[:, -1] - V[:, -2]) / h
-        d2v = dp = dm = None
+        model = self.cost_model(L)
+        self.form_terms(buf)
+        buf.P[...] = model.mid
+        for _ in range(self.sweeps):
+            for i, (lo, hi) in enumerate(self.box):
+                if hi <= lo:
+                    buf.p[i][...] = lo
+                else:
+                    self._argmin(k, L, model, buf, i, lo, hi)
+        source = L(self.t_grid[k], buf.x, buf.P)
+        if self.aff.locations.size:
+            for w, wl, w0 in zip(buf.weight_rows, self.weight_coefs, self.weight_consts):
+                _lincomb(wl, buf.p, w)
+                w += w0
+                np.maximum(w, self.zero, out=w)
+            source += _lincomb(buf.weight_rows, buf.parts_rows, buf.jumps)
+        source *= self.step_dt
+        buf.V += source  # V + dt * source: the right-hand side
+        b = self.effective_drift(buf.p, buf.b)
+        c = None
         if self.diffusive:
-            # linear-extrapolation ghosts: zero curvature at the padded edges
-            d2v = np.zeros_like(V)
-            d2v[:, 1:-1] = (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / self.h2
-        if not self.central:
-            diff = (V[:, 1:] - V[:, :-1]) / h
-            dp = np.empty_like(V)
-            dp[:, :-1] = diff
-            dp[:, -1] = diff[:, -1]
-            dm = np.empty_like(V)
-            dm[:, 1:] = diff
-            dm[:, 0] = diff[:, 0]
-        # J(p)v = j0 + sum_i p_i j_i, with the j_i in a list
-        j0 = jlin = None
-        if parts:
-            j0 = _lincomb(self.aff.w0, parts) if with_j0 else None
-            jlin = [_lincomb(wl, parts) for wl in self.aff.w_lin.T]
-        return dp, dm, dc, d2v, j0, jlin
+            c = np.maximum(self.diffusion(buf.p, buf.c), self.zero, out=buf.c)
+        # the rows of I - dt * (implicit drift + implicit diffusion); with
+        # no diffusion the c / h^2 terms are zero and not formed
+        dt, h = self.dt, self.h
+        lower, diag, upper = buf.rows
+        drift = np.multiply(b, self.half_dt, out=buf.drift)  # +-0.5 dt b / h on a row's neighbours
+        drift /= self.step_h
+        if self.central:
+            drift_left, upper_head, drift_right, lower_head = buf.central_rows
+            np.negative(drift_left, out=upper_head)
+            lower_head[...] = drift_right
+            if c is None:
+                diag.fill(1.0)
+            else:
+                half = 0.5 * dt * c / self.h2
+                upper_head -= half[..., :-1]
+                lower_head -= half[..., 1:]
+                np.add(1.0, dt * c / self.h2, out=diag)
+        else:
+            up = np.maximum(b, 0.0)
+            dn = np.minimum(b, 0.0)
+            central = (0.0 if c is None else c) >= np.abs(b) * h
+            row_upper = np.where(central, -drift, -dt * up / h)
+            row_lower = np.where(central, drift, dt * dn / h)
+            if c is None:
+                diag[...] = np.where(central, 1.0, 1.0 + dt * (up - dn) / h)
+            else:
+                diffusion = dt * c / self.h2
+                diag[...] = np.where(central, 1.0 + diffusion,
+                                     1.0 + dt * (up - dn) / h + diffusion)
+                half = 0.5 * dt * c / self.h2
+                row_upper -= half
+                row_lower -= half
+            upper[..., :-1] = row_upper[..., :-1]
+            lower[..., :-1] = row_lower[..., 1:]
+        buf.block_ends.fill(0.0)
+        # edge rows sit in the padded region: one-sided drift, zero
+        # curvature; with e = dt b / h at columns 0 and n - 1, the diagonal
+        # is 1 + e0 and 1 - e1, du's first entry -e0 and dl's last e1
+        b_ends, diag_ends, upper_first, lower_last = buf.edges
+        edge = np.multiply(b_ends, self.edge_dt, out=buf.edge)  # -e0 and e1
+        edge /= self.step_h
+        np.subtract(self.one, edge, out=diag_ends)
+        upper_first[...] = buf.edge_pair[0]
+        lower_last[...] = buf.edge_pair[1]
+        if kept is not None:
+            kept.rows[:, k] = buf.rows
+            kept.weights[k] = buf.weights
+        _gtsv(*buf.system, buf.V_flat)
+
+    def _argmin(self, k, L, model, buf, i, lo, hi) -> None:
+        """Coordinate i of buf.P set to its per-node argmin of H at step k.
+
+        Along the coordinate, H(s) = const + beta (s - mid) + L(s): beta
+        comes exactly from the stencil terms, and the cost model gives L's
+        slope and curvature at the other coordinates of P.  Under the
+        central stencil H is one quadratic and the argmin its clipped
+        vertex.  Under the auto stencil H is one quadratic on each piece
+        between the split points, and the argmin is the best of each
+        branch's clipped vertex and the piece ends.  The cells where the
+        cost model failed its check take golden section on the exact cost,
+        from P as it stands before coordinate i changes.
+        """
+        P, terms = buf.P, buf.terms
+        dp, dm, dc, d2v, _, jlin = terms
+        bad = model.bad[k]
+        golden = None
+        if bad.size:
+            golden = self._piecewise_golden(
+                k, L, P[..., bad, :], i, lo, hi, self._terms_at(buf, bad), bad)
+        mid, rate = model.mid[i, ...], model.rate[i, k]  # mid as a 0-d array
+        convex = None if model.all_convex[i, k] else model.convex[i, k]
+        cost_slope = model.g[k, :, i]
+        for j in range(P.shape[-1]):
+            if j != i:
+                cost_slope = cost_slope + model.hess[k, :, i, j] * (buf.p[j] - model.mid[j])
+        # H's slope at mid apart from the drift term, whose difference
+        # quotient depends on the stencil branch
+        slope = cost_slope
+        if d2v is not None:
+            slope = np.multiply(d2v, 0.5 * self.aff.c_lin[i], out=buf.slope)
+            slope += cost_slope
+        if jlin is not None:
+            slope = np.add(slope, buf.jlin_rows[i], out=buf.slope)
+        dl = self.drift_coefs[i]
+        if self.central:
+            m = np.multiply(dc, dl, out=buf.m)
+            m += slope
+            _vertex_or_end(m, rate, convex, mid, lo, hi, out=buf.p[i])
+        else:
+            vertices = [_vertex_or_end(slope + dl * d, rate, convex, mid, lo, hi)
+                        for d in (dc, dp, dm)]
+            S = np.stack(vertices + self._piece_ends(P, i, lo, hi))
+            u = S - mid
+            # H up to terms constant in s, with the modelled cost
+            H = self._stencil_terms(self._with_coordinate(P, i, S), terms)
+            H += (model.a[i, k] * u + cost_slope) * u
+            buf.p[i][...] = _lowest(S, H)
+        if golden is not None:
+            P[..., bad, i] = golden
+
+    # -- H at given controls: the auto stencil and the fallback cells -----
+
+    def _terms_at(self, buf: _StepBuffers, cols) -> tuple:
+        """buf.terms at the nodes ``cols``, with j0 there, which the
+        central stencil's closed form does not form."""
+        dp, dm, dc, d2v, _, jlin = buf.terms
+        j0 = None
+        if jlin is not None:
+            j0 = _lincomb(self.weight_consts, [part[..., cols] for part in buf.parts_rows])
+            jlin = [j[..., cols] for j in jlin]
+        return tuple(None if a is None else a[..., cols] for a in (dp, dm, dc, d2v)) + (j0, jlin)
 
     def hamiltonian(self, k, L, P, i, S, terms, cols=None) -> np.ndarray:
         """H at step k with coordinate i of P set to each of the K probes in S.
@@ -737,8 +949,9 @@ class _HJBWorkspace:
         """H at controls Q without the cost; a function of its own so that
         its temporaries are freed before the cost call."""
         dp, dm, dc, d2v, j0, jlin = terms
-        b = self.effective_drift(Q)
-        c = 0.0 if d2v is None else self.diffusion(Q)
+        qs = _params(Q)
+        b = self.effective_drift(qs)
+        c = 0.0 if d2v is None else self.diffusion(qs)
         if self.central:
             H = b * dc
         else:
@@ -747,67 +960,8 @@ class _HJBWorkspace:
         if d2v is not None:
             H += 0.5 * c * d2v
         if jlin is not None:
-            H += j0 + _lincomb(jlin, _params(Q))
+            H += j0 + _lincomb(jlin, qs)
         return H
-
-    def optimize_controls(self, k: int, L: CostFunction, terms, shape) -> np.ndarray:
-        """Per-node minimizing parameters of the discrete Hamiltonian at step k."""
-        aff = self.aff
-        P = np.empty(shape + (aff.n_params,))
-        P[...] = self.cost_model(L).mid
-        sweeps = 1 if aff.n_params == 1 else 2
-        for _ in range(sweeps):
-            for i in range(aff.n_params):
-                lo, hi = aff.lows[i], aff.highs[i]
-                P[..., i] = lo if hi <= lo else self._minimize_coordinate(
-                    k, L, P, i, lo, hi, terms)
-        return P
-
-    def _minimize_coordinate(self, k, L, P, i, lo, hi, terms) -> np.ndarray:
-        """Per-node argmin over coordinate i at step k.
-
-        Along the coordinate, H(s) = const + beta (s - mid) + L(s): beta
-        comes exactly from the stencil terms, and the cost model gives L's
-        slope and curvature at the other coordinates of P.  Under the
-        central stencil H is one quadratic and the argmin its clipped
-        vertex.  Under the auto stencil H is one quadratic on each piece
-        between the split points, and the argmin is the best of each
-        branch's clipped vertex and the piece ends.  The cells where the
-        cost model failed its check take golden section on the exact cost.
-        """
-        model = self.cost_model(L)
-        dp, dm, dc, d2v, _, jlin = terms
-        mid = model.mid[i]
-        a, rate = model.a[i, k], model.rate[i, k]
-        convex = None if model.all_convex[i, k] else model.convex[i, k]
-        cost_slope = model.g[k, :, i]
-        for j in range(P.shape[-1]):
-            if j != i:
-                cost_slope = cost_slope + model.hess[k, :, i, j] * (P[..., j] - model.mid[j])
-        # H's slope at mid apart from the drift term, whose difference
-        # quotient depends on the stencil branch
-        slope = cost_slope if d2v is None else 0.5 * self.aff.c_lin[i] * d2v + cost_slope
-        if jlin is not None:
-            slope = slope + jlin[i]
-        dl = self.drift_lin[i]
-        if self.central:
-            m = dl * dc
-            m += slope
-            s = _vertex_or_end(m, rate, convex, mid, lo, hi)
-        else:
-            vertices = [_vertex_or_end(slope + dl * d, rate, convex, mid, lo, hi)
-                        for d in (dc, dp, dm)]
-            S = np.stack(vertices + self._piece_ends(P, i, lo, hi))
-            u = S - mid
-            # H up to terms constant in s, with the modelled cost
-            H = self._stencil_terms(self._with_coordinate(P, i, S), terms)
-            H += (a * u + cost_slope) * u
-            s = _lowest(S, H)
-        bad = model.bad[k]
-        if bad.size:
-            s[:, bad] = self._piecewise_golden(
-                k, L, P[:, bad], i, lo, hi, _restrict(terms, bad), bad)
-        return s
 
     def _split_points(self, P, i, lo, hi) -> List[np.ndarray]:
         """The points of [lo, hi] where c(s) = |b(s)| h along coordinate i.
@@ -819,8 +973,9 @@ class _HJBWorkspace:
         if self.central:
             return []
         dl, cl, h = self.drift_lin[i], self.aff.c_lin[i], self.h
-        b_rest = self.effective_drift(P) - dl * P[..., i]
-        c_rest = self.diffusion(P) - cl * P[..., i]
+        ps = _params(P)
+        b_rest = self.effective_drift(ps) - dl * P[..., i]
+        c_rest = self.diffusion(ps) - cl * P[..., i]
         splits = []
         for sign in (1.0, -1.0):
             denom = cl - sign * h * dl
@@ -864,105 +1019,21 @@ class _HJBWorkspace:
             a = np.where(left, a, c1)
         return np.clip(0.5 * (a + b_), lo, hi)
 
-    # -- frozen-control implicit step ------------------------------------
-
-    def tridiagonal(self, b: np.ndarray, c: Optional[np.ndarray], out=None):
-        """(dl, d, du) of I - dt * (implicit drift + implicit diffusion).
-
-        b and c are (B, n) stacks; c is None for a family with no
-        diffusion, whose c / h^2 terms are zero and not formed.  The B
-        systems are laid end to end as one system of size B * n whose
-        couplings across block boundaries are zero, so gtsv eliminates each
-        block exactly as it would alone.  The rows are written into the
-        three flat buffers of size B * n in ``out`` when given; dl and du
-        are their first B * n - 1 entries.
-        """
-        h, h2, dt = self.h, self.h2, self.dt
-        dl, d, du = (np.empty(b.size) for _ in range(3)) if out is None else out
-        lower, diag, upper = (buf.reshape(b.shape) for buf in (dl, d, du))
-        # the central drift term of a row: +-0.5 dt b / h on its neighbours
-        drift = 0.5 * dt * b
-        drift /= h
-        if self.central:
-            np.negative(drift[:, :-1], out=upper[:, :-1])
-            lower[:, :-1] = drift[:, 1:]
-            if c is None:
-                diag.fill(1.0)
-            else:
-                half = 0.5 * dt * c / h2
-                upper[:, :-1] -= half[:, :-1]
-                lower[:, :-1] -= half[:, 1:]
-                np.add(1.0, dt * c / h2, out=diag)
-        else:
-            up = np.maximum(b, 0.0)
-            dn = np.minimum(b, 0.0)
-            central = (0.0 if c is None else c) >= np.abs(b) * h
-            row_upper = np.where(central, -drift, -dt * up / h)
-            row_lower = np.where(central, drift, dt * dn / h)
-            if c is None:
-                diag[...] = np.where(central, 1.0, 1.0 + dt * (up - dn) / h)
-            else:
-                diffusion = dt * c / h2
-                diag[...] = np.where(central, 1.0 + diffusion,
-                                     1.0 + dt * (up - dn) / h + diffusion)
-                half = 0.5 * dt * c / h2
-                row_upper -= half
-                row_lower -= half
-            upper[:, :-1] = row_upper[:, :-1]
-            lower[:, :-1] = row_lower[:, 1:]
-        upper[:, -1] = lower[:, -1] = 0.0
-        # edge rows sit in the padded region: one-sided drift, zero curvature
-        edge = dt * b[:, ::b.shape[1] - 1] / h  # columns 0 and n - 1
-        diag[:, 0] = 1.0 + edge[:, 0]
-        upper[:, 0] = -edge[:, 0]
-        diag[:, -1] = 1.0 - edge[:, 1]
-        lower[:, -2] = edge[:, 1]
-        return dl[:-1], d, du[:-1]
-
-    def backward_step(self, k: int, V: np.ndarray, L: CostFunction,
-                      kept: Optional["_StepSystems"] = None):
-        """Values at t_k from values V at t_{k+1}, for a (B, n) stack.
-
-        Returns the controls (B, n, n_params) and the values (B, n).  With
-        ``kept``, for one value vector, step k's implicit system and clipped
-        jump weights are kept in it and gtsv solves a copy of the system.
-        """
-        parts = self.jump_parts(V)
-        with_j0 = not self.central or self.cost_model(L).bad[k].size > 0
-        P = self.optimize_controls(k, L, self._stencils(V, parts, with_j0), V.shape)
-        rhs = self.cost(L, self.t_grid[k], P)  # the source term, then V + dt * source
-        weights = self.jump_weights(P)
-        if parts:
-            rhs += _lincomb(weights, parts)
-        rhs *= self.dt
-        rhs += V
-        c = np.maximum(self.diffusion(P), 0.0) if self.diffusive else None
-        if kept is None:
-            system = self.tridiagonal(self.effective_drift(P), c)
-        else:
-            system = self.tridiagonal(self.effective_drift(P), c, kept.rows(k))
-            kept.weights[k] = [w[0] for w in weights]
-        return P, _gtsv(*system, rhs.ravel(), overwrite=kept is None).reshape(V.shape)
-
 
 @dataclass(frozen=True)
 class _StepSystems:
     """What a backward sweep of one value vector built at each step, kept
     for its adjoint sweep: the implicit system's rows (dl, d, du; the last
     entry of dl and du is the zero coupling past the block) and the clipped
-    jump weights, one (n,) array per jump location."""
+    jump weights, one (n,) row per jump location."""
 
-    dl: np.ndarray  # (n_t, n)
-    d: np.ndarray  # (n_t, n)
-    du: np.ndarray  # (n_t, n)
-    weights: list  # per step
+    rows: np.ndarray  # (3, n_t, n)
+    weights: np.ndarray  # (n_t, n_locations, n)
 
     @staticmethod
     def empty(ws: _HJBWorkspace) -> "_StepSystems":
-        return _StepSystems(*np.empty((3, ws.n_t, ws.n)), [None] * ws.n_t)
-
-    def rows(self, k: int):
-        return self.dl[k], self.d[k], self.du[k]
+        return _StepSystems(np.empty((3, ws.n_t, ws.n)),
+                            np.empty((ws.n_t, ws.aff.locations.size, ws.n)))
 
 
 def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray,
@@ -972,22 +1043,23 @@ def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray,
     values = np.empty((ws.n_t + 1, ws.n))
     controls = np.empty((ws.n_t, ws.n, ws.aff.n_params))
     kept = _StepSystems.empty(ws) if keep_systems else None
-    values[-1] = terminal
-    V = values[-1:]
+    buf = ws.single
+    values[-1] = buf.V[...] = terminal
     for k in range(ws.n_t - 1, -1, -1):
-        P, V = ws.backward_step(k, V, cost, kept)
-        controls[k] = P[0]
-        values[k] = V[0]
+        ws.backward_step(k, cost, buf, kept)
+        controls[k] = buf.P
+        values[k] = buf.V
     return ValueGrid(ws.x_grid, ws.t_grid, values, controls, ws.report, kept)
 
 
 def _initial_values(ws: _HJBWorkspace, cost: CostFunction, terminals: np.ndarray) -> np.ndarray:
     """v(0, .) for a (B, n) stack of terminal potentials in one backward
     sweep that keeps only the current step, and no step's system."""
-    V = terminals
+    buf = _StepBuffers(ws, terminals.shape)
+    buf.V[...] = terminals
     for k in range(ws.n_t - 1, -1, -1):
-        _, V = ws.backward_step(k, V, cost)
-    return V
+        ws.backward_step(k, cost, buf)
+    return buf.V.copy()
 
 
 def _terminal_on_grid(ws: _HJBWorkspace, lambda1) -> np.ndarray:
@@ -1021,15 +1093,32 @@ def _forward_ws(ws: _HJBWorkspace, systems: _StepSystems, q0: np.ndarray) -> np.
     of the process under the controls that sweep chose.
 
     Each step solves the transpose of the implicit system the backward
-    step kept, then applies its explicit jump part's transpose with the
-    weights that step clipped; nothing is formed again.  gtsv solves in
-    place, so the kept systems are spent.
+    step kept, then adds dt J^T r, the transpose of its explicit jump part
+    with the weights that step clipped; nothing is formed again.  J^T
+    scatter-adds each location's (1 - f, f) * w * r onto the interleaved
+    taps (i, i + 1), visiting source nodes in ascending order, so each sum
+    runs in the order of a CSR product with S^T and the L-BFGS-B gradient
+    does not depend on how J^T is stored.  gtsv solves in place, so the
+    kept systems are spent.
     """
+    dl, d, du = systems.rows
+    wq = np.empty(ws.n)
+    spread = np.empty((ws.n, 2))  # (1 - f, f) * wq at the interleaved taps
+    taps = spread.reshape(-1)
     q = q0.copy()
     for k in range(ws.n_t):
-        dl, d, du = systems.rows(k)
-        r = _gtsv(du[:-1], d, dl[:-1], q)  # the transposed system
-        q = r + ws.dt * ws.jump_apply_transpose(systems.weights[k], r)
+        r = _gtsv(du[k, :-1], d[k], dl[k, :-1], q)  # the transposed system
+        jt = 0.0  # J^T r, summed over the locations from zero
+        for (index, g, f), w in zip(ws.scatter, systems.weights[k]):
+            np.multiply(w, r, out=wq)
+            np.multiply(g, wq, out=spread[:, 0])
+            np.multiply(f, wq, out=spread[:, 1])
+            part = np.bincount(index, taps, ws.n)
+            part -= wq
+            jt = jt + part
+        jt *= ws.step_dt
+        jt += r
+        q = jt
     return q
 
 
@@ -1052,13 +1141,16 @@ class DualAscentConfig:
     smoothing: float = 0.0
 
     def __post_init__(self):
+        for name in ("bound", "gtol", "smoothing"):
+            mc.check_number(name, getattr(self, name))
+        mc.check_number("max_iterations", self.max_iterations, integer=True)
         if not self.bound > 0:
             raise ValueError(f"bound = {self.bound!r} must be positive")
         if not self.smoothing >= 0:
             raise ValueError(f"smoothing = {self.smoothing!r} must be nonnegative")
         if not self.gtol >= 0:
             raise ValueError(f"gtol = {self.gtol!r} must be nonnegative")
-        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 0):
+        if not self.max_iterations >= 0:
             raise ValueError(
                 f"max_iterations = {self.max_iterations!r} must be a nonnegative integer")
 

@@ -2,8 +2,8 @@
 them when every term was rebuilt at each step, kept as an oracle for the
 kernel's bit-for-bit tests.
 
-``Oracle`` wraps an ``_HJBWorkspace`` for its grid, jump taps, flags and
-cost model, and forms the per-step terms (difference quotients, the
+``Oracle`` wraps an ``_HJBWorkspace`` for its grid, flags and cost model,
+and forms the jump taps and the per-step terms (difference quotients, the
 control argmin, the implicit system and the jump weights) itself, from the
 controls, in the adjoint sweep too.
 """
@@ -76,6 +76,14 @@ class Oracle:
 
     def __init__(self, ws):
         self.ws = ws
+        # a jump by y is linear interpolation of v at x + y, extrapolated
+        # linearly past the edges: the two-tap gather (1 - f) v[i] + f v[i+1]
+        self.taps = []
+        for y in ws.aff.locations:
+            pos = np.arange(ws.n) + y / ws.h
+            i = np.clip(np.floor(pos).astype(int), 0, ws.n - 2)
+            f = pos - i
+            self.taps.append((i, i + 1, 1.0 - f, f, np.column_stack([i, i + 1]).ravel()))
 
     def __getattr__(self, name):
         return getattr(self.ws, name)

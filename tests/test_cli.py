@@ -787,3 +787,26 @@ def test_bad_dual_ascent_setting_is_a_validation_error(tmp_path, capsys, overrid
     err = capsys.readouterr().err
     # one error line that names the offending ascent setting
     assert err.startswith("error: ") and override.split("=")[0].split(".")[-1] in err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", 'config.horizon="abc"'), ("simulate", "config.n_steps=true"),
+    ("simulate", "config.n_paths=true"), ("simulate", 'config.seed="3"'),
+    ("solve-transport", 'solver.dual.x_max="abc"'), ("solve-transport", 'solver.dual.gtol="abc"'),
+    ("solve-transport", 'solver.mc.n_paths="abc"'), ("solve-transport", "solver.mc.seed=true"),
+    ("solve-transport", "solver.dual.smoothing=true"),
+    ("solve-transport", "solver.dual.max_iterations=true"),
+    ("solve-transport", "solver.dual.n_t=true"),
+])
+def test_a_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, command, override):
+    # a string, or a boolean where a number belongs, is a validation error
+    # that names the key, not a comparison error nor a run on True as 1
+    extra = ("--set", 'target={"b":[0],"c":[[1]]}', "--set", "config.n_paths=10")
+    if command == "simulate":
+        args = ("--input", fixture("shrinking_jump_sequence.json")) + extra
+    else:
+        args = ("--input", fixture("trivial_instance.json"))
+    assert run(command, *args, "--out", str(tmp_path), "--set", override) == 1
+    key = override.split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"error: {key if key.startswith('solver.mc') else key.split('.')[-1]} = ")

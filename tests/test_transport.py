@@ -26,6 +26,8 @@ from levysot.transport import (
     _HJBWorkspace,
     _initial_values,
     _solve_hjb_ws,
+    _StepBuffers,
+    _StepSystems,
     affine_family_structure,
     dual_ascent,
     duality_report,
@@ -312,11 +314,12 @@ def test_golden_fallback_takes_a_finite_end():
     # round, so the bracket runs to lam = 6; lam = 0 gives H = 1
     fam = instance_from_dict(fixtures.poisson_instance_doc()).fam
     ws = _HJBWorkspace(fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"))
-    V = np.zeros((1, ws.n))
+    buf = ws.single
+    buf.V[...] = 0.0
     cost = cost_from_expr("exp(1000 * lam)", ("lam",))
     with np.errstate(over="ignore", invalid="ignore"):
-        P = ws.optimize_controls(9, cost, ws._stencils(V, ws.jump_parts(V)), V.shape)
-    assert np.all(P == 0.0)
+        ws.backward_step(9, cost, buf)
+    assert np.all(buf.P == 0.0)
 
 
 def test_gtsv_raises_the_solve_banded_exception_types():
@@ -342,19 +345,28 @@ def test_jump_gathers_equal_sparse_shifts_bitwise():
     # the forward sweep's scatter-add sets the L-BFGS-B gradient, so it must
     # reproduce the sparse transpose bit for bit; -9 reaches past the padding
     atoms = ((0.5, 1.0), (-0.37, 0.5), (2.3, 0.25), (-9.0, 0.1))
-    ws = _HJBWorkspace(fixed_family(atoms=atoms), HJBGridConfig(n_x=60, n_t=20, pad=3.0))
+    ws = _HJBWorkspace(fixed_family(atoms=atoms), HJBGridConfig(n_x=60, n_t=2, pad=3.0))
     rng = np.random.default_rng(3)
     v = rng.normal(size=(2, ws.n))
-    W = list(rng.random((len(atoms), ws.n)))
     shifts = [_sparse_shift(ws.x_grid, y) for y in ws.aff.locations]
-    for S, part in zip(shifts, ws.jump_parts(v)):
+    buf = _StepBuffers(ws, v.shape)
+    buf.V[...] = v
+    ws.form_terms(buf)
+    for S, part in zip(shifts, buf.parts_rows):
         for row in range(2):
             assert np.array_equal(part[row], S @ v[row] - v[row])
-    expected = np.zeros(ws.n)
-    for S, w in zip(shifts, W):
-        wq = w * v[0]
-        expected += S.T.tocsr() @ wq - wq
-    assert np.array_equal(ws.jump_apply_transpose(W, v[0]), expected)
+    # an adjoint sweep of identity systems: each step adds dt J^T q, with
+    # random clipped weights at the first step and zero ones at the second
+    weights = np.stack([rng.random((len(atoms), ws.n)), np.zeros((len(atoms), ws.n))])
+    rows = np.stack([np.zeros((2, ws.n)), np.ones((2, ws.n)), np.zeros((2, ws.n))])
+    expected = v[0]
+    for W in weights:
+        jt = np.zeros(ws.n)
+        for S, w in zip(shifts, W):
+            wq = w * expected
+            jt += S.T.tocsr() @ wq - wq
+        expected = expected + ws.dt * jt
+    assert np.array_equal(_forward_ws(ws, _StepSystems(rows, weights), v[0]), expected)
 
 
 def _two_param_family():
@@ -435,11 +447,13 @@ def test_batched_solve_equals_single_solves(case):
         return golden(k, L, P, i, lo, hi, terms, cols)
 
     ws._golden_section = spy
-    V = terminals
+    buf = _StepBuffers(ws, terminals.shape)
+    buf.V[...] = terminals
     batched_controls = []
     for k in range(ws.n_t - 1, -1, -1):
-        P, V = ws.backward_step(k, V, cost)
-        batched_controls.append(P)
+        ws.backward_step(k, cost, buf)
+        batched_controls.append(buf.P.copy())
+    V = buf.V.copy()
     ws._golden_section = golden
     assert np.array_equal(_initial_values(ws, cost, terminals), V)
     for row, terminal in enumerate(terminals):
@@ -512,23 +526,25 @@ def test_control_step_beats_a_dense_scan(case):
     V = np.stack([
         np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
     ])
-    aff = ws.aff
+    model = ws.cost_model(cost)
+    buf = _StepBuffers(ws, V.shape)
+    buf.V[...] = V
     for k in range(ws.n_t - 1, -1, -1):
-        terms = ws._stencils(V, ws.jump_parts(V))
-        P = np.empty(V.shape + (aff.n_params,))
-        P[...] = 0.5 * (aff.lows + aff.highs)
-        for i in range(aff.n_params):
-            lo, hi = aff.lows[i], aff.highs[i]
+        ws.form_terms(buf)
+        terms = ws._terms_at(buf, slice(None))  # j0 too, which H reads
+        P = buf.P
+        P[...] = model.mid
+        for i, (lo, hi) in enumerate(ws.box):
             if hi <= lo:
                 continue
-            s = ws._minimize_coordinate(k, cost, P, i, lo, hi, terms)
+            ws._argmin(k, cost, model, buf, i, lo, hi)
+            s = P[..., i].copy()
             assert np.all((lo <= s) & (s <= hi))
             h_at = ws.hamiltonian(k, cost, P, i, s[None], terms)[0]
             scan = np.linspace(lo, hi, 2001)[:, None, None]
             h_min = ws.hamiltonian(k, cost, P, i, scan, terms).min(axis=0)
             assert np.all(h_at <= h_min + 1e-9 * (1.0 + np.abs(h_at))), (k, i)
-            P[..., i] = s
-        _, V = ws.backward_step(k, V, cost)
+        ws.backward_step(k, cost, buf)
 
 
 KERNEL_CASES = {
@@ -595,9 +611,9 @@ def test_only_single_solves_keep_their_systems(monkeypatch):
     kept = []
     step = ws.backward_step
 
-    def spy(k, V, L, systems=None):
+    def spy(k, L, buf, systems=None):
         kept.append(systems)
-        return step(k, V, L, systems)
+        return step(k, L, buf, systems)
 
     monkeypatch.setattr(ws, "backward_step", spy)
     x = ws.x_grid
@@ -606,10 +622,57 @@ def test_only_single_solves_keep_their_systems(monkeypatch):
     kept.clear()
     vg = _solve_hjb_ws(ws, cost, 0.5 * x**2)
     assert len(kept) == ws.n_t and all(systems is vg.systems for systems in kept)
-    assert vg.systems.d.shape == (ws.n_t, ws.n)
+    assert vg.systems.rows.shape == (3, ws.n_t, ws.n)
     kept.clear()
     assert _solve_hjb_ws(ws, cost, 0.5 * x**2, keep_systems=False).systems is None
     assert kept == [None] * ws.n_t
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_step_buffers_carry_nothing_between_sweeps(case):
+    # the workspace's step buffers are written in place by every sweep: a
+    # single sweep A, a 51-row batched sweep and a single sweep B on one
+    # workspace give what a fresh workspace gives, and B writes none of
+    # A's arrays, which the polish memo and the adjoint sweep keep
+    fam, cost, cfg = KERNEL_CASES[case]()
+    ws = _HJBWorkspace(fam, cfg)
+    x = ws.x_grid
+    q0 = Marginal.gaussian(0.3, 0.5).grid_weights(x)
+    a = _solve_hjb_ws(ws, cost, 0.5 * x**2)
+    kept = [a.values.copy(), a.controls.copy(), a.systems.rows.copy(), a.systems.weights.copy()]
+    terminals = np.stack([np.clip(s * x**2 + d * x, -50.0, 50.0)
+                          for s in np.linspace(-4.0, 4.0, 17) for d in (-1.0, 0.0, 1.0)])
+    batched = _initial_values(ws, cost, terminals)
+    b = _solve_hjb_ws(ws, cost, np.cos(3.0 * x))
+    for before, after in zip(kept, (a.values, a.controls, a.systems.rows, a.systems.weights)):
+        assert before.tobytes() == after.tobytes()
+    fresh = _HJBWorkspace(fam, cfg)
+    for vg, terminal in ((a, 0.5 * x**2), (b, np.cos(3.0 * x))):
+        expected = _solve_hjb_ws(fresh, cost, terminal)
+        assert vg.values.tobytes() == expected.values.tobytes()
+        assert vg.controls.tobytes() == expected.controls.tobytes()
+        law = _forward_ws(ws, vg.systems, q0)
+        assert law.tobytes() == _forward_ws(fresh, expected.systems, q0).tobytes()
+    assert batched.tobytes() == _initial_values(_HJBWorkspace(fam, cfg), cost, terminals).tobytes()
+
+
+def test_every_sweep_rejects_a_non_finite_step():
+    # gtsv's non-finite check holds on the batched sweep, on the single
+    # sweep that keeps its systems and on the adjoint sweep
+    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    ws = _HJBWorkspace(inst.fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"))
+    overflow = cost_from_expr("exp(1000 + lam)", ("lam",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _initial_values(ws, overflow, np.zeros((3, ws.n)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_hjb_ws(ws, overflow, np.zeros(ws.n))
+    for bad in (np.inf, np.nan):
+        vg = _solve_hjb_ws(ws, inst.cost, 0.5 * ws.x_grid**2)
+        q0 = inst.mu0.grid_weights(ws.x_grid)
+        q0[ws.n // 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _forward_ws(ws, vg.systems, q0)
 
 
 # ---------------------------------------------------------------------------
