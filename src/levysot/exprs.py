@@ -5,8 +5,9 @@ small whitelist is evaluated: +, -, *, /, pow, exp, abs, numeric constants and
 named variables.  Everything else is rejected at compile time, as is a
 variable named twice or named like a function.
 
-A compiled expression evaluates two ways.  Called with keyword arguments it
-broadcasts like numpy (costs and densities on grids).  ``evaluate_rows``
+A compiled expression evaluates two ways.  Called with keyword arguments, or
+through ``positional`` with the variables in order, it broadcasts like numpy
+(costs and densities on grids).  ``evaluate_rows``
 evaluates expressions on columns of values, one row per entry, with the
 arithmetic a call on Python floats would do: powers go through Python's
 float power, element by element, because numpy's array power rounds
@@ -77,6 +78,21 @@ class _PowAsCall(ast.NodeTransformer):
         return node
 
 
+def _as_lambda(tree: ast.Expression, variables: Sequence[str]) -> ast.Expression:
+    """``lambda _0, _1, ...: body``, where _i is the i-th variable; any
+    string can name a variable, since the lambda never names it."""
+    index = {v: f"_{i}" for i, v in enumerate(variables)}
+
+    class Rename(ast.NodeTransformer):
+        def visit_Name(self, node: ast.Name) -> ast.AST:
+            return ast.Name(index.get(node.id, node.id), ast.Load())
+
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(a) for a in index.values()],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    body = Rename().visit(tree).body
+    return ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
+
+
 def _python_pow(a, b):
     """Python's float power on each element: libm ``pow``, as for scalars."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
@@ -114,16 +130,17 @@ class Expression:
             raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
         reads: set = set()
         _check(tree, variables, reads)
-        tree = ast.fix_missing_locations(_PowAsCall().visit(tree))
+        code = compile(_as_lambda(_PowAsCall().visit(tree), variables), "<expr>", "eval")
         self.source = source
         self.variables = tuple(variables)
         self.reads = frozenset(reads)
-        self._code = compile(tree, "<expr>", "eval")
+        # one function of the variables in order per evaluation mode
+        self._call, self._rows = (eval(code, {**_GLOBALS, **env}) for env in (_CALL_ENV, _ROWS_ENV))
 
-    def _eval(self, namespace: Mapping):
-        """The value with the functions and variables of ``namespace``."""
+    def _apply(self, fn, values):
+        """``fn`` on the variables' values in order; an arithmetic error names the source."""
         try:
-            return eval(self._code, _GLOBALS, namespace)
+            return fn(*values)
         except (NameError, ArithmeticError) as exc:
             raise ExpressionError(f"expression {self.source!r}: {exc}") from exc
 
@@ -132,7 +149,11 @@ class Expression:
         missing = set(self.variables) - set(kwargs)
         if missing:
             raise ExpressionError(f"missing variables {sorted(missing)}")
-        out = self._eval({**_CALL_ENV, **kwargs})
+        return self.positional(*(kwargs[v] for v in self.variables))
+
+    def positional(self, *values):
+        """``__call__`` on the variables' values in the order of ``variables``."""
+        out = self._apply(self._call, values)
         if isinstance(out, (int, float)) and not math.isfinite(out):
             raise ExpressionError(f"expression {self.source!r} evaluated to {out}")
         return out
@@ -150,10 +171,9 @@ def evaluate_rows(
     ExpressionError with the expression's source.
     """
     out = np.empty((len(exprs), size))
-    namespace = {**_ROWS_ENV, **columns}
     with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
         for i, e in enumerate(exprs):
-            out[i] = e._eval(namespace)
+            out[i] = e._apply(e._rows, [columns[v] for v in e.variables])
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
         e = exprs[i]

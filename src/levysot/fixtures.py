@@ -9,8 +9,7 @@ cost; compensated-Poisson target with rate-matching cost).
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import stats
+from .montecarlo import poisson_head
 
 POISSON_TARGET_RATE = 3.0
 POISSON_JUMP = 0.5
@@ -93,9 +92,7 @@ def gaussian_instance_doc() -> dict:
 
 def poisson_terminal_marginal() -> dict:
     """Law of jump * N - rate * jump at horizon 1, N Poisson(rate)."""
-    kmax = int(stats.poisson.ppf(1.0 - 1e-14, POISSON_TARGET_RATE)) + 1
-    ks = np.arange(kmax + 1)
-    weights = stats.poisson.pmf(ks, POISSON_TARGET_RATE)
+    ks, weights = poisson_head(POISSON_TARGET_RATE, 1e-14)
     weights = weights / weights.sum()
     points = POISSON_JUMP * ks - POISSON_JUMP * POISSON_TARGET_RATE
     return {

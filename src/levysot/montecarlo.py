@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .triplets import LevyTriplet, TripletStack, levy_exponent
 from .limits import TripletSequence
@@ -221,7 +221,21 @@ def marginal_ks(samples, reference_cdf: Callable[[np.ndarray], np.ndarray]) -> f
 def gaussian_cdf(mean: float, variance: float) -> Callable[[np.ndarray], np.ndarray]:
     if variance <= 0:
         return lambda x: (np.asarray(x, float) >= mean).astype(float)
-    return lambda x: stats.norm.cdf(x, loc=mean, scale=math.sqrt(variance))
+    scale = math.sqrt(variance)
+    # bit for bit scipy.stats.norm.cdf(x, loc=mean, scale=scale)
+    return lambda x: special.ndtr((np.asarray(x, float) - mean) / scale)
+
+
+def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The counts 0, ..., K + 1, K the Poisson(rate) quantile at 1 - tail, and their
+    probabilities, bit for bit as ``scipy.stats.poisson``'s ppf and pmf."""
+    q = 1.0 - tail
+    k = np.ceil(special.pdtrik(q, rate))
+    below = max(k - 1.0, 0.0)  # pdtrik inverts a continuous extension
+    if special.pdtr(below, rate) >= q:
+        k = below
+    ks = np.arange(int(k) + 2)
+    return ks, np.exp(special.xlogy(ks, rate) - special.gammaln(ks + 1) - rate)
 
 
 def marginal_cdf(t: LevyTriplet, horizon: float, x0: float = 0.0):
@@ -248,10 +262,8 @@ def marginal_cdf(t: LevyTriplet, horizon: float, x0: float = 0.0):
 
     supports = []
     for x, w in atoms:
-        lam = w * horizon
-        kmax = int(stats.poisson.ppf(1.0 - 1e-12, lam)) + 1
-        ks = np.arange(kmax + 1)
-        supports.append((x * ks, stats.poisson.pmf(ks, lam)))
+        ks, pmf = poisson_head(w * horizon, 1e-12)
+        supports.append((x * ks, pmf))
     points = np.array([0.0])
     probs = np.array([1.0])
     for vals, pmf in supports:

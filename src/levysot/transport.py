@@ -2,7 +2,7 @@
 
 The dual side solves the HJB partial integro-differential equation backward in
 time (implicit upwinded drift/diffusion, explicit jump integral) and ascends
-over piecewise-linear bounded terminal potentials; the gradient of the dual
+over clipped quadratic terminal potentials; the gradient of the dual
 value is the terminal law of the optimally controlled process minus the target
 marginal, transported forward by the adjoint of the backward scheme.  Each
 backward step minimizes the discrete Hamiltonian per node, one control
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import lsq_linear, minimize
 
@@ -54,7 +53,6 @@ from . import montecarlo as mc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DUAL_BOUND_DEFAULT = 50.0
-GTOL_DEFAULT = 1e-3
 FEASIBILITY_TOL = 1e-9
 GAP_ALLOWANCE_REL = 0.02
 # the primal schedule: constant controls on PRIMAL_STEPS equal steps, whose mean
@@ -68,6 +66,8 @@ INFEASIBLE_DUAL_CAP = 1e3
 POLISH_MAXITER = 60
 POLISH_FTOL = 1e-12
 POLISH_GTOL = 1e-6
+# the potentials the dual ascent searches, as its report names them
+POTENTIAL_CLASS = "clip(a*x^2 + d*x, -bound, bound), mollified by smoothing"
 # relative error of the affine parameter-to-characteristics fit at the box
 # midpoint above which a family is rejected
 AFFINE_CHECK_TOL = 1e-8
@@ -157,7 +157,7 @@ class Marginal:
         if self.kind == "point-mass":
             return (x >= self.location).astype(float)
         if self.kind == "gaussian":
-            return stats.norm.cdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+            return mc.gaussian_cdf(self.mean, self.variance)(x)
         idx = np.searchsorted(self.points, x, side="right")
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         return cum[idx]
@@ -220,12 +220,10 @@ class CostFunction:
     def __call__(self, t: float, x, p):
         x = np.asarray(x, float)
         p = np.asarray(p, float)
-        if p.ndim == 1:
-            env = {name: float(v) for name, v in zip(self.param_names, p)}
-        else:
-            env = {name: p[..., i] for i, name in enumerate(self.param_names)}
+        k = len(self.param_names)
+        params = p[:k].tolist() if p.ndim == 1 else [p[..., i] for i in range(k)]
         values = np.empty(x.shape)
-        values[...] = self.expr(t=t, x=x, **env)
+        values[...] = self.expr.positional(t, x, *params)
         return values
 
 
@@ -1130,8 +1128,6 @@ def _forward_ws(ws: _HJBWorkspace, systems: _StepSystems, q0: np.ndarray) -> np.
 class DualAscentConfig:
     grid: HJBGridConfig = HJBGridConfig()
     bound: float = DUAL_BOUND_DEFAULT
-    gtol: float = GTOL_DEFAULT
-    max_iterations: int = 400
     # mollifier width (in state units) for the ascent class: the potential is
     # a Gaussian-smoothed version of the optimization variables.  Suppresses
     # grid-scale oscillations that would otherwise exploit the mismatch
@@ -1141,18 +1137,12 @@ class DualAscentConfig:
     smoothing: float = 0.0
 
     def __post_init__(self):
-        for name in ("bound", "gtol", "smoothing"):
+        for name in ("bound", "smoothing"):
             mc.check_number(name, getattr(self, name))
-        mc.check_number("max_iterations", self.max_iterations, integer=True)
         if not self.bound > 0:
             raise ValueError(f"bound = {self.bound!r} must be positive")
         if not self.smoothing >= 0:
             raise ValueError(f"smoothing = {self.smoothing!r} must be nonnegative")
-        if not self.gtol >= 0:
-            raise ValueError(f"gtol = {self.gtol!r} must be nonnegative")
-        if not self.max_iterations >= 0:
-            raise ValueError(
-                f"max_iterations = {self.max_iterations!r} must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -1163,37 +1153,26 @@ class DualAscentResult:
     history: Tuple[float, ...]
     converged: bool
     likely_infeasible: bool
-    evidence: dict  # warm-start row count; status, message, nit and nfev per L-BFGS-B stage
-
-
-def _stage_evidence(res) -> dict:
-    return {"status": int(res.status), "message": str(res.message),
-            "nit": int(res.nit), "nfev": int(res.nfev)}
+    evidence: dict  # warm-start rows; the polish's status, message, nit, nfev; the class searched
 
 
 def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfig()) -> DualAscentResult:
-    """Maximize the dual value over bounded piecewise-linear terminal potentials.
+    """Maximize the dual value over the quadratics a x^2 + d x clipped at
+    ±bound and mollified by ``cfg.smoothing``, in two stages that record
+    each dual value in ``history``:
 
-    Three stages, each dual value recorded in ``history``:
+    1. a warm start over λ = 0 and 50 quadratics, priced by one batched
+       backward sweep that keeps no systems;
+    2. an L-BFGS-B polish of (a, d) from the best of them.  It prices a
+       potential once, by one backward sweep that keeps each step's implicit
+       system and jump weights, and takes the gradient in the grid potential,
+       the forward-transported terminal law minus the target, from one
+       adjoint sweep on those systems, chained through the clip.
 
-    1. a warm start over λ = 0 and 50 clipped quadratics a x^2 + d x, whose
-       51 dual values come from one batched backward sweep;
-    2. an L-BFGS-B polish of (a, d) from the best of them, whose gradient is
-       the full-grid gradient of stage 3 chained through the clip;
-    3. L-BFGS-B over the full grid potential from the best quadratic priced
-       in stages 1 and 2, ascending along the forward-transported terminal
-       law minus the target.
-
-    Stages 2 and 3 solve a potential once: met again, as stage 3's opening
-    point is, it returns the value and gradient computed before.  Its value
-    comes from one backward sweep that keeps each step's implicit system
-    and jump weights, and its gradient from one adjoint sweep that solves
-    those systems transposed; stage 1 keeps no systems.
-
-    That direction is the adjoint under the frozen optimal controls, not
-    the exact gradient of the discrete dual, so the polish's last iterate
-    can be worse than a quadratic it priced earlier; stage 3 starts from
-    the best one.
+    That gradient is the adjoint under the frozen optimal controls, not the
+    exact gradient of the discrete dual, so the polish can end worse than a
+    quadratic it priced earlier.  The result is the best quadratic priced,
+    and ``converged`` is the polish's success flag.
     """
     ws = _HJBWorkspace(inst.fam, cfg.grid)
     x_grid = ws.x_grid
@@ -1211,13 +1190,6 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     def potential(z: np.ndarray) -> np.ndarray:
         return kernel @ z if kernel is not None else z
 
-    def dual_values(zs: List[np.ndarray]) -> List[float]:
-        lams = [_terminal_on_grid(ws, potential(z)) for z in zs]
-        v0 = _initial_values(ws, inst.cost, np.stack(lams))
-        values = [float(mu0_w @ v - mu1_w @ lam) for v, lam in zip(v0, lams)]
-        history.extend(values)
-        return values
-
     priced: dict = {}  # z.tobytes() -> the (value, gradient) pair returned
 
     def negative_dual(z: np.ndarray):
@@ -1233,9 +1205,8 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
             priced[key] = (-value, -grad)
         return priced[key]
 
-    # coarse initialization: search clipped quadratic potentials a x^2 + d x,
-    # which are the natural shapes for variance/rate transport, then refine
-    # the full grid potential from the best one
+    # clipped quadratic potentials a x^2 + d x: the natural shapes for
+    # variance/rate transport
     def quad_potential(a: float, d: float) -> np.ndarray:
         return np.clip(a * x_grid**2 + d * x_grid, -cfg.bound, cfg.bound)
 
@@ -1244,9 +1215,11 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
         for a in (0.25, 1.0, 4.0, 16.0, 64.0, -0.25, -1.0, -4.0, -16.0, -64.0)
         for d in (0.0, 1.0, -1.0, 4.0, -4.0)
     ]
-    values = dual_values([np.zeros(x_grid.size)] + [quad_potential(*ad) for ad in ad_grid[1:]])
-    best = int(np.argmax(values))  # the first of equal maxima
-    best_ad, best_val = ad_grid[best], values[best]
+    lams = [_terminal_on_grid(ws, potential(quad_potential(*ad))) for ad in ad_grid]
+    v0 = _initial_values(ws, inst.cost, np.stack(lams))
+    history.extend(float(mu0_w @ v - mu1_w @ lam) for v, lam in zip(v0, lams))
+    best = int(np.argmax(history))  # the first of equal maxima
+    best_ad, best_val = ad_grid[best], history[best]
 
     def negative_quad_dual(ad: np.ndarray):
         # the full-grid value and gradient, chained through the clip
@@ -1265,26 +1238,19 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
         method="L-BFGS-B",
         options={"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL},
     )
-    # the opening point was priced by the polish, so its solve is reused
-    res = minimize(
-        negative_dual,
-        quad_potential(*best_ad),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-cfg.bound, cfg.bound)] * x_grid.size,
-        options={"maxiter": cfg.max_iterations, "ftol": 1e-12, "gtol": cfg.gtol},
-    )
-    lam_best = potential(np.asarray(res.x, float))
-    best = float(-res.fun)
     return DualAscentResult(
-        dual_value=best,
-        lambda1=lam_best,
+        dual_value=best_val,
+        lambda1=potential(quad_potential(*best_ad)),
         x_grid=x_grid,
         history=tuple(history),
-        converged=bool(res.success),
-        likely_infeasible=best > INFEASIBLE_DUAL_CAP,
-        evidence={"warm_start_rows": len(ad_grid), "polish": _stage_evidence(polish),
-                  "full_grid": _stage_evidence(res)},
+        converged=bool(polish.success),
+        likely_infeasible=best_val > INFEASIBLE_DUAL_CAP,
+        evidence={
+            "warm_start_rows": len(ad_grid),
+            "polish": {"status": int(polish.status), "message": str(polish.message),
+                       "nit": int(polish.nit), "nfev": int(polish.nfev)},
+            "potential_class": POTENTIAL_CLASS,
+        },
     )
 
 
@@ -1430,7 +1396,7 @@ class DualityReport:
     weak_duality_ok: bool
     allowance: float
     ascent_history: Tuple[float, ...]
-    dual_converged: bool  # L-BFGS-B's success flag
+    dual_converged: bool  # the polish's success flag
     dual_likely_infeasible: bool
     primal_likely_infeasible: bool
     primal_evidence: dict  # PrimalResult.evidence

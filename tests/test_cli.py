@@ -3,11 +3,13 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from levysot import cli, fixtures, limits, serialize
+from levysot import cli, fixtures, limits, serialize, transport
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
 from levysot.limits import default_u_grid, exponent_limit_profile
 from levysot.measures import MeasureStack
@@ -231,10 +233,10 @@ def test_write_csv_streams_the_buffered_bytes(tmp_path):
         def __repr__(self):
             raise RuntimeError("cell cannot be formatted")
 
-    failing = np.zeros((BLOCK_PATHS + 1, 3), dtype=object)
+    failing = np.zeros((cli.CSV_BLOCK_KEYS + 1, 3), dtype=object)
     failing[-1, -1] = Unformattable()
     with pytest.raises(RuntimeError):
-        write_csv(str(path), header, range(BLOCK_PATHS + 1), (failing,), inner=times)
+        write_csv(str(path), header, range(cli.CSV_BLOCK_KEYS + 1), (failing,), inner=times)
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
     assert os.listdir(tmp_path) == ["paths.csv"]
     # value columns whose inner length disagrees with the inner keys
@@ -269,27 +271,31 @@ def _read_bytes(out, name) -> bytes:
 
 
 def test_paths_csv_matches_the_row_writer(tmp_path):
-    # two full blocks of rows and a short third one, starting at x0 = -0.0
-    doc = {
-        "triplet": {"b": [0.3], "c": [[0.5]], "F": {"atoms": [{"x": [0.4], "w": 2.0}]}},
-        "x0": -0.0,
-        "config": {"n_paths": 2 * BLOCK_PATHS + 3, "n_steps": 2},
-    }
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
-    out = str(tmp_path / "out")
-    assert run("simulate", "--input", str(path), "--out", out, "--seed", "4") == 0
-    cfg = SimulationConfig(**doc["config"], seed=4)
-    bundle = simulate_paths(triplet_from_dict(doc["triplet"]), -0.0, cfg)
-    times = bundle.time_grid.tolist()
-    expected = _row_writer_bytes(("path_id", "t", "value"), (
-        (i, t, v) for i, path in enumerate(bundle.values) for t, v in zip(times, path.tolist())
-    ))
-    written = _read_bytes(out, "paths.csv")
-    assert written == expected
-    assert b"\n0,0.0,-0.0\n" in written
-    last_row = f"\n{2 * BLOCK_PATHS + 2},1.0,{float(bundle.values[-1, -1])!r}\n"
-    assert written.endswith(last_row.encode())
+    # two full sampling blocks of paths and a short third one, then a count
+    # that is no multiple of the writer's block of rows, from x0 = -0.0
+    assert 5000 % cli.CSV_BLOCK_KEYS and (2 * BLOCK_PATHS + 3) % cli.CSV_BLOCK_KEYS
+    for n_paths in (2 * BLOCK_PATHS + 3, 5000):
+        doc = {
+            "triplet": {"b": [0.3], "c": [[0.5]], "F": {"atoms": [{"x": [0.4], "w": 2.0}]}},
+            "x0": -0.0,
+            "config": {"n_paths": n_paths, "n_steps": 2},
+        }
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / f"out{n_paths}")
+        assert run("simulate", "--input", str(path), "--out", out, "--seed", "4") == 0
+        cfg = SimulationConfig(**doc["config"], seed=4)
+        bundle = simulate_paths(triplet_from_dict(doc["triplet"]), -0.0, cfg)
+        times = bundle.time_grid.tolist()
+        expected = _row_writer_bytes(("path_id", "t", "value"), (
+            (i, t, v) for i, path in enumerate(bundle.values)
+            for t, v in zip(times, path.tolist())
+        ))
+        written = _read_bytes(out, "paths.csv")
+        assert written == expected
+        assert b"\n0,0.0,-0.0\n" in written
+        last_row = f"\n{n_paths - 1},1.0,{float(bundle.values[-1, -1])!r}\n"
+        assert written.endswith(last_row.encode())
 
 
 def test_limit_csvs_match_the_row_writer(tmp_path):
@@ -329,18 +335,16 @@ def test_duality_report_carries_the_dual_evidence(tmp_path):
                str(tmp_path), *(arg for o in overrides for arg in ("--set", o))) == 0
     rep = read_json(os.path.join(str(tmp_path), "duality_report.json"))
     evidence = rep["dual_evidence"]
+    assert set(evidence) == {"warm_start_rows", "polish", "potential_class"}
     assert evidence["warm_start_rows"] == 51
-    for stage in ("polish", "full_grid"):
-        assert evidence[stage]["status"] in (0, 1, 2)  # L-BFGS-B's status codes
-        assert evidence[stage]["message"]
-        assert evidence[stage]["nit"] >= 0 and evidence[stage]["nfev"] >= 1
-    assert evidence["full_grid"]["status"] == 0
+    polish = evidence["polish"]
+    assert polish["status"] == 0  # L-BFGS-B converged
+    assert polish["message"] and polish["nit"] >= 1 and polish["nfev"] >= 1
     assert rep["dual_converged"] is True
-    # every priced potential is one ascent value; the full-grid stage's
-    # opening evaluation reuses the polish's pricing of the best quadratic
-    assert len(rep["ascent_history"]) == (
-        evidence["warm_start_rows"] + evidence["polish"]["nfev"]
-        + evidence["full_grid"]["nfev"] - 1)
+    assert evidence["potential_class"] == transport.POTENTIAL_CLASS
+    # every priced potential is one ascent value; this polish meets no
+    # potential again, so there are no revisits to subtract
+    assert len(rep["ascent_history"]) == evidence["warm_start_rows"] + polish["nfev"]
 
 
 def test_solve_transport_with_overrides(tmp_path):
@@ -756,6 +760,7 @@ def test_limit_report_lists_each_projection(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "solver.dual.n_X=10", "solver.primal.n_steps=3", "solver.mc.paths=5",
+    "solver.dual.gtol=1e-3", "solver.dual.max_iterations=10",
 ])
 def test_unknown_solver_keys_are_rejected(tmp_path, capsys, override):
     assert run("solve-transport", "--input", fixture("trivial_instance.json"),
@@ -779,6 +784,7 @@ def test_degenerate_hjb_grid_is_a_validation_error(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     "solver.dual.bound=0", "solver.dual.bound=-1", "solver.dual.smoothing=-0.3",
+    # keys that are no ascent setting: whatever the value, an error that names them
     "solver.dual.gtol=-1", "solver.dual.max_iterations=-5", "solver.dual.max_iterations=2.5",
 ])
 def test_bad_dual_ascent_setting_is_a_validation_error(tmp_path, capsys, override):
@@ -792,10 +798,9 @@ def test_bad_dual_ascent_setting_is_a_validation_error(tmp_path, capsys, overrid
 @pytest.mark.parametrize("command, override", [
     ("simulate", 'config.horizon="abc"'), ("simulate", "config.n_steps=true"),
     ("simulate", "config.n_paths=true"), ("simulate", 'config.seed="3"'),
-    ("solve-transport", 'solver.dual.x_max="abc"'), ("solve-transport", 'solver.dual.gtol="abc"'),
+    ("solve-transport", 'solver.dual.x_max="abc"'), ("solve-transport", 'solver.dual.bound="abc"'),
     ("solve-transport", 'solver.mc.n_paths="abc"'), ("solve-transport", "solver.mc.seed=true"),
     ("solve-transport", "solver.dual.smoothing=true"),
-    ("solve-transport", "solver.dual.max_iterations=true"),
     ("solve-transport", "solver.dual.n_t=true"),
 ])
 def test_a_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, command, override):
@@ -810,3 +815,13 @@ def test_a_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, comman
     key = override.split("=")[0]
     assert capsys.readouterr().err.startswith(
         f"error: {key if key.startswith('solver.mc') else key.split('.')[-1]} = ")
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # the normal and Poisson laws come from scipy.special, and every CLI
+    # process is spared importing scipy.stats
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, levysot.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

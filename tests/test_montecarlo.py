@@ -19,6 +19,7 @@ from levysot.montecarlo import (
     gaussian_cdf,
     marginal_cdf,
     marginal_ks,
+    poisson_head,
     simulate_paths,
 )
 from levysot.limits import TripletSequence
@@ -263,3 +264,26 @@ def test_stack_rows_simulate_as_the_listed_triplets():
     stacked = simulate_paths(fam.stack(schedule), 0.0, cfg)
     listed = simulate_paths([fam.at(p) for p in schedule], 0.0, cfg)
     assert np.array_equal(stacked.values, listed.values)
+
+
+@pytest.mark.parametrize("loc, variance", [(0.0, 1.0), (0.3, 0.5), (-2.0, 9.0), (1e-3, 1e-4)])
+def test_gaussian_cdf_is_scipy_stats_bit_for_bit(loc, variance):
+    rng = np.random.default_rng(5)
+    scale = math.sqrt(variance)
+    x = rng.normal(loc, 3.0 * scale, 20_000)
+    x[:3] = [np.inf, -np.inf, np.nan]
+    cdf = gaussian_cdf(loc, variance)
+    assert cdf(x).tobytes() == stats.norm.cdf(x, loc=loc, scale=scale).tobytes()
+    assert cdf(loc + 0.7) == stats.norm.cdf(loc + 0.7, loc=loc, scale=scale)
+
+
+@pytest.mark.parametrize("tail", [1e-12, 1e-14, 0.01])
+def test_poisson_head_is_scipy_stats_bit_for_bit(tail):
+    # the workload's and the fixtures' rates among them
+    rates = np.concatenate([[0.0, 0.06, 5.9, 3.0, 2.0 + 2.0 * 2.5 / 3],
+                            np.geomspace(1e-3, 40.0, 40)])
+    for rate in rates:
+        ks, pmf = poisson_head(rate, tail)
+        kmax = int(stats.poisson.ppf(1.0 - tail, rate)) + 1
+        assert np.array_equal(ks, np.arange(kmax + 1))
+        assert pmf.tobytes() == stats.poisson.pmf(ks, rate).tobytes()

@@ -195,6 +195,25 @@ def test_cost_expr_broadcasting():
             cost_from_expr("1", (name,))
 
 
+def test_cost_positional_call_is_the_keyword_call():
+    # one compiled function of positional arrays behind both calls, with the
+    # keyword call's values and errors
+    x = np.linspace(-2.0, 2.0, 9)
+    P = np.column_stack([np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 3.0, 9)])
+    cost = cost_from_expr("abs(p0 - 0.3) + p1 ** 2 * exp(t) + x", ("p0", "p1"))
+    expected = cost.expr(t=0.25, x=x, p0=P[:, 0], p1=P[:, 1])
+    assert cost(0.25, x, P).tobytes() == expected.tobytes()
+    assert cost.expr.positional(0.25, x, P[:, 0], P[:, 1]).tobytes() == expected.tobytes()
+    row = cost(0.25, x[:1], P[3])
+    assert row.tobytes() == np.array([cost.expr(t=0.25, x=x[0], p0=P[3, 0], p1=P[3, 1])]).tobytes()
+    for source, p in (("1 / p0", 0.0), ("exp(1000 * p0)", 1.0)):
+        with pytest.raises(ExpressionError, match="expression"), np.errstate(over="ignore"):
+            cost_from_expr(source, ("p0",))(0.0, np.zeros(1), np.array([p]))
+    # a parameter name need not be an identifier where the source does not read it
+    odd = cost_from_expr("p0 + 1", ("p0", "not a name"))
+    assert odd(0.0, np.zeros(2), np.array([2.0, 5.0])).tolist() == [3.0, 3.0]
+
+
 def test_instance_from_dict_and_validate():
     inst = instance_from_dict(fixtures.gaussian_instance_doc())
     inst.validate()

@@ -756,9 +756,7 @@ def test_dual_ascent_trivial_instance():
         Marginal.point(0.0), Marginal.point(0.0), diffusion_family(),
         cost_from_expr("c * c", ("c",)),
     )
-    res = dual_ascent(inst, DualAscentConfig(
-        grid=HJBGridConfig(n_x=80, n_t=40), max_iterations=100,
-    ))
+    res = dual_ascent(inst, DualAscentConfig(grid=HJBGridConfig(n_x=80, n_t=40)))
     assert abs(res.dual_value) <= 1e-6
     assert not res.likely_infeasible
 
@@ -788,34 +786,33 @@ def test_dual_ascent_flags_likely_infeasible():
         Marginal.point(0.0), Marginal.gaussian(0.0, 9.0), diffusion_family(0.5),
         cost_from_expr("c * c", ("c",)),
     )
-    res = dual_ascent(inst, DualAscentConfig(
-        grid=HJBGridConfig(n_x=120, n_t=60), bound=3000.0, max_iterations=200,
-    ))
+    res = dual_ascent(inst, DualAscentConfig(grid=HJBGridConfig(n_x=120, n_t=60), bound=3000.0))
     assert res.likely_infeasible
     assert res.dual_value > 1e3
 
 
 @pytest.fixture(scope="module")
 def poisson_ascent():
-    """The Poisson fixture's duality report, with the objective, result and
-    returned values of the polish and of the full-grid L-BFGS-B, and the
-    terminal potentials priced by the warm start's batched sweep and by the
-    full solves that also give a gradient."""
+    """The Poisson fixture's duality report, with the objective, result,
+    evaluated points and returned values of the polish, and the terminal
+    potentials priced by the warm start's batched sweep and by the full
+    solves that also give a gradient."""
     calls = []
     warm, solved = [], []
 
     def recording_minimize(fun, x0, **kwargs):
         if kwargs.get("method") != "L-BFGS-B":
             return minimize(fun, x0, **kwargs)
-        values = []
+        points, values = [], []
 
         def recorded(z):
             f, g = fun(z)
+            points.append(z.copy())
             values.append(f)
             return f, g
 
         res = minimize(recorded, x0, **kwargs)
-        calls.append((fun, res, values))
+        calls.append((fun, res, points, values))
         return res
 
     def recording_solve(ws, cost, terminal):
@@ -832,25 +829,35 @@ def poisson_ascent():
         mp.setattr(transport, "minimize", recording_minimize)
         mp.setattr(transport, "_solve_hjb_ws", recording_solve)
         mp.setattr(transport, "_initial_values", recording_initial_values)
-        report = run_transport(doc).report
-    (polish_fun, polish_res, _), (full_fun, full_res, full_values) = calls
-    return SimpleNamespace(report=report, polish_fun=polish_fun, polish_res=polish_res,
-                           full_fun=full_fun, full_res=full_res, full_values=full_values,
-                           warm=warm, solved=solved, bound=doc["solver"]["dual"]["bound"])
+        run = run_transport(doc)
+    (polish_fun, polish_res, polish_points, polish_values), = calls
+    return SimpleNamespace(report=run.report, inst=run.inst, grid=run.grid,
+                           polish_fun=polish_fun, polish_res=polish_res,
+                           polish_points=polish_points, polish_values=polish_values,
+                           warm=warm, solved=solved, dual=doc["solver"]["dual"])
 
 
 @pytest.mark.parametrize("ad", [(-16.0, -1.0), (4.0, 1.0)])
 def test_polish_gradient_chains_the_full_grid_gradient(poisson_ascent, ad):
-    # the polish prices a quadratic by the full-grid objective and contracts
+    # the polish prices a quadratic by the full-grid objective, one backward
+    # sweep and one adjoint sweep on the mollified potential, and contracts
     # its gradient with the clip's derivative in a and in d
     x = poisson_ascent.report.dual_x_grid
+    bound, smoothing = poisson_ascent.dual["bound"], poisson_ascent.dual["smoothing"]
     a, d = ad
     z = a * x**2 + d * x
-    inside = np.abs(z) < poisson_ascent.bound
+    inside = np.abs(z) < bound
     assert 0 < inside.sum() < x.size  # the clip binds at both points
+    ws = _HJBWorkspace(poisson_ascent.inst.fam, poisson_ascent.grid)
+    kernel = np.exp(-0.5 * ((x[:, None] - x[None, :]) / smoothing) ** 2)
+    kernel *= ws.h / (smoothing * np.sqrt(2.0 * np.pi))
+    lam = kernel @ np.clip(z, -bound, bound)
+    mu0_w = poisson_ascent.inst.mu0.grid_weights(x)
+    mu1_w = poisson_ascent.inst.mu1.grid_weights(x)
+    vg = _solve_hjb_ws(ws, poisson_ascent.inst.cost, lam)
+    f_full = -(mu0_w @ vg.initial() - mu1_w @ lam)
+    g_full = -(kernel @ (_forward_ws(ws, vg.systems, mu0_w) - mu1_w))
     f_quad, g_quad = poisson_ascent.polish_fun(np.array(ad))
-    f_full, g_full = poisson_ascent.full_fun(np.clip(z, -poisson_ascent.bound,
-                                                     poisson_ascent.bound))
     assert f_quad == f_full
     np.testing.assert_allclose(
         g_quad, [g_full @ (x**2 * inside), g_full @ (x * inside)], rtol=1e-12, atol=0.0)
@@ -859,21 +866,28 @@ def test_polish_gradient_chains_the_full_grid_gradient(poisson_ascent, ad):
 def test_polish_prices_few_quadratics_and_starts_from_the_best(poisson_ascent):
     rep = poisson_ascent.report
     ev = rep.dual_evidence
-    polish_res, full_res = poisson_ascent.polish_res, poisson_ascent.full_res
+    polish_res = poisson_ascent.polish_res
     assert ev["polish"]["nfev"] == polish_res.nfev <= 40
-    assert ev["full_grid"]["nfev"] == full_res.nfev
-    priced = ev["warm_start_rows"] + polish_res.nfev
-    # the full-grid stage's opening evaluation is the polish's pricing of
-    # its start, so it adds no ascent value
-    assert len(rep.ascent_history) == priced + full_res.nfev - 1
-    # the full-grid stage opens on the best quadratic priced, not the last
-    assert -poisson_ascent.full_values[0] == max(rep.ascent_history[:priced])
+    assert ev["polish"]["status"] == polish_res.status
+    assert rep.dual_converged is bool(polish_res.success)
+    assert "full_grid" not in ev and ev["potential_class"] == transport.POTENTIAL_CLASS
+    rows = ev["warm_start_rows"]
+    # the polish opens on the best warm-start row, and its single solve of
+    # that row gives the batched sweep's value
+    assert -poisson_ascent.polish_values[0] == max(rep.ascent_history[:rows])
+    # one ascent value per distinct point the polish evaluated
+    revisits = polish_res.nfev - len({z.tobytes() for z in poisson_ascent.polish_points})
+    assert len(rep.ascent_history) == rows + polish_res.nfev - revisits
     # one HJB solve per ascent value, and no potential is priced twice by
     # either kind of solve
     warm, solved = poisson_ascent.warm, poisson_ascent.solved
     assert len(warm) + len(solved) == len(rep.ascent_history)
     for potentials in (warm, solved):
         assert len({lam.tobytes() for lam in potentials}) == len(potentials)
+    # the result is the best potential priced by either stage
+    best = int(np.argmax(rep.ascent_history))
+    assert rep.dual_value == rep.ascent_history[best]
+    assert rep.dual_potential.tobytes() == (warm + solved)[best].tobytes()
 
 
 def test_a_potential_met_again_is_not_solved_again(monkeypatch):
@@ -891,8 +905,7 @@ def test_a_potential_met_again_is_not_solved_again(monkeypatch):
     monkeypatch.setattr(transport, "_solve_hjb_ws", recording_solve)
     report = run_transport(doc).report
     ev = report.dual_evidence
-    # the opening point of the full-grid stage is one of the polish's
-    assert ev["polish"]["nfev"] + ev["full_grid"]["nfev"] - 1 > len(solved)
+    assert ev["polish"]["nfev"] > len(solved)
     assert len(set(solved)) == len(solved)
     assert len(report.ascent_history) == ev["warm_start_rows"] + len(solved)
 
@@ -901,6 +914,19 @@ def test_polish_keeps_the_poisson_dual(poisson_ascent):
     rep = poisson_ascent.report
     assert rep.dual_value >= 3.9978617 - 1e-4  # what a derivative-free polish reached
     assert rep.weak_duality_ok
+    # the default grid's dual and solve count, as the warm start and the
+    # polish give them
+    assert repr(rep.dual_value) == "3.99818827067312"
+    assert len(rep.ascent_history) == 62
+
+
+def test_gaussian_dual_on_the_default_grid():
+    doc = fixtures.gaussian_instance_doc()
+    doc["solver"]["mc"]["n_paths"] = 1000
+    rep = run_transport(doc).report
+    assert repr(rep.dual_value) == "1.000414672599978"
+    assert len(rep.ascent_history) == 56
+    assert rep.dual_converged
 
 
 def test_mc_validation_exact_cost_for_state_independent():
