@@ -8,9 +8,9 @@ atomically (write to a temporary sibling, then rename) and echo the seed used,
 so reruns with identical inputs are byte-identical.
 
 Output contract: a CSV has one header line and ``\n`` line endings; integers
-are written as they are and floats by Python ``repr``, so ``float(cell)``
-gives back the exact double.  A JSON report never contains ``NaN`` or
-``Infinity``; a missing value is ``null``.
+are written as they are and floats as Python's ``repr`` prints them, so
+``float(cell)`` gives back the exact double.  A JSON report never contains
+``NaN`` or ``Infinity``; a missing value is ``null``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import (
 )
 
 import numpy as np
+import orjson
 
 from . import fixtures
 from .exprs import ExpressionError
@@ -155,8 +156,8 @@ def write_csv(
     Each of ``columns`` has shape (len(outer),) without inner keys and
     (len(outer), len(inner)) with them.  Each inner key is formatted once,
     into a row template that writes all lines of one outer key; the template
-    is mapped over ``CSV_BLOCK_KEYS`` outer keys at a time, on the ``repr``
-    of each key and value.
+    is mapped over ``CSV_BLOCK_KEYS`` outer keys at a time.  Keys are written
+    by ``repr``, and value cells as ``repr`` prints them (see ``_cells``).
     """
     outer = _scalars(outer)
     cells = [""] if inner is None else [f"{k!r}," for k in _scalars(inner)]
@@ -176,12 +177,34 @@ def write_csv(
         fh.write(",".join(header) + "\n")
         for start in range(0, len(outer), CSV_BLOCK_KEYS):
             stop = start + CSV_BLOCK_KEYS
-            args = [list(map(repr, col)) for a in arrays for col in a[start:stop].T.tolist()]
+            args = [_cells(col) for a in arrays for col in a[start:stop].T]
             fh.write("".join(map(template.format, map(repr, outer[start:stop]), *args)))
 
 
-def _scalars(keys: Iterable[Any]) -> list:
-    """Keys as Python ints and floats, each keeping its own type."""
+def _cells(col: np.ndarray) -> list:
+    """``repr`` of each entry of a 1-d column, as a list of strings.
+
+    A float64 column is printed by orjson, whose shortest round-trip digits
+    are ``repr``'s.  The layouts differ only for a nonzero magnitude outside
+    [1e-4, 1e16), where ``repr`` turns to exponent notation, and for a
+    non-finite value, which orjson writes as ``null``: those cells are taken
+    from ``repr``.  A column of any other dtype is ``repr`` throughout.
+    """
+    if col.dtype != np.float64 or not col.size:
+        return list(map(repr, col.tolist()))
+    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text.decode()[1:-1].split(",")
+    mag = np.abs(col)
+    for i in np.flatnonzero((col != 0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist():
+        cells[i] = repr(col.item(i))
+    return cells
+
+
+def _scalars(keys: Iterable[Any]) -> Sequence:
+    """Keys as Python ints and floats, each keeping its own type; a range
+    is passed through."""
+    if isinstance(keys, range):
+        return keys
     if isinstance(keys, np.ndarray):
         return keys.tolist()
     return [k.item() if isinstance(k, np.generic) else k for k in keys]

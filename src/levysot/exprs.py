@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ast
 import math
-import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,20 +92,25 @@ def _as_lambda(tree: ast.Expression, variables: Sequence[str]) -> ast.Expression
     return ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
 
 
+def _real_pow(a, b):
+    """``a ** b``; a fractional power of a negative float, which Python
+    makes complex, is an error."""
+    out = a ** b
+    if isinstance(out, complex):
+        raise ArithmeticError("power of a negative number is not real")
+    return out
+
+
 def _python_pow(a, b):
     """Python's float power on each element: libm ``pow``, as for scalars."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
-        shape, out = None, [a ** b]
-    else:
-        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-        shape = a.shape
-        out = [x ** y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-    if any(isinstance(v, complex) for v in out):
-        raise ArithmeticError("power of a negative number is not real")
-    return out[0] if shape is None else np.array(out, dtype=float).reshape(shape)
+        return _real_pow(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    out = [_real_pow(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return np.array(out, dtype=float).reshape(a.shape)
 
 
-_CALL_ENV = {"exp": np.exp, "abs": np.abs, "pow": operator.pow, _POW: operator.pow}
+_CALL_ENV = {"exp": np.exp, "abs": np.abs, "pow": _real_pow, _POW: _real_pow}
 _ROWS_ENV = {"exp": np.exp, "abs": np.abs, "pow": _python_pow, _POW: _python_pow}
 _GLOBALS = {"__builtins__": {}}
 

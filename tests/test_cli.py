@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levysot import cli, fixtures, limits, serialize, transport
 from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
@@ -244,6 +246,51 @@ def test_write_csv_streams_the_buffered_bytes(tmp_path):
         write_csv(str(path), header, range(2), (values,), inner=times[:2])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
     assert os.listdir(tmp_path) == ["paths.csv"]
+
+
+def _repr_cells(col) -> list:
+    return list(map(repr, col.tolist()))
+
+
+def test_cells_are_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(27)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    # half with any exponent, subnormals included; half with a binary
+    # exponent from -30 to 60, where the cells come from orjson
+    exponents = rng.integers(1023 - 30, 1023 + 60, size=bits.size // 2, dtype=np.uint64)
+    bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert (np.abs(values) < np.finfo(float).tiny).sum() > 100
+    assert ((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)).sum() > 3 * 10**5
+    assert cli._cells(values) == _repr_cells(values)
+
+
+def test_cells_are_repr_at_the_layout_edges():
+    edges = []
+    for v in (1e-4, 1e-5, 1e15, 1e16, 1e22, 1e23):
+        below = above = v
+        for _ in range(3):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges.append(v)
+    edges += [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max,
+              np.finfo(float).tiny, 1.0, -3.0, 2.0**53, 123456789.0, 0.1 + 0.2]
+    col = np.array(edges + [-v for v in edges])
+    assert cli._cells(col) == _repr_cells(col)
+    # a strided view, as write_csv passes, and an empty column
+    assert cli._cells(col[::3]) == _repr_cells(col[::3])
+    assert cli._cells(col[:0]) == []
+    # a column of another dtype is repr throughout
+    ints = np.array([0, -7, 2**40])
+    assert cli._cells(ints) == ["0", "-7", "1099511627776"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_cells_are_repr_on_any_floats(values):
+    col = np.array(values, dtype=np.float64)
+    assert cli._cells(col) == _repr_cells(col)
 
 
 def _row_writer_bytes(header, rows) -> bytes:
@@ -672,6 +719,18 @@ def test_division_by_zero_in_a_family_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "abs(1 / (2 * y - 1))" in err[0]
+
+
+def test_a_param_map_power_of_a_negative_number_is_a_validation_error(tmp_path, capsys):
+    # at n = 10 the first entry is a square root of -990, which Python's
+    # float power makes complex
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), "--set",
+               'param_map=["pow(n - 1000, 0.5)", "1 / pow(n, 0.5)"]') == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'pow(n - 1000, 0.5)'" in err[0]
+    assert "power of a negative number is not real" in err[0]
 
 
 def test_sequence_density_pieces_reach_the_outputs(tmp_path):

@@ -50,6 +50,14 @@ def test_expression_reads_the_names_outside_call_targets():
     assert compile_expr("exp(1)", ("x",)).reads == set()
 
 
+def test_a_call_with_a_fractional_power_of_a_negative_scalar_names_the_source():
+    # Python's float power is complex here; abs would hide it as a real 1.0
+    for source in ("pow(x, 0.5)", "abs(x ** 0.5)"):
+        with pytest.raises(ExpressionError, match="power of a negative number is not real"):
+            compile_expr(source, ("x",))(x=-1.0)
+    assert compile_expr("pow(x, 3) + x ** 0.5", ("x",))(x=4.0) == 66.0
+
+
 def test_family_records_the_parameters_each_component_reads():
     doc = fixtures.pure_jump_family_doc()
     doc["params"] = ["lam", "y", "s"]
