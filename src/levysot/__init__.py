@@ -11,8 +11,8 @@ Modules:
     cli         command-line entry points
 """
 
-from .measures import DensityPiece, LevyMeasure, QuadratureError
-from .triplets import LevyTriplet, ThetaFamily, levy_exponent, modified_triplet
+from .measures import DensityPiece, MeasureStack, QuadratureError
+from .triplets import ThetaFamily, TripletStack, levy_exponent, modified_triplet
 from .limits import TripletSequence, closedness_probe, exponent_limit_profile
 from .montecarlo import SimulationConfig, simulate_paths
 from .transport import (
@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityPiece",
-    "LevyMeasure",
+    "MeasureStack",
     "QuadratureError",
-    "LevyTriplet",
+    "TripletStack",
     "ThetaFamily",
     "levy_exponent",
     "modified_triplet",

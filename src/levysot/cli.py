@@ -354,7 +354,7 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
             "ks": list(conv.ks_distances),
             "cf_distance": list(conv.cf_distances),
         }
-        bundle = simulate_paths(seq.stack.triplet(-1), 0.0, cfg)
+        bundle = simulate_paths(seq.stack.row(-1), 0.0, cfg)
     else:
         t = triplet_from_dict(doc.get("triplet", doc))
         x0 = float(doc.get("x0", 0.0))

@@ -15,10 +15,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .measures import LevyMeasure, row_norm
+from .measures import MeasureStack, row_norm
 from .triplets import (
     FeatureMapConfig,
-    LevyTriplet,
     ThetaFamily,
     TripletStack,
     condition_b_value,
@@ -66,8 +65,9 @@ class TripletSequence:
             raise ValueError("the stack must hold one row per scheduled n")
 
     @staticmethod
-    def from_map(index_map: Callable[[int], LevyTriplet], n_schedule=DEFAULT_N_SCHEDULE):
-        """The sequence of ``index_map`` at each scheduled n, packed once."""
+    def from_map(index_map: Callable[[int], TripletStack], n_schedule=DEFAULT_N_SCHEDULE):
+        """The sequence of ``index_map``'s one-row stacks at each scheduled n,
+        packed once."""
         sched = n_schedule_ints(n_schedule)
         return TripletSequence(sched, TripletStack.pack([index_map(n) for n in sched]))
 
@@ -155,8 +155,9 @@ class LimitStructure:
 
 def limit_triplet_identify(
     profile: ExponentProfile, structure: LimitStructure = LimitStructure()
-) -> Tuple[LevyTriplet, float]:
-    """Least-squares fit of a one-dimensional exponent to the extrapolated limit.
+) -> Tuple[TripletStack, float]:
+    """Least-squares fit of a one-dimensional exponent to the extrapolated
+    limit; the fitted triplet is a one-row stack.
 
     The exponent is affine in (b, c, atom weights) for fixed atom locations, so
     the fit is linear with sign constraints c >= 0 and weights >= 0.
@@ -184,12 +185,9 @@ def limit_triplet_identify(
         sol = lsq_linear(A, rhs, bounds=(lb, np.full(n_params, np.inf)), tol=1e-14)
         params = sol.x
     params[1:] = np.maximum(params[1:], 0.0)
-    F = (
-        LevyMeasure.from_atoms(*[(y, w) for y, w in zip(locs, params[2:]) if w > 0])
-        if np.any(params[2:] > 0)
-        else LevyMeasure.zero(1)
-    )
-    fitted = LevyTriplet.scalar(params[0], max(params[1], 0.0), F)
+    kept = params[2:] > 0
+    F = MeasureStack(1, locs[kept][None, :, None], params[2:][kept][None])
+    fitted = TripletStack(params[None, :1], params[None, 1:2, None], F)
     model = A @ params
     resid_c = (model[: u.size] - target.real) + 1j * (model[u.size :] - target.imag)
     residual = float(np.max(np.abs(resid_c)))
@@ -219,7 +217,7 @@ POLISH_TOL = 1e-15
 
 def _distances(st: TripletStack, t, t_features: np.ndarray) -> np.ndarray:
     """|b - b_t| + |c - c_t|_F + |features - features_t| for each row of st;
-    t's b and c, and t_features, are one triplet's or one per row of st."""
+    t's b and c, and t_features, are a one-row stack's or one per row of st."""
     P, d = st.b.shape
     return (
         row_norm(st.b - t.b)
@@ -255,10 +253,11 @@ def _unit_map(lows: np.ndarray, highs: np.ndarray) -> Callable[[np.ndarray], np.
 
 def project_to_family(
     fam: ThetaFamily,
-    target: LevyTriplet,
+    target: TripletStack,
     use_u_map: bool = False,
 ) -> Tuple[np.ndarray, float, dict]:
-    """Nearest family member (optionally through the modified-triplet map).
+    """Nearest family member to a one-row stack (optionally through the
+    modified-triplet map).
 
     Works in unit coordinates (see ``_unit_map``: boxes spanning more than
     two decades are log-scaled).  A coarse 17^n scan of the unit box is
@@ -342,7 +341,7 @@ def closedness_probe(
     seq: TripletSequence,
     use_u_map: bool,
     profile: ExponentProfile,
-    identified: Tuple[LevyTriplet, float],
+    identified: Tuple[TripletStack, float],
     param_map: Optional[Callable[[int], np.ndarray]] = None,
 ) -> ClosednessReport:
     """Test whether the identified sequence limit stays in the family.
@@ -366,7 +365,7 @@ def closedness_probe(
         dists = _distances(members, rows, measure_features(seq.stack.F, _PROBE_FEATURES)[ends])
     for k, i in enumerate(ends):
         if param_map is None:
-            _, dist, entry = project_to_family(fam, seq.stack.triplet(i))
+            _, dist, entry = project_to_family(fam, seq.stack.row(i))
             log.append(entry)
         else:
             dist = dists[k]

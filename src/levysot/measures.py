@@ -3,9 +3,8 @@
 A measure is represented by finitely many atoms plus piecewise densities on
 intervals bounded away from zero (one-dimensional pieces).  Integrals against
 the density pieces use Gauss-Legendre quadrature with per-piece node counts.
-A MeasureStack holds many measures as arrays and integrates them row by row,
-over the whole line or over a ball; LevyMeasure.integrate is the integral of
-the measure's one-row stack.
+A MeasureStack holds P measures as arrays and integrates them row by row,
+over the whole line or over a ball; a single measure is a one-row stack.
 
 ``truncate`` is the package's one truncation function: h(x) = x on the
 closed unit ball and x / |x| beyond it, which is exactly ±1 in d = 1.
@@ -14,7 +13,7 @@ closed unit ball and x / |x| beyond it, which is exactly ±1 in d = 1.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,65 +82,6 @@ class DensityPiece:
 
 
 @dataclass(frozen=True)
-class LevyMeasure:
-    """Atoms plus piecewise densities away from zero.
-
-    Atom locations are nonzero d-vectors with positive weights; density pieces
-    are one-dimensional (supported only for dimension 1).
-    """
-
-    dimension: int
-    atoms: Tuple[Tuple[np.ndarray, float], ...] = ()
-    density_pieces: Tuple[DensityPiece, ...] = ()
-    # the measure's one-row stack, when it is a row of a stack built before
-    row: InitVar[Optional["MeasureStack"]] = None
-
-    def __post_init__(self, row):
-        norm_atoms = []
-        for loc, w in self.atoms:
-            loc = np.atleast_1d(np.asarray(loc, dtype=float))
-            if loc.shape != (self.dimension,):
-                raise ValueError(f"atom location {loc} has wrong dimension")
-            if np.linalg.norm(loc) == 0.0:
-                raise ValueError("no atom at 0 allowed")
-            if not w > 0:
-                raise ValueError("atom weights must be positive")
-            loc.setflags(write=False)
-            norm_atoms.append((loc, float(w)))
-        object.__setattr__(self, "atoms", tuple(norm_atoms))
-        if self.density_pieces and self.dimension != 1:
-            raise ValueError("density pieces are supported only in dimension 1")
-        # the one-row stack checks ∫ |x|^2 ∧ 1 dF against the cap
-        if row is None:
-            self.stack
-        else:
-            object.__setattr__(self, "stack", row)
-
-    @staticmethod
-    def zero(dimension: int = 1) -> "LevyMeasure":
-        return LevyMeasure(dimension=dimension)
-
-    @staticmethod
-    def from_atoms(*pairs, dimension: int = 1) -> "LevyMeasure":
-        """Build an atomic measure from (location, weight) pairs (d = 1 scalars ok)."""
-        atoms = tuple((np.atleast_1d(np.asarray(x, float)), float(w)) for x, w in pairs)
-        return LevyMeasure(dimension=dimension, atoms=atoms)
-
-    @property
-    def is_atomic(self) -> bool:
-        return not self.density_pieces
-
-    @cached_property
-    def stack(self) -> "MeasureStack":
-        """This measure as a one-row MeasureStack."""
-        return MeasureStack.pack([self])
-
-    def integrate(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """∫ g(x) F(dx); g takes a (n, d) array of locations and returns (n,)."""
-        return float(self.stack.integrate(lambda x: np.asarray(g(x[0]))[None])[0])
-
-
-@dataclass(frozen=True)
 class MeasureStack:
     """P measures as arrays, one row each.
 
@@ -152,7 +92,7 @@ class MeasureStack:
     piece, added in order: the sums ``np.dot`` forms for one measure.  BLAS
     sums a dot product in an order that depends on its length, so rows are
     grouped by length and never dotted over padding; each row therefore
-    integrates bit for bit like a one-row stack of its measure.
+    integrates bit for bit like its own one-row stack, ``row(i)``.
     """
 
     dimension: int
@@ -180,6 +120,9 @@ class MeasureStack:
         else:
             if not (w >= 0.0).all():
                 raise ValueError("atom weights must be positive")
+            # rows are integrated over their first sizes[i] atoms
+            if (used[:, 1:] & ~used[:, :-1]).any():
+                raise ValueError("a row's padding of weight 0 must follow its atoms")
             sizes = used.sum(axis=1)
             at_zero = (used & (sq == 0.0)).any()
         if at_zero:
@@ -205,32 +148,28 @@ class MeasureStack:
         return self.atom_w.shape[0]
 
     @staticmethod
-    def pack(measures: Sequence[LevyMeasure]) -> "MeasureStack":
-        """Stack measures of one dimension, padding their atom lists."""
-        ms = list(measures)
+    def pack(stacks: Sequence["MeasureStack"]) -> "MeasureStack":
+        """The rows of stacks of one dimension as one stack, their atom
+        lists padded again."""
+        ms = list(stacks)
         if not ms:
             raise ValueError("cannot stack zero measures")
         d = ms[0].dimension
         if any(m.dimension != d for m in ms):
             raise ValueError("dimension mismatch")
-        x = np.ones((len(ms), max(len(m.atoms) for m in ms), d))
+        rows = [(m.atom_x[i][m.atom_w[i] > 0.0], m.atom_w[i][m.atom_w[i] > 0.0])
+                for m in ms for i in range(len(m))]
+        x = np.ones((len(rows), max(rw.size for _, rw in rows), d))
         w = np.zeros(x.shape[:2])
-        for i, m in enumerate(ms):
-            for k, (loc, wt) in enumerate(m.atoms):
-                x[i, k], w[i, k] = loc, wt
-        pieces = tuple(m.density_pieces for m in ms) if any(m.density_pieces for m in ms) else ()
-        return MeasureStack(d, x, w, pieces)
-
-    def measure(self, i: int) -> LevyMeasure:
-        """Row i as a LevyMeasure, whose one-row stack is ``row(i)``."""
-        row = self.row(i)
-        atoms = tuple((loc.copy(), float(wt)) for loc, wt in zip(row.atom_x[0], row.atom_w[0]))
-        return LevyMeasure(self.dimension, atoms, row.pieces[0] if row.pieces else (), row)
+        for i, (rx, rw) in enumerate(rows):
+            x[i, : rw.size], w[i, : rw.size] = rx, rw
+        pieces = tuple(row for m in ms for row in (m.pieces or ((),) * len(m)))
+        return MeasureStack(d, x, w, pieces if any(pieces) else ())
 
     def row(self, i: int) -> "MeasureStack":
-        """Row i as the one-row stack ``pack`` builds from ``measure(i)``,
-        its pieces' quadrature copied from this stack's instead of formed
-        again."""
+        """Row i as a one-row stack, its pieces' quadrature copied from this
+        stack's instead of formed again."""
+        i = range(len(self))[i]
         keep = self.atom_w[i] > 0.0
         pieces = self.pieces[i] if self.pieces else ()
         quadrature = []

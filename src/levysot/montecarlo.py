@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy import special
 
-from .triplets import LevyTriplet, TripletStack, levy_exponent
+from .triplets import TripletStack, levy_exponent
 from .limits import TripletSequence
 
 MAX_EXPECTED_JUMPS = 1e8
@@ -147,24 +147,17 @@ def _simulate_block(
     return np.cumsum(incr, axis=1, out=incr)
 
 
-def simulate_paths(
-    triplets: LevyTriplet | Sequence[LevyTriplet] | TripletStack,
-    x0: float,
-    cfg: SimulationConfig,
-) -> PathBundle:
-    """Sample paths under one triplet, or one triplet per step.
-
-    A sequence or stack must hold ``cfg.n_steps`` triplets; step k, on
-    [t_k, t_{k+1}), uses the k-th.  Paths are drawn in blocks of
-    ``BLOCK_PATHS``; block j uses the Philox stream keyed (seed, j), so the
-    rows of a full block do not depend on n_paths.
+def simulate_paths(st: TripletStack, x0: float, cfg: SimulationConfig) -> PathBundle:
+    """Sample paths under a stack of one row, used for every step, or of
+    ``cfg.n_steps`` rows, one per step: step k, on [t_k, t_{k+1}), uses row
+    k.  Paths are drawn in blocks of ``BLOCK_PATHS``; block j uses the
+    Philox stream keyed (seed, j), so the rows of a full block do not depend
+    on n_paths.
     """
-    if isinstance(triplets, LevyTriplet):
-        models = [_build_step_model(TripletStack.pack([triplets]), 0)] * cfg.n_steps
-    else:
-        st = triplets if isinstance(triplets, TripletStack) else TripletStack.pack(triplets)
-        models = [_build_step_model(st, i) for i in range(len(st))]
-    if len(models) != cfg.n_steps:
+    models = [_build_step_model(st, i) for i in range(len(st))]
+    if len(models) == 1:
+        models *= cfg.n_steps
+    elif len(models) != cfg.n_steps:
         raise ValueError(f"got {len(models)} triplets for {cfg.n_steps} steps")
     dt = cfg.horizon / cfg.n_steps
     time_grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
@@ -193,13 +186,14 @@ def empirical_cf(samples: np.ndarray, u_grid) -> np.ndarray:
     return np.exp(1j * np.outer(u, samples)).mean(axis=1)
 
 
-def cf_distance(samples, t: LevyTriplet, horizon: float, u_grid) -> float:
-    """Sup over the grid of |empirical cf - exp(T psi)|; 0 on an empty grid."""
+def cf_distance(samples, t: TripletStack, horizon: float, u_grid) -> float:
+    """Sup over the grid of |empirical cf - exp(T psi)| for a one-row stack;
+    0 on an empty grid."""
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if u.size == 0:
         return 0.0
     emp = empirical_cf(samples, u)
-    model = np.exp(horizon * levy_exponent(TripletStack.pack([t]), u)[0])
+    model = np.exp(horizon * levy_exponent(t, u)[0])
     return float(np.max(np.abs(emp - model)))
 
 
@@ -238,16 +232,17 @@ def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
     return ks, np.exp(special.xlogy(ks, rate) - special.gammaln(ks + 1) - rate)
 
 
-def marginal_cdf(t: LevyTriplet, horizon: float, x0: float = 0.0):
-    """Closed-form terminal CDF for Gaussian or small atomic-jump triplets.
+def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
+    """Closed-form terminal CDF of a one-row stack, for Gaussian or small
+    atomic-jump triplets.
 
     Supported: no jumps (Gaussian), or c = 0 with at most 3 atoms (compound
     Poisson via enumeration of jump counts).  Returns None otherwise.
     """
-    if t.dimension != 1 or not t.F.is_atomic:
+    if t.dimension != 1 or any(t.F.pieces):
         return None
-    b, c = float(t.b[0]), float(t.c[0, 0])
-    x, w = t.F.stack.jump_profile(0)
+    b, c = float(t.b[0, 0]), float(t.c[0, 0, 0])
+    x, w = t.F.jump_profile(0)
     atoms = list(zip(x[:, 0].tolist(), w.tolist()))
     if not atoms:
         return gaussian_cdf(x0 + b * horizon, c * horizon)
@@ -289,7 +284,7 @@ class ConvergenceReport:
 
 def convergence_experiment(
     seq: TripletSequence,
-    target: LevyTriplet,
+    target: TripletStack,
     cfg: SimulationConfig,
     u_grid,
 ) -> ConvergenceReport:
@@ -297,7 +292,7 @@ def convergence_experiment(
     cdf = marginal_cdf(target, cfg.horizon)
     cfs, kss = [], []
     for i, n in enumerate(seq.n_schedule):
-        bundle = simulate_paths(seq.stack.triplet(i), 0.0, replace(cfg, seed=cfg.seed + n))
+        bundle = simulate_paths(seq.stack.row(i), 0.0, replace(cfg, seed=cfg.seed + n))
         term = bundle.terminal
         cfs.append(cf_distance(term, target, cfg.horizon, u_grid))
         kss.append(marginal_ks(term, cdf) if cdf is not None else None)

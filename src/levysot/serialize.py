@@ -30,9 +30,9 @@ from typing import Any, Callable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .exprs import Expression, compile_expr, evaluate_rows
-from .measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure, MeasureStack
+from .measures import DEFAULT_QUAD_NODES, DensityPiece, MeasureStack
 from .transport import CostFunction, Marginal, TransportInstance
-from .triplets import LevyTriplet, ThetaFamily, TripletStack
+from .triplets import ThetaFamily, TripletStack
 
 
 class SchemaError(ValueError):
@@ -49,9 +49,12 @@ def _require(doc: Mapping[str, Any], key: str, context: str):
 # triplets
 
 
-def measure_to_dict(F: LevyMeasure) -> dict:
+def measure_to_dict(F: MeasureStack) -> dict:
+    """The document of a one-row stack's measure."""
+    (x,), (w,) = F.atom_x, F.atom_w
+    used = w > 0
     pieces = []
-    for p in F.density_pieces:
+    for p in F.pieces[0] if F.pieces else ():
         source = getattr(p.density, "source", None)
         if source is None:
             raise SchemaError(
@@ -59,15 +62,17 @@ def measure_to_dict(F: LevyMeasure) -> dict:
             )
         pieces.append({"lo": p.lo, "hi": p.hi, "density": source, "nodes": p.nodes})
     return {
-        "atoms": [{"x": list(map(float, loc)), "w": w} for loc, w in F.atoms],
+        "atoms": [{"x": list(map(float, loc)), "w": wt} for loc, wt in zip(x[used], w[used].tolist())],
         "pieces": pieces,
     }
 
 
-def triplet_to_dict(t: LevyTriplet) -> dict:
+def triplet_to_dict(t: TripletStack) -> dict:
+    """The document of a one-row stack."""
+    (b,), (c,) = t.b, t.c
     return {
-        "b": list(map(float, t.b)),
-        "c": [list(map(float, row)) for row in t.c],
+        "b": list(map(float, b)),
+        "c": [list(map(float, row)) for row in c],
         "F": measure_to_dict(t.F),
     }
 
@@ -159,10 +164,6 @@ class TripletTemplate:
             )
         return TripletStack(b, c, MeasureStack(d, x, w, pieces))
 
-    def triplet(self, values) -> LevyTriplet:
-        """The triplet at one vector of variable values."""
-        return self.stack(np.asarray(values, dtype=float)[None]).triplet(0)
-
 
 def compile_template(
     doc: Mapping[str, Any], variables: Sequence[str], context: str
@@ -199,9 +200,9 @@ def compile_template(
     return TripletTemplate(names, b, c, tuple(atoms), pieces)
 
 
-def triplet_from_dict(doc: Mapping[str, Any]) -> LevyTriplet:
-    """A plain triplet document: a template with no variables, at its one
-    row.  b and c may be given as scalars.  An atom weight must be positive,
+def triplet_from_dict(doc: Mapping[str, Any]) -> TripletStack:
+    """A plain triplet document as a one-row stack: a template with no
+    variables, at its one row.  b and c may be given as scalars.  An atom weight must be positive,
     where a family's template drops the atom instead."""
     doc = {
         **doc,
@@ -211,7 +212,7 @@ def triplet_from_dict(doc: Mapping[str, Any]) -> LevyTriplet:
     template = compile_template(doc, (), "triplet")
     if not (evaluate_rows([w for _, w in template.atoms], {}, 1) > 0).all():
         raise SchemaError("atom weights must be positive")
-    return template.triplet(())
+    return template.stack(np.empty((1, 0)))
 
 
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
@@ -225,10 +226,9 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
     blocks = doc.get("blocks")
     return ThetaFamily(
         parameter_box=box,
-        triplet_map=template.triplet,
+        stack_map=template.stack,
         structural_tag=doc.get("structural_tag", "general"),
         blocks={k: tuple(v) for k, v in blocks.items()} if blocks else None,
-        stack_map=template.stack,
         reads={k: tuple(i for i, name in enumerate(names) if name in v)
                for k, v in template.reads.items()},
     )

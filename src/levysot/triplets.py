@@ -1,10 +1,10 @@
 """Levy triplet algebra: boundedness/small-jump diagnostics, the modified
 second characteristic, exponents and measure feature maps.
 
-A TripletStack holds P triplets as arrays.  Every condition and map below
-takes a stack and evaluates every row at once, with each row's arithmetic
-that of the single-triplet evaluation; a single triplet or measure goes
-through the same code as a stack of one.
+A TripletStack holds P triplets as arrays, and a single triplet is a
+one-row stack.  Every condition and map below takes a stack and evaluates
+every row at once, each row bit for bit as its own one-row stack
+(``TripletStack.row``).
 
 Conventions fixed here and used everywhere else:
   * truncation h = measures.truncate: x on the closed unit ball and x / |x|
@@ -23,47 +23,12 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .measures import LevyMeasure, MeasureStack, _sqnorm, row_dot, row_norm, truncate
+from .measures import MeasureStack, _sqnorm, row_dot, row_norm, truncate
 
 SYMMETRY_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
 TOL_J = 1e-3
 COND_J_FAIL_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """Differential characteristics (b, c, F) of a Levy(-type) law."""
-
-    b: np.ndarray
-    c: np.ndarray
-    F: LevyMeasure
-
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        b.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        d = b.shape[0]
-        if c.shape != (d, d):
-            raise ValueError(f"c has shape {c.shape}, expected ({d}, {d})")
-        if self.F.dimension != d:
-            raise ValueError("F dimension does not match b")
-        _check_diffusion(c[None])
-
-    @property
-    def dimension(self) -> int:
-        return self.b.shape[0]
-
-    @staticmethod
-    def scalar(b: float, c: float, F: Optional[LevyMeasure] = None) -> "LevyTriplet":
-        return LevyTriplet(
-            np.array([float(b)]),
-            np.array([[float(c)]]),
-            F if F is not None else LevyMeasure.zero(1),
-        )
 
 
 def _check_diffusion(c: np.ndarray) -> None:
@@ -84,7 +49,9 @@ def _check_diffusion(c: np.ndarray) -> None:
 class TripletStack:
     """P triplets as arrays: b (P, d), c (P, d, d) and the measures F.
 
-    Every row passes the checks a LevyTriplet makes (c symmetric and PSD).
+    A single triplet is a one-row stack.  Every c[i] must be symmetric and
+    PSD (``_check_diffusion``); F checks the atoms and the jump mass
+    (``MeasureStack``).
     """
 
     b: np.ndarray
@@ -113,19 +80,17 @@ class TripletStack:
         return self.b.shape[1]
 
     @staticmethod
-    def pack(triplets: Sequence[LevyTriplet]) -> "TripletStack":
-        ts = list(triplets)
+    def pack(stacks: Sequence["TripletStack"]) -> "TripletStack":
+        """The rows of stacks of one dimension as one stack."""
+        ts = list(stacks)
         if not ts:
             raise ValueError("cannot stack zero triplets")
-        return TripletStack(
-            np.array([t.b for t in ts]),
-            np.array([t.c for t in ts]),
-            ts[0].F.stack if len(ts) == 1 else MeasureStack.pack([t.F for t in ts]),
-        )
+        F = MeasureStack.pack([t.F for t in ts])
+        return TripletStack(np.concatenate([t.b for t in ts]), np.concatenate([t.c for t in ts]), F)
 
-    def triplet(self, i: int) -> LevyTriplet:
-        """Row i as a LevyTriplet."""
-        return LevyTriplet(self.b[i].copy(), self.c[i].copy(), self.F.measure(i))
+    def row(self, i: int) -> "TripletStack":
+        """Row i as a one-row stack; its measure is ``F.row(i)``."""
+        return TripletStack(self.b[[i]], self.c[[i]], self.F.row(i))
 
 
 def _dots(x: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -144,55 +109,37 @@ def _imag(v):
     return v.imag
 
 
-def condition_b_value(t):
-    """The boundedness functional |b| + |c| + ∫ |x|^2 ∧ |x| F(dx): a float
-    for a LevyTriplet, one value per row for a TripletStack."""
-    st = TripletStack.pack([t]) if isinstance(t, LevyTriplet) else t
+def condition_b_value(st: TripletStack) -> np.ndarray:
+    """The boundedness functional |b| + |c| + ∫ |x|^2 ∧ |x| F(dx) of each row."""
     jump = st.F.integrate(lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x))))
-    value = row_norm(st.b) + row_norm(st.c.reshape(len(st), -1)) + jump
-    return float(value[0]) if isinstance(t, LevyTriplet) else value
+    return row_norm(st.b) + row_norm(st.c.reshape(len(st), -1)) + jump
 
 
-def small_jump_second_moment(F, delta: float):
-    """∫_{|x| <= delta} |x|^2 F(dx): a float for a LevyMeasure, one value
-    per row for a MeasureStack."""
+def small_jump_second_moment(F: MeasureStack, delta: float) -> np.ndarray:
+    """∫_{|x| <= delta} |x|^2 F(dx) of each row."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    moments = (F if isinstance(F, MeasureStack) else F.stack).integrate_ball(_sqnorm, delta)
-    return moments if isinstance(F, MeasureStack) else float(moments[0])
+    return F.integrate_ball(_sqnorm, delta)
 
 
-def modified_triplet(t):
-    """(b, c, F) -> (b, c + ∫ h h^T dF, F): the modified second characteristic.
-
-    Takes a LevyTriplet or a TripletStack and returns the same kind.
-    """
-    single = isinstance(t, LevyTriplet)
-    F = t.F.stack if single else t.F
+def modified_triplet(t: TripletStack) -> TripletStack:
+    """(b, c, F) -> (b, c + ∫ h h^T dF, F): the modified second
+    characteristic of each row."""
 
     def outer(x):  # (P, n, d) -> h h^T as (P, d, d, n)
         # contiguous rows, as one integral per entry would have them
         h = np.ascontiguousarray(np.swapaxes(truncate(x), 1, 2))
         return h[:, :, None, :] * h[:, None, :, :]
 
-    corr = F.integrate(outer)
-    if single:
-        return LevyTriplet(t.b, t.c + corr[0], t.F)
-    return TripletStack(t.b, t.c + corr, t.F)
+    return TripletStack(t.b, t.c + t.F.integrate(outer), t.F)
 
 
-def levy_exponent(t, u):
+def levy_exponent(t: TripletStack, u) -> np.ndarray:
     """psi(u) = i u.b - u.c.u/2 + ∫ (e^{i u.x} - 1 - i u.h(x)) F(dx).
 
-    For a LevyTriplet and one frequency u, the complex psi(u).  For a
-    TripletStack and a grid of frequencies ((U,) when d = 1, else (U, d)),
-    the (P, U) array of psi, each entry bit-identical to the single call.
+    For a grid of frequencies ((U,) when d = 1, else (U, d)), the (P, U)
+    array of psi, one row per triplet.
     """
-    if isinstance(t, LevyTriplet):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (t.dimension,):
-            raise ValueError("frequency dimension mismatch")
-        return complex(levy_exponent(TripletStack.pack([t]), u[None])[0, 0])
     d = t.dimension
     U = np.asarray(u, dtype=float)
     if U.ndim == 1 and d == 1:
@@ -223,13 +170,11 @@ def jump_exponent(u, locations) -> np.ndarray:
     return np.exp(1j * u * y) - 1.0 - 1j * u * truncate(y)
 
 
-def martingale_residual(t) -> np.ndarray:
-    """b + ∫ (x - h(x)) F(dx), (d,) for a LevyTriplet and (P, d) for a
-    TripletStack; a zero vector certifies the martingale set."""
-    st = TripletStack.pack([t]) if isinstance(t, LevyTriplet) else t
+def martingale_residual(st: TripletStack) -> np.ndarray:
+    """b + ∫ (x - h(x)) F(dx) of each row, (P, d); a zero row certifies the
+    martingale set."""
     # one contiguous row per component, as one integral per component would have it
-    out = st.b + st.F.integrate(lambda x: np.ascontiguousarray(np.swapaxes(x - truncate(x), 1, 2)))
-    return out[0] if isinstance(t, LevyTriplet) else out
+    return st.b + st.F.integrate(lambda x: np.ascontiguousarray(np.swapaxes(x - truncate(x), 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -266,38 +211,34 @@ class FeatureMapConfig:
         return lo, hi - lo
 
 
-def measure_features(F, cfg: FeatureMapConfig) -> np.ndarray:
-    """Finite feature map separating the supported parametric measure families.
-
-    For a LevyMeasure the (size,) features; for a MeasureStack a (P, size)
-    array, one row per measure.
-    """
-    stack = F if isinstance(F, MeasureStack) else F.stack
+def measure_features(F: MeasureStack, cfg: FeatureMapConfig) -> np.ndarray:
+    """Finite feature map separating the supported parametric measure
+    families: a (P, size) array, one row per measure."""
     lo, width = cfg.window_bounds
-    out = np.empty((len(stack), cfg.size))
-    (out[:, : cfg.m_max],) = stack.integrate_parts(
+    out = np.empty((len(F), cfg.size))
+    (out[:, : cfg.m_max],) = F.integrate_parts(
         lambda grp: grp.sq1[:, None]
         * np.minimum(np.maximum((np.sqrt(grp.sq)[:, None] - lo) / width, 0.0), 1.0)
     )
     if cfg.u_grid:
-        out[:, cfg.m_max :: 2], out[:, cfg.m_max + 1 :: 2] = stack.integrate_parts(
+        out[:, cfg.m_max :: 2], out[:, cfg.m_max + 1 :: 2] = F.integrate_parts(
             lambda grp: grp.sq1[:, None] * np.exp(1j * _dots(grp.x, cfg.u_array)),
             (_real, _imag),
         )
-    return out if isinstance(F, MeasureStack) else out[0]
+    return out
 
 
 @dataclass(frozen=True)
 class ThetaFamily:
-    """Parametric family p -> (b(p), c(p), F(p)) over a box of parameters."""
+    """Parametric family p -> (b(p), c(p), F(p)) over a box of parameters;
+    ``stack_map`` takes a (P, n_params) array to the TripletStack of its
+    rows' members."""
 
     parameter_box: Tuple[Tuple[float, float], ...]
-    triplet_map: Callable[[np.ndarray], LevyTriplet]
+    stack_map: Callable[[np.ndarray], TripletStack]
     structural_tag: str = "general"
     # for product-box families: parameter indices feeding each component
     blocks: Optional[Mapping[str, Tuple[int, ...]]] = None
-    # (P, n_params) -> TripletStack; without it, stacks pack at(p) rows
-    stack_map: Optional[Callable[[np.ndarray], TripletStack]] = None
     # for compiled families: parameter indices that b, c and F each read
     reads: Optional[Mapping[str, Tuple[int, ...]]] = None
 
@@ -316,20 +257,19 @@ class ThetaFamily:
     def n_params(self) -> int:
         return len(self.parameter_box)
 
-    def at(self, p) -> LevyTriplet:
+    def at(self, p) -> TripletStack:
+        """The member at p, as a one-row stack."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
         if p.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {p.shape}")
-        return self.triplet_map(p)
+        return self.stack_map(p[None])
 
     def stack(self, params) -> TripletStack:
         """The members at the rows of a (P, n_params) array, as one stack."""
         params = np.asarray(params, dtype=float)
         if params.ndim != 2 or params.shape[1] != self.n_params:
             raise ValueError(f"expected (P, {self.n_params}) parameters, got {params.shape}")
-        if self.stack_map is not None:
-            return self.stack_map(params)
-        return TripletStack.pack([self.at(p) for p in params])
+        return self.stack_map(params)
 
     def corners(self) -> np.ndarray:
         return np.array(list(itertools.product(*self.parameter_box)))

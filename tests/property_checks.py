@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from integrals import generator_apply
-from levysot.measures import LevyMeasure
+from one_row import family, measure, psi as exponent, triplet
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import cost_from_expr
 from levysot.transport import (
@@ -21,9 +21,6 @@ from levysot.transport import (
 )
 from levysot.triplets import (
     FeatureMapConfig,
-    LevyTriplet,
-    ThetaFamily,
-    levy_exponent,
     measure_features,
     modified_triplet,
 )
@@ -38,13 +35,13 @@ PSD_TOL = 1e-10
 
 
 def scalar_triplet(b, c, atoms):
-    return LevyTriplet.scalar(b, c, LevyMeasure.from_atoms(*atoms))
+    return triplet(b, c, measure(*atoms))
 
 
 def check_exponent_generator_consistency(b, c, atoms, u, x):
     """The generator on e^{iux} equals psi(u) e^{iux} (real and imag parts)."""
     t = scalar_triplet(b, c, atoms)
-    psi = levy_exponent(t, u)
+    psi = exponent(t, u)
     point = np.array([x])
     re = generator_apply(
         t,
@@ -69,8 +66,8 @@ def check_exponent_generator_consistency(b, c, atoms, u, x):
 def check_exponent_symmetry(b, c, atoms, u):
     """psi(-u) = conj(psi(u)) and Re psi <= 0."""
     t = scalar_triplet(b, c, atoms)
-    psi = levy_exponent(t, u)
-    mirrored = levy_exponent(t, -u)
+    psi = exponent(t, u)
+    mirrored = exponent(t, -u)
     scale = 1.0 + abs(psi)
     assert abs(mirrored - np.conj(psi)) <= 1e-12 * scale
     assert psi.real <= 1e-12 * scale
@@ -78,12 +75,8 @@ def check_exponent_symmetry(b, c, atoms, u):
 
 def check_u_correction_psd(b_vec, c_diag, atoms_2d):
     """The second-characteristic correction is symmetric PSD."""
-    F = LevyMeasure(
-        dimension=2,
-        atoms=tuple((np.asarray(loc, float), float(w)) for loc, w in atoms_2d),
-    )
-    t = LevyTriplet(np.asarray(b_vec, float), np.diag(c_diag), F)
-    corr = modified_triplet(t).c - t.c
+    t = triplet(b_vec, np.diag(c_diag), measure(*atoms_2d, dimension=2))
+    (corr,) = modified_triplet(t).c - t.c
     assert np.max(np.abs(corr - corr.T)) <= 1e-12
     assert np.min(np.linalg.eigvalsh(corr)) >= -PSD_TOL
 
@@ -92,23 +85,18 @@ _FEATURE_CFG = FeatureMapConfig(m_max=3, u_grid=(np.array([1.0]), np.array([2.5]
 
 
 def check_feature_map_linearity(atoms_a, atoms_b, scale):
-    fa = measure_features(LevyMeasure.from_atoms(*atoms_a), _FEATURE_CFG)
-    fb = measure_features(LevyMeasure.from_atoms(*atoms_b), _FEATURE_CFG)
-    fc = measure_features(LevyMeasure.from_atoms(*atoms_a, *atoms_b), _FEATURE_CFG)
+    fa = measure_features(measure(*atoms_a), _FEATURE_CFG)
+    fb = measure_features(measure(*atoms_b), _FEATURE_CFG)
+    fc = measure_features(measure(*atoms_a, *atoms_b), _FEATURE_CFG)
     norm = 1.0 + np.max(np.abs(fc))
     assert np.max(np.abs(fc - fa - fb)) <= FEATURE_TOL * norm
-    scaled = LevyMeasure.from_atoms(*[(x, scale * w) for x, w in atoms_a])
+    scaled = measure(*[(x, scale * w) for x, w in atoms_a])
     fs = measure_features(scaled, _FEATURE_CFG)
     assert np.max(np.abs(fs - scale * fa)) <= FEATURE_TOL * (1.0 + np.max(np.abs(fs)))
 
 
 def _random_instance(b0, c_hi, jump_loc, jump_w):
-    fam = ThetaFamily(
-        parameter_box=((0.0, float(c_hi)),),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            b0, float(p[0]), LevyMeasure.from_atoms((jump_loc, jump_w))
-        ),
-    )
+    fam = family(((0.0, float(c_hi)),), lambda p: triplet(b0, p[0], measure((jump_loc, jump_w))))
     return TransportInstance(
         mu0=Marginal.point(0.0),
         mu1=Marginal.gaussian(0.0, 1.0),

@@ -20,7 +20,6 @@ from levysot.limits import (
     exponent_limit_profile,
     limit_triplet_identify,
 )
-from levysot.measures import LevyMeasure
 from levysot.montecarlo import (
     SimulationConfig,
     cf_distance,
@@ -42,12 +41,12 @@ from levysot.transport import (
 )
 from levysot.serialize import cost_from_expr
 from levysot.triplets import (
-    LevyTriplet,
-    ThetaFamily,
+    TripletStack,
     condition_b_value,
     family_checks,
     modified_triplet,
 )
+from one_row import family, measure, triplet
 
 
 def report(num, checks, elapsed, limit):
@@ -60,10 +59,8 @@ def report(num, checks, elapsed, limit):
     assert ok, f"criterion {num}: {detail}, runtime {elapsed:.1f}s"
 
 
-def shrinking_jump_triplet(n: int) -> LevyTriplet:
-    return LevyTriplet.scalar(
-        0.0, 0.0, LevyMeasure.from_atoms((1.0 / np.sqrt(n), float(n)))
-    )
+def shrinking_jump_triplet(n: int) -> TripletStack:
+    return triplet(F=measure((1.0 / np.sqrt(n), float(n))))
 
 
 def shrinking_jump_sequence() -> TripletSequence:
@@ -73,17 +70,14 @@ def shrinking_jump_sequence() -> TripletSequence:
 def test_criterion_1_shrinking_jump_analytic():
     start = time.perf_counter()
     b_exact = all(
-        abs(condition_b_value(shrinking_jump_triplet(n)) - 1.0) <= 1e-12
+        abs(condition_b_value(shrinking_jump_triplet(n))[0] - 1.0) <= 1e-12
         for n in (1, 2, 5, 10, 1000, 100000)
     )
-    fam = ThetaFamily(
-        parameter_box=((1.0, 1e6),),
-        triplet_map=lambda p: shrinking_jump_triplet(p[0]),
-    )
+    fam = family(((1.0, 1e6),), lambda p: shrinking_jump_triplet(p[0]))
     cj = family_checks(fam, (0.5, 0.25, 0.1, 0.05, 0.02, 0.01), 9).condition_j
     profile_one = all(abs(s - 1.0) <= 1e-12 for _, s in cj.profile)
     u_exact = all(
-        abs(modified_triplet(shrinking_jump_triplet(n)).c[0, 0] - 1.0) <= 1e-12
+        abs(modified_triplet(shrinking_jump_triplet(n)).c[0, 0, 0] - 1.0) <= 1e-12
         for n in (1, 10, 1000, 100000)
     )
     report(
@@ -122,7 +116,7 @@ def test_criterion_3_simulation():
     cfg = SimulationConfig(n_paths=100_000, n_steps=1, seed=0)
     bundle = simulate_paths(shrinking_jump_triplet(10_000), 0.0, cfg)
     ks = marginal_ks(bundle.terminal, gaussian_cdf(0.0, 1.0))
-    target = LevyTriplet.scalar(0.0, 1.0)
+    target = triplet(0.0, 1.0)
     cf = cf_distance(bundle.terminal, target, 1.0, default_u_grid())
     seq = TripletSequence.from_map(shrinking_jump_triplet, (10, 100, 1000, 10000))
     conv = convergence_experiment(
@@ -171,7 +165,7 @@ def test_criterion_5_hjb_benchmarks():
     start = time.perf_counter()
     heat = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 1.0),
-        ThetaFamily(((1.0, 1.0),), lambda p: LevyTriplet.scalar(0.0, 1.0)),
+        family(((1.0, 1.0),), lambda p: triplet(0.0, 1.0)),
         cost_from_expr("0", ("c",)),
     )
 
@@ -186,10 +180,10 @@ def test_criterion_5_hjb_benchmarks():
     e100, e200 = heat_error(100), heat_error(200)
     ratio = e200 / e100
 
-    cp_triplet = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0)))
+    cp_triplet = triplet(F=measure((0.5, 2.0)))
     cp = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 0.5),
-        ThetaFamily(((0.0, 0.0),), lambda p: cp_triplet),
+        family(((0.0, 0.0),), lambda p: cp_triplet),
         cost_from_expr("0", ("p0",)),
     )
     vg = solve_hjb(

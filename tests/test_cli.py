@@ -144,13 +144,13 @@ def test_conditions_build_no_row_of_a_stack(tmp_path, monkeypatch):
     # check-theta and limit-analyze with a param_map read every condition
     # and distance from the stacks they hold, never from a rebuilt row
     calls = [0]
-    measure = MeasureStack.measure
+    row = MeasureStack.row
 
-    def counting_measure(stack, i):
+    def counting_row(stack, i):
         calls[0] += 1
-        return measure(stack, i)
+        return row(stack, i)
 
-    monkeypatch.setattr(MeasureStack, "measure", counting_measure)
+    monkeypatch.setattr(MeasureStack, "row", counting_row)
     for name in ("pure_jump_family.json", "pinned_variance_family.json"):
         assert run("check-theta", "--input", fixture(name), "--out", str(tmp_path)) == 0
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
@@ -195,6 +195,15 @@ def test_simulate_on_a_sequence_needs_a_target(tmp_path, capsys):
                "--out", str(tmp_path), "--set", "config.n_paths=10") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'target' triplet" in err
+
+
+def test_simulate_on_a_sequence_with_density_pieces(tmp_path):
+    # the paths are drawn under the schedule's last row, which keeps its
+    # density pieces' quadrature
+    assert run("simulate", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), "--set", 'target={"b":[0],"c":[[1]]}',
+               "--set", 'sequence.F.pieces=[{"lo":0.2,"hi":1.0,"density":"1"}]',
+               "--set", "config.n_paths=2000", "--seed", "0") == 0
 
 
 def test_simulate_outputs(tmp_path):
@@ -360,7 +369,7 @@ def test_limit_csvs_match_the_row_writer(tmp_path):
     written = _read_bytes(out, "small_jump_profile.csv")
     assert written == _row_writer_bytes(
         ("delta", "n", "small_jump_mass"),
-        ((d, n, small_jump_second_moment(seq.stack.triplet(i).F, d)) for d in [1, 0.5, 0.25]
+        ((d, n, small_jump_second_moment(seq.stack.row(i).F, d).item()) for d in [1, 0.5, 0.25]
          for i, n in enumerate(seq.n_schedule)),
     )
     assert written.splitlines()[1].startswith(b"1,10,")
@@ -629,6 +638,21 @@ def test_a_plain_triplet_keeps_the_checks_a_family_relaxes(tmp_path, capsys, ato
     doc = tmp_path / "in.json"
     doc.write_text(json.dumps({"triplet": {"b": [0], "c": [[1]], "F": {"atoms": [atom]}},
                                "config": {"n_paths": 10}}))
+    assert run("simulate", "--input", str(doc), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize("triplet, message", [
+    ({"b": [0], "c": [[1]], "F": {"atoms": [{"x": [0.5, 1.0], "w": 1}]}},
+     "error: triplet: atom location must have 1 entries"),
+    ({"b": [0], "c": [[-1]]}, "error: c has an eigenvalue below -1e-10"),
+    ({"b": [0, 0], "c": [[1, 0.5], [0, 1]]}, "error: c is not symmetric within 1e-12"),
+    ({"b": [0], "c": [[1]], "F": {"atoms": [{"x": [2.0], "w": 1e9}]}},
+     "error: ∫|x|^2∧1 dF = 1000000000.0 exceeds cap 100000000.0"),
+])
+def test_a_plain_triplet_names_its_bad_atom_or_diffusion(tmp_path, capsys, triplet, message):
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({"triplet": triplet, "config": {"n_paths": 10}}))
     assert run("simulate", "--input", str(doc), "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.strip() == message
 

@@ -14,9 +14,9 @@ from levysot.limits import (
     limit_triplet_identify,
     project_to_family,
 )
-from levysot.measures import DensityPiece, LevyMeasure
+from levysot.measures import DensityPiece
 from levysot.serialize import family_from_dict, param_map_from_exprs, sequence_from_dict
-from levysot.triplets import LevyTriplet, ThetaFamily, levy_exponent
+from one_row import atoms, family, measure, psi, triplet
 
 
 def shrinking_jump_sequence() -> TripletSequence:
@@ -43,11 +43,11 @@ def test_condition_b_bound_along_schedule():
 
 
 def test_profile_on_constant_sequence_is_exact():
-    t = LevyTriplet.scalar(0.3, 1.2)
+    t = triplet(0.3, 1.2)
     seq = TripletSequence.from_map(lambda n: t, (10, 100, 1000))
     profile = exponent_limit_profile(seq, np.array([0.7, 1.9]))
     for u, limit, error in zip(profile.u, profile.limit, profile.error):
-        assert limit == levy_exponent(t, u)
+        assert limit == psi(t, u)
         assert error == 0.0
 
 
@@ -57,7 +57,7 @@ def test_diffusion_diagnostic_verdicts():
     assert abs(created.estimate - 1.0) < 1e-9
 
     cp = TripletSequence.from_map(
-        lambda n: LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0))),
+        lambda n: triplet(F=measure((0.5, 2.0))),
         (10, 100, 1000),
     )
     pure = diffusion_creation_diagnostic(cp)
@@ -68,14 +68,14 @@ def test_diffusion_diagnostic_verdicts():
 
 
 def test_limit_identification_recovers_known_triplet():
-    target = LevyTriplet.scalar(0.4, 0.9, LevyMeasure.from_atoms((0.5, 1.5)))
+    target = triplet(0.4, 0.9, measure((0.5, 1.5)))
     seq = TripletSequence.from_map(lambda n: target, (10, 100))
     profile = exponent_limit_profile(seq, default_u_grid())
     fitted, resid = limit_triplet_identify(profile, LimitStructure((0.5,)))
     assert resid < 1e-10
-    assert np.isclose(fitted.b[0], 0.4, atol=1e-8)
-    assert np.isclose(fitted.c[0, 0], 0.9, atol=1e-8)
-    assert np.isclose(fitted.F.atoms[0][1], 1.5, atol=1e-8)
+    assert np.isclose(fitted.b[0, 0], 0.4, atol=1e-8)
+    assert np.isclose(fitted.c[0, 0, 0], 0.9, atol=1e-8)
+    assert np.isclose(atoms(fitted.F)[0][1], 1.5, atol=1e-8)
 
 
 def test_diffusion_diagnostic_extrapolates_a_decaying_profile_and_flags_the_band():
@@ -83,7 +83,7 @@ def test_diffusion_diagnostic_extrapolates_a_decaying_profile_and_flags_the_band
     # (delta^3 - 1e-12) / 3, all positive and decaying like delta^3
     piece = DensityPiece(1e-4, 1.0, np.ones_like)
     dens = TripletSequence.from_map(
-        lambda n: LevyTriplet.scalar(0.0, 0.0, LevyMeasure(1, density_pieces=(piece,))),
+        lambda n: triplet(F=measure(pieces=(piece,))),
         (10, 100, 1000),
     )
     decaying = diffusion_creation_diagnostic(dens)
@@ -107,13 +107,14 @@ def test_limit_identification_bounds_a_negative_diffusion():
     limit = (0.25 * u**2).astype(complex)
     profile = ExponentProfile((1,), u, limit[:, None], limit, np.zeros(u.size))
     fitted, resid = limit_triplet_identify(profile)
-    assert 0.0 <= fitted.c[0, 0] <= 1e-12
+    assert 0.0 <= fitted.c[0, 0, 0] <= 1e-12
+    assert fitted.F.atom_w.shape == (1, 0)
     assert abs(resid - 0.25 * np.max(u**2)) <= 1e-12
 
 
 def test_limit_identification_underdetermined():
     profile = exponent_limit_profile(
-        TripletSequence.from_map(lambda n: LevyTriplet.scalar(0.0, 1.0), (10, 100)),
+        TripletSequence.from_map(lambda n: triplet(0.0, 1.0), (10, 100)),
         np.array([1.0]),
     )
     with pytest.raises(ValueError):
@@ -121,11 +122,8 @@ def test_limit_identification_underdetermined():
 
 
 def test_project_to_family_recovers_member():
-    fam = ThetaFamily(
-        parameter_box=((0.0, 4.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
-    )
-    params, dist, _ = project_to_family(fam, LevyTriplet.scalar(0.0, 2.5))
+    fam = family(((0.0, 4.0),), lambda p: triplet(0.0, p[0]))
+    params, dist, _ = project_to_family(fam, triplet(0.0, 2.5))
     assert dist < 1e-8
     assert np.isclose(params[0], 2.5, atol=1e-6)
 
@@ -170,23 +168,15 @@ def test_pinned_variance_projection_polishes_once():
 
 def test_closedness_probe_inconclusive_outside_family():
     # scheduled triplets carry drift the family cannot produce
-    fam = ThetaFamily(
-        parameter_box=((0.0, 4.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
-    )
-    seq = TripletSequence.from_map(lambda n: LevyTriplet.scalar(1.0, 1.0), (10, 100))
+    fam = family(((0.0, 4.0),), lambda p: triplet(0.0, p[0]))
+    seq = TripletSequence.from_map(lambda n: triplet(1.0, 1.0), (10, 100))
     report = _probe(fam, seq, use_u_map=False)
     assert report.limit_in_set == "inconclusive"
 
 
 def test_closedness_probe_member_limit_is_yes():
-    fam = ThetaFamily(
-        parameter_box=((0.0, 4.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
-    )
-    seq = TripletSequence.from_map(
-        lambda n: LevyTriplet.scalar(0.0, 2.0 + 1.0 / n), (10, 100, 1000, 10000)
-    )
+    fam = family(((0.0, 4.0),), lambda p: triplet(0.0, p[0]))
+    seq = TripletSequence.from_map(lambda n: triplet(0.0, 2.0 + 1.0 / n), (10, 100, 1000, 10000))
     report = _probe(fam, seq, use_u_map=False)
     assert report.limit_in_set == "yes"
     assert np.isclose(report.witness_params[0], 2.0, atol=1e-2)

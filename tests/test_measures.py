@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from measure_keys import state_key
+from one_row import measure
 from levysot.measures import (
     DensityPiece,
-    LevyMeasure,
     MeasureStack,
     QuadratureError,
     gauss_legendre_nodes,
@@ -59,48 +59,52 @@ def test_density_piece_quadrature_error():
 
 
 def test_atom_validation():
-    with pytest.raises(ValueError):
-        LevyMeasure.from_atoms((0.0, 1.0))
-    with pytest.raises(ValueError):
-        LevyMeasure.from_atoms((0.5, 0.0))
-    with pytest.raises(ValueError):
-        LevyMeasure(dimension=1, atoms=((np.array([1.0, 2.0]), 1.0),))
+    with pytest.raises(ValueError, match="no atom at 0"):
+        measure((0.0, 1.0))
+    with pytest.raises(ValueError, match="atom weights must be positive"):
+        measure((0.5, -1.0))
+    # a weight of 0 is padding, which must come after the row's atoms
+    assert measure((0.5, 2.0), (0.7, 0.0)).integrate(lambda x: x[..., 0])[0] == 1.0
+    with pytest.raises(ValueError, match="padding of weight 0"):
+        measure((0.5, 0.0), (0.7, 2.0))
+    with pytest.raises(ValueError, match="atom arrays have shapes"):
+        MeasureStack(1, np.array([[[1.0, 2.0]]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="dimension 1"):
+        measure((np.array([1.0, 2.0]), 1.0), pieces=(DensityPiece(1.0, 2.0, np.ones_like),),
+                dimension=2)
 
 
 def test_atomic_integration():
-    F = LevyMeasure.from_atoms((0.5, 2.0), (-1.5, 3.0))
-    total = F.integrate(lambda x: x[..., 0] ** 2)
+    F = measure((0.5, 2.0), (-1.5, 3.0))
+    (total,) = F.integrate(lambda x: x[..., 0] ** 2)
     assert np.isclose(total, 2.0 * 0.25 + 3.0 * 2.25)
 
 
 def test_density_integration_matches_closed_form():
-    F = LevyMeasure(
-        dimension=1,
-        density_pieces=(DensityPiece(1.0, 2.0, lambda x: np.ones_like(x)),),
-    )
-    assert np.isclose(F.integrate(lambda x: x[..., 0]), 1.5, rtol=1e-12)
+    F = measure(pieces=(DensityPiece(1.0, 2.0, lambda x: np.ones_like(x)),))
+    assert np.isclose(F.integrate(lambda x: x[..., 0])[0], 1.5, rtol=1e-12)
 
 
 def test_mass_cap_enforced():
     with pytest.raises(ValueError):
-        LevyMeasure(dimension=1, atoms=((np.array([2.0]), 1e9),))
+        measure((2.0, 1e9))
 
 
 def test_state_key_distinguishes_measures():
-    F = LevyMeasure.from_atoms((0.5, 2.0))
-    G = LevyMeasure.from_atoms((0.5, 2.0))
-    H = LevyMeasure.from_atoms((0.5, 2.5))
+    F = measure((0.5, 2.0))
+    G = measure((0.5, 2.0))
+    H = measure((0.5, 2.5))
     assert state_key(F) == state_key(G)
     assert state_key(F) != state_key(H)
 
 
 def test_a_stack_row_reuses_the_stack_quadrature(monkeypatch):
-    # each row measure's one-row stack equals the stack packed from it, bit
+    # each row, counted from either end, equals the stack packed from it bit
     # for bit, and costs no density evaluation
     pieces = (DensityPiece(0.1, 0.6, lambda x: 2.0 + x), DensityPiece(-2.0, -0.5, np.exp, nodes=16))
-    rows = [LevyMeasure.from_atoms((0.4, 2.0), (-1.5, 0.5)),
-            LevyMeasure(1, ((np.array([0.3]), 1.0),), pieces),
-            LevyMeasure(1, (), pieces[1:])]
+    rows = [measure((0.4, 2.0), (-1.5, 0.5)),
+            measure((0.3, 1.0), pieces=pieces),
+            measure(pieces=pieces[1:])]
     stack = MeasureStack.pack(rows)
     calls = []
     quad = DensityPiece.quad
@@ -110,11 +114,13 @@ def test_a_stack_row_reuses_the_stack_quadrature(monkeypatch):
         return quad(piece, *args)
 
     monkeypatch.setattr(DensityPiece, "quad", counting_quad)
-    measures = [stack.measure(i) for i in range(len(stack))]
+    measures = [stack.row(i) for i in range(-len(stack), len(stack))]
     assert calls == []
+    with pytest.raises(IndexError):
+        stack.row(len(stack))
     for m in measures:
         packed = MeasureStack.pack([m])
-        assert len(m.stack._groups) == len(packed._groups)
-        for got, want in zip(m.stack._groups, packed._groups):
+        assert len(m._groups) == len(packed._groups)
+        for got, want in zip(m._groups, packed._groups):
             for a, b in zip(got, want):
                 assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from levysot import fixtures
-from levysot.measures import DensityPiece, LevyMeasure
+from levysot.measures import DensityPiece
 from levysot.montecarlo import (
     BLOCK_PATHS,
     JumpIntensityError,
@@ -23,8 +23,9 @@ from levysot.montecarlo import (
     simulate_paths,
 )
 from levysot.limits import TripletSequence
-from levysot.serialize import family_from_dict
-from levysot.triplets import LevyTriplet, TripletStack
+from levysot.serialize import family_from_dict, sequence_from_dict
+from levysot.triplets import TripletStack
+from one_row import atoms, measure, pieces, triplet
 
 
 def test_config_validation():
@@ -43,29 +44,39 @@ def test_config_validation():
 
 
 def test_per_step_triplets_give_the_piecewise_path():
-    a = LevyTriplet.scalar(1.0, 0.0)
-    b = LevyTriplet.scalar(2.0, 0.0)
-    bundle = simulate_paths([a, a, b, b], 0.0, SimulationConfig(n_paths=3, n_steps=4))
+    a = triplet(1.0, 0.0)
+    b = triplet(2.0, 0.0)
+    cfg = SimulationConfig(n_paths=3, n_steps=4)
+    bundle = simulate_paths(TripletStack.pack([a, a, b, b]), 0.0, cfg)
     assert np.array_equal(bundle.values, np.tile([0.0, 0.25, 0.5, 1.0, 1.5], (3, 1)))
 
 
 def test_triplet_count_must_match_steps():
-    t = LevyTriplet.scalar(1.0, 0.0)
+    t = triplet(1.0, 0.0)
     with pytest.raises(ValueError):
-        simulate_paths([t] * 3, 0.0, SimulationConfig(n_paths=3, n_steps=4))
+        simulate_paths(TripletStack.pack([t] * 3), 0.0, SimulationConfig(n_paths=3, n_steps=4))
 
 
 def test_one_triplet_equals_one_per_step():
-    t = LevyTriplet.scalar(0.3, 0.5, LevyMeasure.from_atoms((0.4, 2.0), (-1.5, 1.0)))
+    # a one-row stack is used for every step: it simulates as its row
+    # repeated n_steps times, for each row of the flagship sequence and of
+    # a stack with density pieces
+    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc()).stack
+    piece = DensityPiece(0.05, 0.8, lambda x: 1.0 + x)
+    mixed = TripletStack.pack([triplet(0.3, 0.5, measure((0.4, 2.0), (-1.5, 1.0))),
+                               triplet(-0.2, 0.0, measure((0.7, 1.0), pieces=(piece,)))])
     cfg = SimulationConfig(n_paths=BLOCK_PATHS + 5, n_steps=3, seed=7)
-    single = simulate_paths(t, 0.2, cfg)
-    listed = simulate_paths([t] * cfg.n_steps, 0.2, cfg)
-    assert np.array_equal(single.values, listed.values)
+    for st in (seq, mixed):
+        for i in (0, -1):
+            row = st.row(i)
+            single = simulate_paths(row, 0.2, cfg)
+            repeated = simulate_paths(TripletStack.pack([row] * cfg.n_steps), 0.2, cfg)
+            assert np.array_equal(single.values, repeated.values)
 
 
 def test_pure_drift_is_deterministic():
     cfg = SimulationConfig(n_paths=50, n_steps=4, seed=3)
-    bundle = simulate_paths(LevyTriplet.scalar(2.0, 0.0), 1.0, cfg)
+    bundle = simulate_paths(triplet(2.0, 0.0), 1.0, cfg)
     assert np.allclose(bundle.terminal, 3.0)
     assert bundle.values.shape == (50, 5)
     assert np.allclose(bundle.values[:, 0], 1.0)
@@ -73,27 +84,27 @@ def test_pure_drift_is_deterministic():
 
 def test_brownian_terminal_law():
     cfg = SimulationConfig(n_paths=20000, n_steps=1, seed=0)
-    bundle = simulate_paths(LevyTriplet.scalar(0.0, 1.0), 0.0, cfg)
+    bundle = simulate_paths(triplet(0.0, 1.0), 0.0, cfg)
     assert abs(bundle.terminal.mean()) < 0.03
     assert abs(bundle.terminal.var() - 1.0) < 0.05
     assert marginal_ks(bundle.terminal, gaussian_cdf(0.0, 1.0)) < 0.02
 
 
 def test_compensated_poisson_mean_zero():
-    t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0)))
+    t = triplet(F=measure((0.5, 2.0)))
     cfg = SimulationConfig(n_paths=20000, n_steps=1, seed=1)
     bundle = simulate_paths(t, 0.0, cfg)
     assert abs(bundle.terminal.mean()) < 0.02
 
 
 def test_jump_intensity_guard():
-    t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.1, 1e9)))
+    t = triplet(F=measure((0.1, 1e9)))
     with pytest.raises(JumpIntensityError):
         simulate_paths(t, 0.0, SimulationConfig(n_paths=2))
 
 
 def test_determinism_and_block_prefix():
-    t = LevyTriplet.scalar(0.1, 0.5, LevyMeasure.from_atoms((0.5, 1.0)))
+    t = triplet(0.1, 0.5, measure((0.5, 1.0)))
     cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS, n_steps=3, seed=9)
     a = simulate_paths(t, 0.0, cfg)
     assert np.array_equal(a.values, simulate_paths(t, 0.0, cfg).values)
@@ -106,7 +117,7 @@ def test_determinism_and_block_prefix():
 def test_seeds_give_distinct_samples():
     # small seeds must give new samples, not a permutation of the same paths
     # (1024 paths is a multiple of every power of two above these seeds)
-    t = LevyTriplet.scalar(0.1, 0.5, LevyMeasure.from_atoms((0.5, 1.0)))
+    t = triplet(0.1, 0.5, measure((0.5, 1.0)))
     sorted_terminals = [
         np.sort(simulate_paths(t, 0.0, SimulationConfig(n_paths=1024, n_steps=3, seed=s)).terminal)
         for s in (0, 1, 5)
@@ -121,10 +132,10 @@ def test_terminal_moments_match_closed_form():
     # density piece reaching below the 1e-3 small-jump threshold
     b, c, atoms, (lo, hi, dens) = 0.3, 0.5, ((0.4, 2.0), (-1.5, 0.6)), (1e-4, 0.6, 2.5)
     piece = DensityPiece(lo, hi, lambda x: np.full_like(x, dens))
-    F = LevyMeasure(1, tuple((np.array([x]), w) for x, w in atoms), (piece,))
+    F = measure(*atoms, pieces=(piece,))
     n = 100_000
     cfg = SimulationConfig(n_paths=n, n_steps=5, seed=2)
-    terminal = simulate_paths(LevyTriplet.scalar(b, c, F), 0.0, cfg).terminal
+    terminal = simulate_paths(triplet(b, c, F), 0.0, cfg).terminal
 
     def moment(k):
         return sum(w * x**k for x, w in atoms) + dens * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
@@ -142,7 +153,7 @@ def test_terminal_is_start_plus_compensated_lattice_jumps():
     # compensator 1.5 T is a multiple of 0.5; with 1.5 T = 3.15 not one, the
     # test fails if the atom at 0.5 loses its compensator or the one at -1.5
     # gains one
-    t = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 3.0), (-1.5, 0.7)))
+    t = triplet(F=measure((0.5, 3.0), (-1.5, 0.7)))
     x0, horizon = 0.2, 2.1
     cfg = SimulationConfig(horizon=horizon, n_paths=300, n_steps=4, seed=6)
     k = (simulate_paths(t, x0, cfg).terminal - x0 + 0.5 * 3.0 * horizon) / 0.5
@@ -154,7 +165,7 @@ def test_empirical_cf_and_distance():
     samples = np.zeros(100)
     u = np.array([0.5, 1.0])
     assert np.allclose(empirical_cf(samples, u), 1.0)
-    t = LevyTriplet.scalar(0.0, 1.0)
+    t = triplet(0.0, 1.0)
     rng = np.random.default_rng(0)
     gauss = rng.standard_normal(50000)
     assert cf_distance(gauss, t, 1.0, u) < 0.02
@@ -167,8 +178,8 @@ def test_marginal_ks_against_atomic_laws():
 
 
 def test_marginal_cdf_forms():
-    assert marginal_cdf(LevyTriplet.scalar(0.5, 2.0), 1.0) is not None
-    cp = LevyTriplet.scalar(0.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0)))
+    assert marginal_cdf(triplet(0.5, 2.0), 1.0) is not None
+    cp = triplet(F=measure((0.5, 2.0)))
     cdf = marginal_cdf(cp, 1.0)
     # 0.5 N - 1 with N ~ Poisson(2): the atom's compensator shifts by -1;
     # checked at each atom, just below it and between atoms
@@ -177,20 +188,18 @@ def test_marginal_cdf_forms():
     expected = stats.poisson(2.0).cdf(np.floor((x + 1.0) / 0.5))
     assert np.max(np.abs(cdf(x) - expected)) <= 1e-12
     # mixed diffusion + many-atom cases have no closed form here
-    many = LevyTriplet.scalar(
-        0.0, 1.0, LevyMeasure.from_atoms((0.5, 1.0), (0.7, 1.0), (0.9, 1.0), (1.1, 1.0))
-    )
+    many = triplet(0.0, 1.0, measure((0.5, 1.0), (0.7, 1.0), (0.9, 1.0), (1.1, 1.0)))
     assert marginal_cdf(many, 1.0) is None
+    piece = DensityPiece(0.2, 1.0, np.ones_like)
+    assert marginal_cdf(triplet(F=measure(pieces=(piece,))), 1.0) is None
 
 
 def test_convergence_experiment_decreases():
     seq = TripletSequence.from_map(
-        lambda n: LevyTriplet.scalar(
-            0.0, 0.0, LevyMeasure.from_atoms((1.0 / np.sqrt(n), float(n)))
-        ),
+        lambda n: triplet(F=measure((1.0 / np.sqrt(n), float(n)))),
         (10, 100, 1000),
     )
-    target = LevyTriplet.scalar(0.0, 1.0)
+    target = triplet(0.0, 1.0)
     cfg = SimulationConfig(n_paths=4000, n_steps=1, seed=0)
     report = convergence_experiment(seq, target, cfg, np.linspace(-2, 2, 9))
     assert np.all(np.diff(report.cf_distances) < 0)
@@ -204,7 +213,7 @@ def _loop_step_model(t, eps=1e-3):
     locs, lams = [], []
     small_var = 0.0
     comp = 0.0
-    for loc, w in t.F.atoms:
+    for loc, w in atoms(t.F):
         x = float(loc[0])
         if abs(x) > eps:
             locs.append(x)
@@ -213,7 +222,7 @@ def _loop_step_model(t, eps=1e-3):
                 comp += w * x
         else:
             small_var += w * x * x
-    for piece in t.F.density_pieces:
+    for piece in pieces(t.F):
         xq, wq = piece.quad()
         for x, w in zip(xq, wq):
             if w <= 0:
@@ -226,8 +235,8 @@ def _loop_step_model(t, eps=1e-3):
             else:
                 small_var += w * x * x
     return _StepModel(
-        drift=float(t.b[0]),
-        diffusion_std=math.sqrt(max(float(t.c[0, 0]), 0.0)),
+        drift=float(t.b[0, 0]),
+        diffusion_std=math.sqrt(max(float(t.c[0, 0, 0]), 0.0)),
         jump_locations=np.array(locs),
         jump_intensities=np.array(lams),
         compensator=float(comp),
@@ -239,15 +248,13 @@ def test_step_model_matches_the_loop_bit_for_bit():
     # atoms below eps, between eps and 1 on both sides, and outside the unit
     # ball; a piece reaching below eps and one whose density vanishes on
     # part of its nodes
-    F = LevyMeasure(
-        1,
-        tuple((np.array([x]), w) for x, w in
-              ((5e-4, 3.0), (-2e-4, 1.5), (0.4, 2.0), (-0.7, 0.3), (1.5, 0.6), (-2.5, 0.2))),
-        (DensityPiece(1e-4, 0.6, lambda x: 2.5 + 0.0 * x),
-         DensityPiece(-0.9, -0.1, lambda x: np.maximum(-0.5 - x, 0.0), nodes=16)),
+    F = measure(
+        (5e-4, 3.0), (-2e-4, 1.5), (0.4, 2.0), (-0.7, 0.3), (1.5, 0.6), (-2.5, 0.2),
+        pieces=(DensityPiece(1e-4, 0.6, lambda x: 2.5 + 0.0 * x),
+                DensityPiece(-0.9, -0.1, lambda x: np.maximum(-0.5 - x, 0.0), nodes=16)),
     )
-    t = LevyTriplet.scalar(0.3, 0.5, F)
-    got = _build_step_model(TripletStack.pack([t]), 0)
+    t = triplet(0.3, 0.5, F)
+    got = _build_step_model(t, 0)
     ref = _loop_step_model(t)
     assert got.jump_locations.size and got.small_std > 0.0
     for field in ("drift", "diffusion_std", "compensator", "small_std"):
@@ -262,7 +269,7 @@ def test_stack_rows_simulate_as_the_listed_triplets():
     schedule = np.array([[0.0], [1.5], [6.0], [2.25]])
     cfg = SimulationConfig(n_paths=500, n_steps=4, seed=5)
     stacked = simulate_paths(fam.stack(schedule), 0.0, cfg)
-    listed = simulate_paths([fam.at(p) for p in schedule], 0.0, cfg)
+    listed = simulate_paths(TripletStack.pack([fam.at(p) for p in schedule]), 0.0, cfg)
     assert np.array_equal(stacked.values, listed.values)
 
 

@@ -20,9 +20,9 @@ from levysot.serialize import (
     triplet_from_dict,
     triplet_to_dict,
 )
-from levysot.measures import DEFAULT_QUAD_NODES, DensityPiece, LevyMeasure
+from levysot.measures import DEFAULT_QUAD_NODES, DensityPiece
 from levysot.transport import Marginal
-from levysot.triplets import LevyTriplet
+from one_row import atoms, measure, triplet
 
 
 def test_expression_grammar_rejects_escapes():
@@ -79,10 +79,8 @@ def test_triplet_round_trip():
         },
     }
     t = triplet_from_dict(doc)
-    assert t.b[0] == 0.25 and t.c[0, 0] == 1.5
-    assert np.isclose(
-        t.F.integrate(lambda x: np.ones(x.shape[0])), 2.0 + 0.5, rtol=1e-10
-    )
+    assert t.b[0, 0] == 0.25 and t.c[0, 0, 0] == 1.5
+    assert np.isclose(t.F.integrate(lambda x: np.ones(x.shape[:2]))[0], 2.0 + 0.5, rtol=1e-10)
     back = triplet_to_dict(t)
     assert back["F"]["pieces"][0]["density"] == "1 / (x * x)"
     assert state_key(triplet_from_dict(back).F) == state_key(t.F)
@@ -104,12 +102,11 @@ def _oracle_triplet(doc):
     b = np.atleast_1d(np.asarray(doc["b"], float))
     c = np.atleast_2d(np.asarray(doc["c"], float))
     F = doc.get("F", {})
-    atoms = tuple((np.atleast_1d(np.asarray(a["x"], float)), float(a["w"]))
-                  for a in F.get("atoms", ()))
     pieces = tuple(DensityPiece(float(p["lo"]), float(p["hi"]), density(str(p["density"])),
                                 int(p.get("nodes", DEFAULT_QUAD_NODES)))
                    for p in F.get("pieces", ()))
-    return LevyTriplet(b, c, LevyMeasure(b.size, atoms, pieces))
+    atoms = ((np.asarray(a["x"], float), float(a["w"])) for a in F.get("atoms", ()))
+    return triplet(b, c, measure(*atoms, pieces=pieces, dimension=b.size))
 
 
 def _simulate_triplet(w_near, w_far, density):
@@ -132,7 +129,7 @@ def _simulate_triplet(w_near, w_far, density):
 def test_plain_triplet_compiles_bit_for_bit_as_the_float_parser(doc):
     t, ref = triplet_from_dict(doc), _oracle_triplet(doc)
     assert t.b.tobytes() == ref.b.tobytes() and t.c.tobytes() == ref.c.tobytes()
-    for got, want in zip(t.F.stack.jump_profile(0), ref.F.stack.jump_profile(0)):
+    for got, want in zip(t.F.jump_profile(0), ref.F.jump_profile(0)):
         assert got.tobytes() == want.tobytes()
     assert repr(triplet_to_dict(t)) == repr(triplet_to_dict(ref))
 
@@ -144,23 +141,20 @@ def test_a_family_member_piece_does_not_serialize():
     fam = family_from_dict({"box": [[1, 2]], "params": ["s"], "b": ["0"], "c": [["0"]],
                             "F": {"pieces": [piece]}})
     with pytest.raises(SchemaError, match="cannot serialize"):
-        measure_to_dict(fam.stack(np.array([[1.5]])).triplet(0).F)
+        measure_to_dict(fam.at([1.5]).F)
 
 
 def test_measure_to_dict_requires_expression_density():
-    F = LevyMeasure(
-        dimension=1,
-        density_pieces=(DensityPiece(1.0, 2.0, lambda x: np.ones_like(x)),),
-    )
+    F = measure(pieces=(DensityPiece(1.0, 2.0, lambda x: np.ones_like(x)),))
     with pytest.raises(SchemaError):
         measure_to_dict(F)
 
 
 def test_family_from_dict_drops_zero_weight_atoms():
     fam = family_from_dict(fixtures.pure_jump_family_doc())
-    assert fam.at(np.array([0.0, 0.5])).F.atoms == ()
+    assert atoms(fam.at(np.array([0.0, 0.5])).F) == []
     t = fam.at(np.array([3.0, 0.5]))
-    assert np.isclose(t.F.atoms[0][1], 3.0)
+    assert np.isclose(atoms(t.F)[0][1], 3.0)
 
 
 def test_family_schema_errors():
@@ -172,9 +166,9 @@ def test_family_schema_errors():
 
 def test_sequence_from_dict():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    t = seq.stack.triplet(seq.n_schedule.index(100))
-    assert np.isclose(t.F.atoms[0][0][0], 0.1)
-    assert np.isclose(t.F.atoms[0][1], 100.0)
+    ((loc, w),) = atoms(seq.stack.row(seq.n_schedule.index(100)).F)
+    assert np.isclose(loc[0], 0.1)
+    assert np.isclose(w, 100.0)
     pm = param_map_from_exprs(fixtures.shrinking_jump_limit_doc()["param_map"])
     assert np.allclose(pm(100), [100.0, 0.1])
 

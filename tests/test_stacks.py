@@ -1,11 +1,11 @@
 """Stacked evaluation: template-compiled families and sequences, MeasureStack
 integrals, the stacked exponent and the projection objective.
 
-Every stacked row must equal its single-row evaluation bit for bit, and both
-must equal the formula the closedness probe used before stacking, kept here
-as an inline reference: one np.dot over the atoms and one per density piece,
-np.linalg.norm and Python's complex arithmetic, one triplet and one
-frequency at a time.
+Every row of a stack must equal its one-row stack, ``row(i)``, bit for
+bit, and both must equal the formula the closedness probe used before
+stacking, kept here as an inline reference: one np.dot over the atoms and
+one per density piece, np.linalg.norm and Python's complex arithmetic, one
+triplet and one frequency at a time.
 """
 
 import numpy as np
@@ -13,16 +13,17 @@ import pytest
 
 from integrals import ball_integrate
 from measure_keys import state_key
+from one_row import atoms, family, measure, pieces, triplet
 from levysot import fixtures
 from levysot.exprs import ExpressionError
 from levysot.limits import _PROBE_FEATURES, _distances, exponent_limit_profile
-from levysot.measures import DensityPiece, LevyMeasure, MeasureStack, _sqnorm, truncate
+from levysot.measures import DensityPiece, MeasureStack, _sqnorm, truncate
 from levysot.serialize import compile_template, family_from_dict, sequence_from_dict
 from levysot.triplets import (
-    LevyTriplet,
-    ThetaFamily,
+    FeatureMapConfig,
     TripletStack,
     condition_b_value,
+    family_points,
     levy_exponent,
     martingale_residual,
     measure_features,
@@ -36,11 +37,11 @@ from levysot.triplets import (
 
 def _ref_integrate(F, g):
     total = 0.0
-    if F.atoms:
-        locs = np.stack([loc for loc, _ in F.atoms])
-        ws = np.array([w for _, w in F.atoms])
+    if atoms(F):
+        locs = np.stack([loc for loc, _ in atoms(F)])
+        ws = np.array([w for _, w in atoms(F)])
         total += float(np.dot(ws, np.asarray(g(locs), dtype=float)))
-    for piece in F.density_pieces:
+    for piece in pieces(F):
         x, w = piece.quad()
         total += float(np.dot(w, np.asarray(g(x[:, None]), dtype=float)))
     return total
@@ -71,13 +72,13 @@ def _ref_modified(t):
             corr[i, j] = corr[j, i] = _ref_integrate(
                 t.F, lambda x: truncate(x)[..., i] * truncate(x)[..., j]
             )
-    return LevyTriplet(t.b, t.c + corr, t.F)
+    return TripletStack(t.b, t.c + corr, t.F)
 
 
 def _ref_distance(s, t):
     return float(
-        np.linalg.norm(s.b - t.b)
-        + np.linalg.norm(s.c - t.c, "fro")
+        np.linalg.norm(s.b[0] - t.b[0])
+        + np.linalg.norm(s.c[0] - t.c[0], "fro")
         + np.linalg.norm(
             _ref_features(s.F, _PROBE_FEATURES) - _ref_features(t.F, _PROBE_FEATURES)
         )
@@ -90,7 +91,7 @@ def _ref_exponent(t, u):
     jump = complex(
         _ref_integrate(t.F, lambda x: np.real(g(x))), _ref_integrate(t.F, lambda x: np.imag(g(x)))
     )
-    return 1j * float(u @ t.b) + -0.5 * float(u @ t.c @ u) + jump
+    return 1j * float(u @ t.b[0]) + -0.5 * float(u @ t.c[0] @ u) + jump
 
 
 def _bits(a):
@@ -147,14 +148,12 @@ PIECE_DOC = {
 
 
 def _hand_built():
-    return ThetaFamily(
-        parameter_box=((0.0, 2.0), (0.1, 1.0)),
-        triplet_map=lambda p: LevyTriplet.scalar(
+    return family(
+        ((0.0, 2.0), (0.1, 1.0)),
+        lambda p: triplet(
             0.3 * p[0],
             p[0],
-            LevyMeasure.from_atoms((p[1], p[0]), (-0.5, 1.0))
-            if p[0] > 0
-            else LevyMeasure.from_atoms((-0.5, 1.0)),
+            measure((p[1], p[0]), (-0.5, 1.0)) if p[0] > 0 else measure((-0.5, 1.0)),
         ),
     )
 
@@ -170,10 +169,8 @@ FAMILIES = {
 
 def _targets():
     seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
-    ts = [seq.stack.triplet(0), seq.stack.triplet(-1)]
-    ts.append(LevyTriplet.scalar(0.0, 1.0))
-    ts.append(LevyTriplet.scalar(0.1, 0.4, LevyMeasure.from_atoms((0.3, 2.0), (-1.2, 0.5))))
-    return ts
+    return [seq.stack.row(0), seq.stack.row(-1), triplet(0.0, 1.0),
+            triplet(0.1, 0.4, measure((0.3, 2.0), (-1.2, 0.5)))]
 
 
 def _points(fam, n_random=60):
@@ -233,7 +230,7 @@ def test_rows_of_a_stack_are_the_family_members():
         P = _points(fam, n_random=5)
         stack = fam.stack(P)
         for i in range(0, len(P), 11):
-            a, b = stack.triplet(i), fam.at(P[i])
+            a, b = stack.row(i), fam.at(P[i])
             assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c), name
             assert state_key(a.F) == state_key(b.F), name
 
@@ -241,18 +238,18 @@ def test_rows_of_a_stack_are_the_family_members():
 def test_features_and_integrals_of_a_measure_match_the_reference():
     piece = DensityPiece(0.2, 0.9, lambda x: 3.0 * x)
     for F in (
-        LevyMeasure.zero(1),
-        LevyMeasure.from_atoms((0.4, 2.0)),
-        LevyMeasure.from_atoms(*[(0.1 * k - 0.75, 0.3 + k) for k in range(1, 19)]),
-        LevyMeasure(1, ((np.array([-0.3]), 1.5),), (piece, piece)),
-        LevyMeasure.from_atoms(([0.3, -0.4], 1.0), ([1.5, 0.2], 0.5), ([0.1, 0.1], 2.0), dimension=2),
+        measure(),
+        measure((0.4, 2.0)),
+        measure(*[(0.1 * k - 0.75, 0.3 + k) for k in range(1, 19)]),
+        measure((-0.3, 1.5), pieces=(piece, piece)),
+        measure(([0.3, -0.4], 1.0), ([1.5, 0.2], 0.5), ([0.1, 0.1], 2.0), dimension=2),
     ):
-        cfg = _PROBE_FEATURES if F.dimension == 1 else type(_PROBE_FEATURES)(
+        cfg = _PROBE_FEATURES if F.dimension == 1 else FeatureMapConfig(
             m_max=3, u_grid=(np.array([0.5, 1.0]), np.array([-1.0, 2.0]))
         )
-        assert np.array_equal(_bits(measure_features(F, cfg)), _bits(_ref_features(F, cfg)))
+        assert np.array_equal(_bits(measure_features(F, cfg)[0]), _bits(_ref_features(F, cfg)))
         g = lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x)))  # noqa: E731
-        assert F.integrate(g) == _ref_integrate(F, g)
+        assert F.integrate(g)[0] == _ref_integrate(F, g)
 
 
 def test_stacked_exponent_matches_single_calls_and_reference():
@@ -263,14 +260,14 @@ def test_stacked_exponent_matches_single_calls_and_reference():
         psi = levy_exponent(stack, u_grid)
         assert psi.shape == (len(stack), u_grid.size)
         for i in range(len(stack)):
-            t = stack.triplet(i)
-            for j in range(0, u_grid.size, 5):
-                single = levy_exponent(t, u_grid[j])
+            t = stack.row(i)
+            (row,) = levy_exponent(t, u_grid[::5])
+            for j, single in zip(range(0, u_grid.size, 5), row.tolist()):
                 assert repr(complex(psi[i, j])) == repr(single)
                 assert repr(single) == repr(_ref_exponent(t, u_grid[j]))
     profile = exponent_limit_profile(seq, u_grid)
     assert tuple(profile.values[3].tolist()) == tuple(
-        _ref_exponent(seq.stack.triplet(i), u_grid[3]) for i in range(len(seq.stack))
+        _ref_exponent(seq.stack.row(i), u_grid[3]) for i in range(len(seq.stack))
     )
 
 
@@ -312,8 +309,8 @@ def test_dropped_atom_location_is_never_evaluated():
     # at a = 0 the atom is dropped, and its location 1 / a is never formed
     fam = _error_family(F={"atoms": [{"x": ["1 / a"], "w": "a"}]})
     stack = fam.stack(np.array([[0.0, 0.5], [2.0 / 3.0, 0.5]]))
-    assert fam.at(np.array([0.0, 0.5])).F.atoms == ()
-    assert stack.triplet(1).F.atoms[0][0][0] == 1.5
+    assert atoms(fam.at(np.array([0.0, 0.5])).F) == []
+    assert atoms(stack.row(1).F)[0][0][0] == 1.5
     with pytest.raises(ExpressionError):
         _error_family(F={"atoms": [{"x": ["1 / (a - 0.5)"], "w": "1"}]}).at(np.array([0.5, 0.0]))
 
@@ -324,7 +321,7 @@ def test_sequence_rows_and_packed_rows_agree():
     doc = fixtures.shrinking_jump_sequence_doc()
     seq = sequence_from_dict(doc)
     template = compile_template(doc, ("n",), "sequence")
-    packed = TripletStack.pack([template.triplet([n]) for n in seq.n_schedule])
+    packed = TripletStack.pack([template.stack([[n]]) for n in seq.n_schedule])
     compiled = seq.stack
     assert np.array_equal(packed.b, compiled.b)
     assert np.array_equal(packed.c, compiled.c)
@@ -337,7 +334,7 @@ def test_sequence_index_is_evaluated_as_a_float():
     # exact integer arithmetic would round once, at the end
     seq = sequence_from_dict({"b": ["n * n * n * n * n"], "c": [["0"]], "n_schedule": [100003]})
     n = 100003.0
-    assert seq.stack.triplet(0).b[0] == (((n * n) * n) * n) * n
+    assert seq.stack.b[0, 0] == (((n * n) * n) * n) * n
     assert (((n * n) * n) * n) * n != float(100003**5)
 
 
@@ -347,16 +344,16 @@ def test_jump_profile_is_each_rows_atoms_then_piece_nodes():
     wide = DensityPiece(0.1, 0.6, lambda x: 2.0 + x)
     narrow = DensityPiece(-0.8, -0.2, lambda x: x * x, nodes=12)
     measures = [
-        LevyMeasure(1, ((np.array([0.4]), 2.0), (np.array([-1.5]), 0.5)), (wide, narrow)),
-        LevyMeasure(1, ((np.array([2.5]), 1.0),), (narrow,)),
-        LevyMeasure.zero(1),
+        measure((0.4, 2.0), (-1.5, 0.5), pieces=(wide, narrow)),
+        measure((2.5, 1.0), pieces=(narrow,)),
+        measure(),
     ]
     stack = MeasureStack.pack(measures)
     for i, F in enumerate(measures):
         x, w = stack.jump_profile(i)
-        quads = [p.quad() for p in F.density_pieces]
-        ref_x = np.concatenate([[loc[0] for loc, _ in F.atoms]] + [q[0] for q in quads])
-        ref_w = np.concatenate([[wt for _, wt in F.atoms]] + [q[1] for q in quads])
+        quads = [p.quad() for p in pieces(F)]
+        ref_x = np.concatenate([[loc[0] for loc, _ in atoms(F)]] + [q[0] for q in quads])
+        ref_w = np.concatenate([[wt for _, wt in atoms(F)]] + [q[1] for q in quads])
         assert x.shape == (ref_x.size, 1)
         assert np.array_equal(_bits(x[:, 0]), _bits(ref_x))
         assert np.array_equal(_bits(w), _bits(ref_w))
@@ -367,13 +364,14 @@ def test_jump_profile_is_each_rows_atoms_then_piece_nodes():
 
 
 def _ref_condition_b(t):
-    jump = t.F.integrate(lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x))))
-    return float(np.linalg.norm(t.b) + np.linalg.norm(t.c, "fro") + jump)
+    jump = t.F.integrate(lambda x: np.minimum(_sqnorm(x), np.sqrt(_sqnorm(x))))[0]
+    return float(np.linalg.norm(t.b[0]) + np.linalg.norm(t.c[0], "fro") + jump)
 
 
 def _ref_martingale_residual(t):
-    return t.b + np.array(
-        [t.F.integrate(lambda x, i=i: x[..., i] - truncate(x)[..., i]) for i in range(t.dimension)]
+    return t.b[0] + np.array(
+        [t.F.integrate(lambda x, i=i: x[..., i] - truncate(x)[..., i])[0]
+         for i in range(t.dimension)]
     )
 
 
@@ -387,23 +385,20 @@ def _condition_stacks():
         )
         for name in ("pure-jump", "pinned-variance")
     }
-    four_atom = LevyMeasure(
-        1,
-        ((np.array([-0.3]), 1.0), (np.array([0.1]), 2.0), (np.array([0.5]), 3.0),
-         (np.array([1.5]), 0.5)),
-        (DensityPiece(0.05, 0.8, lambda x: 1.0 + x), DensityPiece(-2.0, -0.2, np.exp, nodes=24)),
+    four_atom = measure(
+        (-0.3, 1.0), (0.1, 2.0), (0.5, 3.0), (1.5, 0.5),
+        pieces=(DensityPiece(0.05, 0.8, lambda x: 1.0 + x),
+                DensityPiece(-2.0, -0.2, np.exp, nodes=24)),
     )
     pieces_1d = [
-        LevyTriplet.scalar(0.3, 0.7, four_atom),
-        LevyTriplet.scalar(-1.0, 0.0, LevyMeasure.from_atoms((0.5, 2.0), (0.8, 1.0))),
-        LevyTriplet.scalar(0.0, 2.0),
+        triplet(0.3, 0.7, four_atom),
+        triplet(-1.0, 0.0, measure((0.5, 2.0), (0.8, 1.0))),
+        triplet(0.0, 2.0),
     ]
-    atoms_2d = LevyMeasure(
-        2, ((np.array([0.0, -0.25]), 1.5), (np.array([0.3, 0.4]), 2.0), (np.array([-1.0, 2.0]), 0.5))
-    )
+    atoms_2d = measure(([0.0, -0.25], 1.5), ([0.3, 0.4], 2.0), ([-1.0, 2.0], 0.5), dimension=2)
     plane = [
-        LevyTriplet(np.array([0.1, -0.2]), np.array([[1.0, 0.3], [0.3, 2.0]]), atoms_2d),
-        LevyTriplet(np.zeros(2), np.eye(2), LevyMeasure.zero(2)),
+        triplet([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]], atoms_2d),
+        triplet(np.zeros(2), np.eye(2)),
     ]
     return {
         **grids,
@@ -416,21 +411,43 @@ def _condition_stacks():
 def test_ball_integral_and_row_wise_conditions_equal_the_per_row_oracle():
     deltas = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     for name, st in _condition_stacks().items():
-        rows = [st.triplet(i) for i in range(len(st))]
+        rows = [st.row(i) for i in range(len(st))]
         for d in deltas:
             ref = [ball_integrate(t.F, _sqnorm, d) for t in rows]
             assert np.array_equal(_bits(st.F.integrate_ball(_sqnorm, d)), _bits(ref)), (name, d)
             assert np.array_equal(_bits(small_jump_second_moment(st.F, d)), _bits(ref)), (name, d)
-            assert [small_jump_second_moment(t.F, d) for t in rows] == ref
         ref_b = [_ref_condition_b(t) for t in rows]
         assert np.array_equal(_bits(condition_b_value(st)), _bits(ref_b)), name
-        assert [condition_b_value(t) for t in rows] == ref_b
         ref_res = np.array([_ref_martingale_residual(t) for t in rows])
         assert np.array_equal(_bits(martingale_residual(st)), _bits(ref_res)), name
-        assert np.array_equal(_bits(martingale_residual(rows[0])), _bits(ref_res[0]))
     # an atom at |x| = delta is inside the ball
-    boundary = LevyMeasure.from_atoms((0.5, 2.0), (0.8, 1.0))
-    assert np.isclose(boundary.stack.integrate_ball(lambda x: np.ones(x.shape[:2]), 0.5)[0], 2.0)
-    assert small_jump_second_moment(boundary, 0.5) == 2.0 * 0.25
+    boundary = measure((0.5, 2.0), (0.8, 1.0))
+    assert np.isclose(boundary.integrate_ball(lambda x: np.ones(x.shape[:2]), 0.5)[0], 2.0)
+    assert small_jump_second_moment(boundary, 0.5)[0] == 2.0 * 0.25
     plane = _condition_stacks()["two-dimensional"].F
     assert small_jump_second_moment(plane, 0.25)[0] == 1.5 * 0.0625
+
+
+def _row_maps(st):
+    """Every row-wise map at st: the exponent, the features, conditions B
+    and J, the martingale residual and the modified triplet."""
+    if st.dimension == 1:
+        u, cfg = np.linspace(-2.0, 2.0, 9), _PROBE_FEATURES
+    else:
+        u = np.array([[0.5, 1.0], [-1.0, 2.0], [0.3, -0.7]])
+        cfg = FeatureMapConfig(m_max=3, u_grid=tuple(u))
+    modified = modified_triplet(st)
+    return (levy_exponent(st, u), measure_features(st.F, cfg), condition_b_value(st),
+            small_jump_second_moment(st.F, 0.25), martingale_residual(st), modified.b, modified.c)
+
+
+def test_a_row_gives_its_row_of_every_map_bit_for_bit():
+    # row(i), counted from either end, is row i of the stack under every
+    # map: rows with padded atoms, density pieces and d = 2 among them
+    stacks = {**_condition_stacks(), "piece-doc": family_points(family_from_dict(PIECE_DOC), 4)}
+    for name, st in stacks.items():
+        whole = _row_maps(st)
+        for i in range(-len(st), len(st)):
+            for got, want in zip(_row_maps(st.row(i)), whole):
+                assert got.shape == (1,) + want.shape[1:], name
+                assert got[0].tobytes() == want[i].tobytes(), (name, i)

@@ -12,7 +12,6 @@ from integrals import marginal_integrate
 from levysot import cli, fixtures, transport
 from levysot.cli import run_transport
 from levysot.exprs import ExpressionError
-from levysot.measures import LevyMeasure
 from levysot.serialize import cost_from_expr, family_from_dict, instance_from_dict
 from levysot.transport import (
     CFLError,
@@ -36,19 +35,17 @@ from levysot.transport import (
     solve_hjb,
     solve_primal_deterministic,
 )
-from levysot.triplets import LevyTriplet, ThetaFamily, family_checks, family_points
+from levysot.triplets import ThetaFamily, family_checks, family_points
+from one_row import family, measure, triplet
 
 
 def diffusion_family(c_max=4.0):
-    return ThetaFamily(
-        parameter_box=((0.0, float(c_max)),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
-    )
+    return family(((0.0, float(c_max)),), lambda p: triplet(0.0, p[0]))
 
 
 def fixed_family(b=0.0, c=0.0, atoms=()):
-    t = LevyTriplet.scalar(b, c, LevyMeasure.from_atoms(*atoms))
-    return ThetaFamily(parameter_box=((0.0, 0.0),), triplet_map=lambda p: t)
+    t = triplet(b, c, measure(*atoms))
+    return family(((0.0, 0.0),), lambda p: t)
 
 
 def gaussian_instance(c_max=4.0, variance=1.0):
@@ -115,12 +112,7 @@ def test_cost_state_dependence_detection():
 
 
 def test_instance_validate_rejects_bad_small_jumps():
-    fam = ThetaFamily(
-        parameter_box=((1.0, 2.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            0.0, 0.0, LevyMeasure.from_atoms((0.05, float(p[0]) * 400.0))
-        ),
-    )
+    fam = family(((1.0, 2.0),), lambda p: triplet(F=measure((0.05, float(p[0]) * 400.0))))
     inst = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), fam,
         cost_from_expr("p0", ("p0",)),
@@ -135,13 +127,9 @@ def test_instance_validate_rejects_bad_small_jumps():
 
 
 def test_affine_structure_extraction():
-    fam = ThetaFamily(
-        parameter_box=((0.0, 2.0), (0.0, 3.0)),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            1.0 + 2.0 * p[0],
-            0.5 + p[1],
-            LevyMeasure.from_atoms((0.5, 1.0 + p[0] + 2.0 * p[1])),
-        ),
+    fam = family(
+        ((0.0, 2.0), (0.0, 3.0)),
+        lambda p: triplet(1.0 + 2.0 * p[0], 0.5 + p[1], measure((0.5, 1.0 + p[0] + 2.0 * p[1]))),
     )
     aff = affine_family_structure(fam)
     assert np.isclose(aff.b0, 1.0) and np.allclose(aff.b_lin, [2.0, 0.0])
@@ -153,31 +141,16 @@ def test_affine_structure_extraction():
 
 
 def test_affine_structure_allows_vanishing_atoms():
-    fam = ThetaFamily(
-        parameter_box=((0.0, 6.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            0.0,
-            0.0,
-            LevyMeasure.from_atoms((0.5, float(p[0]))) if p[0] > 0 else LevyMeasure.zero(1),
-        ),
-    )
+    fam = family(((0.0, 6.0),), lambda p: triplet(F=measure((0.5, p[0])) if p[0] > 0 else None))
     aff = affine_family_structure(fam)
     assert np.allclose(aff.w0, [0.0]) and np.allclose(aff.w_lin, [[1.0]])
 
 
 def test_affine_structure_rejections():
-    quad = ThetaFamily(
-        parameter_box=((0.0, 2.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0]) ** 2),
-    )
+    quad = family(((0.0, 2.0),), lambda p: triplet(0.0, float(p[0]) ** 2))
     with pytest.raises(NotImplementedError):
         affine_family_structure(quad)
-    moving = ThetaFamily(
-        parameter_box=((0.5, 1.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            0.0, 0.0, LevyMeasure.from_atoms((float(p[0]), 1.0))
-        ),
-    )
+    moving = family(((0.5, 1.0),), lambda p: triplet(F=measure((p[0], 1.0))))
     with pytest.raises(NotImplementedError):
         affine_family_structure(moving)
 
@@ -215,7 +188,7 @@ def test_affine_structure_rejects_a_family_affine_at_the_midpoint_only(tmp_path,
 def test_hjb_heat_benchmark():
     inst = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 1.0),
-        ThetaFamily(((1.0, 1.0),), lambda p: LevyTriplet.scalar(0.0, 1.0)),
+        family(((1.0, 1.0),), lambda p: triplet(0.0, 1.0)),
         cost_from_expr("0", ("c",)),
     )
     cfg = HJBGridConfig(x_min=-6.0, x_max=6.0, n_x=100, n_t=100)
@@ -370,20 +343,15 @@ def test_jump_gathers_equal_sparse_shifts_bitwise():
 
 
 def _two_param_family():
-    return ThetaFamily(
-        parameter_box=((0.0, 1.0), (0.0, 1.0)),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            float(p[0]) - 0.5, 0.05 + 0.5 * float(p[1]),
-            LevyMeasure.from_atoms((0.5, 1.0 + float(p[0]))),
-        ),
+    return family(
+        ((0.0, 1.0), (0.0, 1.0)),
+        lambda p: triplet(float(p[0]) - 0.5, 0.05 + 0.5 * float(p[1]),
+                          measure((0.5, 1.0 + float(p[0])))),
     )
 
 
 def _drift_family():
-    return ThetaFamily(
-        parameter_box=((-1.0, 1.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(float(p[0]), 0.1),
-    )
+    return family(((-1.0, 1.0),), lambda p: triplet(p[0], 0.1))
 
 
 BATCH_CASES = {
@@ -722,8 +690,7 @@ def test_primal_time_dependent_cost_meets_the_discrete_optimum():
 def test_primal_holds_only_the_identified_combination():
     # c = a + b: the target pins mean(a + b) = 1 only, and the cost
     # a^2 + 2 b^2 splits it as a = 2/3, b = 1/3 (holding both means costs 3/4)
-    fam = ThetaFamily(((0.0, 4.0), (0.0, 4.0)),
-                      lambda p: LevyTriplet.scalar(0.0, float(p[0] + p[1])))
+    fam = family(((0.0, 4.0), (0.0, 4.0)), lambda p: triplet(0.0, float(p[0] + p[1])))
     inst = TransportInstance(Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), fam,
                              cost_from_expr("a * a + 2 * b * b", ("a", "b")))
     res = solve_primal_deterministic(inst)
@@ -776,7 +743,7 @@ def test_drift_free_family_takes_the_central_stencil():
         b = _solve_hjb_ws(auto, inst.cost, terminal)
         assert a.values.tobytes() == b.values.tobytes()
         assert a.controls.tobytes() == b.controls.tobytes()
-    drifting = ThetaFamily(((0.0, 1.0),), lambda p: LevyTriplet.scalar(float(p[0]), 1.0))
+    drifting = family(((0.0, 1.0),), lambda p: triplet(p[0], 1.0))
     assert not _HJBWorkspace(drifting, grid).central
 
 
@@ -969,28 +936,24 @@ def test_duality_report_trivial():
     assert report.weak_duality_ok
 
 
-def test_affine_structure_and_mc_validation_price_stacks_only():
-    # a family whose triplet map raises: both read its members from stacks
+def _no_member(fam, p):
+    raise AssertionError("ThetaFamily.at called")
+
+
+def test_affine_structure_and_mc_validation_price_stacks_only(monkeypatch):
+    # ThetaFamily.at raises: both read the family's members from stacks
     inst = instance_from_dict(fixtures.poisson_instance_doc())
-
-    def no_member(p):
-        raise AssertionError("ThetaFamily.at called")
-
-    fam = replace(inst.fam, triplet_map=no_member)
-    aff = affine_family_structure(fam)
+    monkeypatch.setattr(ThetaFamily, "at", _no_member)
+    aff = affine_family_structure(inst.fam)
     assert np.array_equal(aff.locations, [0.5])
     assert np.array_equal(aff.w0, [0.0]) and np.array_equal(aff.w_lin, [[1.0]])
-    inst = TransportInstance(inst.mu0, inst.mu1, fam, inst.cost)
     evaluate_cost_mc(inst, np.full((4, 1), 2.0), n_paths=500, seed=0)
 
 
-def test_instance_validation_prices_stacks_only():
+def test_instance_validation_prices_stacks_only(monkeypatch):
     inst = instance_from_dict(fixtures.poisson_instance_doc())
-
-    def no_member(p):
-        raise AssertionError("ThetaFamily.at called")
-
-    replace(inst, fam=replace(inst.fam, triplet_map=no_member)).validate()
+    monkeypatch.setattr(ThetaFamily, "at", _no_member)
+    inst.validate()
 
 
 def test_instance_validation_prices_its_family_once(monkeypatch):

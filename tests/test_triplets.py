@@ -3,51 +3,55 @@ import pytest
 
 from integrals import generator_apply
 from levysot import fixtures
-from levysot.measures import LevyMeasure
 from levysot.serialize import family_from_dict
 from levysot.triplets import (
     FeatureMapConfig,
-    LevyTriplet,
     ThetaFamily,
+    TripletStack,
     box_independence_check,
     condition_b_value,
     family_checks,
     family_condition_j,
     family_points,
     jump_exponent,
-    levy_exponent,
     martingale_residual,
     measure_features,
     modified_triplet,
     small_jump_second_moment,
 )
+from one_row import family, measure, psi, triplet
 
 
 def scalar(b=0.0, c=0.0, atoms=()):
-    return LevyTriplet.scalar(b, c, LevyMeasure.from_atoms(*atoms))
+    return triplet(b, c, measure(*atoms))
 
 
 def test_triplet_validation():
     with pytest.raises(ValueError):
-        LevyTriplet(np.array([0.0, 0.0]), np.array([[1.0]]), LevyMeasure.zero(2))
+        triplet(np.array([0.0, 0.0]), np.array([[1.0]]), measure(dimension=2))
     with pytest.raises(ValueError):
-        LevyTriplet(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), LevyMeasure.zero(2))
+        triplet(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), measure(dimension=2))
     with pytest.raises(ValueError):
-        LevyTriplet.scalar(0.0, -1.0)
+        triplet(0.0, -1.0)
+    # F must hold one measure of b's dimension per row
+    with pytest.raises(ValueError, match="F dimension"):
+        TripletStack(np.zeros((2, 1)), np.zeros((2, 1, 1)), measure())
+    with pytest.raises(ValueError, match="F dimension"):
+        triplet(np.zeros(2), np.eye(2), measure())
 
 
 def test_condition_b_closed_form():
     t = scalar(b=1.0, c=2.0, atoms=((0.5, 3.0),))
     # |b| + |c| + w * min(y^2, |y|)
-    assert np.isclose(condition_b_value(t), 1.0 + 2.0 + 3.0 * 0.25)
+    assert np.isclose(condition_b_value(t)[0], 1.0 + 2.0 + 3.0 * 0.25)
     big = scalar(atoms=((2.0, 1.5),))
-    assert np.isclose(condition_b_value(big), 1.5 * 2.0)
+    assert np.isclose(condition_b_value(big)[0], 1.5 * 2.0)
 
 
 def test_small_jump_second_moment():
-    F = LevyMeasure.from_atoms((0.5, 2.0))
-    assert np.isclose(small_jump_second_moment(F, 0.5), 2.0 * 0.25)
-    assert small_jump_second_moment(F, 0.4) == 0.0
+    F = measure((0.5, 2.0))
+    assert np.isclose(small_jump_second_moment(F, 0.5)[0], 2.0 * 0.25)
+    assert small_jump_second_moment(F, 0.4)[0] == 0.0
     with pytest.raises(ValueError):
         small_jump_second_moment(F, 0.0)
 
@@ -55,24 +59,24 @@ def test_small_jump_second_moment():
 def test_modified_triplet_scalar():
     t = scalar(b=0.3, c=0.7, atoms=((0.5, 4.0),))
     m = modified_triplet(t)
-    assert np.isclose(m.c[0, 0], 0.7 + 4.0 * 0.25)
+    assert np.isclose(m.c[0, 0, 0], 0.7 + 4.0 * 0.25)
     assert np.allclose(m.b, t.b)
     # jumps beyond the unit ball contribute through the truncation
     big = scalar(c=1.0, atoms=((2.0, 3.0),))
-    assert np.isclose(modified_triplet(big).c[0, 0], 1.0 + 3.0 * 1.0)
+    assert np.isclose(modified_triplet(big).c[0, 0, 0], 1.0 + 3.0 * 1.0)
 
 
 def test_exponent_gaussian_closed_form():
-    t = LevyTriplet.scalar(0.5, 2.0)
+    t = triplet(0.5, 2.0)
     u = 1.3
-    assert np.isclose(levy_exponent(t, u), 1j * u * 0.5 - 0.5 * 2.0 * u**2)
+    assert np.isclose(psi(t, u), 1j * u * 0.5 - 0.5 * 2.0 * u**2)
 
 
 def test_exponent_poisson_closed_form():
     y, w, u = 0.5, 2.0, 1.7
     t = scalar(atoms=((y, w),))
     expected = w * (np.exp(1j * u * y) - 1.0 - 1j * u * y)
-    assert np.isclose(levy_exponent(t, u), expected)
+    assert np.isclose(psi(t, u), expected)
 
 
 def test_generator_on_quadratic():
@@ -93,15 +97,14 @@ def test_generator_on_quadratic():
 def test_martingale_residual():
     assert np.allclose(martingale_residual(scalar(atoms=((0.5, 3.0),))), 0.0)
     t = scalar(b=0.0, atoms=((2.0, 1.0),))
-    assert np.isclose(martingale_residual(t)[0], 2.0 - 1.0)
+    assert np.isclose(martingale_residual(t)[0, 0], 2.0 - 1.0)
     assert np.allclose(martingale_residual(scalar(b=-1.0, atoms=((2.0, 1.0),))), 0.0)
 
 
 def test_feature_map_size_and_window():
     cfg = FeatureMapConfig(m_max=2, u_grid=(np.array([1.0]),))
     assert cfg.size == 4
-    F = LevyMeasure.from_atoms((0.05, 1.0))
-    feats = measure_features(F, cfg)
+    (feats,) = measure_features(measure((0.05, 1.0)), cfg)
     # a jump of size 0.05 is below the 1/(2m) ramp for m = 1, 2
     assert np.allclose(feats[:2], 0.0)
     with pytest.raises(ValueError):
@@ -111,13 +114,9 @@ def test_feature_map_size_and_window():
 
 
 def _pure_jump_family():
-    return ThetaFamily(
-        parameter_box=((0.0, 1e6), (1e-4, 1.0)),
-        triplet_map=lambda p: LevyTriplet.scalar(
-            0.0,
-            0.0,
-            LevyMeasure.from_atoms((p[1], p[0])) if p[0] > 0 else LevyMeasure.zero(1),
-        ),
+    return family(
+        ((0.0, 1e6), (1e-4, 1.0)),
+        lambda p: triplet(F=measure((p[1], p[0])) if p[0] > 0 else None),
         structural_tag="product-box",
         blocks={"b": (), "c": (), "F": (0, 1)},
     )
@@ -146,10 +145,7 @@ def test_family_condition_b_grid_estimate():
 def test_family_condition_j_verdicts():
     fails = family_condition_j(family_points(_pure_jump_family(), 3), (0.4, 0.2, 0.1))
     assert fails.verdict == "fails"
-    diffusive = ThetaFamily(
-        parameter_box=((0.0, 4.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(0.0, float(p[0])),
-    )
+    diffusive = family(((0.0, 4.0),), lambda p: triplet(0.0, p[0]))
     assert family_condition_j(family_points(diffusive, 9), (0.4, 0.2, 0.1)).verdict == "holds"
     with pytest.raises(ValueError):
         family_condition_j(family_points(diffusive, 9), (0.1, 0.2, 0.4))
@@ -159,10 +155,7 @@ def test_box_independence():
     assert box_independence_check(family_from_dict(fixtures.pure_jump_family_doc()))
     # a Python map records no reads, so nothing is known of its blocks
     assert not box_independence_check(_pure_jump_family())
-    general = ThetaFamily(
-        parameter_box=((0.0, 1.0),),
-        triplet_map=lambda p: LevyTriplet.scalar(float(p[0]), 0.0),
-    )
+    general = family(((0.0, 1.0),), lambda p: triplet(p[0], 0.0))
     assert not box_independence_check(general)
 
 
@@ -186,5 +179,5 @@ def test_jump_exponent_is_the_exponent_of_a_unit_atom():
     u = np.array([-2.0, 0.0, 0.7, 3.0])
     for y in (0.3, -0.8, 2.5, -4.0, 3.7, -3.7, 7.3, -7.3):
         column = jump_exponent(u, [y])[0]
-        ref = np.array([levy_exponent(scalar(atoms=((y, 1.0),)), v) for v in u])
+        ref = np.array([psi(scalar(atoms=((y, 1.0),)), v) for v in u])
         assert column.tobytes() == ref.tobytes()
