@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from typing import (
@@ -315,7 +316,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
             "distance": probe.distance,
             "witness_params": None
             if probe.witness_params is None
-            else probe.witness_params.tolist(),
+            else [None if math.isnan(v) else v for v in probe.witness_params.tolist()],
             "projection": list(probe.projections),
         }
     write_json(os.path.join(out, "limit_report.json"), report)

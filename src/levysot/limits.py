@@ -197,7 +197,7 @@ def limit_triplet_identify(
 @dataclass(frozen=True)
 class ClosednessReport:
     limit_in_set: str  # yes | no | inconclusive
-    witness_params: Optional[np.ndarray]
+    witness_params: Optional[np.ndarray]  # NaN where free (see project_to_family)
     distance: Optional[float]  # None when nothing was projected
     # one entry per projection run: scan size and each polish's status
     projections: Tuple[dict, ...] = ()
@@ -267,10 +267,14 @@ def project_to_family(
     row; each forward-difference Jacobian is one stack of n + 1 rows.  A
     start is skipped when its scan value ties bitwise with an earlier
     start's, or when an earlier polish ended within one scan cell of it.
-    The distance is ``_distances`` at the best point found.  Returns the
-    parameters, the distance, and a log entry with the number of scan
-    points and each polish's status, nit (Jacobian evaluations) and nfev
-    (rows priced).
+    The distance is ``_distances`` at the best point found.  A parameter
+    whose column of the residual's Jacobian is exactly 0 there is free (the
+    residual does not move along it, so every value of it is as near) and
+    is returned as NaN; the Jacobian is the polish's own where the best
+    point ends a polish, and one more stack of n + 1 rows where it is a
+    scan point.  Returns the parameters, the distance, and a log entry with
+    the number of scan points and each polish's status, nit (Jacobian
+    evaluations) and nfev (rows priced).
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
@@ -305,7 +309,7 @@ def project_to_family(
     scan = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n_params, -1).T
     values = _distances(members(scan), target, t_features)
     order = np.argsort(values)
-    best_s, best_v = scan[order[0]], float(values[order[0]])
+    best_s, best_v, best_jac = scan[order[0]], float(values[order[0]]), None
     polish, start_values, ends = [], [], []
     for idx in order[:3]:
         if best_v <= 0.1 * MEMBERSHIP_TOL:
@@ -332,8 +336,12 @@ def project_to_family(
         ends.append(res.x)
         v = float(_distances(members(res.x[None]), target, t_features)[0])
         if v < best_v:
-            best_s, best_v = res.x, v
-    return to_box(best_s[None])[0], best_v, {"scan_points": len(scan), "polish": polish}
+            best_s, best_v, best_jac = res.x, v, res.jac
+    if best_jac is None:
+        best_jac = jacobian(best_s)
+    params = to_box(best_s[None])[0]
+    params[~best_jac.any(axis=0)] = np.nan
+    return params, best_v, {"scan_points": len(scan), "polish": polish}
 
 
 def closedness_probe(

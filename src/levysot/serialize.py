@@ -314,10 +314,13 @@ def load_json(path) -> Any:
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert numpy containers into JSON-friendly values."""
+    """Recursively convert numpy containers and scalars, dicts, lists,
+    tuples and dataclasses into JSON-friendly values; any other object is a
+    TypeError, since its string form (often a repr with a memory address)
+    would not read the same on a rerun."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
@@ -329,4 +332,4 @@ def to_jsonable(obj: Any) -> Any:
         return {
             k: to_jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__
         }
-    return str(obj)
+    raise TypeError(f"object of type {type(obj).__name__} has no JSON form")

@@ -4,17 +4,18 @@ The dual side solves the HJB partial integro-differential equation backward in
 time (implicit upwinded drift/diffusion, explicit jump integral) and ascends
 over clipped quadratic terminal potentials; the gradient of the dual
 value is the terminal law of the optimally controlled process minus the target
-marginal, transported forward by the adjoint of the backward scheme.  Each
+marginal, transported forward by the adjoint of the backward scheme.  The
+discrete problem, the affine family on a grid with its running cost, is one
+workspace: it fits the cost once, on construction, as a quadratic in the
+controls at every (step, node) and checks the fit at off-probe points.  Each
 backward step minimizes the discrete Hamiltonian per node, one control
-coordinate at a time, in closed form: the cost is fitted once per grid as a
-quadratic in the controls at every (step, node) and checked at off-probe
-points, and the drift, diffusion and jump terms are linear in each
-coordinate, so the minimizer is a clipped vertex (one per stencil branch
-under the ``auto`` stencil).  Only the cells whose cost fails the check fall
-back to golden section on the exact cost.  The primal side fits the mean
-of a deterministic piecewise-constant control schedule to the target's
-characteristic function by bounded linear least squares, then spreads it
-over the steps at least cost with that mean held.
+coordinate at a time, in closed form: the drift, diffusion and jump terms are
+linear in each coordinate, so the minimizer is a clipped vertex (one per
+stencil branch under the ``auto`` stencil).  Only the cells whose cost fails
+the check fall back to golden section on the exact cost.  The primal side
+fits the mean of a deterministic piecewise-constant control schedule to the
+target's characteristic function by bounded linear least squares, then
+spreads it over the steps at least cost with that mean held.
 
 Each backward step runs in place on the step buffers of its stack's shape,
 (n,) for one value vector and (B, n) for a batched sweep: it gathers each
@@ -407,8 +408,8 @@ class ValueGrid:
     values: np.ndarray  # (n_t + 1, n_nodes)
     controls: np.ndarray  # (n_t, n_nodes, n_params)
     report_slice: Tuple[int, int]
-    # each step's implicit system, for the adjoint sweep; None if not kept
-    systems: Optional["_StepSystems"] = field(default=None, repr=False, compare=False)
+    # each step's implicit system, for the adjoint sweep
+    systems: "_StepSystems" = field(repr=False, compare=False)
 
     def initial(self) -> np.ndarray:
         return self.values[0]
@@ -464,20 +465,11 @@ class _QuadraticCost:
     g: np.ndarray  # (n_t, n, n_params)
     hess: np.ndarray  # (n_t, n, n_params, n_params)
     ok: np.ndarray  # (n_t, n)
-    a: np.ndarray = field(init=False)  # (n_params, n_t, n)
-    convex: np.ndarray = field(init=False)  # (n_params, n_t, n)
-    all_convex: np.ndarray = field(init=False)  # (n_params, n_t)
-    rate: np.ndarray = field(init=False)  # (n_params, n_t, n)
-    bad: Tuple[np.ndarray, ...] = field(init=False)  # per step
-
-    def __post_init__(self):
-        a = 0.5 * np.moveaxis(np.diagonal(self.hess, axis1=2, axis2=3), -1, 0)
-        convex = a > 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "convex", convex)
-        object.__setattr__(self, "all_convex", convex.all(axis=-1))
-        object.__setattr__(self, "rate", np.divide(-0.5, a, out=np.zeros_like(a), where=convex))
-        object.__setattr__(self, "bad", tuple(np.flatnonzero(~row) for row in self.ok))
+    a: np.ndarray  # (n_params, n_t, n)
+    convex: np.ndarray  # (n_params, n_t, n)
+    all_convex: np.ndarray  # (n_params, n_t)
+    rate: np.ndarray  # (n_params, n_t, n)
+    bad: Tuple[np.ndarray, ...]  # per step
 
 
 def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
@@ -512,32 +504,36 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
     g = np.zeros((ws.n_t, ws.n, n_p))
     hess = np.zeros((ws.n_t, ws.n, n_p, n_p))
     ok = np.ones((ws.n_t, ws.n), dtype=bool)
-    if not active:
-        return _QuadraticCost(mid, g, hess, ok)
-    f0 = probe(np.zeros(n_p))
-    f_hi = {}
-    with np.errstate(all="ignore"):
-        for i in active:
-            f_lo, f_hi[i] = probe(offset({i: -1.0})), probe(offset({i: 1.0}))
-            g[..., i] = (f_hi[i] - f_lo) / (2.0 * r[i])
-            hess[..., i, i] = (f_lo - 2.0 * f0 + f_hi[i]) / r[i] ** 2
-        for pos, i in enumerate(active):
-            for j in active[pos + 1:]:
-                f_ij = probe(offset({i: 1.0, j: 1.0}))
-                hess[..., i, j] = hess[..., j, i] = (
-                    (f_ij - f_hi[i] - f_hi[j] + f0) / (r[i] * r[j]))
-        checks = [offset({i: s}) for i in active for s in (-0.5, 0.5)]
-        if len(active) > 1:
-            checks += [offset(dict(zip(active, signs)))
-                       for signs in itertools.product((-1.0, 1.0), repeat=len(active))]
-            checks += [offset({i: si, j: sj})
-                       for pos, i in enumerate(active) for j in active[pos + 1:]
-                       for si in (-0.5, 0.5) for sj in (-0.5, 0.5)]
-        for d in checks:
-            f = probe(d)
-            fit = f0 + g @ d + 0.5 * ((hess @ d) @ d)
-            ok &= np.abs(fit - f) <= QUADRATIC_FIT_TOL * (1.0 + np.abs(f))
-    return _QuadraticCost(mid, g, hess, ok)
+    if active:
+        f0 = probe(np.zeros(n_p))
+        f_hi = {}
+        with np.errstate(all="ignore"):
+            for i in active:
+                f_lo, f_hi[i] = probe(offset({i: -1.0})), probe(offset({i: 1.0}))
+                g[..., i] = (f_hi[i] - f_lo) / (2.0 * r[i])
+                hess[..., i, i] = (f_lo - 2.0 * f0 + f_hi[i]) / r[i] ** 2
+            for pos, i in enumerate(active):
+                for j in active[pos + 1:]:
+                    f_ij = probe(offset({i: 1.0, j: 1.0}))
+                    hess[..., i, j] = hess[..., j, i] = (
+                        (f_ij - f_hi[i] - f_hi[j] + f0) / (r[i] * r[j]))
+            checks = [offset({i: s}) for i in active for s in (-0.5, 0.5)]
+            if len(active) > 1:
+                checks += [offset(dict(zip(active, signs)))
+                           for signs in itertools.product((-1.0, 1.0), repeat=len(active))]
+                checks += [offset({i: si, j: sj})
+                           for pos, i in enumerate(active) for j in active[pos + 1:]
+                           for si in (-0.5, 0.5) for sj in (-0.5, 0.5)]
+            for d in checks:
+                f = probe(d)
+                fit = f0 + g @ d + 0.5 * ((hess @ d) @ d)
+                ok &= np.abs(fit - f) <= QUADRATIC_FIT_TOL * (1.0 + np.abs(f))
+    a = 0.5 * np.moveaxis(np.diagonal(hess, axis1=2, axis2=3), -1, 0)
+    convex = a > 0
+    return _QuadraticCost(
+        mid, g, hess, ok, a, convex, convex.all(axis=-1),
+        np.divide(-0.5, a, out=np.zeros_like(a), where=convex),
+        tuple(np.flatnonzero(~row) for row in ok))
 
 
 def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float, out=None) -> np.ndarray:
@@ -637,13 +633,14 @@ class _StepBuffers:
 
 
 class _HJBWorkspace:
-    """Per-grid precomputation shared by backward and forward sweeps.
+    """The discrete control problem: the affine family, the grid and the
+    running cost ``L``, with what the backward and forward sweeps share.
 
     The backward step works on one value vector or on a (B, n) stack of
     them, one row per terminal potential, and the B implicit systems are
     solved as one block-diagonal tridiagonal system.  Controls are chosen
-    one coordinate at a time in closed form from a quadratic model of the
-    cost, fitted once per (workspace, cost) on the grid of steps x nodes;
+    one coordinate at a time in closed form from ``model``, the quadratic
+    model of L fitted once, on construction, on the grid of steps x nodes;
     the cells where the model fails its check take golden section on the
     exact cost, node by node.  The model depends on (step, node) only and
     every array carries the stack as leading axes, so a batched solve
@@ -656,7 +653,7 @@ class _HJBWorkspace:
     keeps those of single sweeps, and a batched sweep makes its own.
     """
 
-    def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig):
+    def __init__(self, fam: ThetaFamily, grid_cfg: HJBGridConfig, cost: CostFunction):
         self.aff = affine_family_structure(fam)
         self.x_grid, i0, i1 = grid_cfg.build_grid()
         self.report = (i0, i1)
@@ -711,7 +708,8 @@ class _HJBWorkspace:
         self.central = grid_cfg.drift_stencil == "central" or drift_free
         self.diffusive = self.aff.c0 != 0.0 or bool(self.aff.c_lin.any())
         self.sweeps = 1 if self.aff.n_params == 1 else 2
-        self._model: Optional[Tuple[CostFunction, _QuadraticCost]] = None
+        self.L = cost
+        self.model = _fit_quadratic_cost(self, cost)
 
     @functools.cached_property
     def single(self) -> _StepBuffers:
@@ -731,18 +729,12 @@ class _HJBWorkspace:
         c += self.c_const
         return c
 
-    def cost(self, L: CostFunction, t: float, P: np.ndarray, cols=None) -> np.ndarray:
+    def cost(self, t: float, P: np.ndarray, cols=None) -> np.ndarray:
         """L(t, x, P) for a stack of controls over the grid nodes (or the
         nodes ``cols``, P's second-to-last axis), in one call."""
         x = self.x_grid if cols is None else self.x_grid[cols]
         x = np.broadcast_to(x, P.shape[:-1]).ravel()
-        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
-
-    def cost_model(self, L: CostFunction) -> _QuadraticCost:
-        """The quadratic model of L on this grid, fitted on first use."""
-        if self._model is None or self._model[0] is not L:
-            self._model = (L, _fit_quadratic_cost(self, L))
-        return self._model[1]
+        return self.L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
     # -- the backward step ------------------------------------------------
 
@@ -776,7 +768,7 @@ class _HJBWorkspace:
             out /= self.h
             ends[...] = nearest
 
-    def backward_step(self, k: int, L: CostFunction, buf: _StepBuffers,
+    def backward_step(self, k: int, buf: _StepBuffers,
                       kept: Optional["_StepSystems"] = None) -> None:
         """Step k of the backward sweep, in place on buf: the values buf.V
         at t_{k+1} become those at t_k, and buf.P holds the controls chosen.
@@ -787,16 +779,15 @@ class _HJBWorkspace:
         value vector, step k's implicit system and clipped jump weights are
         copied into it before gtsv spends them.
         """
-        model = self.cost_model(L)
         self.form_terms(buf)
-        buf.P[...] = model.mid
+        buf.P[...] = self.model.mid
         for _ in range(self.sweeps):
             for i, (lo, hi) in enumerate(self.box):
                 if hi <= lo:
                     buf.p[i][...] = lo
                 else:
-                    self._argmin(k, L, model, buf, i, lo, hi)
-        source = L(self.t_grid[k], buf.x, buf.P)
+                    self._argmin(k, buf, i, lo, hi)
+        source = self.L(self.t_grid[k], buf.x, buf.P)
         if self.aff.locations.size:
             for w, wl, w0 in zip(buf.weight_rows, self.weight_coefs, self.weight_consts):
                 _lincomb(wl, buf.p, w)
@@ -858,7 +849,7 @@ class _HJBWorkspace:
             kept.weights[k] = buf.weights
         _gtsv(*buf.system, buf.V_flat)
 
-    def _argmin(self, k, L, model, buf, i, lo, hi) -> None:
+    def _argmin(self, k, buf, i, lo, hi) -> None:
         """Coordinate i of buf.P set to its per-node argmin of H at step k.
 
         Along the coordinate, H(s) = const + beta (s - mid) + L(s): beta
@@ -871,13 +862,13 @@ class _HJBWorkspace:
         cost model failed its check take golden section on the exact cost,
         from P as it stands before coordinate i changes.
         """
-        P, terms = buf.P, buf.terms
+        P, terms, model = buf.P, buf.terms, self.model
         dp, dm, dc, d2v, _, jlin = terms
         bad = model.bad[k]
         golden = None
         if bad.size:
             golden = self._piecewise_golden(
-                k, L, P[..., bad, :], i, lo, hi, self._terms_at(buf, bad), bad)
+                k, P[..., bad, :], i, lo, hi, self._terms_at(buf, bad), bad)
         mid, rate = model.mid[i, ...], model.rate[i, k]  # mid as a 0-d array
         convex = None if model.all_convex[i, k] else model.convex[i, k]
         cost_slope = model.g[k, :, i]
@@ -921,7 +912,7 @@ class _HJBWorkspace:
             jlin = [j[..., cols] for j in jlin]
         return tuple(None if a is None else a[..., cols] for a in (dp, dm, dc, d2v)) + (j0, jlin)
 
-    def hamiltonian(self, k, L, P, i, S, terms, cols=None) -> np.ndarray:
+    def hamiltonian(self, k, P, i, S, terms, cols=None) -> np.ndarray:
         """H at step k with coordinate i of P set to each of the K probes in S.
 
         P has shape (..., m, n_params) for the m nodes ``cols`` (all nodes
@@ -931,7 +922,7 @@ class _HJBWorkspace:
         """
         Q = self._with_coordinate(P, i, S)
         H = self._stencil_terms(Q, terms)
-        H += self.cost(L, self.t_grid[k], Q, cols)
+        H += self.cost(self.t_grid[k], Q, cols)
         return H
 
     @staticmethod
@@ -990,7 +981,7 @@ class _HJBWorkspace:
             np.clip(r + e, lo, hi) for r in self._split_points(P, i, lo, hi)
             for e in (-inside, 0.0, inside)]
 
-    def _piecewise_golden(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _piecewise_golden(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
         """Golden section on the exact cost over each piece of [lo, hi]
         between the split points; of the piece minima and the piece ends,
         the candidate with the lowest exact H wins.  Where H is infinite at
@@ -1000,18 +991,18 @@ class _HJBWorkspace:
         ends = np.sort(np.stack(
             [np.full(shape, lo), *self._split_points(P, i, lo, hi), np.full(shape, hi)]), axis=0)
         pieces = np.broadcast_to(P, (len(ends) - 1,) + P.shape)
-        S = self._golden_section(k, L, pieces, i, ends[:-1], ends[1:], terms, cols)
+        S = self._golden_section(k, pieces, i, ends[:-1], ends[1:], terms, cols)
         S = np.concatenate([S, ends])
-        return _lowest(S, self.hamiltonian(k, L, P, i, S, terms, cols))
+        return _lowest(S, self.hamiltonian(k, P, i, S, terms, cols))
 
-    def _golden_section(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _golden_section(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
         """Per-node golden-section argmin of H over coordinate i on the
         brackets [lo, hi], arrays of shape P.shape[:-1]."""
         a, b_ = lo, hi
         for _ in range(48):
             c1 = b_ - GOLDEN * (b_ - a)
             c2 = a + GOLDEN * (b_ - a)
-            f1, f2 = self.hamiltonian(k, L, P, i, np.stack([c1, c2]), terms, cols)
+            f1, f2 = self.hamiltonian(k, P, i, np.stack([c1, c2]), terms, cols)
             left = f1 < f2
             b_ = np.where(left, c2, b_)
             a = np.where(left, a, c1)
@@ -1028,48 +1019,31 @@ class _StepSystems:
     rows: np.ndarray  # (3, n_t, n)
     weights: np.ndarray  # (n_t, n_locations, n)
 
-    @staticmethod
-    def empty(ws: _HJBWorkspace) -> "_StepSystems":
-        return _StepSystems(np.empty((3, ws.n_t, ws.n)),
-                            np.empty((ws.n_t, ws.aff.locations.size, ws.n)))
 
-
-def _solve_hjb_ws(ws: _HJBWorkspace, cost: CostFunction, terminal: np.ndarray,
-                  keep_systems: bool = True) -> ValueGrid:
+def _solve_hjb_ws(ws: _HJBWorkspace, terminal: np.ndarray) -> ValueGrid:
     """One backward sweep of one terminal potential, keeping each step's
-    system for ``_forward_ws`` unless not ``keep_systems``."""
+    system for ``_forward_ws``."""
     values = np.empty((ws.n_t + 1, ws.n))
     controls = np.empty((ws.n_t, ws.n, ws.aff.n_params))
-    kept = _StepSystems.empty(ws) if keep_systems else None
+    kept = _StepSystems(np.empty((3, ws.n_t, ws.n)),
+                        np.empty((ws.n_t, ws.aff.locations.size, ws.n)))
     buf = ws.single
     values[-1] = buf.V[...] = terminal
     for k in range(ws.n_t - 1, -1, -1):
-        ws.backward_step(k, cost, buf, kept)
+        ws.backward_step(k, buf, kept)
         controls[k] = buf.P
         values[k] = buf.V
     return ValueGrid(ws.x_grid, ws.t_grid, values, controls, ws.report, kept)
 
 
-def _initial_values(ws: _HJBWorkspace, cost: CostFunction, terminals: np.ndarray) -> np.ndarray:
+def _initial_values(ws: _HJBWorkspace, terminals: np.ndarray) -> np.ndarray:
     """v(0, .) for a (B, n) stack of terminal potentials in one backward
     sweep that keeps only the current step, and no step's system."""
     buf = _StepBuffers(ws, terminals.shape)
     buf.V[...] = terminals
     for k in range(ws.n_t - 1, -1, -1):
-        ws.backward_step(k, cost, buf)
+        ws.backward_step(k, buf)
     return buf.V.copy()
-
-
-def _terminal_on_grid(ws: _HJBWorkspace, lambda1) -> np.ndarray:
-    if callable(lambda1):
-        terminal = np.asarray(lambda1(ws.x_grid), dtype=float)
-    else:
-        terminal = np.asarray(lambda1, dtype=float)
-        if terminal.shape != ws.x_grid.shape:
-            raise ValueError("terminal array must match the padded grid")
-    if not np.all(np.isfinite(terminal)):
-        raise ValueError("terminal function must be bounded on the grid")
-    return terminal
 
 
 def solve_hjb(
@@ -1082,8 +1056,16 @@ def solve_hjb(
     Returns the value surface with v(0, .) equal to the control value started
     from each grid point, plus the per-node optimal parameters.
     """
-    ws = _HJBWorkspace(inst.fam, grid_cfg)
-    return _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lambda1), keep_systems=False)
+    ws = _HJBWorkspace(inst.fam, grid_cfg, inst.cost)
+    if callable(lambda1):
+        terminal = np.asarray(lambda1(ws.x_grid), dtype=float)
+    else:
+        terminal = np.asarray(lambda1, dtype=float)
+        if terminal.shape != ws.x_grid.shape:
+            raise ValueError("terminal array must match the padded grid")
+    if not np.all(np.isfinite(terminal)):
+        raise ValueError("terminal function must be bounded on the grid")
+    return _solve_hjb_ws(ws, terminal)
 
 
 def _forward_ws(ws: _HJBWorkspace, systems: _StepSystems, q0: np.ndarray) -> np.ndarray:
@@ -1174,73 +1156,66 @@ def dual_ascent(inst: TransportInstance, cfg: DualAscentConfig = DualAscentConfi
     quadratic it priced earlier.  The result is the best quadratic priced,
     and ``converged`` is the polish's success flag.
     """
-    ws = _HJBWorkspace(inst.fam, cfg.grid)
+    ws = _HJBWorkspace(inst.fam, cfg.grid, inst.cost)
     x_grid = ws.x_grid
+    x2 = x_grid**2
     mu0_w = inst.mu0.grid_weights(x_grid)
     mu1_w = inst.mu1.grid_weights(x_grid)
-    history: List[float] = []
 
+    kernel = None
     if cfg.smoothing > 0:
         diff = x_grid[:, None] - x_grid[None, :]
         kernel = np.exp(-0.5 * (diff / cfg.smoothing) ** 2)
         kernel *= ws.h / (cfg.smoothing * math.sqrt(2.0 * math.pi))
-    else:
-        kernel = None
 
-    def potential(z: np.ndarray) -> np.ndarray:
-        return kernel @ z if kernel is not None else z
+    # clipped quadratic potentials a x^2 + d x: the natural shapes for
+    # variance/rate transport
+    ad_grid = [(0.0, 0.0)] + [
+        (a, d)
+        for a in (0.25, 1.0, 4.0, 16.0, 64.0, -0.25, -1.0, -4.0, -16.0, -64.0)
+        for d in (0.0, 1.0, -1.0, 4.0, -4.0)
+    ]
+    lams = [np.clip(a * x2 + d * x_grid, -cfg.bound, cfg.bound) for a, d in ad_grid]
+    if kernel is not None:
+        lams = [kernel @ z for z in lams]
+    v0 = _initial_values(ws, np.stack(lams))
+    history = [float(mu0_w @ v - mu1_w @ lam) for v, lam in zip(v0, lams)]
+    best = int(np.argmax(history))  # the first of equal maxima
+    best_val, best_lam = history[best], lams[best]
+    priced: dict = {}  # clipped quadratic's bytes -> (-value, -gradient in the potential)
 
-    priced: dict = {}  # z.tobytes() -> the (value, gradient) pair returned
-
-    def negative_dual(z: np.ndarray):
+    def negative_dual(ad: np.ndarray):
+        """Minus the dual value of the quadratic (a, d) and its gradient in
+        (a, d): the full-grid gradient chained through the clip."""
+        nonlocal best_val, best_lam
+        q = float(ad[0]) * x2 + float(ad[1]) * x_grid
+        z = np.clip(q, -cfg.bound, cfg.bound)
         key = z.tobytes()
         if key not in priced:
-            lam = potential(z)
-            vg = _solve_hjb_ws(ws, inst.cost, _terminal_on_grid(ws, lam))
+            lam = z if kernel is None else kernel @ z
+            vg = _solve_hjb_ws(ws, lam)
             value = float(mu0_w @ vg.initial() - mu1_w @ lam)
             grad = _forward_ws(ws, vg.systems, mu0_w) - mu1_w
             if kernel is not None:
                 grad = kernel @ grad  # the mollifier is symmetric
             history.append(value)
             priced[key] = (-value, -grad)
-        return priced[key]
-
-    # clipped quadratic potentials a x^2 + d x: the natural shapes for
-    # variance/rate transport
-    def quad_potential(a: float, d: float) -> np.ndarray:
-        return np.clip(a * x_grid**2 + d * x_grid, -cfg.bound, cfg.bound)
-
-    ad_grid = [(0.0, 0.0)] + [
-        (a, d)
-        for a in (0.25, 1.0, 4.0, 16.0, 64.0, -0.25, -1.0, -4.0, -16.0, -64.0)
-        for d in (0.0, 1.0, -1.0, 4.0, -4.0)
-    ]
-    lams = [_terminal_on_grid(ws, potential(quad_potential(*ad))) for ad in ad_grid]
-    v0 = _initial_values(ws, inst.cost, np.stack(lams))
-    history.extend(float(mu0_w @ v - mu1_w @ lam) for v, lam in zip(v0, lams))
-    best = int(np.argmax(history))  # the first of equal maxima
-    best_ad, best_val = ad_grid[best], history[best]
-
-    def negative_quad_dual(ad: np.ndarray):
-        # the full-grid value and gradient, chained through the clip
-        nonlocal best_ad, best_val
-        a, d = float(ad[0]), float(ad[1])
-        inside = np.abs(a * x_grid**2 + d * x_grid) < cfg.bound
-        f, g = negative_dual(quad_potential(a, d))
-        if -f > best_val:
-            best_ad, best_val = (a, d), -f
-        return f, np.array([g @ (x_grid**2 * inside), g @ (x_grid * inside)])
+            if value > best_val:
+                best_val, best_lam = value, lam
+        f, g = priced[key]
+        inside = np.abs(q) < cfg.bound
+        return f, np.array([g @ (x2 * inside), g @ (x_grid * inside)])
 
     polish = minimize(
-        negative_quad_dual,
-        np.array(best_ad),
+        negative_dual,
+        np.array(ad_grid[best]),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL},
     )
     return DualAscentResult(
         dual_value=best_val,
-        lambda1=potential(quad_potential(*best_ad)),
+        lambda1=best_lam,
         x_grid=x_grid,
         history=tuple(history),
         converged=bool(polish.success),

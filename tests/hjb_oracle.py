@@ -2,7 +2,7 @@
 them when every term was rebuilt at each step, kept as an oracle for the
 kernel's bit-for-bit tests.
 
-``Oracle`` wraps an ``_HJBWorkspace`` for its grid, flags and cost model,
+``Oracle`` wraps an ``_HJBWorkspace`` for its grid, flags, cost and cost model,
 and forms the jump taps and the per-step terms (difference quotients, the
 control argmin, the implicit system and the jump weights) itself, from the
 controls, in the adjoint sweep too.
@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from levysot.transport import GOLDEN, SPLIT_STEP, CostFunction, ValueGrid
+from levysot.transport import GOLDEN, SPLIT_STEP, ValueGrid
 
 
 def _lincomb(coefs, arrays):
@@ -100,12 +100,12 @@ class Oracle:
         return [np.maximum(w0 + _lincomb(wl, ps), 0.0)
                 for w0, wl in zip(self.aff.w0, self.aff.w_lin)]
 
-    def cost(self, L: CostFunction, t: float, P: np.ndarray, cols=None) -> np.ndarray:
+    def cost(self, t: float, P: np.ndarray, cols=None) -> np.ndarray:
         """L(t, x, P) for a stack of controls over the grid nodes (or the
         nodes ``cols``, P's second-to-last axis), in one call."""
         x = self.x_grid if cols is None else self.x_grid[cols]
         x = np.broadcast_to(x, P.shape[:-1]).ravel()
-        return L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
+        return self.L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
     def jump_parts(self, V: np.ndarray) -> List[np.ndarray]:
         """S_j v - v per jump location, for a (B, n) stack."""
@@ -154,7 +154,7 @@ class Oracle:
             jlin = [_lincomb(wl, parts) for wl in self.aff.w_lin.T]
         return dp, dm, dc, d2v, j0, jlin
 
-    def hamiltonian(self, k, L, P, i, S, terms, cols=None) -> np.ndarray:
+    def hamiltonian(self, k, P, i, S, terms, cols=None) -> np.ndarray:
         """H at step k with coordinate i of P set to each of the K probes in S.
 
         P has shape (..., m, n_params) for the m nodes ``cols`` (all nodes
@@ -164,7 +164,7 @@ class Oracle:
         """
         Q = self._with_coordinate(P, i, S)
         H = self._stencil_terms(Q, terms)
-        H += self.cost(L, self.t_grid[k], Q, cols)
+        H += self.cost(self.t_grid[k], Q, cols)
         return H
 
     @staticmethod
@@ -192,7 +192,7 @@ class Oracle:
             H += j0 + _lincomb(jlin, _params(Q))
         return H
 
-    def optimize_controls(self, k: int, L: CostFunction, terms, shape) -> np.ndarray:
+    def optimize_controls(self, k: int, terms, shape) -> np.ndarray:
         """Per-node minimizing parameters of the discrete Hamiltonian at step k."""
         aff = self.aff
         P = np.empty(shape + (aff.n_params,))
@@ -202,10 +202,10 @@ class Oracle:
             for i in range(aff.n_params):
                 lo, hi = aff.lows[i], aff.highs[i]
                 P[..., i] = lo if hi <= lo else self._minimize_coordinate(
-                    k, L, P, i, lo, hi, terms)
+                    k, P, i, lo, hi, terms)
         return P
 
-    def _minimize_coordinate(self, k, L, P, i, lo, hi, terms) -> np.ndarray:
+    def _minimize_coordinate(self, k, P, i, lo, hi, terms) -> np.ndarray:
         """Per-node argmin over coordinate i at step k.
 
         Along the coordinate, H(s) = const + beta (s - mid) + L(s): beta
@@ -217,7 +217,7 @@ class Oracle:
         branch's clipped vertex and the piece ends.  The cells where the
         cost model failed its check take golden section on the exact cost.
         """
-        model = self.cost_model(L)
+        model = self.model
         dp, dm, dc, d2v, _, jlin = terms
         mid = model.mid[i]
         a = 0.5 * model.hess[k, :, i, i]
@@ -247,7 +247,7 @@ class Oracle:
         bad = np.flatnonzero(~model.ok[k])
         if bad.size:
             s[:, bad] = self._piecewise_golden(
-                k, L, P[:, bad], i, lo, hi, _restrict(terms, bad), bad)
+                k, P[:, bad], i, lo, hi, _restrict(terms, bad), bad)
         return s
 
     def _split_points(self, P, i, lo, hi) -> List[np.ndarray]:
@@ -278,7 +278,7 @@ class Oracle:
             np.clip(r + e, lo, hi) for r in self._split_points(P, i, lo, hi)
             for e in (-inside, 0.0, inside)]
 
-    def _piecewise_golden(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _piecewise_golden(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
         """Golden section on the exact cost over each piece of [lo, hi]
         between the split points; of the piece minima and the piece ends,
         the candidate with the lowest exact H wins.  Where H is infinite at
@@ -288,18 +288,18 @@ class Oracle:
         ends = np.sort(np.stack(
             [np.full(shape, lo), *self._split_points(P, i, lo, hi), np.full(shape, hi)]), axis=0)
         pieces = np.broadcast_to(P, (len(ends) - 1,) + P.shape)
-        S = self._golden_section(k, L, pieces, i, ends[:-1], ends[1:], terms, cols)
+        S = self._golden_section(k, pieces, i, ends[:-1], ends[1:], terms, cols)
         S = np.concatenate([S, ends])
-        return _lowest(S, self.hamiltonian(k, L, P, i, S, terms, cols))
+        return _lowest(S, self.hamiltonian(k, P, i, S, terms, cols))
 
-    def _golden_section(self, k, L, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _golden_section(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
         """Per-node golden-section argmin of H over coordinate i on the
         brackets [lo, hi], arrays of shape P.shape[:-1]."""
         a, b_ = lo, hi
         for _ in range(48):
             c1 = b_ - GOLDEN * (b_ - a)
             c2 = a + GOLDEN * (b_ - a)
-            f1, f2 = self.hamiltonian(k, L, P, i, np.stack([c1, c2]), terms, cols)
+            f1, f2 = self.hamiltonian(k, P, i, np.stack([c1, c2]), terms, cols)
             left = f1 < f2
             b_ = np.where(left, c2, b_)
             a = np.where(left, a, c1)
@@ -339,21 +339,21 @@ class Oracle:
         dl[:, -2] = dt * b[:, -1] / h
         return dl.ravel()[:-1], diag.ravel(), du.ravel()[:-1]
 
-    def backward_step(self, k: int, V: np.ndarray, L: CostFunction):
+    def backward_step(self, k: int, V: np.ndarray):
         """Values at t_k from values V at t_{k+1}, for a (B, n) stack.
 
         Returns the controls (B, n, n_params) and the values (B, n).
         """
         parts = self.jump_parts(V)
-        P = self.optimize_controls(k, L, self._stencils(V, parts), V.shape)
-        source = self.cost(L, self.t_grid[k], P)
+        P = self.optimize_controls(k, self._stencils(V, parts), V.shape)
+        source = self.cost(self.t_grid[k], P)
         if parts:
             source = _lincomb(self.jump_weights(P), parts) + source
         rhs = V + self.dt * source
         dl, d, du = self.tridiagonal(self.effective_drift(P), np.maximum(self.diffusion(P), 0.0))
         return P, _gtsv(dl, d, du, rhs.ravel()).reshape(V.shape)
 
-    def solve(self, cost: CostFunction, terminal: np.ndarray) -> ValueGrid:
+    def solve(self, terminal: np.ndarray) -> ValueGrid:
         """One backward sweep of one terminal potential; the controls stand
         in for the kept systems, so that ``forward`` reads them."""
         values = np.empty((self.n_t + 1, self.n))
@@ -361,15 +361,15 @@ class Oracle:
         values[-1] = terminal
         V = values[-1:]
         for k in range(self.n_t - 1, -1, -1):
-            P, V = self.backward_step(k, V, cost)
+            P, V = self.backward_step(k, V)
             controls[k] = P[0]
             values[k] = V[0]
         return ValueGrid(self.x_grid, self.t_grid, values, controls, self.report, controls)
 
-    def initial_values(self, cost: CostFunction, terminals: np.ndarray) -> np.ndarray:
+    def initial_values(self, terminals: np.ndarray) -> np.ndarray:
         V = terminals
         for k in range(self.n_t - 1, -1, -1):
-            _, V = self.backward_step(k, V, cost)
+            _, V = self.backward_step(k, V)
         return V
 
     def forward(self, controls: np.ndarray, q0: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from levysot.measures import MeasureStack
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
 from levysot.serialize import sequence_from_dict, triplet_from_dict
 from levysot.transport import solve_hjb
-from levysot.triplets import ThetaFamily, small_jump_second_moment
+from levysot.triplets import COND_J_FAIL_FACTOR, TOL_J, ThetaFamily, small_jump_second_moment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -74,6 +74,22 @@ def test_check_theta_pinned_variance_matches_expectations(tmp_path):
     doc = read_json(os.path.join(out, "check_theta.json"))
     assert doc["condition_j"]["verdict"] == "fails"
     assert doc["box_independence"] is False
+
+
+def test_check_theta_condition_j_is_inconclusive_between_its_thresholds(tmp_path):
+    # one atom at y = 0.005 of weight up to 200: at every default delta the
+    # small-jump second moment reads 200 * 0.005^2 = 0.005, above TOL_J and
+    # below COND_J_FAIL_FACTOR * TOL_J, so the family neither holds nor fails
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "box": [[0, 200], [0.005, 0.005]], "params": ["lam", "y"], "b": ["0"], "c": [["0"]],
+        "F": {"atoms": [{"x": ["y"], "w": "lam"}]},
+    }))
+    assert run("check-theta", "--input", str(path), "--out", str(tmp_path)) == 0
+    cond_j = read_json(os.path.join(tmp_path, "check_theta.json"))["condition_j"]
+    assert cond_j["verdict"] == "inconclusive"
+    assert [d for d, _ in cond_j["profile"]] == list(limits.DEFAULT_DELTA_SCHEDULE)
+    assert all(TOL_J < m < COND_J_FAIL_FACTOR * TOL_J for _, m in cond_j["profile"])
 
 
 @pytest.mark.parametrize("component, entry", [
@@ -479,6 +495,21 @@ PINNED_SETS = (
     "use_u_map=true",
     'param_map=["0", "1 / pow(n, 0.5)"]',
 )
+
+
+def test_pinned_variance_witness_writes_its_free_coordinate_as_null(tmp_path):
+    # the identified limit has c = 1, where the atom's weight (1 - c) / y^2
+    # is 0 for every y: the residual's Jacobian column in y is exactly 0 at
+    # the witness, so y is free and written as null, and c stays a number
+    args = ["limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+            "--out", str(tmp_path)]
+    for override in PINNED_SETS:
+        args += ["--set", override]
+    assert run(*args) == 0
+    closedness = read_json(os.path.join(tmp_path, "limit_report.json"))["closedness"]
+    assert closedness["limit_in_set"] == "yes"
+    assert closedness["witness_params"] == [1.0, None]
+
 
 # each reproduce row's output directory, and the command, input file and
 # overrides that write the same files alone

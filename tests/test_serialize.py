@@ -236,3 +236,13 @@ def test_to_jsonable():
     json.dumps(out)
     assert out["a"] == [0, 1, 2]
     assert out["m"]["kind"] == "point-mass"
+
+
+def test_to_jsonable_writes_numpy_scalars_and_rejects_other_objects():
+    # numpy real scalars, np.bool_ included, are written as their values; an
+    # object with no JSON form is an error naming its type, not its repr
+    out = to_jsonable({"flag": np.bool_(True), "n": np.int32(3), "x": np.float32(0.5)})
+    assert out == {"flag": True, "n": 3, "x": 0.5}
+    assert type(out["flag"]) is bool
+    with pytest.raises(TypeError, match="object of type object has no JSON form"):
+        to_jsonable({"a": [object()]})

@@ -286,12 +286,12 @@ def test_golden_fallback_takes_a_finite_end():
     # exp(1000 lam) is infinite at both golden-section probes of every
     # round, so the bracket runs to lam = 6; lam = 0 gives H = 1
     fam = instance_from_dict(fixtures.poisson_instance_doc()).fam
-    ws = _HJBWorkspace(fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"))
-    buf = ws.single
-    buf.V[...] = 0.0
     cost = cost_from_expr("exp(1000 * lam)", ("lam",))
     with np.errstate(over="ignore", invalid="ignore"):
-        ws.backward_step(9, cost, buf)
+        ws = _HJBWorkspace(fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"), cost)
+        buf = ws.single
+        buf.V[...] = 0.0
+        ws.backward_step(9, buf)
     assert np.all(buf.P == 0.0)
 
 
@@ -318,7 +318,8 @@ def test_jump_gathers_equal_sparse_shifts_bitwise():
     # the forward sweep's scatter-add sets the L-BFGS-B gradient, so it must
     # reproduce the sparse transpose bit for bit; -9 reaches past the padding
     atoms = ((0.5, 1.0), (-0.37, 0.5), (2.3, 0.25), (-9.0, 0.1))
-    ws = _HJBWorkspace(fixed_family(atoms=atoms), HJBGridConfig(n_x=60, n_t=2, pad=3.0))
+    ws = _HJBWorkspace(fixed_family(atoms=atoms), HJBGridConfig(n_x=60, n_t=2, pad=3.0),
+                       cost_from_expr("0", ("p0",)))
     rng = np.random.default_rng(3)
     v = rng.normal(size=(2, ws.n))
     shifts = [_sparse_shift(ws.x_grid, y) for y in ws.aff.locations]
@@ -402,7 +403,7 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_solve_equals_single_solves(case):
     fam, cost, cfg = BATCH_CASES[case]()
-    ws = _HJBWorkspace(fam, cfg)
+    ws = _HJBWorkspace(fam, cfg, cost)
     x = ws.x_grid
     terminals = np.stack([
         np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
@@ -410,28 +411,28 @@ def test_batched_solve_equals_single_solves(case):
     golden_cells = []
     golden = ws._golden_section
 
-    def spy(k, L, P, i, lo, hi, terms, cols):
+    def spy(k, P, i, lo, hi, terms, cols):
         golden_cells.append((k, P.shape[-3], tuple(cols)))
-        return golden(k, L, P, i, lo, hi, terms, cols)
+        return golden(k, P, i, lo, hi, terms, cols)
 
     ws._golden_section = spy
     buf = _StepBuffers(ws, terminals.shape)
     buf.V[...] = terminals
     batched_controls = []
     for k in range(ws.n_t - 1, -1, -1):
-        ws.backward_step(k, cost, buf)
+        ws.backward_step(k, buf)
         batched_controls.append(buf.P.copy())
     V = buf.V.copy()
     ws._golden_section = golden
-    assert np.array_equal(_initial_values(ws, cost, terminals), V)
+    assert np.array_equal(_initial_values(ws, terminals), V)
     for row, terminal in enumerate(terminals):
-        vg = _solve_hjb_ws(ws, cost, terminal)
+        vg = _solve_hjb_ws(ws, terminal)
         assert np.array_equal(vg.initial(), V[row])
         for k, P in zip(range(ws.n_t - 1, -1, -1), batched_controls):
             assert np.array_equal(vg.controls[k], P[row])
     # golden section runs per node: on every row of the stack, at exactly
     # the cells whose cost model failed its check
-    ok = ws.cost_model(cost).ok
+    ok = ws.model.ok
     B = len(terminals)
     for k, rows, cols in golden_cells:
         assert rows == B
@@ -453,9 +454,10 @@ def test_cost_model_fits_quadratics_and_flags_the_rest():
     # per (step, node) coefficients of a time- and state-dependent quadratic
     # with a cross term; a cubic cross term fails the check points off the axes
     cfg = HJBGridConfig(x_min=-3.0, x_max=3.0, n_x=30, n_t=10)
-    ws = _HJBWorkspace(_two_param_family(), cfg)
     names = ("p0", "p1")
-    model = ws.cost_model(cost_from_expr("t * p0 * p1 + x * p1 * p1 + 2 * p0", names))
+    ws = _HJBWorkspace(_two_param_family(), cfg,
+                       cost_from_expr("t * p0 * p1 + x * p1 * p1 + 2 * p0", names))
+    model = ws.model
     assert model.ok.all()
     t = ws.t_grid[:-1, None]
     x = ws.x_grid[None, :]
@@ -466,7 +468,8 @@ def test_cost_model_fits_quadratics_and_flags_the_rest():
     assert np.allclose(model.hess[..., 0, 1], t, atol=1e-12)
     assert np.allclose(model.hess[..., 1, 0], t, atol=1e-12)
     assert np.allclose(model.hess[..., 1, 1], 2.0 * x, atol=1e-12)
-    assert not ws.cost_model(cost_from_expr("p0 * p0 * p1", names)).ok.any()
+    cubic = _HJBWorkspace(_two_param_family(), cfg, cost_from_expr("p0 * p0 * p1", names))
+    assert not cubic.model.ok.any()
 
 
 def _oracle_cases():
@@ -489,12 +492,12 @@ def test_control_step_beats_a_dense_scan(case):
     # each coordinate step's H at the returned control is no higher than
     # the least H over 2001 evenly spaced points of the box, per node
     fam, cost, cfg = ORACLE_CASES[case]()
-    ws = _HJBWorkspace(fam, cfg)
+    ws = _HJBWorkspace(fam, cfg, cost)
     x = ws.x_grid
     V = np.stack([
         np.full(ws.n, 0.7), 0.5 * x**2, -np.abs(x), np.cos(3.0 * x), np.clip(x, -1.0, 2.0),
     ])
-    model = ws.cost_model(cost)
+    model = ws.model
     buf = _StepBuffers(ws, V.shape)
     buf.V[...] = V
     for k in range(ws.n_t - 1, -1, -1):
@@ -505,14 +508,14 @@ def test_control_step_beats_a_dense_scan(case):
         for i, (lo, hi) in enumerate(ws.box):
             if hi <= lo:
                 continue
-            ws._argmin(k, cost, model, buf, i, lo, hi)
+            ws._argmin(k, buf, i, lo, hi)
             s = P[..., i].copy()
             assert np.all((lo <= s) & (s <= hi))
-            h_at = ws.hamiltonian(k, cost, P, i, s[None], terms)[0]
+            h_at = ws.hamiltonian(k, P, i, s[None], terms)[0]
             scan = np.linspace(lo, hi, 2001)[:, None, None]
-            h_min = ws.hamiltonian(k, cost, P, i, scan, terms).min(axis=0)
+            h_min = ws.hamiltonian(k, P, i, scan, terms).min(axis=0)
             assert np.all(h_at <= h_min + 1e-9 * (1.0 + np.abs(h_at))), (k, i)
-        ws.backward_step(k, cost, buf)
+        ws.backward_step(k, buf)
 
 
 KERNEL_CASES = {
@@ -540,14 +543,14 @@ def test_kernel_matches_the_rebuilding_oracle_bitwise(case):
     # every system again from the controls, and the backward sweep equals
     # the one that formed every term at every step
     fam, cost, cfg = KERNEL_CASES[case]()
-    ws = _HJBWorkspace(fam, cfg)
+    ws = _HJBWorkspace(fam, cfg, cost)
     oracle = Oracle(ws)
     assert ws.diffusive == case.startswith(("gaussian", "two-param"))
     x = ws.x_grid
     q0 = Marginal.gaussian(0.3, 0.5).grid_weights(x)
     for terminal in (0.5 * x**2, np.cos(3.0 * x), np.clip(x, -1.0, 2.0)):
-        vg = _solve_hjb_ws(ws, cost, terminal)
-        expected = oracle.solve(cost, terminal)
+        vg = _solve_hjb_ws(ws, terminal)
+        expected = oracle.solve(terminal)
         assert vg.initial().tobytes() == expected.initial().tobytes()
         for k in range(ws.n_t):
             assert vg.controls[k].tobytes() == expected.controls[k].tobytes(), k
@@ -562,10 +565,10 @@ def test_dual_ascent_matches_the_rebuilding_oracle(monkeypatch):
         grid=HJBGridConfig(n_x=dual["n_x"], n_t=dual["n_t"], drift_stencil=dual["drift_stencil"]),
         bound=dual["bound"], smoothing=dual["smoothing"])
     res = dual_ascent(inst, cfg)
-    monkeypatch.setattr(transport, "_solve_hjb_ws", lambda ws, cost, terminal: Oracle(ws).solve(cost, terminal))
+    monkeypatch.setattr(transport, "_solve_hjb_ws", lambda ws, terminal: Oracle(ws).solve(terminal))
     monkeypatch.setattr(transport, "_forward_ws", lambda ws, controls, q0: Oracle(ws).forward(controls, q0))
     monkeypatch.setattr(transport, "_initial_values",
-                        lambda ws, cost, terminals: Oracle(ws).initial_values(cost, terminals))
+                        lambda ws, terminals: Oracle(ws).initial_values(terminals))
     expected = dual_ascent(inst, cfg)
     assert res.history == expected.history
     assert res.lambda1.tobytes() == expected.lambda1.tobytes()
@@ -573,27 +576,24 @@ def test_dual_ascent_matches_the_rebuilding_oracle(monkeypatch):
 
 def test_only_single_solves_keep_their_systems(monkeypatch):
     # the batched warm start keeps nothing per step; a single solve keeps
-    # one system per step, which the value-surface solve does not
+    # one system per step
     fam, cost, cfg = KERNEL_CASES["poisson-central"]()
-    ws = _HJBWorkspace(fam, cfg)
+    ws = _HJBWorkspace(fam, cfg, cost)
     kept = []
     step = ws.backward_step
 
-    def spy(k, L, buf, systems=None):
+    def spy(k, buf, systems=None):
         kept.append(systems)
-        return step(k, L, buf, systems)
+        return step(k, buf, systems)
 
     monkeypatch.setattr(ws, "backward_step", spy)
     x = ws.x_grid
-    _initial_values(ws, cost, np.stack([0.5 * x**2, np.cos(3.0 * x)]))
+    _initial_values(ws, np.stack([0.5 * x**2, np.cos(3.0 * x)]))
     assert kept == [None] * ws.n_t
     kept.clear()
-    vg = _solve_hjb_ws(ws, cost, 0.5 * x**2)
+    vg = _solve_hjb_ws(ws, 0.5 * x**2)
     assert len(kept) == ws.n_t and all(systems is vg.systems for systems in kept)
     assert vg.systems.rows.shape == (3, ws.n_t, ws.n)
-    kept.clear()
-    assert _solve_hjb_ws(ws, cost, 0.5 * x**2, keep_systems=False).systems is None
-    assert kept == [None] * ws.n_t
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -603,40 +603,42 @@ def test_step_buffers_carry_nothing_between_sweeps(case):
     # workspace give what a fresh workspace gives, and B writes none of
     # A's arrays, which the polish memo and the adjoint sweep keep
     fam, cost, cfg = KERNEL_CASES[case]()
-    ws = _HJBWorkspace(fam, cfg)
+    ws = _HJBWorkspace(fam, cfg, cost)
     x = ws.x_grid
     q0 = Marginal.gaussian(0.3, 0.5).grid_weights(x)
-    a = _solve_hjb_ws(ws, cost, 0.5 * x**2)
+    a = _solve_hjb_ws(ws, 0.5 * x**2)
     kept = [a.values.copy(), a.controls.copy(), a.systems.rows.copy(), a.systems.weights.copy()]
     terminals = np.stack([np.clip(s * x**2 + d * x, -50.0, 50.0)
                           for s in np.linspace(-4.0, 4.0, 17) for d in (-1.0, 0.0, 1.0)])
-    batched = _initial_values(ws, cost, terminals)
-    b = _solve_hjb_ws(ws, cost, np.cos(3.0 * x))
+    batched = _initial_values(ws, terminals)
+    b = _solve_hjb_ws(ws, np.cos(3.0 * x))
     for before, after in zip(kept, (a.values, a.controls, a.systems.rows, a.systems.weights)):
         assert before.tobytes() == after.tobytes()
-    fresh = _HJBWorkspace(fam, cfg)
+    fresh = _HJBWorkspace(fam, cfg, cost)
     for vg, terminal in ((a, 0.5 * x**2), (b, np.cos(3.0 * x))):
-        expected = _solve_hjb_ws(fresh, cost, terminal)
+        expected = _solve_hjb_ws(fresh, terminal)
         assert vg.values.tobytes() == expected.values.tobytes()
         assert vg.controls.tobytes() == expected.controls.tobytes()
         law = _forward_ws(ws, vg.systems, q0)
         assert law.tobytes() == _forward_ws(fresh, expected.systems, q0).tobytes()
-    assert batched.tobytes() == _initial_values(_HJBWorkspace(fam, cfg), cost, terminals).tobytes()
+    assert batched.tobytes() == _initial_values(_HJBWorkspace(fam, cfg, cost), terminals).tobytes()
 
 
 def test_every_sweep_rejects_a_non_finite_step():
     # gtsv's non-finite check holds on the batched sweep, on the single
     # sweep that keeps its systems and on the adjoint sweep
     inst = instance_from_dict(fixtures.poisson_instance_doc())
-    ws = _HJBWorkspace(inst.fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"))
+    grid = HJBGridConfig(n_x=40, n_t=10, drift_stencil="central")
     overflow = cost_from_expr("exp(1000 + lam)", ("lam",))
     with np.errstate(over="ignore", invalid="ignore"):
+        ws = _HJBWorkspace(inst.fam, grid, overflow)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _initial_values(ws, overflow, np.zeros((3, ws.n)))
+            _initial_values(ws, np.zeros((3, ws.n)))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _solve_hjb_ws(ws, overflow, np.zeros(ws.n))
+            _solve_hjb_ws(ws, np.zeros(ws.n))
+    ws = _HJBWorkspace(inst.fam, grid, inst.cost)
     for bad in (np.inf, np.nan):
-        vg = _solve_hjb_ws(ws, inst.cost, 0.5 * ws.x_grid**2)
+        vg = _solve_hjb_ws(ws, 0.5 * ws.x_grid**2)
         q0 = inst.mu0.grid_weights(ws.x_grid)
         q0[ws.n // 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -733,18 +735,18 @@ def test_drift_free_family_takes_the_central_stencil():
     # node: selecting central from the family changes no bit of a solve
     inst = instance_from_dict(fixtures.gaussian_instance_doc())
     grid = HJBGridConfig(n_x=60, n_t=30)
-    ws = _HJBWorkspace(inst.fam, grid)
+    ws = _HJBWorkspace(inst.fam, grid, inst.cost)
     assert grid.drift_stencil == "auto" and ws.central
-    auto = _HJBWorkspace(inst.fam, grid)
+    auto = _HJBWorkspace(inst.fam, grid, inst.cost)
     auto.central = False  # the auto stencil's per-node branch selection
     for terminal in (np.clip(0.5 * ws.x_grid**2 - ws.x_grid, -10.0, 10.0),
                      np.sin(3.0 * ws.x_grid)):
-        a = _solve_hjb_ws(ws, inst.cost, terminal)
-        b = _solve_hjb_ws(auto, inst.cost, terminal)
+        a = _solve_hjb_ws(ws, terminal)
+        b = _solve_hjb_ws(auto, terminal)
         assert a.values.tobytes() == b.values.tobytes()
         assert a.controls.tobytes() == b.controls.tobytes()
     drifting = family(((0.0, 1.0),), lambda p: triplet(p[0], 1.0))
-    assert not _HJBWorkspace(drifting, grid).central
+    assert not _HJBWorkspace(drifting, grid, cost_from_expr("p0 * p0", ("p0",))).central
 
 
 def test_dual_ascent_flags_likely_infeasible():
@@ -782,13 +784,13 @@ def poisson_ascent():
         calls.append((fun, res, points, values))
         return res
 
-    def recording_solve(ws, cost, terminal):
+    def recording_solve(ws, terminal):
         solved.append(terminal.copy())
-        return solve_ws(ws, cost, terminal)
+        return solve_ws(ws, terminal)
 
-    def recording_initial_values(ws, cost, terminals):
+    def recording_initial_values(ws, terminals):
         warm.extend(terminals.copy())
-        return initial_values(ws, cost, terminals)
+        return initial_values(ws, terminals)
 
     solve_ws, initial_values = transport._solve_hjb_ws, transport._initial_values
     doc = fixtures.poisson_instance_doc()
@@ -815,13 +817,13 @@ def test_polish_gradient_chains_the_full_grid_gradient(poisson_ascent, ad):
     z = a * x**2 + d * x
     inside = np.abs(z) < bound
     assert 0 < inside.sum() < x.size  # the clip binds at both points
-    ws = _HJBWorkspace(poisson_ascent.inst.fam, poisson_ascent.grid)
+    ws = _HJBWorkspace(poisson_ascent.inst.fam, poisson_ascent.grid, poisson_ascent.inst.cost)
     kernel = np.exp(-0.5 * ((x[:, None] - x[None, :]) / smoothing) ** 2)
     kernel *= ws.h / (smoothing * np.sqrt(2.0 * np.pi))
     lam = kernel @ np.clip(z, -bound, bound)
     mu0_w = poisson_ascent.inst.mu0.grid_weights(x)
     mu1_w = poisson_ascent.inst.mu1.grid_weights(x)
-    vg = _solve_hjb_ws(ws, poisson_ascent.inst.cost, lam)
+    vg = _solve_hjb_ws(ws, lam)
     f_full = -(mu0_w @ vg.initial() - mu1_w @ lam)
     g_full = -(kernel @ (_forward_ws(ws, vg.systems, mu0_w) - mu1_w))
     f_quad, g_quad = poisson_ascent.polish_fun(np.array(ad))
@@ -865,9 +867,9 @@ def test_a_potential_met_again_is_not_solved_again(monkeypatch):
     doc["solver"]["mc"]["n_paths"] = 2000
     solved, solve_ws = [], transport._solve_hjb_ws
 
-    def recording_solve(ws, cost, terminal):
+    def recording_solve(ws, terminal):
         solved.append(terminal.tobytes())
-        return solve_ws(ws, cost, terminal)
+        return solve_ws(ws, terminal)
 
     monkeypatch.setattr(transport, "_solve_hjb_ws", recording_solve)
     report = run_transport(doc).report
