@@ -28,7 +28,6 @@ from typing import (
 import numpy as np
 import orjson
 
-from . import fixtures
 from .exprs import ExpressionError
 from .limits import (
     DEFAULT_DELTA_SCHEDULE,
@@ -467,33 +466,46 @@ def _transport_detail(r: dict) -> str:
     return f"primal {r['primal_value']:.4f}, dual {r['dual_value']:.4f}, gap {r['gap']:.4f}"
 
 
+# the flagship documents: fixtures/ of the source checkout that holds this package
+FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "fixtures")
+
+
+def fixture_doc(name: str) -> dict:
+    """The flagship document ``fixtures/<name>``."""
+    return load_json(os.path.join(FIXTURES, name))
+
+
 # each flagship row: its name, the command that reads its document, the
 # document, the report file that command writes, and the pass criteria and
 # detail line read from that report
 _FLAGSHIPS = (
     # diffusion created, the limit triplet outside the pure-jump family: no witness
     # against closedness, as the sequence leaves the family's box past n = 1e6
-    ("shrinking-jump sequence", "limit-analyze", fixtures.shrinking_jump_limit_doc,
+    ("shrinking-jump sequence", "limit-analyze", lambda: fixture_doc("shrinking_jump_sequence.json"),
      "limit_report.json",
      lambda r: abs(r["diffusion_increment"] - 1.0) <= 1e-6
      and r["verdict"] == "diffusion-created" and _membership(r) == "no",
      lambda r: f"diffusion estimate {r['diffusion_increment']:.8f}, "
      f"membership {_membership(r)}"),
     # the modified limit stays inside the pinned-variance family
-    ("pinned-variance family", "limit-analyze", fixtures.pinned_variance_limit_doc,
+    ("pinned-variance family", "limit-analyze",
+     lambda: dict(fixture_doc("shrinking_jump_sequence.json"),
+                  family=fixture_doc("pinned_variance_family.json"),
+                  use_u_map=True, param_map=["0", "1 / pow(n, 0.5)"]),
      "limit_report.json",
      lambda r: _membership(r) == "yes",
      lambda r: f"membership {_membership(r)}, distance " + (
          "none" if r["closedness"]["distance"] is None
          else f"{r['closedness']['distance']:.3g}")),
     # the duality gap closes
-    ("gaussian transport", "solve-transport", fixtures.gaussian_instance_doc,
+    ("gaussian transport", "solve-transport", lambda: fixture_doc("gaussian_instance.json"),
      "duality_report.json",
      lambda r: abs(r["primal_value"] - 1.0) <= 1e-3 and r["dual_value"] >= 0.95
      and r["gap"] <= 0.06,
      _transport_detail),
     # weak duality at every ascent step
-    ("poisson transport", "solve-transport", fixtures.poisson_instance_doc,
+    ("poisson transport", "solve-transport", lambda: fixture_doc("poisson_instance.json"),
      "duality_report.json",
      lambda r: abs(r["primal_value"] - 4.0) <= 0.05 and r["dual_value"] >= 3.7
      and r["weak_duality_ok"]
@@ -507,9 +519,10 @@ def cmd_reproduce(out: str, seed: Optional[int]) -> int:
     ``out/<fixture-name>/`` and check the report that command wrote."""
     rows: list[dict] = []
     for name, command, doc, report_file, passed, detail in _FLAGSHIPS:
+        document = doc()  # read before its directory is made
         sub = os.path.join(out, name.replace(" ", "-"))
         os.makedirs(sub, exist_ok=True)
-        _HANDLERS[command](doc(), sub, seed)
+        _HANDLERS[command](document, sub, seed)
         report = load_json(os.path.join(sub, report_file))
         rows.append({"fixture": name, "passed": passed(report), "detail": detail(report)})
 

@@ -359,16 +359,26 @@ def closedness_probe(
     With ``use_u_map`` the modified-triplet map is applied to both the
     identified limit and the family before the membership test.  When
     ``param_map`` gives the family parameters of each scheduled triplet, the
-    membership precheck uses that inversion; otherwise it projects onto the
+    membership precheck uses that inversion, and a scheduled n whose
+    parameters leave the box is a ValueError; otherwise it projects onto the
     box.  The membership tolerance widens with the extrapolation error of the
     exponent profile, since the identified limit is only that accurate.
     """
     log: list = []
     # precheck: the first and last scheduled triplets must (numerically) lie
     # in the family; with a param_map, their members are priced as one stack
+    # (which checks the rows' width), and every scheduled row must lie in the box
     ends = [0, -1]
     if param_map is not None:
-        members = fam.stack(np.array([param_map(seq.n_schedule[i]) for i in ends]))
+        mapped = np.array([param_map(n) for n in seq.n_schedule])
+        members = fam.stack(mapped[ends])
+        lows, highs = np.array(fam.parameter_box).T
+        outside = np.argwhere(~((mapped >= lows) & (mapped <= highs)))
+        if len(outside):
+            i, j = outside[0].tolist()
+            raise ValueError(
+                f"param_map at n = {seq.n_schedule[i]} puts parameter {j} at "
+                f"{mapped[i, j].item()!r}, outside its bounds {list(fam.parameter_box[j])}")
         rows = SimpleNamespace(b=seq.stack.b[ends], c=seq.stack.c[ends])
         dists = _distances(members, rows, measure_features(seq.stack.F, _PROBE_FEATURES)[ends])
     for k, i in enumerate(ends):

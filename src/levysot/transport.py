@@ -1057,12 +1057,9 @@ def solve_hjb(
     from each grid point, plus the per-node optimal parameters.
     """
     ws = _HJBWorkspace(inst.fam, grid_cfg, inst.cost)
-    if callable(lambda1):
-        terminal = np.asarray(lambda1(ws.x_grid), dtype=float)
-    else:
-        terminal = np.asarray(lambda1, dtype=float)
-        if terminal.shape != ws.x_grid.shape:
-            raise ValueError("terminal array must match the padded grid")
+    terminal = np.asarray(lambda1(ws.x_grid) if callable(lambda1) else lambda1, dtype=float)
+    if terminal.shape != ws.x_grid.shape:
+        raise ValueError("terminal array must match the padded grid")
     if not np.all(np.isfinite(terminal)):
         raise ValueError("terminal function must be bounded on the grid")
     return _solve_hjb_ws(ws, terminal)

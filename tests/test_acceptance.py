@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import property_checks as pc
-from levysot import fixtures
-from levysot.cli import run_transport
+from levysot.cli import fixture_doc, run_transport
 from levysot.limits import (
     TripletSequence,
     closedness_probe,
@@ -64,7 +63,7 @@ def shrinking_jump_triplet(n: int) -> TripletStack:
 
 
 def shrinking_jump_sequence() -> TripletSequence:
-    return sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    return sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
 
 
 def test_criterion_1_shrinking_jump_analytic():
@@ -142,13 +141,13 @@ def test_criterion_4_closedness_probes():
     profile = exponent_limit_profile(seq, default_u_grid())
     identified = limit_triplet_identify(profile)
     with_u = closedness_probe(
-        family_from_dict(fixtures.pinned_variance_family_doc()), seq, True, profile,
+        family_from_dict(fixture_doc("pinned_variance_family.json")), seq, True, profile,
         identified,
-        param_map=param_map_from_exprs(fixtures.pinned_variance_limit_doc()["param_map"]),
+        param_map=param_map_from_exprs(["0", "1 / pow(n, 0.5)"]),
     )
     without = closedness_probe(
-        family_from_dict(fixtures.pure_jump_family_doc()), seq, False, profile, identified,
-        param_map=param_map_from_exprs(fixtures.shrinking_jump_limit_doc()["param_map"]),
+        family_from_dict(fixture_doc("pure_jump_family.json")), seq, False, profile, identified,
+        param_map=param_map_from_exprs(fixture_doc("shrinking_jump_sequence.json")["param_map"]),
     )
     report(
         4,
@@ -207,7 +206,7 @@ def test_criterion_5_hjb_benchmarks():
 
 def test_criterion_6_gaussian_duality():
     start = time.perf_counter()
-    rep = run_transport(fixtures.gaussian_instance_doc()).report
+    rep = run_transport(fixture_doc("gaussian_instance.json")).report
     report(
         6,
         [
@@ -227,7 +226,7 @@ def test_criterion_6_gaussian_duality():
 
 def test_criterion_7_poisson_duality():
     start = time.perf_counter()
-    rep = run_transport(fixtures.poisson_instance_doc()).report
+    rep = run_transport(fixture_doc("poisson_instance.json")).report
     history_ok = rep.weak_duality_ok and all(
         v <= rep.primal_value + rep.allowance for v in rep.ascent_history
     )

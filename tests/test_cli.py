@@ -11,16 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levysot import cli, fixtures, limits, serialize, transport
-from levysot.cli import OUTPUT_DIR_ENV, main, write_csv
+from levysot import cli, limits, serialize, transport
+from levysot.cli import FIXTURES, OUTPUT_DIR_ENV, fixture_doc, main, write_csv
 from levysot.limits import default_u_grid, exponent_limit_profile
 from levysot.measures import MeasureStack
 from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
-from levysot.serialize import sequence_from_dict, triplet_from_dict
+from levysot.serialize import load_json, sequence_from_dict, triplet_from_dict
 from levysot.transport import solve_hjb
 from levysot.triplets import COND_J_FAIL_FACTOR, TOL_J, ThetaFamily, small_jump_second_moment
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def fixture(name: str) -> str:
@@ -31,36 +29,12 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-# each fixture file and the levysot.fixtures document(s) it was written from
-MODULE_DOCS = {
-    "shrinking_jump_sequence.json": fixtures.shrinking_jump_limit_doc,
-    "pure_jump_family.json": fixtures.pure_jump_family_doc,
-    "pinned_variance_family.json": fixtures.pinned_variance_family_doc,
-    "gaussian_instance.json": fixtures.gaussian_instance_doc,
-    "poisson_instance.json": fixtures.poisson_instance_doc,
-    "trivial_instance.json": fixtures.trivial_instance_doc,
-}
-
-
-@pytest.mark.parametrize("name", sorted(
-    n for n in os.listdir(FIXTURES) if n.endswith(".json")
-))
-def test_fixture_file_matches_module_document(name):
-    # the benchmark reads the files; reproduce and the tests read the module
-    assert read_json(fixture(name)) == MODULE_DOCS[name]()
-
-
 def test_check_theta_writes_report(tmp_path):
     out = str(tmp_path)
     code = run("check-theta", "--input", fixture("pure_jump_family.json"),
                "--out", out, "--seed", "5")
     assert code == 0
-    doc = read_json(os.path.join(out, "check_theta.json"))
+    doc = load_json(os.path.join(out, "check_theta.json"))
     assert doc["seed"] == 5
     assert doc["condition_b"]["finite"]
     assert doc["condition_j"]["verdict"] == "fails"
@@ -71,7 +45,7 @@ def test_check_theta_pinned_variance_matches_expectations(tmp_path):
     out = str(tmp_path)
     assert run("check-theta", "--input", fixture("pinned_variance_family.json"),
                "--out", out) == 0
-    doc = read_json(os.path.join(out, "check_theta.json"))
+    doc = load_json(os.path.join(out, "check_theta.json"))
     assert doc["condition_j"]["verdict"] == "fails"
     assert doc["box_independence"] is False
 
@@ -86,7 +60,7 @@ def test_check_theta_condition_j_is_inconclusive_between_its_thresholds(tmp_path
         "F": {"atoms": [{"x": ["y"], "w": "lam"}]},
     }))
     assert run("check-theta", "--input", str(path), "--out", str(tmp_path)) == 0
-    cond_j = read_json(os.path.join(tmp_path, "check_theta.json"))["condition_j"]
+    cond_j = load_json(os.path.join(tmp_path, "check_theta.json"))["condition_j"]
     assert cond_j["verdict"] == "inconclusive"
     assert [d for d, _ in cond_j["profile"]] == list(limits.DEFAULT_DELTA_SCHEDULE)
     assert all(TOL_J < m < COND_J_FAIL_FACTOR * TOL_J for _, m in cond_j["profile"])
@@ -98,17 +72,17 @@ def test_check_theta_condition_j_is_inconclusive_between_its_thresholds(tmp_path
 ])
 def test_check_theta_reads_a_dependence_across_blocks(tmp_path, component, entry):
     # the dependence sits in a thin slice of the box (y < 0.001 or lam < 1)
-    doc = fixtures.pure_jump_family_doc()
+    doc = fixture_doc("pure_jump_family.json")
     doc[component] = entry
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     assert run("check-theta", "--input", str(path), "--out", str(tmp_path)) == 0
-    assert read_json(os.path.join(tmp_path, "check_theta.json"))["box_independence"] is False
+    assert load_json(os.path.join(tmp_path, "check_theta.json"))["box_independence"] is False
 
 
 @pytest.mark.parametrize("name", ["t", "x"])
 def test_a_parameter_named_like_a_cost_variable_is_a_validation_error(tmp_path, capsys, name):
-    doc = fixtures.trivial_instance_doc()
+    doc = fixture_doc("trivial_instance.json")
     doc["family"]["params"] = [name]
     doc["family"]["c"] = [[name]]
     doc["cost"] = f"{name} * {name}"
@@ -123,7 +97,7 @@ def test_limit_analyze_outputs(tmp_path):
     out = str(tmp_path)
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
                "--out", out) == 0
-    doc = read_json(os.path.join(out, "limit_report.json"))
+    doc = load_json(os.path.join(out, "limit_report.json"))
     assert doc["verdict"] == "diffusion-created"
     assert abs(doc["diffusion_increment"] - 1.0) < 1e-6
     assert doc["closedness"]["limit_in_set"] == "no"
@@ -131,6 +105,18 @@ def test_limit_analyze_outputs(tmp_path):
         assert fh.readline().strip() == "u,n,re_psi,im_psi"
     with open(os.path.join(out, "small_jump_profile.csv")) as fh:
         assert fh.readline().strip() == "delta,n,small_jump_mass"
+
+
+def test_limit_analyze_rejects_a_param_map_that_leaves_the_box(tmp_path, capsys):
+    # lam = n leaves the pure-jump family's box [0, 1e6] at n = 1e7, so the
+    # extended sequence is no member there: a validation error, not a verdict
+    assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), "--set",
+               "sequence.n_schedule=[10,100,1000,10000,100000,10000000]") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n = 10000000" in err
+    assert "parameter 0 at 10000000.0, outside its bounds [0.0, 1000000.0]" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "limit_report.json"))
 
 
 def test_limit_analyze_evaluates_the_sequence_and_its_profile_once(tmp_path, monkeypatch):
@@ -152,7 +138,7 @@ def test_limit_analyze_evaluates_the_sequence_and_its_profile_once(tmp_path, mon
     monkeypatch.setattr(cli, "exponent_limit_profile", counting_profile)
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
                "--out", str(tmp_path)) == 0
-    assert read_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
+    assert load_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
     assert counts == {"template": 1, "profile": 1}
 
 
@@ -171,7 +157,7 @@ def test_conditions_build_no_row_of_a_stack(tmp_path, monkeypatch):
         assert run("check-theta", "--input", fixture(name), "--out", str(tmp_path)) == 0
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
                "--out", str(tmp_path)) == 0
-    assert read_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
+    assert load_json(os.path.join(str(tmp_path), "limit_report.json"))["closedness"]
     assert calls[0] == 0
 
 
@@ -230,7 +216,7 @@ def test_simulate_outputs(tmp_path):
         "config": {"n_paths": 500, "n_steps": 2},
     }))
     assert run("simulate", "--input", str(doc), "--out", out, "--seed", "11") == 0
-    rep = read_json(os.path.join(out, "simulate_report.json"))
+    rep = load_json(os.path.join(out, "simulate_report.json"))
     assert rep["seed"] == 11
     assert "ks" in rep["terminal"]
     with open(os.path.join(out, "paths.csv")) as fh:
@@ -375,7 +361,7 @@ def test_limit_csvs_match_the_row_writer(tmp_path):
     out = str(tmp_path)
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
                "--out", out, "--set", "delta_schedule=[1, 0.5, 0.25]") == 0
-    seq = sequence_from_dict(read_json(fixture("shrinking_jump_sequence.json"))["sequence"])
+    seq = sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
     profile = exponent_limit_profile(seq, default_u_grid())
     assert _read_bytes(out, "exponent_profile.csv") == _row_writer_bytes(
         ("u", "n", "re_psi", "im_psi"),
@@ -395,7 +381,7 @@ def test_duality_report_carries_the_primal_evidence(tmp_path):
     overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")
     assert run("solve-transport", "--input", fixture("gaussian_instance.json"), "--out",
                str(tmp_path), *(arg for o in overrides for arg in ("--set", o))) == 0
-    evidence = read_json(os.path.join(str(tmp_path), "duality_report.json"))["primal_evidence"]
+    evidence = load_json(os.path.join(str(tmp_path), "duality_report.json"))["primal_evidence"]
     assert evidence["fit_status"] in (1, 2, 3)  # lsq_linear converged
     assert evidence["schedule_status"] == 0  # SLSQP converged
     assert evidence["schedule_nit"] >= 1 and evidence["schedule_nfev"] >= 1
@@ -405,7 +391,7 @@ def test_duality_report_carries_the_dual_evidence(tmp_path):
     overrides = ("solver.dual.n_x=60", "solver.dual.n_t=30", "solver.mc.n_paths=1000")
     assert run("solve-transport", "--input", fixture("gaussian_instance.json"), "--out",
                str(tmp_path), *(arg for o in overrides for arg in ("--set", o))) == 0
-    rep = read_json(os.path.join(str(tmp_path), "duality_report.json"))
+    rep = load_json(os.path.join(str(tmp_path), "duality_report.json"))
     evidence = rep["dual_evidence"]
     assert set(evidence) == {"warm_start_rows", "polish", "potential_class"}
     assert evidence["warm_start_rows"] == 51
@@ -427,7 +413,7 @@ def test_solve_transport_with_overrides(tmp_path):
         "--out", out, "--seed", "0", *(arg for o in overrides for arg in ("--set", o)),
     )
     assert code == 0
-    rep = read_json(os.path.join(out, "duality_report.json"))
+    rep = load_json(os.path.join(out, "duality_report.json"))
     assert abs(rep["primal_value"]) < 1e-9
     assert abs(rep["dual_value"]) < 1e-6
     assert rep["dual_converged"] is True
@@ -435,7 +421,7 @@ def test_solve_transport_with_overrides(tmp_path):
     assert rep["primal_likely_infeasible"] is False
 
     # each CSV is byte-identical to the row writer's on the same report
-    doc = cli.apply_overrides(read_json(fixture("trivial_instance.json")), overrides,
+    doc = cli.apply_overrides(fixture_doc("trivial_instance.json"), overrides,
                               "solve-transport")
     inst, grid, _, report = cli.run_transport(doc, 0)
     k, n_params = report.control_schedule.shape
@@ -458,7 +444,7 @@ def test_solve_transport_with_overrides(tmp_path):
 def test_hjb_grid_defaults_to_the_fixture_grid(tmp_path):
     # an instance that sets no solver.dual.n_x or n_t solves on the grid
     # duality_report uses by default, which every fixture sets
-    doc = read_json(fixture("gaussian_instance.json"))
+    doc = fixture_doc("gaussian_instance.json")
     assert (doc["solver"]["dual"]["n_x"], doc["solver"]["dual"]["n_t"]) == (240, 100)
     del doc["solver"]["dual"]["n_x"], doc["solver"]["dual"]["n_t"]
     bare = tmp_path / "bare.json"
@@ -506,19 +492,9 @@ def test_pinned_variance_witness_writes_its_free_coordinate_as_null(tmp_path):
     for override in PINNED_SETS:
         args += ["--set", override]
     assert run(*args) == 0
-    closedness = read_json(os.path.join(tmp_path, "limit_report.json"))["closedness"]
+    closedness = load_json(os.path.join(tmp_path, "limit_report.json"))["closedness"]
     assert closedness["limit_in_set"] == "yes"
     assert closedness["witness_params"] == [1.0, None]
-
-
-# each reproduce row's output directory, and the command, input file and
-# overrides that write the same files alone
-FLAGSHIP_COMMANDS = {
-    "shrinking-jump-sequence": ("limit-analyze", "shrinking_jump_sequence.json", ()),
-    "pinned-variance-family": ("limit-analyze", "shrinking_jump_sequence.json", PINNED_SETS),
-    "gaussian-transport": ("solve-transport", "gaussian_instance.json", ()),
-    "poisson-transport": ("solve-transport", "poisson_instance.json", ()),
-}
 
 
 def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
@@ -534,7 +510,7 @@ def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
     assert run("reproduce", "--out", out) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and all("  PASS  " in line for line in lines)
-    rows = read_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
+    rows = load_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
     assert [r["fixture"] for r in rows] == [
         "shrinking-jump sequence", "pinned-variance family",
         "gaussian transport", "poisson transport",
@@ -543,11 +519,14 @@ def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
     assert run("reproduce", "--out", out, "--set", "a=1") == 1
 
     # each row's directory holds exactly the files its command writes alone
+    # on the row's document
     monkeypatch.setattr(cli, "duality_report", duality_report)
-    for name, (command, path, sets) in FLAGSHIP_COMMANDS.items():
+    for name, command, doc, *_ in cli._FLAGSHIPS:
+        name = name.replace(" ", "-")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc()))
         alone = str(tmp_path / "alone" / name)
-        assert run(command, "--input", fixture(path), "--out", alone,
-                   *(arg for s in sets for arg in ("--set", s))) == 0
+        assert run(command, "--input", str(path), "--out", alone) == 0
         written = sorted(os.listdir(os.path.join(out, name)))
         assert written == sorted(os.listdir(alone))
         for f in written:
@@ -558,7 +537,7 @@ def test_reproduce_runs_every_flagship_fixture(tmp_path, capsys, monkeypatch):
     missed = iter([dataclasses.replace(r, primal_value=0.0) for r in reports])
     monkeypatch.setattr(cli, "duality_report", lambda *args, **kwargs: next(missed))
     assert run("reproduce", "--out", out) == 2
-    rows = read_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
+    rows = load_json(os.path.join(out, "reproduce_report.json"))["fixtures"]
     assert [r["passed"] for r in rows] == [True, True, False, False]
     assert rows[2]["detail"].startswith("primal 0.0000, ")
 
@@ -596,19 +575,24 @@ def test_reproduce_goes_only_through_the_command_handlers(tmp_path, capsys, monk
     for command in list(cli._HANDLERS):
         monkeypatch.setitem(cli._HANDLERS, command, recorder(command))
     assert run("reproduce", "--out", out, "--seed", "4") == 2
-    docs = {
-        name: cli.apply_overrides(read_json(fixture(path)), sets, command)
-        for name, (command, path, sets) in FLAGSHIP_COMMANDS.items()
-    }
-    assert calls == [(command, docs[name], name, 4)
-                     for name, (command, _, _) in FLAGSHIP_COMMANDS.items()]
+    # each row's document is its fixture file, and the pinned-variance row's
+    # is the README's command on the sequence file
+    assert calls == [
+        ("limit-analyze", fixture_doc("shrinking_jump_sequence.json"),
+         "shrinking-jump-sequence", 4),
+        ("limit-analyze", cli.apply_overrides(
+            fixture_doc("shrinking_jump_sequence.json"), PINNED_SETS, "limit-analyze"),
+         "pinned-variance-family", 4),
+        ("solve-transport", fixture_doc("gaussian_instance.json"), "gaussian-transport", 4),
+        ("solve-transport", fixture_doc("poisson_instance.json"), "poisson-transport", 4),
+    ]
     assert capsys.readouterr().out.splitlines() == [
         "shrinking-jump sequence  PASS  diffusion estimate 1.00000000, membership no",
         "pinned-variance family   FAIL  membership no, distance none",
         "gaussian transport       PASS  primal 1.0000, dual 0.9900, gap 0.0100",
         "poisson transport        FAIL  primal 1.0000, dual 0.9900, gap 0.0100",
     ]
-    assert read_json(os.path.join(out, "reproduce_report.json"))["seed"] == 4
+    assert load_json(os.path.join(out, "reproduce_report.json"))["seed"] == 4
 
 
 def test_u_grid_is_a_list_or_absent(tmp_path, capsys):
@@ -638,7 +622,7 @@ def test_simulate_reports_the_cf_distance_to_a_plain_target(tmp_path):
     u = np.array([0.5, 1.0, 2.0])
     expected = np.max(np.abs(np.exp(1j * np.outer(u, terminal)).mean(axis=1)
                              - np.exp(-0.5 * u**2)))
-    rep = read_json(os.path.join(out, "simulate_report.json"))
+    rep = load_json(os.path.join(out, "simulate_report.json"))
     assert abs(rep["terminal"]["cf_distance_to_target"] - expected) <= 1e-12
 
 
@@ -856,7 +840,7 @@ def test_limit_report_lists_each_projection(tmp_path):
     out = str(tmp_path)
     assert run("limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
                "--out", out, "--set", "param_map=null") == 0
-    closedness = read_json(os.path.join(out, "limit_report.json"))["closedness"]
+    closedness = load_json(os.path.join(out, "limit_report.json"))["closedness"]
     # without a param_map both prechecks project the scheduled triplets, which
     # are members, and then the diffusion limit is projected: it is not one
     assert closedness["limit_in_set"] == "no"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levysot import fixtures
+from levysot.cli import fixture_doc
 from levysot.limits import (
     ExponentProfile,
     LimitStructure,
@@ -20,7 +20,7 @@ from one_row import atoms, family, measure, psi, triplet
 
 
 def shrinking_jump_sequence() -> TripletSequence:
-    return sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    return sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
 
 
 def _probe(fam, seq, use_u_map, param_map=None):
@@ -93,7 +93,7 @@ def test_diffusion_diagnostic_extrapolates_a_decaying_profile_and_flags_the_band
 
     # n atoms of size sqrt(a2 / n): mass a2 within every delta of the tail,
     # between TOL_D and ten times it
-    doc = fixtures.shrinking_jump_sequence_doc()
+    doc = fixture_doc("shrinking_jump_sequence.json")["sequence"]
     doc["F"]["atoms"][0]["x"] = ["pow(0.005 / n, 0.5)"]
     band = diffusion_creation_diagnostic(sequence_from_dict(doc))
     assert band.verdict == "inconclusive"
@@ -144,7 +144,7 @@ def test_project_to_family_reaches_the_large_rate_member():
     # lambda = 1e5 sits at the far end of a box spanning six decades, where
     # only the features' weak dependence on y fixes the point in the
     # lambda * y^2 = 1 valley
-    fam = family_from_dict(fixtures.pure_jump_family_doc())
+    fam = family_from_dict(fixture_doc("pure_jump_family.json"))
     lam = 1e5
     member = fam.at([lam, 1.0 / np.sqrt(lam)])
     params, dist, entry = project_to_family(fam, member)
@@ -156,10 +156,10 @@ def test_project_to_family_reaches_the_large_rate_member():
 def test_pinned_variance_projection_polishes_once():
     # on the c = 1 edge the atom's weight is 0, so y does nothing and the
     # best scan cells tie: one polish serves them all
-    fam = family_from_dict(fixtures.pinned_variance_family_doc())
+    fam = family_from_dict(fixture_doc("pinned_variance_family.json"))
     report = _probe(
         fam, shrinking_jump_sequence(), use_u_map=True,
-        param_map=param_map_from_exprs(fixtures.pinned_variance_limit_doc()["param_map"]),
+        param_map=param_map_from_exprs(["0", "1 / pow(n, 0.5)"]),
     )
     assert report.limit_in_set == "yes"
     assert len(report.projections) == 1

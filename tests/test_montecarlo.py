@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levysot import fixtures
+from levysot.cli import fixture_doc
 from levysot.measures import DensityPiece
 from levysot.montecarlo import (
     BLOCK_PATHS,
@@ -61,7 +61,7 @@ def test_one_triplet_equals_one_per_step():
     # a one-row stack is used for every step: it simulates as its row
     # repeated n_steps times, for each row of the flagship sequence and of
     # a stack with density pieces
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc()).stack
+    seq = sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"]).stack
     piece = DensityPiece(0.05, 0.8, lambda x: 1.0 + x)
     mixed = TripletStack.pack([triplet(0.3, 0.5, measure((0.4, 2.0), (-1.5, 1.0))),
                                triplet(-0.2, 0.0, measure((0.7, 1.0), pieces=(piece,)))])
@@ -265,7 +265,7 @@ def test_step_model_matches_the_loop_bit_for_bit():
 
 
 def test_stack_rows_simulate_as_the_listed_triplets():
-    fam = family_from_dict(fixtures.poisson_instance_doc()["family"])
+    fam = family_from_dict(fixture_doc("poisson_instance.json")["family"])
     schedule = np.array([[0.0], [1.5], [6.0], [2.25]])
     cfg = SimulationConfig(n_paths=500, n_steps=4, seed=5)
     stacked = simulate_paths(fam.stack(schedule), 0.0, cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from measure_keys import state_key
-from levysot import fixtures
+from levysot.cli import fixture_doc
 from levysot.exprs import ExpressionError, compile_expr
 from levysot.serialize import (
     SchemaError,
@@ -59,7 +59,7 @@ def test_a_call_with_a_fractional_power_of_a_negative_scalar_names_the_source():
 
 
 def test_family_records_the_parameters_each_component_reads():
-    doc = fixtures.pure_jump_family_doc()
+    doc = fixture_doc("pure_jump_family.json")
     doc["params"] = ["lam", "y", "s"]
     doc["box"] = doc["box"] + [[0.0, 1.0]]
     doc["F"]["pieces"] = [{"lo": 0.5, "hi": 1.0, "density": "s * exp(-x)"}]
@@ -151,7 +151,7 @@ def test_measure_to_dict_requires_expression_density():
 
 
 def test_family_from_dict_drops_zero_weight_atoms():
-    fam = family_from_dict(fixtures.pure_jump_family_doc())
+    fam = family_from_dict(fixture_doc("pure_jump_family.json"))
     assert atoms(fam.at(np.array([0.0, 0.5])).F) == []
     t = fam.at(np.array([3.0, 0.5]))
     assert np.isclose(atoms(t.F)[0][1], 3.0)
@@ -165,11 +165,11 @@ def test_family_schema_errors():
 
 
 def test_sequence_from_dict():
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    seq = sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
     ((loc, w),) = atoms(seq.stack.row(seq.n_schedule.index(100)).F)
     assert np.isclose(loc[0], 0.1)
     assert np.isclose(w, 100.0)
-    pm = param_map_from_exprs(fixtures.shrinking_jump_limit_doc()["param_map"])
+    pm = param_map_from_exprs(fixture_doc("shrinking_jump_sequence.json")["param_map"])
     assert np.allclose(pm(100), [100.0, 0.1])
 
 
@@ -217,7 +217,7 @@ def test_cost_positional_call_is_the_keyword_call():
 
 
 def test_instance_from_dict_and_validate():
-    inst = instance_from_dict(fixtures.gaussian_instance_doc())
+    inst = instance_from_dict(fixture_doc("gaussian_instance.json"))
     inst.validate()
     assert inst.mu1.kind == "gaussian"
 

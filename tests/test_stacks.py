@@ -14,7 +14,7 @@ import pytest
 from integrals import ball_integrate
 from measure_keys import state_key
 from one_row import atoms, family, measure, pieces, triplet
-from levysot import fixtures
+from levysot.cli import fixture_doc
 from levysot.exprs import ExpressionError
 from levysot.limits import _PROBE_FEATURES, _distances, exponent_limit_profile
 from levysot.measures import DensityPiece, MeasureStack, _sqnorm, truncate
@@ -159,8 +159,8 @@ def _hand_built():
 
 
 FAMILIES = {
-    "pure-jump": lambda: family_from_dict(fixtures.pure_jump_family_doc()),
-    "pinned-variance": lambda: family_from_dict(fixtures.pinned_variance_family_doc()),
+    "pure-jump": lambda: family_from_dict(fixture_doc("pure_jump_family.json")),
+    "pinned-variance": lambda: family_from_dict(fixture_doc("pinned_variance_family.json")),
     "two-atom": lambda: family_from_dict(TWO_ATOM_DOC),
     "many-atom": lambda: family_from_dict(MANY_ATOM_DOC),
     "hand-built": _hand_built,
@@ -168,7 +168,7 @@ FAMILIES = {
 
 
 def _targets():
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    seq = sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
     return [seq.stack.row(0), seq.stack.row(-1), triplet(0.0, 1.0),
             triplet(0.1, 0.4, measure((0.3, 2.0), (-1.2, 0.5)))]
 
@@ -253,7 +253,7 @@ def test_features_and_integrals_of_a_measure_match_the_reference():
 
 
 def test_stacked_exponent_matches_single_calls_and_reference():
-    seq = sequence_from_dict(fixtures.shrinking_jump_sequence_doc())
+    seq = sequence_from_dict(fixture_doc("shrinking_jump_sequence.json")["sequence"])
     fam = family_from_dict(PIECE_DOC)
     u_grid = np.linspace(-2.0, 2.0, 42)
     for stack in (seq.stack, fam.stack(_points(fam, n_random=0)[::40])):
@@ -318,7 +318,7 @@ def test_dropped_atom_location_is_never_evaluated():
 def test_sequence_rows_and_packed_rows_agree():
     # the sequence stack evaluates the template over the whole schedule at
     # once; packing its one-n evaluations gives the same arrays
-    doc = fixtures.shrinking_jump_sequence_doc()
+    doc = fixture_doc("shrinking_jump_sequence.json")["sequence"]
     seq = sequence_from_dict(doc)
     template = compile_template(doc, ("n",), "sequence")
     packed = TripletStack.pack([template.stack([[n]]) for n in seq.n_schedule])
@@ -402,7 +402,8 @@ def _condition_stacks():
     ]
     return {
         **grids,
-        "sequence": sequence_from_dict(fixtures.shrinking_jump_sequence_doc()).stack,
+        "sequence": sequence_from_dict(
+            fixture_doc("shrinking_jump_sequence.json")["sequence"]).stack,
         "four-atom-two-piece": TripletStack.pack(pieces_1d),
         "two-dimensional": TripletStack.pack(plane),
     }

@@ -9,9 +9,10 @@ from scipy.optimize import minimize
 
 from hjb_oracle import Oracle
 from integrals import marginal_integrate
-from levysot import cli, fixtures, transport
-from levysot.cli import run_transport
+from levysot import cli, transport
+from levysot.cli import fixture_doc, run_transport
 from levysot.exprs import ExpressionError
+from levysot.montecarlo import poisson_head
 from levysot.serialize import cost_from_expr, family_from_dict, instance_from_dict
 from levysot.transport import (
     CFLError,
@@ -240,6 +241,16 @@ def test_hjb_rejects_unbounded_terminal():
                   HJBGridConfig(n_x=40, n_t=10))
 
 
+@pytest.mark.parametrize("terminal", [lambda x: 1.0, lambda x: x[:-1]],
+                         ids=["scalar", "one-short"])
+def test_hjb_rejects_a_callable_terminal_off_the_grid(terminal):
+    # a callable terminal must give one value per padded grid node, as an
+    # array terminal must: a scalar is not broadcast to a constant
+    inst = instance_from_dict(fixture_doc("gaussian_instance.json"))
+    with pytest.raises(ValueError, match="terminal array must match the padded grid"):
+        solve_hjb(inst, terminal, HJBGridConfig(n_x=40, n_t=5))
+
+
 def test_cfl_guard():
     fam = fixed_family(atoms=((0.5, 400.0),))
     inst = TransportInstance(
@@ -274,7 +285,7 @@ def test_weak_duality_on_fixed_potentials():
 def test_hjb_non_finite_step_raises():
     # exp(1000 + lam) overflows at every control: a non-finite right-hand
     # side is a ValueError
-    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
     inst = TransportInstance(inst.mu0, inst.mu1, inst.fam,
                              cost_from_expr("exp(1000 + lam)", ("lam",)))
     cfg = HJBGridConfig(n_x=40, n_t=10, drift_stencil="central")
@@ -285,7 +296,7 @@ def test_hjb_non_finite_step_raises():
 def test_golden_fallback_takes_a_finite_end():
     # exp(1000 lam) is infinite at both golden-section probes of every
     # round, so the bracket runs to lam = 6; lam = 0 gives H = 1
-    fam = instance_from_dict(fixtures.poisson_instance_doc()).fam
+    fam = instance_from_dict(fixture_doc("poisson_instance.json")).fam
     cost = cost_from_expr("exp(1000 * lam)", ("lam",))
     with np.errstate(over="ignore", invalid="ignore"):
         ws = _HJBWorkspace(fam, HJBGridConfig(n_x=40, n_t=10, drift_stencil="central"), cost)
@@ -358,7 +369,7 @@ def _drift_family():
 BATCH_CASES = {
     # central stencil with a jump family
     "poisson-central": lambda: (
-        instance_from_dict(fixtures.poisson_instance_doc()).fam,
+        instance_from_dict(fixture_doc("poisson_instance.json")).fam,
         cost_from_expr("(lam - 1) * (lam - 1)", ("lam",)),
         HJBGridConfig(n_x=60, n_t=20, drift_stencil="central"),
     ),
@@ -474,8 +485,8 @@ def test_cost_model_fits_quadratics_and_flags_the_rest():
 
 def _oracle_cases():
     cases = dict(BATCH_CASES)
-    for name, doc in (("poisson-fixture", fixtures.poisson_instance_doc()),
-                      ("gaussian-fixture", fixtures.gaussian_instance_doc())):
+    for name, doc in (("poisson-fixture", fixture_doc("poisson_instance.json")),
+                      ("gaussian-fixture", fixture_doc("gaussian_instance.json"))):
         def make(doc=doc):
             inst = instance_from_dict(doc)
             stencil = doc["solver"]["dual"].get("drift_stencil", "auto")
@@ -559,8 +570,8 @@ def test_kernel_matches_the_rebuilding_oracle_bitwise(case):
 
 
 def test_dual_ascent_matches_the_rebuilding_oracle(monkeypatch):
-    inst = instance_from_dict(fixtures.poisson_instance_doc())
-    dual = fixtures.poisson_instance_doc()["solver"]["dual"]
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
+    dual = fixture_doc("poisson_instance.json")["solver"]["dual"]
     cfg = DualAscentConfig(
         grid=HJBGridConfig(n_x=dual["n_x"], n_t=dual["n_t"], drift_stencil=dual["drift_stencil"]),
         bound=dual["bound"], smoothing=dual["smoothing"])
@@ -627,7 +638,7 @@ def test_step_buffers_carry_nothing_between_sweeps(case):
 def test_every_sweep_rejects_a_non_finite_step():
     # gtsv's non-finite check holds on the batched sweep, on the single
     # sweep that keeps its systems and on the adjoint sweep
-    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
     grid = HJBGridConfig(n_x=40, n_t=10, drift_stencil="central")
     overflow = cost_from_expr("exp(1000 + lam)", ("lam",))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -671,8 +682,8 @@ def test_primal_gaussian():
 def test_primal_is_exact_on_both_fixtures():
     # E int c dt = Var X_1 = 1 and E int lam dt = 4 Var X_1 = 3 pin the
     # constant controls c = 1 and lam = 3, so the values are 1 and 4
-    for doc, value in ((fixtures.gaussian_instance_doc(), 1.0),
-                       (fixtures.poisson_instance_doc(), 4.0)):
+    for doc, value in ((fixture_doc("gaussian_instance.json"), 1.0),
+                       (fixture_doc("poisson_instance.json"), 4.0)):
         res = solve_primal_deterministic(instance_from_dict(doc))
         assert abs(res.primal_value - value) <= 1e-9
         assert res.feasibility_residual <= 1e-9
@@ -733,7 +744,7 @@ def test_dual_ascent_trivial_instance():
 def test_drift_free_family_takes_the_central_stencil():
     # with no drift at any control the auto stencil is central at every
     # node: selecting central from the family changes no bit of a solve
-    inst = instance_from_dict(fixtures.gaussian_instance_doc())
+    inst = instance_from_dict(fixture_doc("gaussian_instance.json"))
     grid = HJBGridConfig(n_x=60, n_t=30)
     ws = _HJBWorkspace(inst.fam, grid, inst.cost)
     assert grid.drift_stencil == "auto" and ws.central
@@ -793,7 +804,7 @@ def poisson_ascent():
         return initial_values(ws, terminals)
 
     solve_ws, initial_values = transport._solve_hjb_ws, transport._initial_values
-    doc = fixtures.poisson_instance_doc()
+    doc = fixture_doc("poisson_instance.json")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "minimize", recording_minimize)
         mp.setattr(transport, "_solve_hjb_ws", recording_solve)
@@ -861,9 +872,14 @@ def test_polish_prices_few_quadratics_and_starts_from_the_best(poisson_ascent):
 
 def test_a_potential_met_again_is_not_solved_again(monkeypatch):
     # for this target rate the polish's line search comes back to
-    # potentials it has priced; each is solved once and recorded once
-    monkeypatch.setattr(fixtures, "POISSON_TARGET_RATE", 2.0 + (4.0 - 2.0) * (2 + 0.5) / 3)
-    doc = fixtures.poisson_instance_doc()
+    # potentials it has priced; each is solved once and recorded once.  The
+    # target is the law of 0.5 * (N - rate), N Poisson(rate), as in the
+    # Poisson fixture
+    rate = 2.0 + (4.0 - 2.0) * (2 + 0.5) / 3
+    ks, weights = poisson_head(rate, 1e-14)
+    doc = fixture_doc("poisson_instance.json")
+    doc["mu1"] = {"kind": "grid-density", "points": (0.5 * ks - 0.5 * rate).tolist(),
+                  "weights": (weights / weights.sum()).tolist()}
     doc["solver"]["mc"]["n_paths"] = 2000
     solved, solve_ws = [], transport._solve_hjb_ws
 
@@ -890,7 +906,7 @@ def test_polish_keeps_the_poisson_dual(poisson_ascent):
 
 
 def test_gaussian_dual_on_the_default_grid():
-    doc = fixtures.gaussian_instance_doc()
+    doc = fixture_doc("gaussian_instance.json")
     doc["solver"]["mc"]["n_paths"] = 1000
     rep = run_transport(doc).report
     assert repr(rep.dual_value) == "1.000414672599978"
@@ -925,7 +941,7 @@ def test_mc_validation_rejects_state_dependent_cost():
 
 
 def test_duality_report_trivial():
-    doc = fixtures.trivial_instance_doc()
+    doc = fixture_doc("trivial_instance.json")
     inst = instance_from_dict(doc)
     report = duality_report(
         inst,
@@ -944,7 +960,7 @@ def _no_member(fam, p):
 
 def test_affine_structure_and_mc_validation_price_stacks_only(monkeypatch):
     # ThetaFamily.at raises: both read the family's members from stacks
-    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
     monkeypatch.setattr(ThetaFamily, "at", _no_member)
     aff = affine_family_structure(inst.fam)
     assert np.array_equal(aff.locations, [0.5])
@@ -953,7 +969,7 @@ def test_affine_structure_and_mc_validation_price_stacks_only(monkeypatch):
 
 
 def test_instance_validation_prices_stacks_only(monkeypatch):
-    inst = instance_from_dict(fixtures.poisson_instance_doc())
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
     monkeypatch.setattr(ThetaFamily, "at", _no_member)
     inst.validate()
 
@@ -967,7 +983,7 @@ def test_instance_validation_prices_its_family_once(monkeypatch):
         return stack(fam, params)
 
     monkeypatch.setattr(ThetaFamily, "stack", counting_stack)
-    instance_from_dict(fixtures.poisson_instance_doc()).validate()
+    instance_from_dict(fixture_doc("poisson_instance.json")).validate()
     assert calls[0] == 1
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from integrals import generator_apply
-from levysot import fixtures
+from levysot.cli import fixture_doc
 from levysot.serialize import family_from_dict
 from levysot.triplets import (
     FeatureMapConfig,
@@ -152,7 +152,7 @@ def test_family_condition_j_verdicts():
 
 
 def test_box_independence():
-    assert box_independence_check(family_from_dict(fixtures.pure_jump_family_doc()))
+    assert box_independence_check(family_from_dict(fixture_doc("pure_jump_family.json")))
     # a Python map records no reads, so nothing is known of its blocks
     assert not box_independence_check(_pure_jump_family())
     general = family(((0.0, 1.0),), lambda p: triplet(p[0], 0.0))
@@ -167,7 +167,7 @@ def test_box_independence():
     ({"b": [1], "c": [], "F": [0]}, "y", "0.5", True),
 ])
 def test_box_independence_needs_each_read_in_its_own_block(blocks, b, atom_x, box_like):
-    doc = fixtures.pure_jump_family_doc()
+    doc = fixture_doc("pure_jump_family.json")
     doc["blocks"], doc["b"] = blocks, [b]
     doc["F"]["atoms"][0]["x"] = [atom_x]
     assert box_independence_check(family_from_dict(doc)) is box_like
