@@ -154,31 +154,41 @@ def write_csv(
     key) pair with the inner key varying fastest, then the value columns.
 
     Each of ``columns`` has shape (len(outer),) without inner keys and
-    (len(outer), len(inner)) with them.  Each inner key is formatted once,
-    into a row template that writes all lines of one outer key; the template
-    is mapped over ``CSV_BLOCK_KEYS`` outer keys at a time.  Keys are written
-    by ``repr``, and value cells as ``repr`` prints them (see ``_cells``).
+    (len(outer), len(inner)) with them.  ``CSV_BLOCK_KEYS`` outer keys at a
+    time are written with one join of a flat list that repeats one line's
+    pieces: the outer key, the inner key between commas (or one comma), then
+    each value cell followed by ``,`` or, after the last, a newline.  The
+    separators and inner keys are laid out once, and each block assigns its
+    keys and value cells to their strided slices.  Keys are written by
+    ``repr``, and value cells as ``repr`` prints them (see ``_cells``).
     """
     outer = _scalars(outer)
-    cells = [""] if inner is None else [f"{k!r}," for k in _scalars(inner)]
-    width = len(cells)
+    inner_cells = [","] if inner is None else [f",{k!r}," for k in _scalars(inner)]
+    width = len(inner_cells)
     shape = (len(outer),) if inner is None else (len(outer), width)
     arrays = [np.asarray(c) for c in columns]
+    if not arrays:
+        raise ValueError(f"{path}: no value columns")
     for a in arrays:
         if a.shape != shape:
             raise ValueError(f"{path}: value column of shape {a.shape}, expected {shape}")
     arrays = [a.reshape(len(outer), width) for a in arrays]
-    template = "".join(
-        "{0}," + cell + ",".join(f"{{{1 + c * width + k}}}" for c in range(len(arrays)))
-        + "\n"
-        for k, cell in enumerate(cells)
-    )
+    step = 2 + 2 * len(arrays)
+    # one outer key's lines, its key and value cells left blank
+    line_tail = [p for sep in [","] * (len(arrays) - 1) + ["\n"] for p in ("", sep)]
+    pieces = [p for cell in inner_cells for p in ["", cell, *line_tail]]
+    pieces *= min(len(outer), CSV_BLOCK_KEYS)
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(outer), CSV_BLOCK_KEYS):
-            stop = start + CSV_BLOCK_KEYS
-            args = [_cells(col) for a in arrays for col in a[start:stop].T]
-            fh.write("".join(map(template.format, map(repr, outer[start:stop]), *args)))
+            block = outer[start:start + CSV_BLOCK_KEYS]
+            del pieces[len(block) * width * step:]
+            keys = list(map(repr, block))
+            for k in range(width):
+                pieces[k * step::width * step] = keys
+            for c, a in enumerate(arrays):
+                pieces[2 + 2 * c::step] = _cells(a[start:start + len(block)].ravel())
+            fh.write("".join(pieces))
 
 
 def _cells(col: np.ndarray) -> list:

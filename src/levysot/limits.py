@@ -376,8 +376,9 @@ def closedness_probe(
         outside = np.argwhere(~((mapped >= lows) & (mapped <= highs)))
         if len(outside):
             i, j = outside[0].tolist()
+            name = fam.param_names[j]
             raise ValueError(
-                f"param_map at n = {seq.n_schedule[i]} puts parameter {j} at "
+                f"param_map at n = {seq.n_schedule[i]} puts parameter {name!r} at "
                 f"{mapped[i, j].item()!r}, outside its bounds {list(fam.parameter_box[j])}")
         rows = SimpleNamespace(b=seq.stack.b[ends], c=seq.stack.c[ends])
         dists = _distances(members, rows, measure_features(seq.stack.F, _PROBE_FEATURES)[ends])

@@ -6,7 +6,12 @@ draws from the counter-based Philox generator keyed (seed, j), so results are
 reproducible, distinct seeds give distinct samples, and growing n_paths keeps
 the rows of every full block.  Per block, the diffusion and small-jump normals
 are (paths, steps) arrays, and each step draws the Poisson jump counts as a
-(paths, jump locations) matrix, so memory does not grow with the intensity.
+(paths, jump locations) matrix, so memory stays O(paths x locations) and does
+not grow with the intensity.  The counts come from a Poisson total per path,
+spread over the L locations in one of two ways: with fewer expected jumps per
+path-step than L - 1, each jump draws its location from one uniform; with
+more, each total is split multinomially (up to L - 1 binomials per path).  One
+location takes the total as it is and draws nothing more.
 A step's jumps are its triplet's jump profile: the atoms, then the quadrature
 nodes of each density piece.  Jumps above SMALL_JUMP_THRESHOLD are sampled as
 compound Poisson; jumps below it are replaced by a centered Gaussian matching
@@ -116,6 +121,25 @@ def _build_step_model(t: TripletStack, i: int) -> _StepModel:
     )
 
 
+def _jump_counts(rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """(n, L) jump counts per path and location, given each path's Poisson
+    total and the L locations' rates: independent Poisson(rate) counts.
+
+    With fewer expected jumps than L - 1, each jump draws one uniform and
+    takes the location where it falls on cumsum(rates) (Cont & Tankov 2004,
+    Alg. 6.2); otherwise each total is split multinomially, up to L - 1
+    binomials per path, which is cheaper there.  With one location the
+    counts are the totals, and the generator draws nothing.
+    """
+    n, size = totals.size, rates.size
+    if rates.sum() >= size - 1:
+        return rng.multinomial(totals, rates / rates.sum())
+    edges = np.cumsum(rates)
+    loc = np.searchsorted(edges, rng.random(int(totals.sum())) * edges[-1], side="right")
+    path = np.repeat(np.arange(n), totals)
+    return np.bincount(path * size + loc, minlength=n * size).reshape(n, size)
+
+
 def _simulate_block(
     rng: np.random.Generator,
     n: int,
@@ -135,9 +159,11 @@ def _simulate_block(
         dx = m.drift * dt + m.diffusion_std * sqrt_dt * normals[:, k]
         if m.jump_locations.size:
             # independent Poisson counts per location, drawn as a Poisson total
-            # per path split multinomially: one draw per path, not per location
+            # per path spread over the locations (see _jump_counts); the jump
+            # sum is counts times locations, as marginal_cdf forms its points,
+            # not each jump's location added in turn, which lands ulps off
             rates = m.jump_intensities * dt
-            counts = rng.multinomial(rng.poisson(rates.sum(), size=n), rates / rates.sum())
+            counts = _jump_counts(rng, rng.poisson(rates.sum(), size=n), rates)
             # einsum, not a threaded BLAS matvec, which is ten times slower
             # at this size on a busy host
             dx += np.einsum("ij,j->i", counts, m.jump_locations) - m.compensator * dt

@@ -231,6 +231,7 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
         blocks={k: tuple(v) for k, v in blocks.items()} if blocks else None,
         reads={k: tuple(i for i, name in enumerate(names) if name in v)
                for k, v in template.reads.items()},
+        param_names=names,
     )
 
 

@@ -241,6 +241,8 @@ class ThetaFamily:
     blocks: Optional[Mapping[str, Tuple[int, ...]]] = None
     # for compiled families: parameter indices that b, c and F each read
     reads: Optional[Mapping[str, Tuple[int, ...]]] = None
+    # the parameters' names, as a document's ``params``; p0, p1, ... if none
+    param_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.parameter_box)
@@ -248,6 +250,10 @@ class ThetaFamily:
             if hi < lo:
                 raise ValueError("parameter bounds must satisfy low <= high")
         object.__setattr__(self, "parameter_box", box)
+        names = tuple(self.param_names or (f"p{i}" for i in range(len(box))))
+        if len(names) != len(box):
+            raise ValueError("parameter names must match the box length")
+        object.__setattr__(self, "param_names", names)
         if self.structural_tag not in ("product-box", "general"):
             raise ValueError(f"unknown structural_tag {self.structural_tag!r}")
         if self.structural_tag == "product-box" and self.blocks is None:

@@ -115,7 +115,7 @@ def test_limit_analyze_rejects_a_param_map_that_leaves_the_box(tmp_path, capsys)
                "sequence.n_schedule=[10,100,1000,10000,100000,10000000]") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n = 10000000" in err
-    assert "parameter 0 at 10000000.0, outside its bounds [0.0, 1000000.0]" in err
+    assert "parameter 'lam' at 10000000.0, outside its bounds [0.0, 1000000.0]" in err
     assert not os.path.exists(os.path.join(str(tmp_path), "limit_report.json"))
 
 

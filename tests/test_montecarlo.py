@@ -12,6 +12,7 @@ from levysot.montecarlo import (
     JumpIntensityError,
     SimulationConfig,
     _build_step_model,
+    _jump_counts,
     _StepModel,
     cf_distance,
     convergence_experiment,
@@ -103,28 +104,75 @@ def test_jump_intensity_guard():
         simulate_paths(t, 0.0, SimulationConfig(n_paths=2))
 
 
+# one atom, whose counts are each path's Poisson total, and the simulate
+# workload's shape, whose jumps each draw a location: two atoms and a density
+# piece, 1.37 expected jumps per step over 65 locations
+ONE_ATOM = triplet(0.1, 0.5, measure((0.5, 1.0)))
+WORKLOAD_SHAPE = triplet(0.3, 0.5, measure(
+    (0.4, 2.0), (-1.5, 0.6), pieces=(DensityPiece(1e-4, 0.6, lambda x: np.full_like(x, 2.5)),)))
+
+
 def test_determinism_and_block_prefix():
-    t = triplet(0.1, 0.5, measure((0.5, 1.0)))
     cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS, n_steps=3, seed=9)
-    a = simulate_paths(t, 0.0, cfg)
-    assert np.array_equal(a.values, simulate_paths(t, 0.0, cfg).values)
-    longer = simulate_paths(t, 0.0, replace(cfg, n_paths=2 * BLOCK_PATHS + 37))
-    assert np.array_equal(longer.values[: 2 * BLOCK_PATHS], a.values)
-    d = simulate_paths(t, 0.0, replace(cfg, seed=10))
-    assert not np.array_equal(np.sort(a.terminal), np.sort(d.terminal))
+    for t in (ONE_ATOM, WORKLOAD_SHAPE):
+        a = simulate_paths(t, 0.0, cfg)
+        assert np.array_equal(a.values, simulate_paths(t, 0.0, cfg).values)
+        longer = simulate_paths(t, 0.0, replace(cfg, n_paths=2 * BLOCK_PATHS + 37))
+        assert np.array_equal(longer.values[: 2 * BLOCK_PATHS], a.values)
+        d = simulate_paths(t, 0.0, replace(cfg, seed=10))
+        assert not np.array_equal(np.sort(a.terminal), np.sort(d.terminal))
 
 
 def test_seeds_give_distinct_samples():
     # small seeds must give new samples, not a permutation of the same paths
     # (1024 paths is a multiple of every power of two above these seeds)
-    t = triplet(0.1, 0.5, measure((0.5, 1.0)))
-    sorted_terminals = [
-        np.sort(simulate_paths(t, 0.0, SimulationConfig(n_paths=1024, n_steps=3, seed=s)).terminal)
-        for s in (0, 1, 5)
-    ]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert not np.array_equal(sorted_terminals[i], sorted_terminals[j])
+    for t in (ONE_ATOM, WORKLOAD_SHAPE):
+        cfgs = [SimulationConfig(n_paths=1024, n_steps=3, seed=s) for s in (0, 1, 5)]
+        sorted_terminals = [np.sort(simulate_paths(t, 0.0, cfg).terminal) for cfg in cfgs]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.array_equal(sorted_terminals[i], sorted_terminals[j])
+
+
+@pytest.mark.parametrize("n_locations, expected", [(65, 0.8), (3, 40.0)],
+                         ids=["location-draws", "multinomial"])
+def test_jump_counts_are_independent_poisson_counts(n_locations, expected):
+    # below L - 1 expected jumps each jump draws its location, above it each
+    # total is split multinomially: either way the count at location j has
+    # mean and variance r_j, and a path's counts add up to its total
+    n = 200_000
+    rates = np.random.default_rng(3).uniform(1.0, 3.0, n_locations)
+    rates *= expected / rates.sum()
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    totals = rng.poisson(expected, size=n)
+    counts = _jump_counts(rng, totals, rates)
+    assert counts.shape == (n, n_locations)
+    assert np.array_equal(counts.sum(axis=1), totals)
+    se_mean = np.sqrt(rates / n)
+    se_var = np.sqrt((rates + 2.0 * rates**2) / n)
+    assert np.all(np.abs(counts.mean(axis=0) - rates) <= 5.0 * se_mean)
+    assert np.all(np.abs(counts.var(axis=0, ddof=1) - rates) <= 5.0 * se_var)
+
+
+def test_one_location_takes_the_totals_and_draws_nothing():
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    before = str(rng.bit_generator.state)
+    totals = np.array([3, 0, 5, 1])
+    for rate in (0.2, 40.0):
+        counts = _jump_counts(rng, totals, np.array([rate]))
+        assert np.array_equal(counts, totals[:, None])
+    assert str(rng.bit_generator.state) == before
+
+
+def test_one_step_terminal_has_the_compound_poisson_law():
+    # two atoms at 0.9 expected jumps, so each jump draws its location: the
+    # terminal must land on the closed-form law's points bit for bit, or the
+    # KS distance to it exceeds its 5% critical value (summing each path's
+    # jump locations one by one reads 0.012 here)
+    t = triplet(F=measure((0.3, 0.45), (-1.1, 0.45)))
+    n = 100_000
+    terminal = simulate_paths(t, 0.0, SimulationConfig(n_paths=n, n_steps=1, seed=4)).terminal
+    assert marginal_ks(terminal, marginal_cdf(t, 1.0)) < 1.36 / math.sqrt(n)
 
 
 def test_terminal_moments_match_closed_form():

@@ -132,6 +132,11 @@ def test_family_shapes_and_validation():
         ThetaFamily(((0.0, 1.0),), lambda p: None, structural_tag="product-box")
     with pytest.raises(ValueError):
         ThetaFamily(((1.0, 0.0),), lambda p: None)
+    # parameters are named p0, p1, ... unless named, one name per bound
+    assert fam.param_names == ("p0", "p1")
+    assert ThetaFamily(((0.0, 1.0),), lambda p: None, param_names=["lam"]).param_names == ("lam",)
+    with pytest.raises(ValueError, match="names"):
+        ThetaFamily(((0.0, 1.0),), lambda p: None, param_names=("a", "b"))
 
 
 def test_family_condition_b_grid_estimate():
