@@ -261,7 +261,8 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     fam_doc = doc.get("family", doc)
     fam = family_from_dict(fam_doc)
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
-    resolution = int(doc.get("resolution", 9))
+    resolution = doc.get("resolution", 9)
+    check_number("resolution", resolution, integer=True)
     checks = family_checks(fam, deltas, resolution)
     bound, cond_j = checks.condition_b, checks.condition_j
     residuals = [
@@ -290,8 +291,8 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
 def _u_grid_from_doc(doc: Any) -> np.ndarray:
     if doc is None:
         return default_u_grid()
-    if not isinstance(doc, list):
-        raise ValidationError("u_grid must be a list of frequencies")
+    if not isinstance(doc, list) or not doc:
+        raise ValidationError("u_grid must be a nonempty list of frequencies")
     return np.asarray(doc, dtype=float)
 
 

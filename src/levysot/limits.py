@@ -261,20 +261,19 @@ def project_to_family(
 
     Works in unit coordinates (see ``_unit_map``: boxes spanning more than
     two decades are log-scaled).  A coarse 17^n scan of the unit box is
-    priced as one stack.  From each of the best three scan cells, bounded
-    trust-region least squares ('trf', Branch, Coleman & Li 1999) minimises
-    the residual vector (b - b_t, c - c_t, features - features_t) of one
-    row; each forward-difference Jacobian is one stack of n + 1 rows.  A
-    start is skipped when its scan value ties bitwise with an earlier
-    start's, or when an earlier polish ended within one scan cell of it.
-    The distance is ``_distances`` at the best point found.  A parameter
-    whose column of the residual's Jacobian is exactly 0 there is free (the
-    residual does not move along it, so every value of it is as near) and
-    is returned as NaN; the Jacobian is the polish's own where the best
-    point ends a polish, and one more stack of n + 1 rows where it is a
-    scan point.  Returns the parameters, the distance, and a log entry with
-    the number of scan points and each polish's status, nit (Jacobian
-    evaluations) and nfev (rows priced).
+    priced as one stack.  Unless the best scan cell is already within
+    0.1 * MEMBERSHIP_TOL, one bounded trust-region least squares polish
+    ('trf', Branch, Coleman & Li 1999) starts there and minimises the
+    residual vector (b - b_t, c - c_t, features - features_t) of one row;
+    each forward-difference Jacobian is one stack of n + 1 rows.  The
+    distance is ``_distances`` at the better of the cell and the polish's
+    end.  A parameter whose column of the residual's Jacobian is exactly 0
+    there is free (the residual does not move along it, so every value of
+    it is as near) and is returned as NaN; the Jacobian is the polish's own
+    where the polish won, and one more stack of n + 1 rows where the scan
+    cell did.  Returns the parameters, the distance, and a log entry with
+    the number of scan points and the polish's status, nit (Jacobian
+    evaluations) and nfev (rows priced), a list of at most one entry.
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
@@ -286,7 +285,7 @@ def project_to_family(
         st = fam.stack(to_box(S))
         return modified_triplet(st) if use_u_map else st
 
-    priced = [0]  # rows priced by the current polish
+    priced = [0]  # rows priced by the polish
 
     def residuals(S):
         priced[0] += len(S)
@@ -304,27 +303,18 @@ def project_to_family(
         return ((r[1:] - r[0]) / step[:, None]).T
 
     n_params = len(lows)
-    cell = 1.0 / (SCAN_RESOLUTION - 1)
     axes = [np.linspace(0.0, 1.0, SCAN_RESOLUTION)] * n_params
     scan = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n_params, -1).T
     values = _distances(members(scan), target, t_features)
-    order = np.argsort(values)
-    best_s, best_v, best_jac = scan[order[0]], float(values[order[0]]), None
-    polish, start_values, ends = [], [], []
-    for idx in order[:3]:
-        if best_v <= 0.1 * MEMBERSHIP_TOL:
-            break
-        start = scan[idx]
-        repeated = values[idx] in start_values or any(
-            np.max(np.abs(start - end)) <= cell for end in ends
-        )
-        start_values.append(values[idx])
-        if repeated:
-            continue
-        priced[0] = 0
+    # argsort's first, not argmin: on the pinned family's c = 1 edge 17
+    # cells tie, and the two pick different ones as the polish's start
+    first = np.argsort(values)[0]
+    best_s, best_v, best_jac = scan[first], float(values[first]), None
+    polish = []
+    if best_v > 0.1 * MEMBERSHIP_TOL:
         res = least_squares(
             lambda s: residuals(s[None])[0],
-            start,
+            best_s,
             jac=jacobian,
             bounds=(0.0, 1.0),
             method="trf",
@@ -333,7 +323,6 @@ def project_to_family(
             gtol=POLISH_TOL,
         )
         polish.append({"status": int(res.status), "nit": int(res.njev), "nfev": priced[0]})
-        ends.append(res.x)
         v = float(_distances(members(res.x[None]), target, t_features)[0])
         if v < best_v:
             best_s, best_v, best_jac = res.x, v, res.jac

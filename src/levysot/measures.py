@@ -12,7 +12,7 @@ closed unit ball and x / |x| beyond it, which is exactly ±1 in d = 1.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -101,10 +101,8 @@ class MeasureStack:
     pieces: Tuple[Tuple[DensityPiece, ...], ...] = ()
     # the atoms, then one group per piece slot
     _groups: Tuple["_Group", ...] = field(init=False, repr=False, compare=False)
-    # the piece groups, when another stack has formed their quadrature
-    quadrature: InitVar[Optional[Tuple["_Group", ...]]] = None
 
-    def __post_init__(self, quadrature):
+    def __post_init__(self):
         x = np.asarray(self.atom_x, dtype=float)
         w = np.asarray(self.atom_w, dtype=float)
         if x.ndim != 3 or x.shape[2] != self.dimension or w.shape != x.shape[:2]:
@@ -132,8 +130,7 @@ class MeasureStack:
             raise ValueError("pieces must list one tuple of density pieces per row")
         if any(pieces) and self.dimension != 1:
             raise ValueError("density pieces are supported only in dimension 1")
-        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))] + (
-            _piece_groups(pieces) if quadrature is None else list(quadrature))
+        groups = [_Group(x, w, sizes, sq, np.minimum(sq, 1.0))] + _piece_groups(pieces)
         object.__setattr__(self, "atom_x", x)
         object.__setattr__(self, "atom_w", w)
         object.__setattr__(self, "pieces", pieces)
@@ -167,18 +164,12 @@ class MeasureStack:
         return MeasureStack(d, x, w, pieces if any(pieces) else ())
 
     def row(self, i: int) -> "MeasureStack":
-        """Row i as a one-row stack, its pieces' quadrature copied from this
-        stack's instead of formed again."""
+        """Row i as a one-row stack: its own atoms and density pieces."""
         i = range(len(self))[i]
         keep = self.atom_w[i] > 0.0
         pieces = self.pieces[i] if self.pieces else ()
-        quadrature = []
-        for grp in self._groups[1:1 + len(pieces)]:
-            m = grp.w.shape[1] if grp.sizes is None else grp.sizes[i]
-            quadrature.append(_Group(*(a[i:i + 1, :m].copy() for a in (grp.x, grp.w)), None,
-                                     *(a[i:i + 1, :m].copy() for a in (grp.sq, grp.sq1))))
         return MeasureStack(self.dimension, self.atom_x[i][keep][None], self.atom_w[i][keep][None],
-                            (pieces,) if pieces else (), quadrature)
+                            (pieces,) if pieces else ())
 
     def jump_profile(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row i as discrete jumps: its atoms, then the quadrature nodes of

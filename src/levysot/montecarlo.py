@@ -213,11 +213,8 @@ def empirical_cf(samples: np.ndarray, u_grid) -> np.ndarray:
 
 
 def cf_distance(samples, t: TripletStack, horizon: float, u_grid) -> float:
-    """Sup over the grid of |empirical cf - exp(T psi)| for a one-row stack;
-    0 on an empty grid."""
+    """Sup over the grid of |empirical cf - exp(T psi)| for a one-row stack."""
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if u.size == 0:
-        return 0.0
     emp = empirical_cf(samples, u)
     model = np.exp(horizon * levy_exponent(t, u)[0])
     return float(np.max(np.abs(emp - model)))

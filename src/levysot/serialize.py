@@ -287,10 +287,7 @@ def cost_from_expr(source: str, param_names: Sequence[str]) -> CostFunction:
 def instance_from_dict(doc: Mapping[str, Any]) -> TransportInstance:
     fam_doc = _require(doc, "family", "instance")
     fam = family_from_dict(fam_doc)
-    names = tuple(
-        fam_doc.get("params", [f"p{i}" for i in range(len(fam.parameter_box))])
-    )
-    cost = cost_from_expr(str(_require(doc, "cost", "instance")), names)
+    cost = cost_from_expr(str(_require(doc, "cost", "instance")), fam.param_names)
     return TransportInstance(
         mu0=marginal_from_dict(_require(doc, "mu0", "instance")),
         mu1=marginal_from_dict(_require(doc, "mu1", "instance")),

@@ -605,6 +605,77 @@ def test_u_grid_is_a_list_or_absent(tmp_path, capsys):
         assert {row["u"] for row in csv.DictReader(fh)} == {"0.5", "1.0"}
 
 
+@pytest.mark.parametrize("command", ["simulate", "limit-analyze"])
+def test_an_empty_u_grid_is_a_validation_error(tmp_path, capsys, command):
+    # an empty grid has no frequency to compare at, so no cf distance is 0
+    sets = ("--set", "u_grid=[]")
+    if command == "simulate":
+        sets += ("--set", 'target={"b":[0],"c":[[1]]}', "--set", "config.n_paths=10")
+    assert run(command, "--input", fixture("shrinking_jump_sequence.json"),
+               "--out", str(tmp_path), *sets) == 1
+    assert "u_grid must be a nonempty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2.7", '"9"', "true"])
+def test_check_theta_resolution_must_be_an_integer(tmp_path, capsys, value):
+    assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+               "--out", str(tmp_path), "--set", f"resolution={value}") == 1
+    assert "resolution" in capsys.readouterr().err
+
+
+_PLANAR_SEQUENCE = {"b": ["0", "0"], "c": [["0", "0"], ["0", "0"]],
+                    "F": {"atoms": [{"x": ["1 / n", "1 / n"], "w": "n"}]},
+                    "n_schedule": [10, 100, 1000]}
+
+
+@pytest.mark.parametrize("command, name, sets, message", [
+    ("solve-transport", "trivial_instance.json", ["solver.dual.drift_stencil=upwind"],
+     "unknown drift stencil"),
+    ("solve-transport", "trivial_instance.json",
+     ['mu1={"kind": "grid-density", "points": [0, 1], "weights": [1, -0.5]}'],
+     "weights must be nonnegative"),
+    ("solve-transport", "trivial_instance.json",
+     ['family.F.atoms=[{"x": ["1e300"], "w": "1e7"}]'],
+     "family violates the boundedness condition"),
+    ("limit-analyze", "shrinking_jump_sequence.json",
+     ["sequence=" + json.dumps(_PLANAR_SEQUENCE), "param_map=null"],
+     "frequency dimension mismatch"),
+    ("simulate", "shrinking_jump_sequence.json",
+     ["sequence=" + json.dumps({**_PLANAR_SEQUENCE, "F": {
+         **_PLANAR_SEQUENCE["F"], "pieces": [{"lo": 0.2, "hi": 1.0, "density": "1"}]}}),
+      'target={"b": [0, 0], "c": [[1, 0], [0, 1]]}'],
+     "density pieces are supported only in dimension 1"),
+    ("solve-transport", "trivial_instance.json", ['cost="c % 2"'], "operator Mod() not allowed"),
+    ("solve-transport", "trivial_instance.json", ['cost="exp(x=c)"'],
+     "keyword arguments not allowed"),
+    ("solve-transport", "trivial_instance.json", ["cost=\"c * 'a'\""],
+     "constant 'a' is not numeric"),
+    ("solve-transport", "trivial_instance.json", ["foo"], "--set expects key=value"),
+    ("solve-transport", "trivial_instance.json", ["family.b.x=1"],
+     "cannot descend into 'b'"),
+    ("solve-transport", None, [], "top-level JSON must be an object"),
+], ids=["drift-stencil", "negative-weight", "unbounded-family", "planar-limit",
+        "planar-pieces", "mod", "keyword", "string-constant", "no-equals",
+        "into-a-list", "top-level-array"])
+def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, name, sets, message):
+    if name is None:
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+    else:
+        path = fixture(name)
+    args = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    for override in sets:
+        args += ["--set", override]
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_an_unquoted_override_that_is_not_json_is_a_string():
+    doc = cli.apply_overrides({}, ["cost=c*c"], "solve-transport")
+    assert doc == {"cost": "c*c"}
+
+
 def test_simulate_reports_the_cf_distance_to_a_plain_target(tmp_path):
     # sup over the grid of |mean of e^{iuX} - e^{-u^2/2}|, N(0, 1)'s cf
     out = str(tmp_path)
@@ -848,12 +919,35 @@ def test_limit_report_lists_each_projection(tmp_path):
     assert len(proj) == 3
     for entry in proj:
         assert entry["scan_points"] == 17 * 17
-        assert 1 <= len(entry["polish"]) <= 3
+        assert len(entry["polish"]) == 1
         for start in entry["polish"]:
             assert set(start) == {"status", "nit", "nfev"}
             assert 1 <= start["status"] <= 4
             # nfev counts rows: each Jacobian prices n + 1 = 3 of them
             assert start["nfev"] > 3 * start["nit"]
+
+
+@pytest.mark.parametrize("sets", [(), ("param_map=null",), PINNED_SETS],
+                         ids=["param_map", "no-param_map", "pinned-u-map"])
+def test_each_projection_polishes_at_most_once(tmp_path, monkeypatch, sets):
+    # the limits benchmark's three probe shapes: each projection logs at most
+    # one polish, and the log lists every least-squares run there was
+    calls = []
+    least_squares = limits.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "least_squares", counting)
+    args = ["limit-analyze", "--input", fixture("shrinking_jump_sequence.json"),
+            "--out", str(tmp_path)]
+    for override in sets:
+        args += ["--set", override]
+    assert run(*args) == 0
+    proj = load_json(os.path.join(tmp_path, "limit_report.json"))["closedness"]["projection"]
+    assert all(len(entry["polish"]) <= 1 for entry in proj)
+    assert len(calls) == sum(len(entry["polish"]) for entry in proj)
 
 
 @pytest.mark.parametrize("override", [

@@ -155,7 +155,7 @@ def test_project_to_family_reaches_the_large_rate_member():
 
 def test_pinned_variance_projection_polishes_once():
     # on the c = 1 edge the atom's weight is 0, so y does nothing and the
-    # best scan cells tie: one polish serves them all
+    # best scan cells tie
     fam = family_from_dict(fixture_doc("pinned_variance_family.json"))
     report = _probe(
         fam, shrinking_jump_sequence(), use_u_map=True,
