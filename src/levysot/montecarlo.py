@@ -5,13 +5,13 @@ Paths are sampled as arrays in fixed blocks of BLOCK_PATHS rows.  Block j
 draws from the counter-based Philox generator keyed (seed, j), so results are
 reproducible, distinct seeds give distinct samples, and growing n_paths keeps
 the rows of every full block.  Per block, the diffusion and small-jump normals
-are (paths, steps) arrays, and each step draws the Poisson jump counts as a
-(paths, jump locations) matrix, so memory stays O(paths x locations) and does
-not grow with the intensity.  The counts come from a Poisson total per path,
-spread over the L locations in one of two ways: with fewer expected jumps per
-path-step than L - 1, each jump draws its location from one uniform; with
-more, each total is split multinomially (up to L - 1 binomials per path).  One
-location takes the total as it is and draws nothing more.
+are (paths, steps) arrays.  Each step draws a Poisson jump total per path and
+spreads it over the L jump locations in one of two ways: with fewer expected
+jumps per path-step than L - 1, each jump draws its location from one uniform,
+and a path's jump sum is formed from the jumps it drew, so memory is O(jumps)
+plus L counts per path with three or more jumps; with more, each total is
+split multinomially (up to L - 1 binomials per path) into a (paths, L) count
+matrix.  One location takes the total as it is and draws nothing more.
 A step's jumps are its triplet's jump profile: the atoms, then the quadrature
 nodes of each density piece.  Jumps above SMALL_JUMP_THRESHOLD are sampled as
 compound Poisson; jumps below it are replaced by a centered Gaussian matching
@@ -128,16 +128,63 @@ def _jump_counts(rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray
     With fewer expected jumps than L - 1, each jump draws one uniform and
     takes the location where it falls on cumsum(rates) (Cont & Tankov 2004,
     Alg. 6.2); otherwise each total is split multinomially, up to L - 1
-    binomials per path, which is cheaper there.  With one location the
-    counts are the totals, and the generator draws nothing.
+    binomials per path.  With one location the counts are the totals, and
+    the generator draws nothing.  The sampler forms its jump sums with
+    _jump_sums, which draws the same numbers; this matrix is its reference.
     """
     n, size = totals.size, rates.size
     if rates.sum() >= size - 1:
         return rng.multinomial(totals, rates / rates.sum())
-    edges = np.cumsum(rates)
-    loc = np.searchsorted(edges, rng.random(int(totals.sum())) * edges[-1], side="right")
+    loc = _draw_locations(rng, totals, rates)
     path = np.repeat(np.arange(n), totals)
     return np.bincount(path * size + loc, minlength=n * size).reshape(n, size)
+
+
+def _draw_locations(rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Each jump's location index, path by path: one uniform per jump."""
+    edges = np.cumsum(rates)
+    return np.searchsorted(edges, rng.random(int(totals.sum())) * edges[-1], side="right")
+
+
+def _jump_sums(
+    rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray, locations: np.ndarray
+) -> np.ndarray:
+    """Each path's jump sum, sum_j counts_ij * locations_j, drawing what
+    _jump_counts draws and bit for bit
+    np.einsum("ij,j->i", _jump_counts(rng, totals, rates), locations).
+
+    einsum starts each sum at +0 and adds the products in an order of its
+    own.  A sum of at most two nonzero products rounds once whatever the
+    order, and a count of 1 or 2 scales a location exactly, so a path with
+    one jump takes its location and a path with two the sum of both; only
+    paths with three or more jumps get count rows for einsum to sum.
+    """
+    size = locations.size
+    if size == 1:
+        # + 0.0: a path without jumps reads +0, as einsum's does
+        return totals * locations[0] + 0.0
+    # einsum, not a threaded BLAS matvec, which is ten times slower at this
+    # size on a busy host.  The rule's L - 1 is not the cost crossover: at
+    # L = 65 and 8192 paths on a shared 2-core Xeon, the location draws take
+    # 18-21 ms against the multinomial's 25-27 ms at 40 expected jumps, and
+    # 26-30 against 23-29 ms at 63.  Moving it would change sampled values.
+    if rates.sum() >= size - 1:
+        return np.einsum("ij,j->i", rng.multinomial(totals, rates / rates.sum()), locations)
+    loc = _draw_locations(rng, totals, rates)
+    ends = np.cumsum(totals)  # path i's jumps are loc[ends[i] - totals[i]:ends[i]]
+    sums = np.zeros(totals.size)
+    one = np.flatnonzero(totals == 1)
+    sums[one] = locations[loc[ends[one] - 1]]
+    two = np.flatnonzero(totals == 2)
+    sums[two] = locations[loc[ends[two] - 2]] + locations[loc[ends[two] - 1]]
+    many = totals >= 3
+    m = int(np.count_nonzero(many))
+    if m:
+        # row r counts the r-th such path's jumps; row m, dropped, the rest
+        row = np.where(many, np.cumsum(many) - 1, m)
+        counts = np.bincount(np.repeat(row, totals) * size + loc, minlength=(m + 1) * size)
+        sums[many] = np.einsum("ij,j->i", counts.reshape(m + 1, size)[:m], locations)
+    return sums
 
 
 def _simulate_block(
@@ -159,14 +206,12 @@ def _simulate_block(
         dx = m.drift * dt + m.diffusion_std * sqrt_dt * normals[:, k]
         if m.jump_locations.size:
             # independent Poisson counts per location, drawn as a Poisson total
-            # per path spread over the locations (see _jump_counts); the jump
-            # sum is counts times locations, as marginal_cdf forms its points,
-            # not each jump's location added in turn, which lands ulps off
+            # per path spread over the locations; the jump sum is each count
+            # times its location, as marginal_cdf forms its points, not each
+            # jump's location added in turn, which lands ulps off
             rates = m.jump_intensities * dt
-            counts = _jump_counts(rng, rng.poisson(rates.sum(), size=n), rates)
-            # einsum, not a threaded BLAS matvec, which is ten times slower
-            # at this size on a busy host
-            dx += np.einsum("ij,j->i", counts, m.jump_locations) - m.compensator * dt
+            totals = rng.poisson(rates.sum(), size=n)
+            dx += _jump_sums(rng, totals, rates, m.jump_locations) - m.compensator * dt
         if m.small_std > 0.0:
             dx += m.small_std * sqrt_dt * small[:, k]
         incr[:, k + 1] = dx

@@ -359,14 +359,18 @@ def family_checks(
     """Price the family at its corners and grid points once, and read every
     check from that stack; condition B is the grid sup of the boundedness
     functional."""
-    points = family_points(fam, resolution)
-    values = condition_b_value(points)
-    return FamilyChecks(
-        points,
-        FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all())),
-        family_condition_j(points, delta_schedule),
-        martingale_residual(points)[: 2**fam.n_params],
-    )
+    # a member whose atom's square overflows is unbounded: condition B reads
+    # that inf (J and the residual read the same points), so the overflow
+    # is the answer, not a fault to warn of
+    with np.errstate(over="ignore"):
+        points = family_points(fam, resolution)
+        values = condition_b_value(points)
+        return FamilyChecks(
+            points,
+            FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all())),
+            family_condition_j(points, delta_schedule),
+            martingale_residual(points)[: 2**fam.n_params],
+        )
 
 
 def box_independence_check(fam: ThetaFamily) -> bool:

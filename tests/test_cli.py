@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -356,6 +357,29 @@ def test_paths_csv_matches_the_row_writer(tmp_path):
         assert written.endswith(last_row.encode())
 
 
+@pytest.mark.parametrize("weights, sha256", [
+    ((2.0, 0.6), "f9cf7de45d90f5d55d9f00a161efb47010c0433f1a3b7c84989b4812e94a480a"),
+    ((20.0, 10.0), "2491d7c6e846aeab471a2308d054b22ae81cbe5b96dc55124fba5969a4c2487f"),
+    ((200.0, 150.0), "c61f1212e16616668dffad0adfc4d3d8f7bf656786b0165d8bda844cd34ae0ac"),
+], ids=["mostly-0-to-2-jumps", "mostly-3-or-more-jumps", "multinomial"])
+def test_sampled_paths_csv_bytes_are_pinned(tmp_path, weights, sha256):
+    # the CI's benchmark-shaped triplet at seed 7: its 65 jump locations
+    # expect 0.82 jumps a path-step, 6.3 with the heavier atoms (both drawn
+    # location by location) and 70.3 with the heaviest (split
+    # multinomially); the hashes are of the files numpy 2.4 writes, and a
+    # change to how a path's jumps are summed or drawn changes them
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({
+        "triplet": {"b": [0.3], "c": [[0.5]],
+                    "F": {"atoms": [{"x": [0.4], "w": weights[0]}, {"x": [-1.5], "w": weights[1]}],
+                          "pieces": [{"lo": 1e-4, "hi": 0.6, "density": "2.5"}]}},
+        "config": {"horizon": 1.0, "n_steps": 5, "n_paths": 20000},
+    }))
+    out = str(tmp_path / "out")
+    assert run("simulate", "--input", str(doc), "--seed", "7", "--out", out) == 0
+    assert hashlib.sha256(_read_bytes(out, "paths.csv")).hexdigest() == sha256
+
+
 def test_limit_csvs_match_the_row_writer(tmp_path):
     # an integer entry in delta_schedule is written as an integer
     out = str(tmp_path)
@@ -669,6 +693,16 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, name, 
     assert run(*args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_unbounded_family_is_one_error_line(tmp_path, capsys):
+    # the atom at 1e300 squares to inf, which condition B reads as unbounded:
+    # no overflow warning goes with the one error line
+    assert run("solve-transport", "--input", fixture("trivial_instance.json"),
+               "--set", 'family.F.atoms=[{"x": ["1e300"], "w": "1e7"}]',
+               "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: family violates the boundedness condition\n"
 
 
 def test_an_unquoted_override_that_is_not_json_is_a_string():

@@ -13,6 +13,7 @@ from levysot.montecarlo import (
     SimulationConfig,
     _build_step_model,
     _jump_counts,
+    _jump_sums,
     _StepModel,
     cf_distance,
     convergence_experiment,
@@ -162,6 +163,33 @@ def test_one_location_takes_the_totals_and_draws_nothing():
         counts = _jump_counts(rng, totals, np.array([rate]))
         assert np.array_equal(counts, totals[:, None])
     assert str(rng.bit_generator.state) == before
+
+
+@pytest.mark.parametrize("n_locations, expected", [
+    (1, 0.3), (1, 5.0), (2, 0.5), (2, 3.0), (65, 0.8), (65, 40.0), (65, 64.0), (65, 80.0),
+], ids=["1-0.3", "1-5", "2-draws", "2-multinomial", "65-0.8", "65-40", "65-64", "65-80"])
+@pytest.mark.parametrize("signs", ["mixed", "negative"])
+def test_jump_sums_are_the_count_matrix_sums(n_locations, expected, signs):
+    # the einsum of _jump_counts' matrix is the reference: the same draws,
+    # the same bits, signed zeros included, and the generator left in the
+    # same state; the rows take 0, 1, 2 and 3 or more jumps, a location
+    # repeats, and two locations cancel
+    g = np.random.default_rng(n_locations)
+    rates = g.uniform(1.0, 3.0, n_locations)
+    rates *= expected / rates.sum()
+    x = g.choice([-1.0, 1.0], n_locations) * 10.0 ** g.uniform(-3.0, 5.0, n_locations)
+    if n_locations > 2:
+        x[1], x[2] = x[0], -x[0]
+    if signs == "negative":
+        x = -np.abs(x)
+    totals = np.concatenate([[0, 1, 2, 3, 0, 2, 7, 1, 40], g.poisson(expected, 3000)])
+    for key in range(3):
+        ref_rng, rng = (np.random.Generator(np.random.Philox(key=[13, key])) for _ in range(2))
+        ref = np.einsum("ij,j->i", _jump_counts(ref_rng, totals, rates), x)
+        sums = _jump_sums(rng, totals, rates, x)
+        assert sums.dtype == ref.dtype
+        assert np.array_equal(sums.view(np.int64), ref.view(np.int64))
+        assert str(rng.bit_generator.state) == str(ref_rng.bit_generator.state)
 
 
 def test_one_step_terminal_has_the_compound_poisson_law():
