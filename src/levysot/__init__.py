@@ -5,7 +5,7 @@ Modules:
     measures    Levy measures (atoms + density pieces) and quadrature
     triplets    triplets, exponents, parametric families
     limits      triplet sequences, limit identification, closedness probes
-    montecarlo  path simulation and distributional validation
+    montecarlo  path simulation, marginal laws and distributional validation
     transport   primal/dual transport solvers and duality reports
     serialize   JSON document (de)serialization
     cli         command-line entry points
@@ -14,12 +14,11 @@ Modules:
 from .measures import DensityPiece, MeasureStack, QuadratureError
 from .triplets import ThetaFamily, TripletStack, levy_exponent, modified_triplet
 from .limits import TripletSequence, closedness_probe, exponent_limit_profile
-from .montecarlo import SimulationConfig, simulate_paths
+from .montecarlo import Marginal, SimulationConfig, simulate_paths
 from .transport import (
     CostFunction,
     DualAscentConfig,
     HJBGridConfig,
-    Marginal,
     TransportInstance,
     duality_report,
 )

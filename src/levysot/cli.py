@@ -258,8 +258,7 @@ def apply_overrides(doc: dict, pairs: Sequence[str], command: str) -> dict:
 
 
 def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
-    fam_doc = doc.get("family", doc)
-    fam = family_from_dict(fam_doc)
+    fam = family_from_dict(doc["family"])
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
     resolution = doc.get("resolution", 9)
     check_number("resolution", resolution, integer=True)
@@ -272,7 +271,8 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     report = {
         "seed": seed,
         "condition_b": {
-            "sup_estimate": bound.sup_estimate,
+            # an unbounded family's sup is inf, or NaN, which JSON cannot hold
+            "sup_estimate": bound.sup_estimate if bound.finite_flag else None,
             "finite": bound.finite_flag,
             "resolution": resolution,
             "note": bound.note,
@@ -297,6 +297,9 @@ def _u_grid_from_doc(doc: Any) -> np.ndarray:
 
 
 def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
+    use_u_map = doc.get("use_u_map", False)
+    if not isinstance(use_u_map, bool):
+        raise ValidationError(f"use_u_map = {use_u_map!r} must be true or false")
     seq = sequence_from_dict(doc.get("sequence", doc))
     u_grid = _u_grid_from_doc(doc.get("u_grid"))
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
@@ -318,7 +321,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
         fam = family_from_dict(doc["family"])
         pm_doc = doc.get("param_map")
         probe = closedness_probe(
-            fam, seq, bool(doc.get("use_u_map", False)), profile, identified,
+            fam, seq, use_u_map, profile, identified,
             param_map=param_map_from_exprs(pm_doc) if pm_doc else None,
         )
         report["closedness"] = {
@@ -368,7 +371,8 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
         bundle = simulate_paths(seq.stack.row(-1), 0.0, cfg)
     else:
         t = triplet_from_dict(doc.get("triplet", doc))
-        x0 = float(doc.get("x0", 0.0))
+        x0 = doc.get("x0", 0.0)
+        check_number("x0", x0)
         bundle = simulate_paths(t, x0, cfg)
         terminal = bundle.terminal
         report["terminal"] = {
@@ -600,6 +604,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = load_json(args.input)
         if not isinstance(doc, dict):
             raise SchemaError(f"{args.input}: top-level JSON must be an object")
+        if args.command == "check-theta" and "family" not in doc:
+            doc = {"family": doc}  # a bare family document
         doc = apply_overrides(doc, args.overrides, args.command)
         return _HANDLERS[args.command](doc, out, args.seed)
     except (SchemaError, ExpressionError, ValidationError, FileNotFoundError) as exc:

@@ -114,12 +114,11 @@ class DiffusionReport:
 def diffusion_creation_diagnostic(
     seq: TripletSequence,
     delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
-    horizon: float = 1.0,
 ) -> DiffusionReport:
     """Numerical surrogate for the small-jump double-limit criterion."""
     deltas = delta_schedule_floats(delta_schedule)
     moments = np.array([small_jump_second_moment(seq.stack.F, d) for d in deltas])
-    profile = [(d, float((horizon * row[-TAIL_LENGTH:]).max())) for d, row in zip(deltas, moments)]
+    profile = [(d, float(row[-TAIL_LENGTH:].max())) for d, row in zip(deltas, moments)]
     estimate = _extrapolate_delta_profile(profile)
     if estimate <= TOL_D:
         verdict = "purely-discontinuous-limit"

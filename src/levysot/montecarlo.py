@@ -1,5 +1,7 @@
-"""Monte Carlo sampling of one-dimensional Levy-type paths and marginal
-statistics (empirical characteristic functions, Kolmogorov-Smirnov distances).
+"""Monte Carlo sampling of one-dimensional Levy-type paths, the laws on the
+line they are compared against (``Marginal``: a Gaussian, or weights on
+finitely many points), and marginal statistics (empirical characteristic
+functions, Kolmogorov-Smirnov distances).
 
 Paths are sampled as arrays in fixed blocks of BLOCK_PATHS rows.  Block j
 draws from the counter-based Philox generator keyed (seed, j), so results are
@@ -281,11 +283,103 @@ def marginal_ks(samples, reference_cdf: Callable[[np.ndarray], np.ndarray]) -> f
 
 
 def gaussian_cdf(mean: float, variance: float) -> Callable[[np.ndarray], np.ndarray]:
-    if variance <= 0:
-        return lambda x: (np.asarray(x, float) >= mean).astype(float)
+    """The CDF of N(mean, variance), variance > 0."""
     scale = math.sqrt(variance)
     # bit for bit scipy.stats.norm.cdf(x, loc=mean, scale=scale)
     return lambda x: special.ndtr((np.asarray(x, float) - mean) / scale)
+
+
+@dataclass(frozen=True)
+class Marginal:
+    """A law on the line: a Gaussian, or weights on finitely many points,
+    of which a point mass (``Marginal.point``) is the one-atom case."""
+
+    kind: str  # gaussian | grid-density
+    mean: float = 0.0
+    variance: float = 1.0
+    points: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "grid-density"):
+            raise ValueError(f"unknown marginal kind {self.kind!r}")
+        for name in ("mean", "variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"marginal {name} = {getattr(self, name)!r} must be finite")
+        if self.kind == "gaussian" and self.variance <= 0:
+            raise ValueError("gaussian marginal needs positive variance")
+        if self.kind == "grid-density":
+            pts = np.asarray(self.points, dtype=float)
+            wts = np.asarray(self.weights, dtype=float)
+            if pts.shape != wts.shape or pts.ndim != 1:
+                raise ValueError("grid-density needs matching 1-d points/weights")
+            for name, values in (("points", pts), ("weights", wts)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"marginal {name} must be finite")
+            if np.any(wts < 0):
+                raise ValueError("weights must be nonnegative")
+            if abs(wts.sum() - 1.0) > 1e-12:
+                raise ValueError("weights must sum to 1 within 1e-12")
+            # stable, so equal points keep their given order, and the cdf's
+            # cumulative sum adds them in that order on every numpy build
+            order = np.argsort(pts, kind="stable")
+            pts, wts = pts[order].copy(), wts[order].copy()
+            pts.setflags(write=False)
+            wts.setflags(write=False)
+            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "weights", wts)
+
+    @staticmethod
+    def point(location: float) -> "Marginal":
+        """The point mass at ``location``: the one-atom grid law."""
+        location = float(location)
+        if not math.isfinite(location):
+            raise ValueError(f"marginal location = {location!r} must be finite")
+        return Marginal.discrete([location], [1.0])
+
+    @staticmethod
+    def gaussian(mean: float, variance: float) -> "Marginal":
+        return Marginal("gaussian", mean=float(mean), variance=float(variance))
+
+    @staticmethod
+    def discrete(points, weights) -> "Marginal":
+        return Marginal("grid-density", points=np.asarray(points, float),
+                        weights=np.asarray(weights, float))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n independent draws."""
+        if self.kind == "gaussian":
+            return self.mean + math.sqrt(self.variance) * rng.standard_normal(n)
+        return rng.choice(self.points, size=n, p=self.weights)
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.kind == "gaussian":
+            return gaussian_cdf(self.mean, self.variance)(x)
+        idx = np.searchsorted(self.points, x, side="right")
+        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+        return cum[idx]
+
+    def cf(self, u):
+        u = np.asarray(u, dtype=float)
+        if self.kind == "gaussian":
+            return np.exp(1j * u * self.mean - 0.5 * self.variance * u**2)
+        return np.exp(1j * np.outer(u, self.points)) @ self.weights
+
+    def grid_weights(self, x_grid: np.ndarray) -> np.ndarray:
+        """Project the marginal onto grid nodes, preserving total mass."""
+        x_grid = np.asarray(x_grid, dtype=float)
+        if self.kind == "gaussian":
+            mids = np.concatenate([[-np.inf], 0.5 * (x_grid[1:] + x_grid[:-1]), [np.inf]])
+            return np.diff(self.cdf(mids))
+        out = np.zeros_like(x_grid)
+        pos = np.clip(np.searchsorted(x_grid, self.points) - 1, 0, x_grid.size - 2)
+        frac = np.clip(
+            (self.points - x_grid[pos]) / (x_grid[pos + 1] - x_grid[pos]), 0.0, 1.0
+        )
+        np.add.at(out, pos, self.weights * (1.0 - frac))
+        np.add.at(out, pos + 1, self.weights * frac)
+        return out
 
 
 def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,10 +396,11 @@ def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
     """Closed-form terminal CDF of a one-row stack, for Gaussian or small
-    atomic-jump triplets.
+    atomic-jump triplets: the ``cdf`` of its terminal ``Marginal``.
 
-    Supported: no jumps (Gaussian), or c = 0 with at most 3 atoms (compound
-    Poisson via enumeration of jump counts).  Returns None otherwise.
+    Supported: no jumps (Gaussian, or a point mass when c = 0), or c = 0
+    with at most 3 atoms (compound Poisson via enumeration of jump counts).
+    Returns None otherwise.
     """
     if t.dimension != 1 or any(t.F.pieces):
         return None
@@ -313,7 +408,8 @@ def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
     x, w = t.F.jump_profile(0)
     atoms = list(zip(x[:, 0].tolist(), w.tolist()))
     if not atoms:
-        return gaussian_cdf(x0 + b * horizon, c * horizon)
+        mean, variance = x0 + b * horizon, c * horizon
+        return (Marginal.gaussian(mean, variance) if variance > 0 else Marginal.point(mean)).cdf
     if c != 0.0 or len(atoms) > 3:
         return None
     # compensated drift: compound Poisson shifted by b*T minus the truncation
@@ -323,24 +419,15 @@ def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
         if abs(x) <= 1.0:
             shift -= w * x * horizon
 
-    supports = []
-    for x, w in atoms:
-        ks, pmf = poisson_head(w * horizon, 1e-12)
-        supports.append((x * ks, pmf))
     points = np.array([0.0])
     probs = np.array([1.0])
-    for vals, pmf in supports:
-        points = (points[:, None] + vals[None, :]).ravel()
+    for x, w in atoms:
+        ks, pmf = poisson_head(w * horizon, 1e-13)
+        points = (points[:, None] + (x * ks)[None, :]).ravel()
         probs = (probs[:, None] * pmf[None, :]).ravel()
-    order = np.argsort(points)
-    points, probs = points[order] + shift, probs[order]
-    cum = np.cumsum(probs)
-
-    def cdf(x):
-        idx = np.searchsorted(points, np.asarray(x, dtype=float), side="right")
-        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-    return cdf
+    # the pmf's rounding grows with the rate (a sum 1 + 1.4e-11 at rate 1e4),
+    # past the omitted tail, so the head is normalized to a law
+    return Marginal.discrete(points + shift, probs / probs.sum()).cdf
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .exprs import Expression, compile_expr, evaluate_rows
 from .measures import DEFAULT_QUAD_NODES, DensityPiece, MeasureStack
-from .transport import CostFunction, Marginal, TransportInstance
+from .montecarlo import Marginal
+from .transport import CostFunction, TransportInstance
 from .triplets import ThetaFamily, TripletStack
 
 
@@ -262,7 +263,7 @@ def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:
 def marginal_from_dict(doc: Mapping[str, Any]) -> Marginal:
     kind = _require(doc, "kind", "marginal")
     if kind == "point-mass":
-        return Marginal.point(float(_require(doc, "location", "marginal")))
+        return Marginal.point(_require(doc, "location", "marginal"))
     if kind == "gaussian":
         return Marginal.gaussian(
             float(_require(doc, "mean", "marginal")),

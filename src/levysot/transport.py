@@ -91,107 +91,6 @@ class StateDependentCostError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# marginals
-
-
-@dataclass(frozen=True)
-class Marginal:
-    """Initial/terminal marginal: point mass, Gaussian, or weights on a grid."""
-
-    kind: str  # point-mass | gaussian | grid-density
-    location: float = 0.0
-    mean: float = 0.0
-    variance: float = 1.0
-    points: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("point-mass", "gaussian", "grid-density"):
-            raise ValueError(f"unknown marginal kind {self.kind!r}")
-        for name in ("location", "mean", "variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"marginal {name} = {getattr(self, name)!r} must be finite")
-        if self.kind == "gaussian" and self.variance <= 0:
-            raise ValueError("gaussian marginal needs positive variance")
-        if self.kind == "grid-density":
-            pts = np.asarray(self.points, dtype=float)
-            wts = np.asarray(self.weights, dtype=float)
-            if pts.shape != wts.shape or pts.ndim != 1:
-                raise ValueError("grid-density needs matching 1-d points/weights")
-            for name, values in (("points", pts), ("weights", wts)):
-                if not np.isfinite(values).all():
-                    raise ValueError(f"marginal {name} must be finite")
-            if np.any(wts < 0):
-                raise ValueError("weights must be nonnegative")
-            if abs(wts.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1 within 1e-12")
-            order = np.argsort(pts)
-            pts, wts = pts[order].copy(), wts[order].copy()
-            pts.setflags(write=False)
-            wts.setflags(write=False)
-            object.__setattr__(self, "points", pts)
-            object.__setattr__(self, "weights", wts)
-
-    @staticmethod
-    def point(location: float) -> "Marginal":
-        return Marginal("point-mass", location=float(location))
-
-    @staticmethod
-    def gaussian(mean: float, variance: float) -> "Marginal":
-        return Marginal("gaussian", mean=float(mean), variance=float(variance))
-
-    @staticmethod
-    def discrete(points, weights) -> "Marginal":
-        return Marginal("grid-density", points=np.asarray(points, float),
-                        weights=np.asarray(weights, float))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent draws."""
-        if self.kind == "point-mass":
-            return np.full(n, self.location)
-        if self.kind == "gaussian":
-            return self.mean + math.sqrt(self.variance) * rng.standard_normal(n)
-        return rng.choice(self.points, size=n, p=self.weights)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "point-mass":
-            return (x >= self.location).astype(float)
-        if self.kind == "gaussian":
-            return mc.gaussian_cdf(self.mean, self.variance)(x)
-        idx = np.searchsorted(self.points, x, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        return cum[idx]
-
-    def cf(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "point-mass":
-            return np.exp(1j * u * self.location)
-        if self.kind == "gaussian":
-            return np.exp(1j * u * self.mean - 0.5 * self.variance * u**2)
-        return np.exp(1j * np.outer(u, self.points)) @ self.weights
-
-    def grid_weights(self, x_grid: np.ndarray) -> np.ndarray:
-        """Project the marginal onto grid nodes, preserving total mass."""
-        x_grid = np.asarray(x_grid, dtype=float)
-        if self.kind == "gaussian":
-            mids = np.concatenate([[-np.inf], 0.5 * (x_grid[1:] + x_grid[:-1]), [np.inf]])
-            return np.diff(self.cdf(mids))
-        pts = (
-            np.array([self.location]) if self.kind == "point-mass" else self.points
-        )
-        wts = np.array([1.0]) if self.kind == "point-mass" else self.weights
-        out = np.zeros_like(x_grid)
-        pos = np.clip(np.searchsorted(x_grid, pts) - 1, 0, x_grid.size - 2)
-        frac = np.clip(
-            (pts - x_grid[pos]) / (x_grid[pos + 1] - x_grid[pos]), 0.0, 1.0
-        )
-        np.add.at(out, pos, wts * (1.0 - frac))
-        np.add.at(out, pos + 1, wts * frac)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # cost functions and instances
 
 
@@ -232,8 +131,8 @@ class CostFunction:
 class TransportInstance:
     """Marginals, a control family (d = 1) and a running cost; horizon 1."""
 
-    mu0: Marginal
-    mu1: Marginal
+    mu0: mc.Marginal
+    mu1: mc.Marginal
     fam: ThetaFamily
     cost: CostFunction
 
@@ -1337,8 +1236,8 @@ def evaluate_cost_mc(
 ) -> MCValidation:
     """Simulate the schedule for its terminal fit; the running cost of a
     deterministic schedule is its exact ``schedule_cost``, so only the
-    terminal law is validated.  Paths start at independent draws from mu0,
-    or at mu0's point."""
+    terminal law is validated.  Paths are simulated from 0, and each adds an
+    independent draw from mu0, from a generator of its own."""
     if inst.cost.reads_state:
         raise StateDependentCostError(
             "schedule validation requires a state-independent cost"
@@ -1347,10 +1246,8 @@ def evaluate_cost_mc(
     sim_cfg = mc.SimulationConfig(
         horizon=1.0, n_steps=schedule.shape[0], n_paths=n_paths, seed=seed,
     )
-    x0, start = inst.mu0.location, 0.0
-    if inst.mu0.kind != "point-mass":  # mu0's draws come from a generator of their own
-        x0, start = 0.0, inst.mu0.sample(np.random.default_rng(seed), n_paths)
-    bundle = mc.simulate_paths(inst.fam.stack(schedule), x0, sim_cfg)
+    start = inst.mu0.sample(np.random.default_rng(seed), n_paths)
+    bundle = mc.simulate_paths(inst.fam.stack(schedule), 0.0, sim_cfg)
     ks = mc.marginal_ks(bundle.terminal + start, inst.mu1.cdf)
     return MCValidation(ks)
 

@@ -44,9 +44,7 @@ def ball_integrate(F, g, radius: float) -> float:
 
 
 def marginal_integrate(m, f) -> float:
-    """∫ f dμ for a transport Marginal, by the marginal's native quadrature."""
-    if m.kind == "point-mass":
-        return float(np.asarray(f(np.array([m.location])))[0])
+    """∫ f dμ for a Marginal, by the marginal's native quadrature."""
     if m.kind == "gaussian":
         nodes, wts = np.polynomial.hermite.hermgauss(96)
         x = m.mean + math.sqrt(2.0 * m.variance) * nodes

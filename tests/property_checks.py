@@ -11,11 +11,10 @@ import numpy as np
 
 from integrals import generator_apply
 from one_row import family, measure, psi as exponent, triplet
-from levysot.montecarlo import BLOCK_PATHS, SimulationConfig, simulate_paths
+from levysot.montecarlo import BLOCK_PATHS, Marginal, SimulationConfig, simulate_paths
 from levysot.serialize import cost_from_expr
 from levysot.transport import (
     HJBGridConfig,
-    Marginal,
     TransportInstance,
     solve_hjb,
 )

@@ -20,6 +20,7 @@ from levysot.limits import (
     limit_triplet_identify,
 )
 from levysot.montecarlo import (
+    Marginal,
     SimulationConfig,
     cf_distance,
     convergence_experiment,
@@ -34,7 +35,6 @@ from levysot.serialize import (
 )
 from levysot.transport import (
     HJBGridConfig,
-    Marginal,
     TransportInstance,
     solve_hjb,
 )

@@ -640,6 +640,41 @@ def test_an_empty_u_grid_is_a_validation_error(tmp_path, capsys, command):
     assert "u_grid must be a nonempty list" in capsys.readouterr().err
 
 
+def test_check_theta_reports_an_unbounded_family(tmp_path):
+    # an atom at 1e300 squares to inf: the family is unbounded, which the
+    # report says with a null sup and finite false, not an error
+    atoms = 'family.F.atoms=[{"x": ["1e300"], "w": "1e7"}]'
+    assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+               "--out", str(tmp_path), "--set", atoms) == 0
+    bound = load_json(os.path.join(tmp_path, "check_theta.json"))["condition_b"]
+    assert bound["sup_estimate"] is None and bound["finite"] is False
+
+
+def test_check_theta_overrides_reach_a_bare_family_document(tmp_path):
+    # the bare family file is read as the document's family, so a family.*
+    # override edits it: the rate's box edge 1e6 is the grid sup, 100 after
+    for sets, sup in (((), 1e6), (("--set", "family.box=[[0.0, 100.0], [0.0001, 1.0]]"), 100.0)):
+        out = str(tmp_path / str(sup))
+        assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+                   "--out", out, *sets) == 0
+        bound = load_json(os.path.join(out, "check_theta.json"))["condition_b"]
+        assert bound["sup_estimate"] == sup
+
+
+@pytest.mark.parametrize("command, doc, override", [
+    ("simulate", {"triplet": {"b": [0], "c": [[1]]}, "config": {"n_paths": 10}}, "x0=true"),
+    ("limit-analyze", fixture_doc("shrinking_jump_sequence.json"), 'use_u_map="no"'),
+])
+def test_document_values_of_the_wrong_type_are_validation_errors(tmp_path, capsys, command, doc,
+                                                                 override):
+    # x0 = true is not the number 1, nor "no" the boolean false
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(command, "--input", str(path), "--out", str(tmp_path), "--set", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and override.split("=")[0] in err
+
+
 @pytest.mark.parametrize("value", ["2.7", '"9"', "true"])
 def test_check_theta_resolution_must_be_an_integer(tmp_path, capsys, value):
     assert run("check-theta", "--input", fixture("pure_jump_family.json"),

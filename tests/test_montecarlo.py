@@ -10,6 +10,7 @@ from levysot.measures import DensityPiece
 from levysot.montecarlo import (
     BLOCK_PATHS,
     JumpIntensityError,
+    Marginal,
     SimulationConfig,
     _build_step_model,
     _jump_counts,
@@ -250,7 +251,7 @@ def test_empirical_cf_and_distance():
 def test_marginal_ks_against_atomic_laws():
     samples = np.random.default_rng(0).poisson(3.0, size=100_000)
     assert marginal_ks(samples, stats.poisson(3.0).cdf) < 0.005
-    assert marginal_ks(np.full(50, 1.5), gaussian_cdf(1.5, 0.0)) == 0.0
+    assert marginal_ks(np.full(50, 1.5), Marginal.point(1.5).cdf) == 0.0
 
 
 def test_marginal_cdf_forms():
@@ -268,6 +269,16 @@ def test_marginal_cdf_forms():
     assert marginal_cdf(many, 1.0) is None
     piece = DensityPiece(0.2, 1.0, np.ones_like)
     assert marginal_cdf(triplet(F=measure(pieces=(piece,))), 1.0) is None
+
+
+def test_marginal_cdf_of_a_large_rate_atom_is_a_law():
+    # at rate 1e4 the head's pmf sums to 1 + 1.4e-11 by rounding, past the
+    # grid law's 1e-12 check; the head is normalized, so the CDF is built
+    cdf = marginal_cdf(triplet(F=measure((0.01, 1e4))), 1.0)
+    # 0.01 N - 100, N ~ Poisson(1e4), between its atoms
+    k = np.arange(9700, 10300, 7)
+    assert abs(cdf(np.array([np.inf]))[0] - 1.0) <= 1e-12
+    assert np.max(np.abs(cdf(0.01 * k - 99.995) - stats.poisson(1e4).cdf(k))) <= 1e-9
 
 
 def test_convergence_experiment_decreases():

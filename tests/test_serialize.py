@@ -21,7 +21,7 @@ from levysot.serialize import (
     triplet_to_dict,
 )
 from levysot.measures import DEFAULT_QUAD_NODES, DensityPiece
-from levysot.transport import Marginal
+from levysot.montecarlo import Marginal
 from one_row import atoms, measure, triplet
 
 
@@ -174,12 +174,15 @@ def test_sequence_from_dict():
 
 
 def test_marginal_round_trip():
-    for doc in (
-        {"kind": "point-mass", "location": 1.5},
-        {"kind": "gaussian", "mean": 0.0, "variance": 2.0},
-        {"kind": "grid-density", "points": [0.0, 1.0], "weights": [0.5, 0.5]},
+    # a point-mass document reads as the one-atom grid law
+    for doc, kind in (
+        ({"kind": "point-mass", "location": 1.5}, "grid-density"),
+        ({"kind": "gaussian", "mean": 0.0, "variance": 2.0}, "gaussian"),
+        ({"kind": "grid-density", "points": [0.0, 1.0], "weights": [0.5, 0.5]}, "grid-density"),
     ):
-        assert marginal_from_dict(doc).kind == doc["kind"]
+        assert marginal_from_dict(doc).kind == kind
+    point = marginal_from_dict({"kind": "point-mass", "location": 1.5})
+    assert (point.points.tolist(), point.weights.tolist()) == ([1.5], [1.0])
     with pytest.raises(SchemaError):
         marginal_from_dict({"kind": "cauchy"})
     with pytest.raises(SchemaError):
@@ -235,7 +238,8 @@ def test_to_jsonable():
     )
     json.dumps(out)
     assert out["a"] == [0, 1, 2]
-    assert out["m"]["kind"] == "point-mass"
+    m = out["m"]
+    assert (m["kind"], m["points"], m["weights"]) == ("grid-density", [0.0], [1.0])
 
 
 def test_to_jsonable_writes_numpy_scalars_and_rejects_other_objects():

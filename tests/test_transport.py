@@ -12,13 +12,12 @@ from integrals import marginal_integrate
 from levysot import cli, transport
 from levysot.cli import fixture_doc, run_transport
 from levysot.exprs import ExpressionError
-from levysot.montecarlo import poisson_head
+from levysot.montecarlo import Marginal, poisson_head
 from levysot.serialize import cost_from_expr, family_from_dict, instance_from_dict
 from levysot.transport import (
     CFLError,
     DualAscentConfig,
     HJBGridConfig,
-    Marginal,
     StateDependentCostError,
     TransportInstance,
     _forward_ws,
@@ -69,6 +68,8 @@ def test_marginal_forms():
     assert np.isclose(g.cf(np.array([1.0]))[0], np.exp(-0.5))
 
     p = Marginal.point(2.0)
+    # the one-atom grid law
+    assert (p.kind, p.points.tolist(), p.weights.tolist()) == ("grid-density", [2.0], [1.0])
     assert p.cdf(np.array([1.9, 2.0])).tolist() == [0.0, 1.0]
     assert np.isclose(marginal_integrate(p, lambda x: x**3), 8.0)
 
