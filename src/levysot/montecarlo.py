@@ -41,6 +41,10 @@ SMALL_JUMP_THRESHOLD = 1e-3
 # paths per Philox stream; part of the sample's definition, so changing it
 # changes every simulated value
 BLOCK_PATHS = 8192
+# marginal_cdf enumerates jump counts up to each atom's Poisson quantile at
+# 1 - CDF_TAIL, and declines (None) past MAX_CDF_POINTS combinations
+CDF_TAIL = 1e-13
+MAX_CDF_POINTS = 1e6
 
 
 class JumpIntensityError(RuntimeError):
@@ -123,27 +127,10 @@ def _build_step_model(t: TripletStack, i: int) -> _StepModel:
     )
 
 
-def _jump_counts(rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """(n, L) jump counts per path and location, given each path's Poisson
-    total and the L locations' rates: independent Poisson(rate) counts.
-
-    With fewer expected jumps than L - 1, each jump draws one uniform and
-    takes the location where it falls on cumsum(rates) (Cont & Tankov 2004,
-    Alg. 6.2); otherwise each total is split multinomially, up to L - 1
-    binomials per path.  With one location the counts are the totals, and
-    the generator draws nothing.  The sampler forms its jump sums with
-    _jump_sums, which draws the same numbers; this matrix is its reference.
-    """
-    n, size = totals.size, rates.size
-    if rates.sum() >= size - 1:
-        return rng.multinomial(totals, rates / rates.sum())
-    loc = _draw_locations(rng, totals, rates)
-    path = np.repeat(np.arange(n), totals)
-    return np.bincount(path * size + loc, minlength=n * size).reshape(n, size)
-
-
 def _draw_locations(rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Each jump's location index, path by path: one uniform per jump."""
+    """Each jump's location index, path by path: one uniform per jump,
+    taking the location where it falls on cumsum(rates) (Cont & Tankov 2004,
+    Alg. 6.2)."""
     edges = np.cumsum(rates)
     return np.searchsorted(edges, rng.random(int(totals.sum())) * edges[-1], side="right")
 
@@ -152,8 +139,8 @@ def _jump_sums(
     rng: np.random.Generator, totals: np.ndarray, rates: np.ndarray, locations: np.ndarray
 ) -> np.ndarray:
     """Each path's jump sum, sum_j counts_ij * locations_j, drawing what
-    _jump_counts draws and bit for bit
-    np.einsum("ij,j->i", _jump_counts(rng, totals, rates), locations).
+    the count matrix of ``tests/jump_counts.py`` draws and bit for bit
+    np.einsum("ij,j->i", jump_counts(rng, totals, rates), locations).
 
     einsum starts each sum at +0 and adds the products in an order of its
     own.  A sum of at most two nonzero products rounds once whatever the
@@ -295,19 +282,20 @@ class Marginal:
     of which a point mass (``Marginal.point``) is the one-atom case."""
 
     kind: str  # gaussian | grid-density
-    mean: float = 0.0
-    variance: float = 1.0
+    mean: Optional[float] = None  # a Gaussian's; None on a grid law
+    variance: Optional[float] = None
     points: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "grid-density"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
-        for name in ("mean", "variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"marginal {name} = {getattr(self, name)!r} must be finite")
-        if self.kind == "gaussian" and self.variance <= 0:
-            raise ValueError("gaussian marginal needs positive variance")
+        if self.kind == "gaussian":
+            for name in ("mean", "variance"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"marginal {name} = {getattr(self, name)!r} must be finite")
+            if self.variance <= 0:
+                raise ValueError("gaussian marginal needs positive variance")
         if self.kind == "grid-density":
             pts = np.asarray(self.points, dtype=float)
             wts = np.asarray(self.weights, dtype=float)
@@ -382,15 +370,21 @@ class Marginal:
         return out
 
 
-def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The counts 0, ..., K + 1, K the Poisson(rate) quantile at 1 - tail, and their
-    probabilities, bit for bit as ``scipy.stats.poisson``'s ppf and pmf."""
+def _poisson_head_size(rate: float, tail: float) -> int:
+    """K + 2, K the Poisson(rate) quantile at 1 - tail, bit for bit as
+    ``scipy.stats.poisson``'s ppf: the length of ``poisson_head``."""
     q = 1.0 - tail
     k = np.ceil(special.pdtrik(q, rate))
     below = max(k - 1.0, 0.0)  # pdtrik inverts a continuous extension
     if special.pdtr(below, rate) >= q:
         k = below
-    ks = np.arange(int(k) + 2)
+    return int(k) + 2
+
+
+def poisson_head(rate: float, tail: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The counts 0, ..., K + 1, K the Poisson(rate) quantile at 1 - tail, and their
+    probabilities, bit for bit as ``scipy.stats.poisson``'s ppf and pmf."""
+    ks = np.arange(_poisson_head_size(rate, tail))
     return ks, np.exp(special.xlogy(ks, rate) - special.gammaln(ks + 1) - rate)
 
 
@@ -399,8 +393,9 @@ def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
     atomic-jump triplets: the ``cdf`` of its terminal ``Marginal``.
 
     Supported: no jumps (Gaussian, or a point mass when c = 0), or c = 0
-    with at most 3 atoms (compound Poisson via enumeration of jump counts).
-    Returns None otherwise.
+    with at most 3 atoms (compound Poisson via enumeration of jump counts)
+    whose enumeration has at most MAX_CDF_POINTS points.  Returns None
+    otherwise.
     """
     if t.dimension != 1 or any(t.F.pieces):
         return None
@@ -412,6 +407,8 @@ def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
         return (Marginal.gaussian(mean, variance) if variance > 0 else Marginal.point(mean)).cdf
     if c != 0.0 or len(atoms) > 3:
         return None
+    if math.prod(_poisson_head_size(w * horizon, CDF_TAIL) for _, w in atoms) > MAX_CDF_POINTS:
+        return None
     # compensated drift: compound Poisson shifted by b*T minus the truncation
     # compensator of each atom
     shift = x0 + b * horizon
@@ -422,7 +419,7 @@ def marginal_cdf(t: TripletStack, horizon: float, x0: float = 0.0):
     points = np.array([0.0])
     probs = np.array([1.0])
     for x, w in atoms:
-        ks, pmf = poisson_head(w * horizon, 1e-13)
+        ks, pmf = poisson_head(w * horizon, CDF_TAIL)
         points = (points[:, None] + (x * ks)[None, :]).ravel()
         probs = (probs[:, None] * pmf[None, :]).ravel()
     # the pmf's rounding grows with the rate (a sum 1 + 1.4e-11 at rate 1e4),

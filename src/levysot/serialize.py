@@ -216,7 +216,16 @@ def triplet_from_dict(doc: Mapping[str, Any]) -> TripletStack:
     return template.stack(np.empty((1, 0)))
 
 
+FAMILY_KEYS = ("box", "params", "b", "c", "F")
+
+
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
+    if not isinstance(doc, Mapping):
+        raise SchemaError("family must be an object")
+    unknown = sorted(set(doc) - set(FAMILY_KEYS))
+    if unknown:
+        raise SchemaError(f"family: unknown key {', '.join(map(repr, unknown))}; "
+                          f"valid keys: {', '.join(FAMILY_KEYS)}")
     box = tuple(
         (float(lo), float(hi)) for lo, hi in _require(doc, "box", "family")
     )
@@ -224,12 +233,9 @@ def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
     if len(names) != len(box):
         raise SchemaError("family: params must match the box length")
     template = compile_template(doc, names, "family")
-    blocks = doc.get("blocks")
     return ThetaFamily(
         parameter_box=box,
         stack_map=template.stack,
-        structural_tag=doc.get("structural_tag", "general"),
-        blocks={k: tuple(v) for k, v in blocks.items()} if blocks else None,
         reads={k: tuple(i for i, name in enumerate(names) if name in v)
                for k, v in template.reads.items()},
         param_names=names,

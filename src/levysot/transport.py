@@ -27,8 +27,8 @@ operation writes into a buffer made once, with the arithmetic of forming
 each term afresh, so the bits are those of a step that allocates them.
 
 Control families must have affine parameter-to-characteristics maps with
-fixed jump locations (verified numerically); this covers product-box families
-whose drift, diffusion and jump weights are affine in the parameters.
+fixed jump locations (verified numerically); this covers families whose
+characteristics are affine in the parameters.
 """
 
 from __future__ import annotations

@@ -236,9 +236,6 @@ class ThetaFamily:
 
     parameter_box: Tuple[Tuple[float, float], ...]
     stack_map: Callable[[np.ndarray], TripletStack]
-    structural_tag: str = "general"
-    # for product-box families: parameter indices feeding each component
-    blocks: Optional[Mapping[str, Tuple[int, ...]]] = None
     # for compiled families: parameter indices that b, c and F each read
     reads: Optional[Mapping[str, Tuple[int, ...]]] = None
     # the parameters' names, as a document's ``params``; p0, p1, ... if none
@@ -254,10 +251,6 @@ class ThetaFamily:
         if len(names) != len(box):
             raise ValueError("parameter names must match the box length")
         object.__setattr__(self, "param_names", names)
-        if self.structural_tag not in ("product-box", "general"):
-            raise ValueError(f"unknown structural_tag {self.structural_tag!r}")
-        if self.structural_tag == "product-box" and self.blocks is None:
-            raise ValueError("product-box families must declare parameter blocks")
 
     @property
     def n_params(self) -> int:
@@ -374,17 +367,15 @@ def family_checks(
 
 
 def box_independence_check(fam: ThetaFamily) -> bool:
-    """Whether a product-box family is box-like: each component of (b, c, F)
-    reads only parameters that its own block lists and no other block does.
+    """Whether the family is box-like, a product Theta_b x Theta_c x Theta_F:
+    true when no parameter is read by two of b, c and F.
 
-    The reads come from the family's compiled expressions, so this is exact;
-    a family without recorded reads, such as a Python map, answers False.
+    The reads come from the family's compiled expressions, so this needs no
+    sampling; true is sufficient, not necessary, since overlapping reads can
+    still describe a product.  A family without recorded reads, such as a
+    Python map, answers False.
     """
-    if fam.structural_tag != "product-box" or fam.reads is None:
+    if fam.reads is None:
         return False
-
-    def owned(comp: str) -> set:
-        others = {i for owner, idx in fam.blocks.items() if owner != comp for i in idx}
-        return set(fam.blocks.get(comp, ())) - others
-
-    return all(set(fam.reads[comp]) <= owned(comp) for comp in ("b", "c", "F"))
+    b, c, F = (set(fam.reads[comp]) for comp in ("b", "c", "F"))
+    return not (b & c or b & F or c & F)

@@ -81,6 +81,20 @@ def test_check_theta_reads_a_dependence_across_blocks(tmp_path, component, entry
     assert load_json(os.path.join(tmp_path, "check_theta.json"))["box_independence"] is False
 
 
+@pytest.mark.parametrize("key, value", [
+    ("structural_tag", '"product-box"'),
+    ("blocks", '{"b": [], "c": [], "F": [0, 1]}'),
+])
+def test_check_theta_rejects_a_family_key_it_does_not_read(tmp_path, capsys, key, value):
+    # box-likeness is read from the expressions, so a declaration of it is
+    # an unknown key, named with the keys a family document may set
+    assert run("check-theta", "--input", fixture("pure_jump_family.json"),
+               "--out", str(tmp_path), "--set", f"family.{key}={value}") == 1
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "box, params, b, c, F" in err
+    assert not os.path.exists(os.path.join(tmp_path, "check_theta.json"))
+
+
 @pytest.mark.parametrize("name", ["t", "x"])
 def test_a_parameter_named_like_a_cost_variable_is_a_validation_error(tmp_path, capsys, name):
     doc = fixture_doc("trivial_instance.json")

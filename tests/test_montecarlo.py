@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from jump_counts import jump_counts
 from levysot.cli import fixture_doc
 from levysot.measures import DensityPiece
 from levysot.montecarlo import (
@@ -13,7 +15,6 @@ from levysot.montecarlo import (
     Marginal,
     SimulationConfig,
     _build_step_model,
-    _jump_counts,
     _jump_sums,
     _StepModel,
     cf_distance,
@@ -147,7 +148,7 @@ def test_jump_counts_are_independent_poisson_counts(n_locations, expected):
     rates *= expected / rates.sum()
     rng = np.random.Generator(np.random.Philox(key=[11, 0]))
     totals = rng.poisson(expected, size=n)
-    counts = _jump_counts(rng, totals, rates)
+    counts = jump_counts(rng, totals, rates)
     assert counts.shape == (n, n_locations)
     assert np.array_equal(counts.sum(axis=1), totals)
     se_mean = np.sqrt(rates / n)
@@ -161,7 +162,7 @@ def test_one_location_takes_the_totals_and_draws_nothing():
     before = str(rng.bit_generator.state)
     totals = np.array([3, 0, 5, 1])
     for rate in (0.2, 40.0):
-        counts = _jump_counts(rng, totals, np.array([rate]))
+        counts = jump_counts(rng, totals, np.array([rate]))
         assert np.array_equal(counts, totals[:, None])
     assert str(rng.bit_generator.state) == before
 
@@ -171,7 +172,7 @@ def test_one_location_takes_the_totals_and_draws_nothing():
 ], ids=["1-0.3", "1-5", "2-draws", "2-multinomial", "65-0.8", "65-40", "65-64", "65-80"])
 @pytest.mark.parametrize("signs", ["mixed", "negative"])
 def test_jump_sums_are_the_count_matrix_sums(n_locations, expected, signs):
-    # the einsum of _jump_counts' matrix is the reference: the same draws,
+    # the einsum of jump_counts' matrix is the reference: the same draws,
     # the same bits, signed zeros included, and the generator left in the
     # same state; the rows take 0, 1, 2 and 3 or more jumps, a location
     # repeats, and two locations cancel
@@ -186,7 +187,7 @@ def test_jump_sums_are_the_count_matrix_sums(n_locations, expected, signs):
     totals = np.concatenate([[0, 1, 2, 3, 0, 2, 7, 1, 40], g.poisson(expected, 3000)])
     for key in range(3):
         ref_rng, rng = (np.random.Generator(np.random.Philox(key=[13, key])) for _ in range(2))
-        ref = np.einsum("ij,j->i", _jump_counts(ref_rng, totals, rates), x)
+        ref = np.einsum("ij,j->i", jump_counts(ref_rng, totals, rates), x)
         sums = _jump_sums(rng, totals, rates, x)
         assert sums.dtype == ref.dtype
         assert np.array_equal(sums.view(np.int64), ref.view(np.int64))
@@ -279,6 +280,21 @@ def test_marginal_cdf_of_a_large_rate_atom_is_a_law():
     k = np.arange(9700, 10300, 7)
     assert abs(cdf(np.array([np.inf]))[0] - 1.0) <= 1e-12
     assert np.max(np.abs(cdf(0.01 * k - 99.995) - stats.poisson(1e4).cdf(k))) <= 1e-9
+
+
+def test_marginal_cdf_declines_an_enumeration_past_its_cap():
+    # three atoms at rate 1e3 would enumerate about 1.9e9 points; the head
+    # lengths are read first, so nothing of that size is built
+    t = triplet(F=measure((0.5, 1e3), (0.7, 1e3), (0.9, 1e3)))
+    tracemalloc.start()
+    try:
+        assert marginal_cdf(t, 1.0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    # one such atom is well inside the cap
+    assert marginal_cdf(triplet(F=measure((0.5, 1e3))), 1.0) is not None
 
 
 def test_convergence_experiment_decreases():

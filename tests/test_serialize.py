@@ -162,6 +162,12 @@ def test_family_schema_errors():
         family_from_dict({"box": [[0, 1]], "params": ["a", "b"], "b": ["0"], "c": [["0"]]})
     with pytest.raises(SchemaError):
         family_from_dict({"box": [[0, 1]]})
+    with pytest.raises(SchemaError, match="family must be an object"):
+        family_from_dict([[0, 1]])
+    # a key the family does not read is named, with the keys it does
+    doc = {**fixture_doc("pure_jump_family.json"), "blocks": {}, "note": "x"}
+    with pytest.raises(SchemaError, match=r"unknown key 'blocks', 'note'; valid keys: box, params, b, c, F"):
+        family_from_dict(doc)
 
 
 def test_sequence_from_dict():
@@ -240,6 +246,17 @@ def test_to_jsonable():
     assert out["a"] == [0, 1, 2]
     m = out["m"]
     assert (m["kind"], m["points"], m["weights"]) == ("grid-density", [0.0], [1.0])
+
+
+def test_a_grid_law_claims_no_mean_or_variance():
+    # only a Gaussian carries the two numbers
+    for law in (Marginal.point(0.0), Marginal.discrete([0.0, 2.0], [0.5, 0.5])):
+        m = to_jsonable(law)
+        assert (m["mean"], m["variance"]) == (None, None)
+    m = to_jsonable(Marginal.gaussian(0.5, 2.0))
+    assert (m["mean"], m["variance"]) == (0.5, 2.0)
+    with pytest.raises(ValueError, match="variance"):
+        Marginal.gaussian(0.0, float("inf"))
 
 
 def test_to_jsonable_writes_numpy_scalars_and_rejects_other_objects():

@@ -117,8 +117,6 @@ def _pure_jump_family():
     return family(
         ((0.0, 1e6), (1e-4, 1.0)),
         lambda p: triplet(F=measure((p[1], p[0])) if p[0] > 0 else None),
-        structural_tag="product-box",
-        blocks={"b": (), "c": (), "F": (0, 1)},
     )
 
 
@@ -126,10 +124,6 @@ def test_family_shapes_and_validation():
     fam = _pure_jump_family()
     assert fam.corners().shape == (4, 2)
     assert fam.grid(3).shape == (9, 2)
-    with pytest.raises(ValueError):
-        ThetaFamily(((0.0, 1.0),), lambda p: None, structural_tag="mystery")
-    with pytest.raises(ValueError):
-        ThetaFamily(((0.0, 1.0),), lambda p: None, structural_tag="product-box")
     with pytest.raises(ValueError):
         ThetaFamily(((1.0, 0.0),), lambda p: None)
     # parameters are named p0, p1, ... unless named, one name per bound
@@ -157,23 +151,23 @@ def test_family_condition_j_verdicts():
 
 
 def test_box_independence():
+    # only F reads parameters (lam and y), so the family is box-like with
+    # nothing declared
     assert box_independence_check(family_from_dict(fixture_doc("pure_jump_family.json")))
-    # a Python map records no reads, so nothing is known of its blocks
+    # a Python map records no reads, so nothing is known of its product form
     assert not box_independence_check(_pure_jump_family())
     general = family(((0.0, 1.0),), lambda p: triplet(p[0], 0.0))
     assert not box_independence_check(general)
 
 
-@pytest.mark.parametrize("blocks, b, atom_x, box_like", [
-    # b and the atom location both read y, which no block lists
-    ({"b": [], "c": [], "F": [0]}, "y", "y", False),
-    # y listed by two blocks belongs to neither
-    ({"b": [1], "c": [], "F": [0, 1]}, "y", "y", False),
-    ({"b": [1], "c": [], "F": [0]}, "y", "0.5", True),
-])
-def test_box_independence_needs_each_read_in_its_own_block(blocks, b, atom_x, box_like):
+@pytest.mark.parametrize("b, c, atom_x, box_like", [
+    ("y", "0", "y", False),
+    ("y", "0", "0.5", True),
+    ("0", "lam", "y", False),
+], ids=["b-and-F-read-y", "b-reads-y-F-lam", "c-and-F-read-lam"])
+def test_box_independence_needs_pairwise_disjoint_reads(b, c, atom_x, box_like):
     doc = fixture_doc("pure_jump_family.json")
-    doc["blocks"], doc["b"] = blocks, [b]
+    doc["b"], doc["c"] = [b], [[c]]
     doc["F"]["atoms"][0]["x"] = [atom_x]
     assert box_independence_check(family_from_dict(doc)) is box_like
 
