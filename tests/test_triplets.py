@@ -3,7 +3,7 @@ import pytest
 
 from integrals import generator_apply
 from levysot.cli import fixture_doc
-from levysot.serialize import family_from_dict
+from levysot.serialize import SchemaError, family_from_dict
 from levysot.triplets import (
     FeatureMapConfig,
     ThetaFamily,
@@ -169,6 +169,25 @@ def test_box_independence_needs_pairwise_disjoint_reads(b, c, atom_x, box_like):
     doc = fixture_doc("pure_jump_family.json")
     doc["b"], doc["c"] = [b], [[c]]
     doc["F"]["atoms"][0]["x"] = [atom_x]
+    assert box_independence_check(family_from_dict(doc)) is box_like
+
+
+@pytest.mark.parametrize("blocks, b, atom_x, box_like", [
+    # b and the atom location both read y, which no block lists
+    ({"b": [], "c": [], "F": [0]}, "y", "y", False),
+    # y listed by two blocks
+    ({"b": [1], "c": [], "F": [0, 1]}, "y", "y", False),
+    ({"b": [1], "c": [], "F": [0]}, "y", "0.5", True),
+])
+def test_box_independence_needs_each_read_in_its_own_block(blocks, b, atom_x, box_like):
+    # a declaration of which component owns each parameter is refused, not
+    # trusted: the read sets alone decide, and they give the verdict each
+    # block declaration above was meant to state
+    doc = fixture_doc("pure_jump_family.json")
+    doc["b"] = [b]
+    doc["F"]["atoms"][0]["x"] = [atom_x]
+    with pytest.raises(SchemaError, match="unknown key 'blocks'"):
+        family_from_dict({**doc, "blocks": blocks})
     assert box_independence_check(family_from_dict(doc)) is box_like
 
 
