@@ -421,17 +421,18 @@ def _check_solver_keys(key: str, doc: Any) -> None:
 
 
 def run_transport(doc: Mapping[str, Any], seed: Optional[int] = None) -> TransportRun:
-    """Validate a transport instance document and run its duality report.
+    """Read a transport instance document and run its duality report.
 
     The document's optional ``solver`` block may set the keys in
     _SOLVER_KEYS, the ``dual`` configuration and ``mc.n_paths`` and
     ``mc.seed``, and no others; a given ``seed`` replaces ``mc.seed``.  This
-    is the only reader of that block.
+    is the only reader of that block.  The family is checked where each
+    solver extracts its affine structure (``affine_family_structure``), so
+    this refuses what ``duality_report`` refuses.
     """
     solver = doc.get("solver", {})
     _check_solver_keys("solver", solver)
     inst = instance_from_dict(doc)
-    inst.validate()
     dual, mc_doc = solver.get("dual", {}), solver.get("mc", {})
     grid = HJBGridConfig(**{k: dual[k] for k in _GRID_KEYS if k in dual})
     dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in _ASCENT_KEYS if k in dual})

@@ -26,9 +26,12 @@ the implicit system and solves it with gtsv in place on the values.  Every
 operation writes into a buffer made once, with the arithmetic of forming
 each term afresh, so the bits are those of a step that allocates them.
 
-Control families must have affine parameter-to-characteristics maps with
-fixed jump locations (verified numerically); this covers families whose
-characteristics are affine in the parameters.
+Control families must be one-dimensional and bounded (condition B), with
+affine parameter-to-characteristics maps and fixed jump locations, so that
+the small-jump condition J holds exactly.  ``affine_family_structure``
+checks all of it numerically from one stack of members, and every solver
+calls it; this covers families whose characteristics are affine in the
+parameters.
 """
 
 from __future__ import annotations
@@ -45,11 +48,7 @@ from scipy.optimize import lsq_linear, minimize
 
 from .exprs import Expression, ExpressionError, compile_expr
 from .measures import truncate
-from .triplets import (
-    ThetaFamily,
-    family_checks,
-    jump_exponent,
-)
+from .triplets import ThetaFamily, condition_b_value, jump_exponent
 from . import montecarlo as mc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,9 +71,6 @@ POTENTIAL_CLASS = "clip(a*x^2 + d*x, -bound, bound), mollified by smoothing"
 # relative error of the affine parameter-to-characteristics fit at the box
 # midpoint above which a family is rejected
 AFFINE_CHECK_TOL = 1e-8
-# grid resolution and delta schedule of the family checks on an instance
-FAMILY_CHECK_RESOLUTION = 5
-FAMILY_CHECK_DELTAS = (0.4, 0.2, 0.1)
 # a cell's cost model holds where it matches L within this relative error
 QUADRATIC_FIT_TOL = 1e-9
 # offset, as a share of the box, of the candidates on either side of an
@@ -136,16 +132,6 @@ class TransportInstance:
     fam: ThetaFamily
     cost: CostFunction
 
-    def validate(self) -> None:
-        checks = family_checks(self.fam, FAMILY_CHECK_DELTAS, FAMILY_CHECK_RESOLUTION)
-        if checks.points.dimension != 1:
-            raise ValueError("transport instances must be one-dimensional")
-        if not checks.condition_b.finite_flag:
-            raise ValueError("family violates the boundedness condition")
-        verdict = checks.condition_j.verdict
-        if verdict != "holds":
-            raise ValueError(f"family small-jump condition verdict {verdict!r}; need 'holds'")
-
 
 # ---------------------------------------------------------------------------
 # affine family structure shared by the HJB and primal solvers
@@ -199,7 +185,8 @@ def _align_profile(
 
 
 def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
-    """Extract and verify the affine parameter-to-characteristics structure.
+    """Extract and verify the affine parameter-to-characteristics structure:
+    the one gate a transport family passes.
 
     The fit reads the low corner and each parameter at its high end with
     the others low.  The check reads the box midpoint, the quarter points
@@ -208,6 +195,7 @@ def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
     collinear probes per edge reject a characteristic that is a non-affine
     polynomial of degree 4 or less along it.  All probes are one stack;
     each row's jump profile is scattered onto the union of their locations.
+    The same stack must be one-dimensional and bounded (condition B).
     """
     lows = np.array([lo for lo, _ in fam.parameter_box])
     highs = np.array([hi for _, hi in fam.parameter_box])
@@ -219,7 +207,18 @@ def affine_family_structure(fam: ThetaFamily) -> _AffineFamily:
         lows + np.append(quarters, 1.0)[:, None] * (edges[i] + edges[j])
         for i, j in itertools.combinations(range(n_p), 2)]
     probes = np.vstack([lows, ends] + checks)
-    st = fam.stack(probes)
+    # a member whose atom's square overflows is unbounded: condition B reads
+    # that inf, so the overflow is the answer, not a fault to warn of
+    with np.errstate(over="ignore"):
+        st = fam.stack(probes)
+        bounds = condition_b_value(st)
+    if st.dimension != 1:
+        raise ValueError("transport instances must be one-dimensional")
+    if not np.isfinite(bounds).all():
+        raise ValueError("family violates the boundedness condition")
+    # condition J needs no check: the jump locations are fixed (the affine
+    # check below rejects any that move), so the small-jump moment
+    # sup_Theta int_{|x| <= delta} |x|^2 F is 0 below the least |location|
     b, c = st.b[:, 0], st.c[:, 0, 0]
     profiles = [st.F.jump_profile(k) for k in range(len(st))]
     union = np.sort(np.concatenate([x[:, 0] for x, _ in profiles]))
@@ -1170,11 +1169,11 @@ def solve_primal_deterministic(inst: TransportInstance) -> PrimalResult:
     minimises the cost with the combinations of the mean that the fit
     identifies held fixed.
     """
+    aff = affine_family_structure(inst.fam)
     if inst.cost.reads_state:
         raise StateDependentCostError(
             "deterministic primal solver requires a state-independent cost"
         )
-    aff = affine_family_structure(inst.fam)
     K = PRIMAL_STEPS
     u = PRIMAL_U_GRID
     psi0, psi_lin = _exponent_basis(aff, u)

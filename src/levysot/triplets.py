@@ -338,9 +338,9 @@ def family_condition_j(points: TripletStack, delta_schedule: Sequence[float]) ->
 @dataclass(frozen=True)
 class FamilyChecks:
     """A family's conditions B and J and its martingale residuals at the box
-    corners, read from one stack of its members."""
+    corners, read from one stack of its members: the 2**n_params corners,
+    then the grid points."""
 
-    points: TripletStack  # the 2**n_params corners, then the grid points
     condition_b: FamilyBoundEstimate
     condition_j: ConditionJReport
     corner_residuals: np.ndarray  # (2**n_params, d), in the order of corners()
@@ -359,7 +359,6 @@ def family_checks(
         points = family_points(fam, resolution)
         values = condition_b_value(points)
         return FamilyChecks(
-            points,
             FamilyBoundEstimate(float(np.max(values)), bool(np.isfinite(values).all())),
             family_condition_j(points, delta_schedule),
             martingale_residual(points)[: 2**fam.n_params],

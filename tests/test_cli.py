@@ -754,6 +754,22 @@ def test_an_unbounded_family_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: family violates the boundedness condition\n"
 
 
+def test_a_compact_family_with_an_atom_at_0_1_solves(tmp_path):
+    # the Poisson fixture scaled by 0.2: a fixed atom at 0.1 has no
+    # small-jump moment below 0.1, so condition J holds exactly, and the
+    # target 0.1 (N - 3), N ~ Poisson(3), is reached at lam = 3 for cost 4
+    doc = fixture_doc("poisson_instance.json")
+    doc["family"]["F"]["atoms"][0]["x"] = ["0.1"]
+    doc["mu1"]["points"] = ((np.arange(26) - 3) / 10).tolist()
+    doc["solver"]["mc"]["n_paths"] = 10_000
+    path = tmp_path / "atom-0.1.json"
+    path.write_text(json.dumps(doc))
+    assert run("solve-transport", "--input", str(path), "--out", str(tmp_path / "out")) == 0
+    rep = load_json(os.path.join(tmp_path, "out", "duality_report.json"))
+    assert abs(rep["primal_value"] - 4.0) <= 1e-9
+    assert rep["primal_likely_infeasible"] is False
+
+
 def test_an_unquoted_override_that_is_not_json_is_a_string():
     doc = cli.apply_overrides({}, ["cost=c*c"], "solve-transport")
     assert doc == {"cost": "c*c"}

@@ -113,15 +113,43 @@ def test_cost_state_dependence_detection():
     assert cost_from_expr("c * c + 0 * x", ("c",)).reads_state
 
 
-def test_instance_validate_rejects_bad_small_jumps():
+def test_fixed_small_jumps_pass_the_gate():
+    # a fixed atom at 0.05 has no small-jump moment below 0.05, so condition
+    # J holds exactly: the family passes, and its rate of up to 800 then
+    # meets the CFL bound at the default n_t
     fam = family(((1.0, 2.0),), lambda p: triplet(F=measure((0.05, float(p[0]) * 400.0))))
     inst = TransportInstance(
         Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), fam,
         cost_from_expr("p0", ("p0",)),
     )
-    with pytest.raises(ValueError):
-        inst.validate()
-    gaussian_instance().validate()
+    assert np.array_equal(affine_family_structure(fam).locations, [0.05])
+    with pytest.raises(CFLError, match="use n_t >= 800"):
+        dual_ascent(inst)
+    # an atom at 1e300 squares to inf: the gate refuses the family
+    unbounded = family(((1.0, 2.0),), lambda p: triplet(F=measure((1e300, float(p[0])))))
+    with pytest.raises(ValueError, match="boundedness"):
+        affine_family_structure(unbounded)
+    affine_family_structure(gaussian_instance().fam)
+
+
+def test_every_solver_refuses_a_planar_family():
+    # the solvers read the first coordinate only, so a 2-d family would
+    # return numbers for a problem it does not pose
+    fam = family(((0.0, 1.0),), lambda p: triplet([0.0, 0.0], [[p[0], 0.0], [0.0, 5.0]]))
+    inst = TransportInstance(
+        Marginal.point(0.0), Marginal.gaussian(0.0, 1.0), fam,
+        cost_from_expr("p0 * p0", ("p0",)),
+    )
+    small = HJBGridConfig(n_x=20, n_t=10)
+    for solve in (lambda: duality_report(inst, DualAscentConfig(grid=small), mc_paths=100),
+                  lambda: dual_ascent(inst, DualAscentConfig(grid=small)),
+                  lambda: solve_hjb(inst, np.zeros_like, small),
+                  lambda: solve_primal_deterministic(inst),
+                  # the family is refused before the state cost is
+                  lambda: solve_primal_deterministic(
+                      replace(inst, cost=cost_from_expr("x + p0", ("p0",))))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            solve()
 
 
 # ---------------------------------------------------------------------------
@@ -960,19 +988,14 @@ def _no_member(fam, p):
 
 
 def test_affine_structure_and_mc_validation_price_stacks_only(monkeypatch):
-    # ThetaFamily.at raises: both read the family's members from stacks
+    # ThetaFamily.at raises: both read the family's members from stacks, the
+    # gate's dimension and boundedness checks too
     inst = instance_from_dict(fixture_doc("poisson_instance.json"))
     monkeypatch.setattr(ThetaFamily, "at", _no_member)
     aff = affine_family_structure(inst.fam)
     assert np.array_equal(aff.locations, [0.5])
     assert np.array_equal(aff.w0, [0.0]) and np.array_equal(aff.w_lin, [[1.0]])
     evaluate_cost_mc(inst, np.full((4, 1), 2.0), n_paths=500, seed=0)
-
-
-def test_instance_validation_prices_stacks_only(monkeypatch):
-    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
-    monkeypatch.setattr(ThetaFamily, "at", _no_member)
-    inst.validate()
 
 
 def test_instance_validation_prices_its_family_once(monkeypatch):
@@ -984,7 +1007,8 @@ def test_instance_validation_prices_its_family_once(monkeypatch):
         return stack(fam, params)
 
     monkeypatch.setattr(ThetaFamily, "stack", counting_stack)
-    instance_from_dict(fixture_doc("poisson_instance.json")).validate()
+    # the gate reads the dimension, condition B and the affine fit from one stack
+    affine_family_structure(instance_from_dict(fixture_doc("poisson_instance.json")).fam)
     assert calls[0] == 1
 
 
