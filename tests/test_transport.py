@@ -998,6 +998,14 @@ def test_affine_structure_and_mc_validation_price_stacks_only(monkeypatch):
     evaluate_cost_mc(inst, np.full((4, 1), 2.0), n_paths=500, seed=0)
 
 
+def test_instance_validation_prices_stacks_only(monkeypatch):
+    # an instance is validated by the gate its solver runs first; ThetaFamily.at
+    # raises, so the gate and the primal solve read members from stacks only
+    inst = instance_from_dict(fixture_doc("poisson_instance.json"))
+    monkeypatch.setattr(ThetaFamily, "at", _no_member)
+    assert np.isfinite(solve_primal_deterministic(inst).primal_value)
+
+
 def test_instance_validation_prices_its_family_once(monkeypatch):
     calls = [0]
     stack = ThetaFamily.stack
