@@ -51,6 +51,7 @@ from .montecarlo import (
 )
 from .serialize import (
     SchemaError,
+    checked_object,
     family_from_dict,
     instance_from_dict,
     load_json,
@@ -303,7 +304,8 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
     seq = sequence_from_dict(doc.get("sequence", doc))
     u_grid = _u_grid_from_doc(doc.get("u_grid"))
     deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
-    structure = LimitStructure(tuple(doc.get("structure", {}).get("atoms", ())))
+    structure_doc = checked_object(doc.get("structure", {}), ("atoms",), "structure")
+    structure = LimitStructure(tuple(structure_doc.get("atoms", ())))
     profile = exponent_limit_profile(seq, u_grid)
     diffusion = diffusion_creation_diagnostic(seq, deltas)
     identified = limit_triplet_identify(profile, structure)
@@ -356,12 +358,12 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
         cfg_doc["seed"] = seed
     cfg = SimulationConfig(**cfg_doc)
     report: dict = {"seed": cfg.seed, "config": cfg_doc}
+    u_grid = _u_grid_from_doc(doc.get("u_grid"))
     if "sequence" in doc:
         seq = sequence_from_dict(doc["sequence"])
         if "target" not in doc:
             raise ValidationError("simulate on a sequence needs a 'target' triplet")
         target = triplet_from_dict(doc["target"])
-        u_grid = _u_grid_from_doc(doc.get("u_grid"))
         conv = convergence_experiment(seq, target, cfg, u_grid)
         report["convergence"] = {
             "n_schedule": list(conv.n_schedule),
@@ -384,7 +386,6 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
             report["terminal"]["ks"] = marginal_ks(terminal, reference)
         if "target" in doc:
             target = triplet_from_dict(doc["target"])
-            u_grid = _u_grid_from_doc(doc.get("u_grid"))
             report["terminal"]["cf_distance_to_target"] = cf_distance(
                 terminal, target, cfg.horizon, u_grid
             )

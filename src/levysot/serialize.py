@@ -46,6 +46,17 @@ def _require(doc: Mapping[str, Any], key: str, context: str):
     return doc[key]
 
 
+def checked_object(doc: Any, keys: Sequence[str], context: str) -> Mapping[str, Any]:
+    """doc, which must be an object whose keys are among ``keys``."""
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{context} must be an object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise SchemaError(f"{context}: unknown key {', '.join(map(repr, unknown))}; "
+                          f"valid keys: {', '.join(keys)}")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # triplets
 
@@ -180,25 +191,28 @@ def compile_template(
     c = tuple(tuple(expr(e) for e in row) for row in _require(doc, "c", context))
     if len(c) != d or any(len(row) != d for row in c):
         raise SchemaError(f"{context}: c must be a {d} x {d} matrix")
-    F_doc = doc.get("F", {})
+    F_doc = checked_object(doc.get("F", {}), ("atoms", "pieces"), f"{context}.F")
     atoms = []
+    at = f"{context}.F atom"
     for a in F_doc.get("atoms", ()):
-        locs = tuple(expr(e) for e in np.atleast_1d(a["x"]))
+        a = checked_object(a, ("x", "w"), at)
+        locs = tuple(expr(e) for e in np.atleast_1d(_require(a, "x", at)))
         if len(locs) != d:
             raise SchemaError(f"{context}: atom location must have {d} entries")
-        atoms.append((locs, expr(a["w"])))
-    pieces = tuple(
-        (
-            float(p["lo"]),
-            float(p["hi"]),
-            compile_expr(str(p["density"]), ("x",) + names),
+        atoms.append((locs, expr(_require(a, "w", at))))
+    pieces = []
+    at = f"{context}.F piece"
+    for p in F_doc.get("pieces", ()):
+        p = checked_object(p, ("lo", "hi", "density", "nodes"), at)
+        pieces.append((
+            float(_require(p, "lo", at)),
+            float(_require(p, "hi", at)),
+            compile_expr(str(_require(p, "density", at)), ("x",) + names),
             int(p.get("nodes", DEFAULT_QUAD_NODES)),
-        )
-        for p in F_doc.get("pieces", ())
-    )
+        ))
     if pieces and d != 1:
         raise SchemaError(f"{context}: density pieces are supported only in dimension 1")
-    return TripletTemplate(names, b, c, tuple(atoms), pieces)
+    return TripletTemplate(names, b, c, tuple(atoms), tuple(pieces))
 
 
 def triplet_from_dict(doc: Mapping[str, Any]) -> TripletStack:
@@ -220,12 +234,7 @@ FAMILY_KEYS = ("box", "params", "b", "c", "F")
 
 
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("family must be an object")
-    unknown = sorted(set(doc) - set(FAMILY_KEYS))
-    if unknown:
-        raise SchemaError(f"family: unknown key {', '.join(map(repr, unknown))}; "
-                          f"valid keys: {', '.join(FAMILY_KEYS)}")
+    checked_object(doc, FAMILY_KEYS, "family")
     box = tuple(
         (float(lo), float(hi)) for lo, hi in _require(doc, "box", "family")
     )

@@ -11,8 +11,11 @@ controls at every (step, node) and checks the fit at off-probe points.  Each
 backward step minimizes the discrete Hamiltonian per node, one control
 coordinate at a time, in closed form: the drift, diffusion and jump terms are
 linear in each coordinate, so the minimizer is a clipped vertex (one per
-stencil branch under the ``auto`` stencil).  Only the cells whose cost fails
-the check fall back to golden section on the exact cost.  The primal side
+stencil branch under the ``auto`` stencil).  H is formed up to the terms no
+control changes, such as J(0)v, the jump part of the constant weights.  A step
+whose cost fails the check at some node runs golden section on the exact
+cost at every node and keeps it where the check failed: a cost that reads
+no state fails at every node of a step or at none.  The primal side
 fits the mean of a deterministic piecewise-constant control schedule to the
 target's characteristic function by bounded linear least squares, then
 spreads it over the steps at least cost with that mean held.
@@ -95,9 +98,9 @@ class CostFunction:
     """Running cost L(t, x, p): an expression in t, x and a family's
     parameter names, where p is the parameter vector in that order.
 
-    A call broadcasts over numpy arrays: x of shape (M,) with p of shape
-    (n_params,) or (M, n_params) returns shape (M,).  t is a float or an
-    array that broadcasts against x, such as one time per entry of x.
+    A call broadcasts over numpy arrays: x of any shape with p of shape
+    (n_params,) or x.shape + (n_params,) returns x's shape.  t is a float
+    or an array that broadcasts against x, such as one time per entry of x.
     """
 
     source: str
@@ -355,8 +358,7 @@ class _QuadraticCost:
     The parts of the argmin along coordinate i at step k that H's stencil
     terms do not change are formed once with the fit: half the curvature
     a[i, k], where it is ``convex`` (a > 0; ``all_convex[i, k]`` when at
-    every node), the vertex's rate = -1 / (2a) there and 0 elsewhere, and
-    the nodes ``bad[k]`` whose check failed.
+    every node), and the vertex's rate = -1 / (2a) there and 0 elsewhere.
     """
 
     mid: np.ndarray  # (n_params,)
@@ -367,7 +369,6 @@ class _QuadraticCost:
     convex: np.ndarray  # (n_params, n_t, n)
     all_convex: np.ndarray  # (n_params, n_t)
     rate: np.ndarray  # (n_params, n_t, n)
-    bad: Tuple[np.ndarray, ...]  # per step
 
 
 def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
@@ -430,8 +431,7 @@ def _fit_quadratic_cost(ws: "_HJBWorkspace", L: CostFunction) -> _QuadraticCost:
     convex = a > 0
     return _QuadraticCost(
         mid, g, hess, ok, a, convex, convex.all(axis=-1),
-        np.divide(-0.5, a, out=np.zeros_like(a), where=convex),
-        tuple(np.flatnonzero(~row) for row in ok))
+        np.divide(-0.5, a, out=np.zeros_like(a), where=convex))
 
 
 def _vertex_or_end(m, rate, convex, mid: float, lo: float, hi: float, out=None) -> np.ndarray:
@@ -463,12 +463,11 @@ class _StepBuffers:
     rows of its implicit system and ``weights`` its clipped jump weights,
     one block per jump location.  ``terms`` are the terms of H the
     controls read: the upwind and central difference quotients dp, dm and
-    dc, the second difference d2v, and the jump parts j0 and jlin of
-    J(p)v = j0 + sum_i p_i jlin_i.  A term the workspace does not form is
-    None: dp and dm under the central stencil, d2v without diffusion, jlin
-    without jumps, and j0 without jumps or under the central stencil, whose
-    closed form does not read it (``_HJBWorkspace._terms_at`` forms it at
-    the golden-section cells).  The rest are a step's intermediates and
+    dc, the second difference d2v, and the jump parts jlin of
+    J(p)v = J(0)v + sum_i p_i jlin_i, where J(0)v, which no control
+    changes, is not formed.  A term the workspace does not form is None:
+    dp and dm under the central stencil, d2v without diffusion and jlin
+    without jumps.  The rest are a step's intermediates and
     fixed views of the arrays, made once because a view costs about as
     much as an operation at this size.
     """
@@ -499,7 +498,7 @@ class _StepBuffers:
             dm, dp = diff[..., :-1], diff[..., 1:]
             self.differences = (V[..., 1:], V[..., :-1], diff[..., 1:-1], diff[..., ::n],
                                 diff[..., 1:n:stride])
-        j0 = jlin = None
+        jlin = None
         self.weights = np.empty((n_loc,) + shape)
         if n_loc:
             self.taps = np.empty(lead + ws.tap_index.shape)  # (n_locations, 2, n) per row
@@ -507,9 +506,8 @@ class _StepBuffers:
             self.parts = np.empty(lead + (n_loc, n))  # S_j v - v per location
             self.parts_rows = [self.parts[..., j, :] for j in range(n_loc)]
             jlin = np.empty((n_p,) + shape)
-            j0 = None if ws.central else np.empty(shape)  # only H itself reads it
             self.jlin_rows, self.weight_rows = list(jlin), list(self.weights)
-        self.terms = (dp, dm, dc, d2v, j0, jlin)
+        self.terms = (dp, dm, dc, d2v, jlin)
         # two scratch arrays, each reused along a step: H's slope, then the
         # jump source, then the drift b; the vertex argument m, then b's
         # central drift term
@@ -539,10 +537,11 @@ class _HJBWorkspace:
     solved as one block-diagonal tridiagonal system.  Controls are chosen
     one coordinate at a time in closed form from ``model``, the quadratic
     model of L fitted once, on construction, on the grid of steps x nodes;
-    the cells where the model fails its check take golden section on the
-    exact cost, node by node.  The model depends on (step, node) only and
-    every array carries the stack as leading axes, so a batched solve
-    equals B single solves bit for bit.  A family with no diffusion at any
+    a step where the model fails its check at some node takes golden
+    section on the exact cost at every node, kept where it failed.  The
+    model depends on (step, node) only and every array carries the stack
+    as leading axes, so a batched solve equals B single solves bit for
+    bit.  A family with no diffusion at any
     control (c0 = 0 and no diffusion coefficient) has zero diffusion terms
     in H and in the implicit systems, and they are not formed.
 
@@ -627,19 +626,12 @@ class _HJBWorkspace:
         c += self.c_const
         return c
 
-    def cost(self, t: float, P: np.ndarray, cols=None) -> np.ndarray:
-        """L(t, x, P) for a stack of controls over the grid nodes (or the
-        nodes ``cols``, P's second-to-last axis), in one call."""
-        x = self.x_grid if cols is None else self.x_grid[cols]
-        x = np.broadcast_to(x, P.shape[:-1]).ravel()
-        return self.L(t, x, P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
-
     # -- the backward step ------------------------------------------------
 
     def form_terms(self, buf: _StepBuffers) -> None:
         """H's terms of the values buf.V into buf.terms."""
         V = buf.V
-        dp, dm, dc, d2v, j0, jlin = buf.terms
+        dp, dm, dc, d2v, jlin = buf.terms
         if jlin is not None:
             # S_j v - v = (1 - f) v[i] + f v[i + 1] - v per location
             V.take(self.tap_index, axis=-1, out=buf.taps, mode="clip")
@@ -649,8 +641,6 @@ class _HJBWorkspace:
                 part -= V
             for row, wl in zip(buf.jlin_rows, self.jlin_coefs):
                 _lincomb(wl, buf.parts_rows, row)
-            if j0 is not None:
-                _lincomb(self.weight_consts, buf.parts_rows, j0)
         for left, right, out, width in buf.quotients:
             np.subtract(left, right, out=out)
             out /= width
@@ -698,40 +688,38 @@ class _HJBWorkspace:
         c = None
         if self.diffusive:
             c = np.maximum(self.diffusion(buf.p, buf.c), self.zero, out=buf.c)
-        # the rows of I - dt * (implicit drift + implicit diffusion); with
-        # no diffusion the c / h^2 terms are zero and not formed
+        # the rows of I - dt * (implicit drift + implicit diffusion), central
+        # at every node; with no diffusion the c / h^2 terms are zero and
+        # not formed
         dt, h = self.dt, self.h
         lower, diag, upper = buf.rows
         drift = np.multiply(b, self.half_dt, out=buf.drift)  # +-0.5 dt b / h on a row's neighbours
         drift /= self.step_h
-        if self.central:
-            drift_left, upper_head, drift_right, lower_head = buf.central_rows
-            np.negative(drift_left, out=upper_head)
-            lower_head[...] = drift_right
-            if c is None:
-                diag.fill(1.0)
-            else:
-                half = 0.5 * dt * c / self.h2
-                upper_head -= half[..., :-1]
-                lower_head -= half[..., 1:]
-                np.add(1.0, dt * c / self.h2, out=diag)
+        drift_left, upper_head, drift_right, lower_head = buf.central_rows
+        np.negative(drift_left, out=upper_head)
+        lower_head[...] = drift_right
+        if c is None:
+            diag.fill(1.0)
         else:
+            half = 0.5 * dt * c / self.h2
+            upper_head -= half[..., :-1]
+            lower_head -= half[..., 1:]
+            np.add(1.0, dt * c / self.h2, out=diag)
+        if not self.central:
+            # the auto stencil upwinds the drift where c < |b| h
             up = np.maximum(b, 0.0)
             dn = np.minimum(b, 0.0)
-            central = (0.0 if c is None else c) >= np.abs(b) * h
-            row_upper = np.where(central, -drift, -dt * up / h)
-            row_lower = np.where(central, drift, dt * dn / h)
-            if c is None:
-                diag[...] = np.where(central, 1.0, 1.0 + dt * (up - dn) / h)
-            else:
-                diffusion = dt * c / self.h2
-                diag[...] = np.where(central, 1.0 + diffusion,
-                                     1.0 + dt * (up - dn) / h + diffusion)
-                half = 0.5 * dt * c / self.h2
+            upwind = (0.0 if c is None else c) < np.abs(b) * h
+            row_upper = -dt * up / h
+            row_lower = dt * dn / h
+            row_diag = 1.0 + dt * (up - dn) / h
+            if c is not None:
+                row_diag += dt * c / self.h2
                 row_upper -= half
                 row_lower -= half
-            upper[..., :-1] = row_upper[..., :-1]
-            lower[..., :-1] = row_lower[..., 1:]
+            np.copyto(upper_head, row_upper[..., :-1], where=upwind[..., :-1])
+            np.copyto(lower_head, row_lower[..., 1:], where=upwind[..., 1:])
+            np.copyto(diag, row_diag, where=upwind)
         buf.block_ends.fill(0.0)
         # edge rows sit in the padded region: one-sided drift, zero
         # curvature; with e = dt b / h at columns 0 and n - 1, the diagonal
@@ -756,17 +744,17 @@ class _HJBWorkspace:
         central stencil H is one quadratic and the argmin its clipped
         vertex.  Under the auto stencil H is one quadratic on each piece
         between the split points, and the argmin is the best of each
-        branch's clipped vertex and the piece ends.  The cells where the
-        cost model failed its check take golden section on the exact cost,
-        from P as it stands before coordinate i changes.
+        branch's clipped vertex and the piece ends.  H is formed up to the
+        terms no control changes.  At a step where the cost model failed
+        its check at some node, golden section on the exact cost runs at
+        every node, from P as it stands before coordinate i changes, and
+        its result is kept at the failed nodes.
         """
         P, terms, model = buf.P, buf.terms, self.model
-        dp, dm, dc, d2v, _, jlin = terms
-        bad = model.bad[k]
+        dp, dm, dc, d2v, jlin = terms
         golden = None
-        if bad.size:
-            golden = self._piecewise_golden(
-                k, P[..., bad, :], i, lo, hi, self._terms_at(buf, bad), bad)
+        if not model.ok[k].all():
+            golden = self._piecewise_golden(k, P, i, lo, hi, terms)
         mid, rate = model.mid[i, ...], model.rate[i, k]  # mid as a 0-d array
         convex = None if model.all_convex[i, k] else model.convex[i, k]
         cost_slope = model.g[k, :, i]
@@ -796,31 +784,20 @@ class _HJBWorkspace:
             H += (model.a[i, k] * u + cost_slope) * u
             buf.p[i][...] = _lowest(S, H)
         if golden is not None:
-            P[..., bad, i] = golden
+            np.copyto(buf.p[i], golden, where=~model.ok[k])
 
-    # -- H at given controls: the auto stencil and the fallback cells -----
+    # -- H at given controls: the auto stencil and the fallback steps -----
 
-    def _terms_at(self, buf: _StepBuffers, cols) -> tuple:
-        """buf.terms at the nodes ``cols``, with j0 there, which the
-        central stencil's closed form does not form."""
-        dp, dm, dc, d2v, _, jlin = buf.terms
-        j0 = None
-        if jlin is not None:
-            j0 = _lincomb(self.weight_consts, [part[..., cols] for part in buf.parts_rows])
-            jlin = [j[..., cols] for j in jlin]
-        return tuple(None if a is None else a[..., cols] for a in (dp, dm, dc, d2v)) + (j0, jlin)
+    def hamiltonian(self, k, P, i, S, terms) -> np.ndarray:
+        """H at step k, up to the terms no control changes, with coordinate
+        i of P set to each of the K probes in S.
 
-    def hamiltonian(self, k, P, i, S, terms, cols=None) -> np.ndarray:
-        """H at step k with coordinate i of P set to each of the K probes in S.
-
-        P has shape (..., m, n_params) for the m nodes ``cols`` (all nodes
-        when None) and ``terms`` are restricted to them; S broadcasts to
-        (K,) + P.shape[:-1].  Returns that shape, from a single exact cost
-        call.
+        P has shape (..., n, n_params) and S broadcasts to (K,) + P.shape[:-1].
+        Returns that shape, from a single exact cost call.
         """
         Q = self._with_coordinate(P, i, S)
         H = self._stencil_terms(Q, terms)
-        H += self.cost(self.t_grid[k], Q, cols)
+        H += self.L(self.t_grid[k], np.broadcast_to(self.x_grid, Q.shape[:-1]), Q)
         return H
 
     @staticmethod
@@ -835,7 +812,7 @@ class _HJBWorkspace:
     def _stencil_terms(self, Q, terms) -> np.ndarray:
         """H at controls Q without the cost; a function of its own so that
         its temporaries are freed before the cost call."""
-        dp, dm, dc, d2v, j0, jlin = terms
+        dp, dm, dc, d2v, jlin = terms
         qs = _params(Q)
         b = self.effective_drift(qs)
         c = 0.0 if d2v is None else self.diffusion(qs)
@@ -847,7 +824,7 @@ class _HJBWorkspace:
         if d2v is not None:
             H += 0.5 * c * d2v
         if jlin is not None:
-            H += j0 + _lincomb(jlin, qs)
+            H += _lincomb(jlin, qs)
         return H
 
     def _split_points(self, P, i, lo, hi) -> List[np.ndarray]:
@@ -879,7 +856,7 @@ class _HJBWorkspace:
             np.clip(r + e, lo, hi) for r in self._split_points(P, i, lo, hi)
             for e in (-inside, 0.0, inside)]
 
-    def _piecewise_golden(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _piecewise_golden(self, k, P, i, lo, hi, terms) -> np.ndarray:
         """Golden section on the exact cost over each piece of [lo, hi]
         between the split points; of the piece minima and the piece ends,
         the candidate with the lowest exact H wins.  Where H is infinite at
@@ -889,18 +866,18 @@ class _HJBWorkspace:
         ends = np.sort(np.stack(
             [np.full(shape, lo), *self._split_points(P, i, lo, hi), np.full(shape, hi)]), axis=0)
         pieces = np.broadcast_to(P, (len(ends) - 1,) + P.shape)
-        S = self._golden_section(k, pieces, i, ends[:-1], ends[1:], terms, cols)
+        S = self._golden_section(k, pieces, i, ends[:-1], ends[1:], terms)
         S = np.concatenate([S, ends])
-        return _lowest(S, self.hamiltonian(k, P, i, S, terms, cols))
+        return _lowest(S, self.hamiltonian(k, P, i, S, terms))
 
-    def _golden_section(self, k, P, i, lo, hi, terms, cols) -> np.ndarray:
+    def _golden_section(self, k, P, i, lo, hi, terms) -> np.ndarray:
         """Per-node golden-section argmin of H over coordinate i on the
         brackets [lo, hi], arrays of shape P.shape[:-1]."""
         a, b_ = lo, hi
         for _ in range(48):
             c1 = b_ - GOLDEN * (b_ - a)
             c2 = a + GOLDEN * (b_ - a)
-            f1, f2 = self.hamiltonian(k, P, i, np.stack([c1, c2]), terms, cols)
+            f1, f2 = self.hamiltonian(k, P, i, np.stack([c1, c2]), terms)
             left = f1 < f2
             b_ = np.where(left, c2, b_)
             a = np.where(left, a, c1)

@@ -147,12 +147,12 @@ class Oracle:
             dm = np.empty_like(V)
             dm[:, 1:] = diff
             dm[:, 0] = diff[:, 0]
-        # J(p)v = j0 + sum_i p_i j_i, with the j_i in a list
-        j0 = jlin = None
+        # J(p)v = J(0)v + sum_i p_i j_i, with the j_i in a list; no control
+        # changes J(0)v, and H is formed without it
+        jlin = None
         if parts:
-            j0 = _lincomb(self.aff.w0, parts)
             jlin = [_lincomb(wl, parts) for wl in self.aff.w_lin.T]
-        return dp, dm, dc, d2v, j0, jlin
+        return dp, dm, dc, d2v, jlin
 
     def hamiltonian(self, k, P, i, S, terms, cols=None) -> np.ndarray:
         """H at step k with coordinate i of P set to each of the K probes in S.
@@ -179,7 +179,7 @@ class Oracle:
     def _stencil_terms(self, Q, terms) -> np.ndarray:
         """H at controls Q without the cost; a function of its own so that
         its temporaries are freed before the cost call."""
-        dp, dm, dc, d2v, j0, jlin = terms
+        dp, dm, dc, d2v, jlin = terms
         b = self.effective_drift(Q)
         c = self.diffusion(Q)
         if self.central:
@@ -188,8 +188,8 @@ class Oracle:
             upwind = np.maximum(b, 0.0) * dp + np.minimum(b, 0.0) * dm
             H = np.where(c >= np.abs(b) * self.h, b * dc, upwind)
         H += 0.5 * c * d2v
-        if j0 is not None:
-            H += j0 + _lincomb(jlin, _params(Q))
+        if jlin is not None:
+            H += _lincomb(jlin, _params(Q))
         return H
 
     def optimize_controls(self, k: int, terms, shape) -> np.ndarray:
@@ -218,7 +218,7 @@ class Oracle:
         cost model failed its check take golden section on the exact cost.
         """
         model = self.model
-        dp, dm, dc, d2v, _, jlin = terms
+        dp, dm, dc, d2v, jlin = terms
         mid = model.mid[i]
         a = 0.5 * model.hess[k, :, i, i]
         convex = a > 0

@@ -696,6 +696,8 @@ def test_check_theta_resolution_must_be_an_integer(tmp_path, capsys, value):
     assert "resolution" in capsys.readouterr().err
 
 
+_PLAIN_TRIPLET = {"triplet": {"b": [0], "c": [[1]]}, "config": {"n_paths": 10}}
+
 _PLANAR_SEQUENCE = {"b": ["0", "0"], "c": [["0", "0"], ["0", "0"]],
                     "F": {"atoms": [{"x": ["1 / n", "1 / n"], "w": "n"}]},
                     "n_schedule": [10, 100, 1000]}
@@ -727,13 +729,37 @@ _PLANAR_SEQUENCE = {"b": ["0", "0"], "c": [["0", "0"], ["0", "0"]],
     ("solve-transport", "trivial_instance.json", ["family.b.x=1"],
      "cannot descend into 'b'"),
     ("solve-transport", None, [], "top-level JSON must be an object"),
+    ("simulate", _PLAIN_TRIPLET, ["triplet.F=5"], "triplet.F must be an object"),
+    ("simulate", _PLAIN_TRIPLET, ['triplet.F={"atom": [{"x": [0.5], "w": 3}]}'],
+     "triplet.F: unknown key 'atom'; valid keys: atoms, pieces"),
+    ("simulate", _PLAIN_TRIPLET, ["u_grid=5"], "u_grid must be a nonempty list"),
+    ("solve-transport", "trivial_instance.json", ["family.F=5"], "family.F must be an object"),
+    ("solve-transport", "trivial_instance.json", ["family.F.atoms=[5]"],
+     "family.F atom must be an object"),
+    ("solve-transport", "trivial_instance.json", ['family.F.atoms=[{"x": ["0.5"]}]'],
+     "family.F atom: missing key 'w'"),
+    ("check-theta", "pure_jump_family.json", ["family.F=5"], "family.F must be an object"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["sequence.F=5"],
+     "sequence.F must be an object"),
+    ("limit-analyze", "shrinking_jump_sequence.json",
+     ['sequence.F.pieces=[{"lo": 0.2, "hi": 1.0, "densty": "1"}]'],
+     "sequence.F piece: unknown key 'densty'"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["structure=5"],
+     "structure must be an object"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["structure=[]"],
+     "structure must be an object"),
 ], ids=["drift-stencil", "negative-weight", "unbounded-family", "planar-limit",
         "planar-pieces", "mod", "keyword", "string-constant", "no-equals",
-        "into-a-list", "top-level-array"])
+        "into-a-list", "top-level-array", "triplet-F", "misspelt-F-key", "unused-u-grid",
+        "family-F", "atom-not-object", "atom-without-weight", "check-theta-F", "sequence-F",
+        "misspelt-piece-key", "structure-number", "structure-list"])
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, name, sets, message):
+    # name is a fixture, a document or None for a top-level array
+    path = tmp_path / "doc.json"
     if name is None:
-        path = tmp_path / "array.json"
         path.write_text("[1, 2]")
+    elif isinstance(name, dict):
+        path.write_text(json.dumps(name))
     else:
         path = fixture(name)
     args = [command, "--input", str(path), "--out", str(tmp_path / "out")]
@@ -742,6 +768,7 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, name, 
     assert run(*args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -451,9 +451,9 @@ def test_batched_solve_equals_single_solves(case):
     golden_cells = []
     golden = ws._golden_section
 
-    def spy(k, P, i, lo, hi, terms, cols):
-        golden_cells.append((k, P.shape[-3], tuple(cols)))
-        return golden(k, P, i, lo, hi, terms, cols)
+    def spy(k, P, i, lo, hi, terms):
+        golden_cells.append((k, P.shape[-3:-1]))
+        return golden(k, P, i, lo, hi, terms)
 
     ws._golden_section = spy
     buf = _StepBuffers(ws, terminals.shape)
@@ -470,13 +470,12 @@ def test_batched_solve_equals_single_solves(case):
         assert np.array_equal(vg.initial(), V[row])
         for k, P in zip(range(ws.n_t - 1, -1, -1), batched_controls):
             assert np.array_equal(vg.controls[k], P[row])
-    # golden section runs per node: on every row of the stack, at exactly
-    # the cells whose cost model failed its check
+    # golden section runs per node: on every node of every row of the
+    # stack, at exactly the steps where the cost model failed its check
     ok = ws.model.ok
     B = len(terminals)
-    for k, rows, cols in golden_cells:
-        assert rows == B
-        assert cols == tuple(np.flatnonzero(~ok[k]))
+    for k, shape in golden_cells:
+        assert shape == (B, ws.n)
     if case == "two-param-abs-left":
         assert 0 < (~ok).sum() < ok.size
         assert np.all(~ok[:, ws.x_grid < 0]) and np.all(ok[:, ws.x_grid >= 0])
@@ -486,7 +485,7 @@ def test_batched_solve_equals_single_solves(case):
         # quadratic costs; on drift-auto-mixed the upwind switch makes H
         # piecewise in p, which the closed form handles by itself
         assert ok.all()
-    steps_with_golden = {k for k, _, _ in golden_cells}
+    steps_with_golden = {k for k, _ in golden_cells}
     assert steps_with_golden == {k for k in range(ws.n_t) if not ok[k].all()}
 
 
@@ -542,7 +541,7 @@ def test_control_step_beats_a_dense_scan(case):
     buf.V[...] = V
     for k in range(ws.n_t - 1, -1, -1):
         ws.form_terms(buf)
-        terms = ws._terms_at(buf, slice(None))  # j0 too, which H reads
+        terms = buf.terms
         P = buf.P
         P[...] = model.mid
         for i, (lo, hi) in enumerate(ws.box):
@@ -596,6 +595,26 @@ def test_kernel_matches_the_rebuilding_oracle_bitwise(case):
             assert vg.controls[k].tobytes() == expected.controls[k].tobytes(), k
         law = _forward_ws(ws, vg.systems, q0)
         assert law.tobytes() == oracle.forward(expected.controls, q0).tobytes()
+
+
+@pytest.mark.parametrize("name, cost, dual_value, solves", [
+    # the upwind and split-point path with the closed form
+    ("poisson_instance.json", None, 1.203972028540452, 54),
+    # the same path with golden section at every node, jumps and split points
+    ("poisson_instance.json", "exp(lam)", 8.330319978377211, 71),
+    # golden section at every node, central because the family has no drift
+    ("gaussian_instance.json", "exp(c)", 2.727278167865009, 66),
+])
+def test_dual_ascent_pins_the_auto_and_fallback_paths(name, cost, dual_value, solves):
+    doc = fixture_doc(name)
+    if cost is not None:
+        doc["cost"] = cost
+    dual = doc["solver"]["dual"]
+    cfg = DualAscentConfig(grid=HJBGridConfig(n_x=60, n_t=30, drift_stencil="auto"),
+                           **{key: dual[key] for key in ("bound", "smoothing") if key in dual})
+    res = dual_ascent(instance_from_dict(doc), cfg)
+    assert res.dual_value == dual_value
+    assert len(res.history) == solves
 
 
 def test_dual_ascent_matches_the_rebuilding_oracle(monkeypatch):
