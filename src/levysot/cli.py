@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,6 @@ import orjson
 from .exprs import ExpressionError
 from .limits import (
     DEFAULT_DELTA_SCHEDULE,
-    LimitStructure,
     closedness_probe,
     default_u_grid,
     diffusion_creation_diagnostic,
@@ -51,6 +51,7 @@ from .montecarlo import (
 )
 from .serialize import (
     SchemaError,
+    checked_list,
     checked_object,
     family_from_dict,
     instance_from_dict,
@@ -107,14 +108,6 @@ _OVERRIDE_KEYS = {
     "simulate": ("triplet", "x0", "config", "target", "u_grid", "sequence"),
     "solve-transport": ("mu0", "mu1", "family", "cost", "solver"),
 }
-
-_GRID_KEYS = ("x_min", "x_max", "n_x", "n_t", "pad", "drift_stencil")
-_ASCENT_KEYS = ("bound", "smoothing")
-# every key an instance document's solver block may set
-_SOLVER_KEYS = tuple(
-    [f"solver.dual.{k}" for k in _GRID_KEYS + _ASCENT_KEYS]
-    + ["solver.mc.n_paths", "solver.mc.seed"]
-)
 
 
 class ValidationError(ValueError):
@@ -258,9 +251,14 @@ def apply_overrides(doc: dict, pairs: Sequence[str], command: str) -> dict:
 # commands
 
 
+def _field_names(cls) -> list:
+    """A config dataclass's fields: the keys its document block may set."""
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
     fam = family_from_dict(doc["family"])
-    deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
+    deltas = checked_list(doc.get("delta_schedule", DEFAULT_DELTA_SCHEDULE), "delta_schedule")
     resolution = doc.get("resolution", 9)
     check_number("resolution", resolution, integer=True)
     checks = family_checks(fam, deltas, resolution)
@@ -292,9 +290,7 @@ def cmd_check_theta(doc: dict, out: str, seed: Optional[int]) -> int:
 def _u_grid_from_doc(doc: Any) -> np.ndarray:
     if doc is None:
         return default_u_grid()
-    if not isinstance(doc, list) or not doc:
-        raise ValidationError("u_grid must be a nonempty list of frequencies")
-    return np.asarray(doc, dtype=float)
+    return np.asarray(checked_list(doc, "u_grid", nonempty=True), dtype=float)
 
 
 def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
@@ -303,12 +299,12 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
         raise ValidationError(f"use_u_map = {use_u_map!r} must be true or false")
     seq = sequence_from_dict(doc.get("sequence", doc))
     u_grid = _u_grid_from_doc(doc.get("u_grid"))
-    deltas = doc.get("delta_schedule", list(DEFAULT_DELTA_SCHEDULE))
-    structure_doc = checked_object(doc.get("structure", {}), ("atoms",), "structure")
-    structure = LimitStructure(tuple(structure_doc.get("atoms", ())))
+    deltas = checked_list(doc.get("delta_schedule", DEFAULT_DELTA_SCHEDULE), "delta_schedule")
+    structure = checked_object(doc.get("structure", {}), ("atoms",), "structure")
+    atoms = checked_list(structure.get("atoms", ()), "structure.atoms")
     profile = exponent_limit_profile(seq, u_grid)
     diffusion = diffusion_creation_diagnostic(seq, deltas)
-    identified = limit_triplet_identify(profile, structure)
+    identified = limit_triplet_identify(profile, atoms)
     limit, fit_residual = identified
     report = {
         "seed": seed,
@@ -324,7 +320,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
         pm_doc = doc.get("param_map")
         probe = closedness_probe(
             fam, seq, use_u_map, profile, identified,
-            param_map=param_map_from_exprs(pm_doc) if pm_doc else None,
+            param_map=None if pm_doc in (None, []) else param_map_from_exprs(pm_doc),
         )
         report["closedness"] = {
             "limit_in_set": probe.limit_in_set,
@@ -353,7 +349,7 @@ def cmd_limit_analyze(doc: dict, out: str, seed: Optional[int]) -> int:
 
 
 def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
-    cfg_doc = dict(doc.get("config", {}))
+    cfg_doc = dict(checked_object(doc.get("config", {}), _field_names(SimulationConfig), "config"))
     if seed is not None:
         cfg_doc["seed"] = seed
     cfg = SimulationConfig(**cfg_doc)
@@ -363,7 +359,7 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
         seq = sequence_from_dict(doc["sequence"])
         if "target" not in doc:
             raise ValidationError("simulate on a sequence needs a 'target' triplet")
-        target = triplet_from_dict(doc["target"])
+        target = triplet_from_dict(doc["target"], "target")
         conv = convergence_experiment(seq, target, cfg, u_grid)
         report["convergence"] = {
             "n_schedule": list(conv.n_schedule),
@@ -385,7 +381,7 @@ def cmd_simulate(doc: dict, out: str, seed: Optional[int]) -> int:
         if reference is not None:
             report["terminal"]["ks"] = marginal_ks(terminal, reference)
         if "target" in doc:
-            target = triplet_from_dict(doc["target"])
+            target = triplet_from_dict(doc["target"], "target")
             report["terminal"]["cf_distance_to_target"] = cf_distance(
                 terminal, target, cfg.horizon, u_grid
             )
@@ -407,36 +403,25 @@ class TransportRun(NamedTuple):
     report: DualityReport
 
 
-def _check_solver_keys(key: str, doc: Any) -> None:
-    """Raise on any leaf of the solver block that is not in _SOLVER_KEYS; an
-    empty block on the way to valid keys is allowed."""
-    if isinstance(doc, Mapping) and doc:
-        for k, v in doc.items():
-            _check_solver_keys(f"{key}.{k}", v)
-    elif key not in _SOLVER_KEYS and not (
-        doc == {} and any(v.startswith(key + ".") for v in _SOLVER_KEYS)
-    ):
-        raise ValidationError(
-            f"unknown solver key {key!r}; valid keys: " + ", ".join(_SOLVER_KEYS)
-        )
-
-
 def run_transport(doc: Mapping[str, Any], seed: Optional[int] = None) -> TransportRun:
     """Read a transport instance document and run its duality report.
 
-    The document's optional ``solver`` block may set the keys in
-    _SOLVER_KEYS, the ``dual`` configuration and ``mc.n_paths`` and
-    ``mc.seed``, and no others; a given ``seed`` replaces ``mc.seed``.  This
-    is the only reader of that block.  The family is checked where each
-    solver extracts its affine structure (``affine_family_structure``), so
-    this refuses what ``duality_report`` refuses.
+    The document's optional ``solver`` block may hold ``dual``, whose keys
+    are the fields of HJBGridConfig and DualAscentConfig's own fields, and
+    ``mc``, whose keys are ``n_paths`` and ``seed``; a given ``seed``
+    replaces ``mc.seed``.  This is the only reader of that block.  The
+    family is checked where each solver extracts its affine structure
+    (``affine_family_structure``), so this refuses what ``duality_report``
+    refuses.
     """
-    solver = doc.get("solver", {})
-    _check_solver_keys("solver", solver)
+    grid_keys = _field_names(HJBGridConfig)
+    ascent_keys = [k for k in _field_names(DualAscentConfig) if k != "grid"]
+    solver = checked_object(doc.get("solver", {}), ("dual", "mc"), "solver")
+    dual = checked_object(solver.get("dual", {}), grid_keys + ascent_keys, "solver.dual")
+    mc_doc = checked_object(solver.get("mc", {}), ("n_paths", "seed"), "solver.mc")
     inst = instance_from_dict(doc)
-    dual, mc_doc = solver.get("dual", {}), solver.get("mc", {})
-    grid = HJBGridConfig(**{k: dual[k] for k in _GRID_KEYS if k in dual})
-    dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in _ASCENT_KEYS if k in dual})
+    grid = HJBGridConfig(**{k: dual[k] for k in grid_keys if k in dual})
+    dual_cfg = DualAscentConfig(grid=grid, **{k: dual[k] for k in ascent_keys if k in dual})
     mc_paths = mc_doc.get("n_paths", 100_000)
     mc_seed = seed if seed is not None else mc_doc.get("seed", 0)
     check_number("solver.mc.n_paths", mc_paths, integer=True)

@@ -136,8 +136,6 @@ def _extrapolate_delta_profile(profile) -> float:
     last = values[-1]
     if last <= 0.0:
         return 0.0
-    if np.any(values <= 0.0):
-        return float(last)
     slope = np.polyfit(np.log(deltas), np.log(values), 1)[0]
     if slope > 0.2:
         # decaying profile: the delta -> 0 limit of A * delta^p is 0
@@ -145,25 +143,19 @@ def _extrapolate_delta_profile(profile) -> float:
     return float(last)
 
 
-@dataclass(frozen=True)
-class LimitStructure:
-    """Candidate parametric form for the limit: drift + diffusion + fixed atoms."""
-
-    atom_locations: Tuple[float, ...] = ()
-
-
 def limit_triplet_identify(
-    profile: ExponentProfile, structure: LimitStructure = LimitStructure()
+    profile: ExponentProfile, atom_locations: Sequence[float] = ()
 ) -> Tuple[TripletStack, float]:
     """Least-squares fit of a one-dimensional exponent to the extrapolated
-    limit; the fitted triplet is a one-row stack.
+    limit: drift, diffusion and atoms at the fixed ``atom_locations``; the
+    fitted triplet is a one-row stack.
 
     The exponent is affine in (b, c, atom weights) for fixed atom locations, so
     the fit is linear with sign constraints c >= 0 and weights >= 0.
     """
     u = profile.u
     target = profile.limit
-    locs = np.asarray(structure.atom_locations, dtype=float)
+    locs = np.asarray(atom_locations, dtype=float)
     n_params = 2 + locs.size
     if 2 * u.size < n_params:
         raise ValueError("underdetermined fit: fewer frequencies than parameters")
@@ -176,14 +168,10 @@ def limit_triplet_identify(
     a_re[:, 2:], a_im[:, 2:] = jumps.real, jumps.imag
     A = np.vstack([a_re, a_im])
     rhs = np.concatenate([target.real, target.imag])
-    params = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    if np.any(params[1:] < -1e-9):
-        # sign constraints active: solve the bounded problem instead
-        lb = np.full(n_params, -np.inf)
-        lb[1:] = 0.0
-        sol = lsq_linear(A, rhs, bounds=(lb, np.full(n_params, np.inf)), tol=1e-14)
-        params = sol.x
-    params[1:] = np.maximum(params[1:], 0.0)
+    # the unconstrained solution where it keeps the signs, else the bounded one
+    lb = np.full(n_params, -np.inf)
+    lb[1:] = 0.0
+    params = lsq_linear(A, rhs, bounds=(lb, np.full(n_params, np.inf)), tol=1e-14).x
     kept = params[2:] > 0
     F = MeasureStack(1, locs[kept][None, :, None], params[2:][kept][None])
     fitted = TripletStack(params[None, :1], params[None, 1:2, None], F)

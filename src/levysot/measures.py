@@ -73,11 +73,12 @@ class DensityPiece:
             return np.empty(0), np.empty(0)
         x, w = gauss_legendre_nodes(a, b, self.nodes)
         f = np.asarray(self.density(x), dtype=float)
-        if not np.all(np.isfinite(f)):
-            bad = x[~np.isfinite(f)][0]
-            raise QuadratureError(
-                f"density non-finite at x={bad:.6g} on piece [{self.lo}, {self.hi}]"
-            )
+        # a Lévy density is finite and, like an atom weight, nonnegative
+        for bad, error, what in ((~np.isfinite(f), QuadratureError, "non-finite"),
+                                 (f < 0.0, ValueError, "negative")):
+            if bad.any():
+                at = x[np.broadcast_to(bad, x.shape)][0]
+                raise error(f"density {what} at x={at:.6g} on piece [{self.lo}, {self.hi}]")
         return x, w * f
 
 

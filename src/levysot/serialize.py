@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence, Tuple
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected layout."""
 
 
-def _require(doc: Mapping[str, Any], key: str, context: str):
+def _require(doc: Any, key: str, context: str):
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{context} must be an object")
     if key not in doc:
         raise SchemaError(f"{context}: missing key {key!r}")
     return doc[key]
@@ -54,6 +56,18 @@ def checked_object(doc: Any, keys: Sequence[str], context: str) -> Mapping[str, 
     if unknown:
         raise SchemaError(f"{context}: unknown key {', '.join(map(repr, unknown))}; "
                           f"valid keys: {', '.join(keys)}")
+    return doc
+
+
+def checked_list(doc: Any, context: str, length: Optional[int] = None,
+                 nonempty: bool = False) -> Sequence:
+    """doc, which must be a list: of ``length`` entries when that is given,
+    and not empty when ``nonempty`` is set."""
+    if not isinstance(doc, (list, tuple)) or length not in (None, len(doc)) or (
+            nonempty and not doc):
+        kind = "a nonempty list" if nonempty else "a list"
+        size = "" if length is None else f" of {length} entries"
+        raise SchemaError(f"{context} must be {kind}{size}")
     return doc
 
 
@@ -186,15 +200,16 @@ def compile_template(
     def expr(e) -> Expression:
         return compile_expr(str(e), names)
 
-    b = tuple(expr(e) for e in _require(doc, "b", context))
+    b = tuple(expr(e) for e in checked_list(_require(doc, "b", context), f"{context}.b"))
     d = len(b)
-    c = tuple(tuple(expr(e) for e in row) for row in _require(doc, "c", context))
+    c = tuple(tuple(expr(e) for e in checked_list(row, f"{context}.c row"))
+              for row in checked_list(_require(doc, "c", context), f"{context}.c"))
     if len(c) != d or any(len(row) != d for row in c):
         raise SchemaError(f"{context}: c must be a {d} x {d} matrix")
     F_doc = checked_object(doc.get("F", {}), ("atoms", "pieces"), f"{context}.F")
     atoms = []
     at = f"{context}.F atom"
-    for a in F_doc.get("atoms", ()):
+    for a in checked_list(F_doc.get("atoms", ()), f"{context}.F.atoms"):
         a = checked_object(a, ("x", "w"), at)
         locs = tuple(expr(e) for e in np.atleast_1d(_require(a, "x", at)))
         if len(locs) != d:
@@ -202,7 +217,7 @@ def compile_template(
         atoms.append((locs, expr(_require(a, "w", at))))
     pieces = []
     at = f"{context}.F piece"
-    for p in F_doc.get("pieces", ()):
+    for p in checked_list(F_doc.get("pieces", ()), f"{context}.F.pieces"):
         p = checked_object(p, ("lo", "hi", "density", "nodes"), at)
         pieces.append((
             float(_require(p, "lo", at)),
@@ -215,16 +230,13 @@ def compile_template(
     return TripletTemplate(names, b, c, tuple(atoms), tuple(pieces))
 
 
-def triplet_from_dict(doc: Mapping[str, Any]) -> TripletStack:
+def triplet_from_dict(doc: Mapping[str, Any], context: str = "triplet") -> TripletStack:
     """A plain triplet document as a one-row stack: a template with no
     variables, at its one row.  b and c may be given as scalars.  An atom weight must be positive,
     where a family's template drops the atom instead."""
-    doc = {
-        **doc,
-        "b": np.atleast_1d(np.asarray(_require(doc, "b", "triplet"), dtype=object)).tolist(),
-        "c": np.atleast_2d(np.asarray(_require(doc, "c", "triplet"), dtype=object)).tolist(),
-    }
-    template = compile_template(doc, (), "triplet")
+    b = np.atleast_1d(np.asarray(_require(doc, "b", context), dtype=object)).tolist()
+    c = np.atleast_2d(np.asarray(_require(doc, "c", context), dtype=object)).tolist()
+    template = compile_template({**doc, "b": b, "c": c}, (), context)
     if not (evaluate_rows([w for _, w in template.atoms], {}, 1) > 0).all():
         raise SchemaError("atom weights must be positive")
     return template.stack(np.empty((1, 0)))
@@ -236,9 +248,12 @@ FAMILY_KEYS = ("box", "params", "b", "c", "F")
 def family_from_dict(doc: Mapping[str, Any]) -> ThetaFamily:
     checked_object(doc, FAMILY_KEYS, "family")
     box = tuple(
-        (float(lo), float(hi)) for lo, hi in _require(doc, "box", "family")
+        (float(lo), float(hi)) for lo, hi in (
+            checked_list(pair, "family.box entry", 2)
+            for pair in checked_list(_require(doc, "box", "family"), "family.box"))
     )
-    names = tuple(doc.get("params", [f"p{i}" for i in range(len(box))]))
+    names = tuple(checked_list(doc.get("params", [f"p{i}" for i in range(len(box))]),
+                               "family.params"))
     if len(names) != len(box):
         raise SchemaError("family: params must match the box length")
     template = compile_template(doc, names, "family")
@@ -262,12 +277,13 @@ def sequence_from_dict(doc: Mapping[str, Any]):
     from .limits import DEFAULT_N_SCHEDULE, TripletSequence, n_schedule_ints
 
     template = compile_template(doc, ("n",), "sequence")
-    schedule = n_schedule_ints(doc.get("n_schedule", DEFAULT_N_SCHEDULE))
+    schedule = n_schedule_ints(
+        checked_list(doc.get("n_schedule", DEFAULT_N_SCHEDULE), "sequence.n_schedule"))
     return TripletSequence(schedule, template.stack(np.array(schedule, dtype=float)[:, None]))
 
 
 def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:
-    fns = [compile_expr(str(e), ("n",)) for e in exprs]
+    fns = [compile_expr(str(e), ("n",)) for e in checked_list(exprs, "param_map")]
     return lambda n: np.array([float(fn(n=n)) for fn in fns])
 
 
@@ -275,20 +291,20 @@ def param_map_from_exprs(exprs: Sequence[str]) -> Callable[[int], np.ndarray]:
 # marginals, costs, instances
 
 
-def marginal_from_dict(doc: Mapping[str, Any]) -> Marginal:
-    kind = _require(doc, "kind", "marginal")
+def marginal_from_dict(doc: Mapping[str, Any], context: str = "marginal") -> Marginal:
+    kind = _require(doc, "kind", context)
     if kind == "point-mass":
-        return Marginal.point(_require(doc, "location", "marginal"))
+        return Marginal.point(_require(doc, "location", context))
     if kind == "gaussian":
         return Marginal.gaussian(
-            float(_require(doc, "mean", "marginal")),
-            float(_require(doc, "variance", "marginal")),
+            float(_require(doc, "mean", context)),
+            float(_require(doc, "variance", context)),
         )
     if kind == "grid-density":
-        return Marginal.discrete(
-            _require(doc, "points", "marginal"), _require(doc, "weights", "marginal")
-        )
-    raise SchemaError(f"marginal: unknown kind {kind!r}")
+        points, weights = (checked_list(_require(doc, k, context), f"{context}.{k}")
+                           for k in ("points", "weights"))
+        return Marginal.discrete(points, weights)
+    raise SchemaError(f"{context}: unknown kind {kind!r}")
 
 
 def cost_from_expr(source: str, param_names: Sequence[str]) -> CostFunction:
@@ -305,8 +321,8 @@ def instance_from_dict(doc: Mapping[str, Any]) -> TransportInstance:
     fam = family_from_dict(fam_doc)
     cost = cost_from_expr(str(_require(doc, "cost", "instance")), fam.param_names)
     return TransportInstance(
-        mu0=marginal_from_dict(_require(doc, "mu0", "instance")),
-        mu1=marginal_from_dict(_require(doc, "mu1", "instance")),
+        mu0=marginal_from_dict(_require(doc, "mu0", "instance"), "mu0"),
+        mu1=marginal_from_dict(_require(doc, "mu1", "instance"), "mu1"),
         fam=fam,
         cost=cost,
     )

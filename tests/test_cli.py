@@ -274,6 +274,12 @@ def test_write_csv_streams_the_buffered_bytes(tmp_path):
     assert os.listdir(tmp_path) == ["paths.csv"]
 
 
+def test_write_csv_needs_a_value_column(tmp_path):
+    with pytest.raises(ValueError, match="no value columns"):
+        write_csv(str(tmp_path / "t.csv"), ("t",), range(2), ())
+    assert os.listdir(tmp_path) == []
+
+
 def _repr_cells(col) -> list:
     return list(map(repr, col.tolist()))
 
@@ -748,11 +754,39 @@ _PLANAR_SEQUENCE = {"b": ["0", "0"], "c": [["0", "0"], ["0", "0"]],
      "structure must be an object"),
     ("limit-analyze", "shrinking_jump_sequence.json", ["structure=[]"],
      "structure must be an object"),
+    ("simulate", _PLAIN_TRIPLET, ["triplet=5"], "triplet must be an object"),
+    ("simulate", _PLAIN_TRIPLET, ["triplet.F.atoms=5"], "triplet.F.atoms must be a list"),
+    ("solve-transport", "trivial_instance.json", ["family.b=5"], "family.b must be a list"),
+    ("solve-transport", "trivial_instance.json", ["family.box=5"], "family.box must be a list"),
+    ("solve-transport", "trivial_instance.json", ["family.params=5"],
+     "family.params must be a list"),
+    ("solve-transport", "trivial_instance.json", ["family.box=[[0]]"],
+     "family.box entry must be a list of 2 entries"),
+    ("solve-transport", "trivial_instance.json", ["mu1=5"], "mu1 must be an object"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["structure.atoms=5"],
+     "structure.atoms must be a list"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["param_map=5"],
+     "param_map must be a list"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["delta_schedule=5"],
+     "delta_schedule must be a list"),
+    ("limit-analyze", "shrinking_jump_sequence.json", ["sequence.n_schedule=5"],
+     "sequence.n_schedule must be a list"),
+    ("check-theta", "pure_jump_family.json", ["delta_schedule=5"],
+     "delta_schedule must be a list"),
+    ("simulate", _PLAIN_TRIPLET, ['triplet.F.pieces=[{"lo": 0.2, "hi": 1.0, "density": "-1"}]'],
+     "density negative at x=0.200278 on piece [0.2, 1.0]"),
+    ("check-theta", "pure_jump_family.json",
+     ['family.F.pieces=[{"lo": 0.2, "hi": 1.0, "density": "-lam"}]'],
+     "density negative at x=0.200278 on piece [0.2, 1.0]"),
 ], ids=["drift-stencil", "negative-weight", "unbounded-family", "planar-limit",
         "planar-pieces", "mod", "keyword", "string-constant", "no-equals",
         "into-a-list", "top-level-array", "triplet-F", "misspelt-F-key", "unused-u-grid",
         "family-F", "atom-not-object", "atom-without-weight", "check-theta-F", "sequence-F",
-        "misspelt-piece-key", "structure-number", "structure-list"])
+        "misspelt-piece-key", "structure-number", "structure-list", "triplet-number",
+        "atoms-number", "family-b-number", "box-number", "params-number", "box-short-pair",
+        "mu1-number", "structure-atoms-number", "param-map-number", "delta-schedule-number",
+        "n-schedule-number", "check-theta-delta-schedule-number", "negative-density",
+        "negative-family-density"])
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, name, sets, message):
     # name is a fixture, a document or None for a top-level array
     path = tmp_path / "doc.json"
@@ -1081,11 +1115,17 @@ def test_each_projection_polishes_at_most_once(tmp_path, monkeypatch, sets):
     "solver.dual.gtol=1e-3", "solver.dual.max_iterations=10",
 ])
 def test_unknown_solver_keys_are_rejected(tmp_path, capsys, override):
+    # the block that holds the key, the key, and that block's valid keys:
+    # solver.dual's are the fields of HJBGridConfig and DualAscentConfig
     assert run("solve-transport", "--input", fixture("trivial_instance.json"),
                "--out", str(tmp_path), "--set", override) == 1
-    err = capsys.readouterr().err
-    assert repr(override.split("=")[0]) in err
-    assert "valid keys: solver.dual.x_min" in err and "solver.mc.seed" in err
+    path = override.split("=")[0]
+    block = path.rsplit(".", 1)[0] if path.startswith(("solver.dual.", "solver.mc.")) else "solver"
+    key = path[len(block) + 1:].split(".")[0]
+    valid = {"solver": "dual, mc", "solver.mc": "n_paths, seed",
+             "solver.dual": "x_min, x_max, n_x, n_t, pad, drift_stencil, bound, smoothing"}
+    assert capsys.readouterr().err == (
+        f"error: {block}: unknown key {key!r}; valid keys: {valid[block]}\n")
 
 
 @pytest.mark.parametrize("override", [

@@ -4,7 +4,6 @@ import pytest
 from levysot.cli import fixture_doc
 from levysot.limits import (
     ExponentProfile,
-    LimitStructure,
     TripletSequence,
     _unit_map,
     closedness_probe,
@@ -71,7 +70,7 @@ def test_limit_identification_recovers_known_triplet():
     target = triplet(0.4, 0.9, measure((0.5, 1.5)))
     seq = TripletSequence.from_map(lambda n: target, (10, 100))
     profile = exponent_limit_profile(seq, default_u_grid())
-    fitted, resid = limit_triplet_identify(profile, LimitStructure((0.5,)))
+    fitted, resid = limit_triplet_identify(profile, (0.5,))
     assert resid < 1e-10
     assert np.isclose(fitted.b[0, 0], 0.4, atol=1e-8)
     assert np.isclose(fitted.c[0, 0, 0], 0.9, atol=1e-8)
@@ -118,7 +117,7 @@ def test_limit_identification_underdetermined():
         np.array([1.0]),
     )
     with pytest.raises(ValueError):
-        limit_triplet_identify(profile, LimitStructure((0.5, 0.7, 0.9)))
+        limit_triplet_identify(profile, (0.5, 0.7, 0.9))
 
 
 def test_project_to_family_recovers_member():

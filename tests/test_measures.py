@@ -63,6 +63,25 @@ def test_density_piece_quadrature_error():
         piece.quad()
 
 
+def test_a_negative_density_is_refused_naming_its_piece():
+    # as a negative atom weight is: a Lévy measure is nonnegative; the error
+    # names the first node where the density is negative, also for a constant
+    for density in (lambda x: x - 1.5, lambda x: -1.0):
+        with pytest.raises(ValueError, match=r"density negative at x=1.00035 on piece \[1.0, 2.0\]"):
+            measure(pieces=(DensityPiece(1.0, 2.0, density),))
+
+
+def test_an_integrand_non_finite_on_a_piece_names_the_piece():
+    # the second row's piece is where the integrand is infinite; the atoms
+    # and the first row's piece give finite values
+    F = MeasureStack.pack([
+        measure((0.5, 2.0), pieces=(DensityPiece(1.0, 2.0, np.ones_like),)),
+        measure((0.5, 1.0), pieces=(DensityPiece(3.0, 4.0, np.ones_like),)),
+    ])
+    with pytest.raises(QuadratureError, match=r"integrand non-finite on piece \[3.0, 4.0\]"):
+        F.integrate(lambda x: np.where(x[..., 0] > 2.5, np.inf, x[..., 0]))
+
+
 def test_atom_validation():
     with pytest.raises(ValueError, match="no atom at 0"):
         measure((0.0, 1.0))
